@@ -20,14 +20,21 @@ the amortisation behind the paper's O(|V|·(|V|+|E|)) bound (Theorem 6).
 ``E_B`` is kept *implicit*: a crossing edge is an intersection-graph edge
 whose endpoints are currently on different sides.  This avoids rebuilding
 edge sets and keeps every search O(|V| + |E_G'|).
+
+König classification is maintained the same way.  An unmatched vertex
+is Even on its own side by definition, so only the matched region needs
+an alternating search, seeded from the matched vertices that have an
+unmatched neighbour across the split.  Those neighbour counts change
+only around the few vertices whose side or matched status a move
+touched: the moved vertex, its old partner, and the ends of each
+augmenting path.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Set
 
-from ..core import csr_active
 from ..errors import MatchingError
 from ..graph import Graph
 from .bipartite import BipartiteGraph
@@ -74,25 +81,38 @@ class IncrementalMatching:
         self._match: List[int] = [-1] * n
         self._left_count = n
         self._matching_size = 0
-        # Epoch-stamped visit marks let classify() run without
-        # reallocating per split.
-        self._visit_l = [0] * n
-        self._visit_r = [0] * n
-        self._epoch = 0
-        # Flat adjacency cache: the per-split alternating BFS touches
-        # every edge, so the Graph method-call overhead would dominate
-        # the whole sweep (Theorem 6's inner loop).
+        # Flat adjacency cache: augmenting searches and classification
+        # scan neighbour lists in their inner loops, where the Graph
+        # method-call overhead would dominate the sweep.
         self._adjacency = [list(graph.neighbors(v)) for v in range(n)]
-        # Lazily-built numpy (indptr, indices) mirror of the adjacency,
-        # used by the vectorised classify() under the csr core.
-        self._np_adjacency = None
+        # Classification state, brought up to date by classify(): the
+        # code array, the matched vertices, and each vertex's count of
+        # unmatched neighbours across the split.  The counts reflect
+        # every vertex's (side, unmatched) pair as last settled
+        # (``_settled_*``); ``_dirty`` lists the vertices whose pair may
+        # have changed since.
+        self._codes = [VertexClass.EVEN_L] * n
+        self._matched: Set[int] = set()
+        self._free_across = [0] * n
+        self._settled_side = [_LEFT] * n
+        self._settled_free = [True] * n
+        self._dirty: List[int] = []
+        # Epoch-stamped reach marks let classify() run without
+        # reallocating per split.
+        self._reach_l = [0] * n
+        self._reach_r = [0] * n
+        self._epoch = 0
+        #: Vertices whose class changed at the last :meth:`classify`.
+        self.reclassified: List[int] = []
         #: Plain-int telemetry, always maintained (a few integer adds
         #: per sweep move): successful augmenting paths applied,
-        #: searches attempted, and total vertices visited by augmenting
-        #: searches (the work term behind Theorem 6's amortisation).
+        #: searches attempted, vertices visited by augmenting searches
+        #: (the work term behind Theorem 6's amortisation), and
+        #: vertices plus adjacency entries scanned by classification.
         self.augmentations = 0
         self.augmentation_attempts = 0
         self.search_visits = 0
+        self.classify_visits = 0
 
     # ------------------------------------------------------------------
     # State accessors
@@ -173,8 +193,10 @@ class IncrementalMatching:
         # which we already unmatched.
         self._side[v] = _RIGHT
         self._left_count -= 1
+        self._dirty.append(v)
 
         if u != -1:
+            self._dirty.append(u)
             if self._augment_from(u):
                 self._matching_size += 1
 
@@ -213,6 +235,7 @@ class IncrementalMatching:
                 )
             self._side[v] = _RIGHT
             self._left_count -= 1
+            self._dirty.append(v)
         installed = 0
         if seed:
             match = self._match
@@ -229,6 +252,7 @@ class IncrementalMatching:
                     continue
                 match[u] = v
                 match[v] = u
+                self._dirty.extend((u, v))
                 installed += 1
         self._matching_size += installed
         self.repair_to_maximum()
@@ -286,6 +310,7 @@ class IncrementalMatching:
                         a, b = path[i], path[i + 1]
                         match[a] = b
                         match[b] = a
+                    self._dirty.extend((start, y))
                     self.augmentations += 1
                     self.search_visits += len(parent)
                     return True
@@ -302,162 +327,149 @@ class IncrementalMatching:
     def classify(self) -> List[int]:
         """König classes of every vertex for the current split.
 
-        Returns a list of :class:`VertexClass` codes.  Cost is one
-        alternating BFS from each side's unmatched vertices, O(V + E) —
-        the per-split Phase I cost in Theorem 6.
+        Returns a list of :class:`VertexClass` codes and records in
+        :attr:`reclassified` the vertices whose class changed since the
+        previous call.  The matching must be maximum, which
+        :meth:`move_to_right` maintains; then no alternating path joins
+        two unmatched vertices, so the reaches from the two sides are
+        disjoint and the six classes partition the vertices.
 
-        The matching must be maximum, which :meth:`move_to_right`
-        maintains; with a maximum matching the reaches from the two sides
-        are disjoint, so the six classes partition the vertices.
-
-        Under the csr core the alternating reachability is computed as
-        a numpy frontier BFS instead of the Python queue.  The marked
-        set is a fixed point of the alternating-reachability relation —
-        independent of visit order — so the codes are identical.
+        Unmatched vertices are Even on their own side.  The alternating
+        search runs over the matched vertices only, seeded from those
+        with an unmatched neighbour across the split, so a call costs
+        the matched region and the edges it reaches, plus the neighbour
+        lists of the vertices moves touched since the previous call —
+        not O(V + E), except for the first call after :meth:`jump_start`,
+        which settles every flipped vertex.  The marked set is a fixed
+        point of alternating reachability, so visit order does not
+        change the codes.
         """
-        if csr_active():
-            return self._classify_vectorised()
+        codes = self._codes
+        reclassified: List[int] = []
+        visits = self._settle(reclassified)
+        side = self._side
+        match = self._match
+        free_across = self._free_across
+        reach_l = self._reach_l
+        reach_r = self._reach_r
         self._epoch += 1
-        self._alternating_mark(_LEFT, self._visit_l)
-        self._alternating_mark(_RIGHT, self._visit_r)
         epoch = self._epoch
-        codes = [0] * self.num_vertices
-        for v in range(self.num_vertices):
-            if self._side[v] == _LEFT:
-                if self._visit_l[v] == epoch:
-                    codes[v] = VertexClass.EVEN_L
-                elif self._visit_r[v] == epoch:
-                    codes[v] = VertexClass.ODD_R
+        # A matched vertex with an unmatched neighbour across is Odd,
+        # reached from that neighbour's side; its partner is Even.
+        stack_l: List[int] = []
+        stack_r: List[int] = []
+        for x in self._matched:
+            if free_across[x]:
+                mate = match[x]
+                if side[x] == _RIGHT:
+                    reach_l[x] = reach_l[mate] = epoch
+                    stack_l.append(mate)
                 else:
-                    codes[v] = VertexClass.CORE_L
+                    reach_r[x] = reach_r[mate] = epoch
+                    stack_r.append(mate)
+        visits += 2 * len(self._matched)
+        visits += self._alternate(stack_l, reach_l, epoch)
+        visits += self._alternate(stack_r, reach_r, epoch)
+        for x in self._matched:
+            if side[x] == _LEFT:
+                if reach_l[x] == epoch:
+                    code = VertexClass.EVEN_L
+                elif reach_r[x] == epoch:
+                    code = VertexClass.ODD_R
+                else:
+                    code = VertexClass.CORE_L
+            elif reach_r[x] == epoch:
+                code = VertexClass.EVEN_R
+            elif reach_l[x] == epoch:
+                code = VertexClass.ODD_L
             else:
-                if self._visit_r[v] == epoch:
-                    codes[v] = VertexClass.EVEN_R
-                elif self._visit_l[v] == epoch:
-                    codes[v] = VertexClass.ODD_L
-                else:
-                    codes[v] = VertexClass.CORE_R
-        return codes
+                code = VertexClass.CORE_R
+            if codes[x] != code:
+                codes[x] = code
+                reclassified.append(x)
+        self.classify_visits += visits
+        self.reclassified = reclassified
+        return list(codes)
 
-    def _alternating_mark(self, from_side: int, visit: List[int]) -> None:
-        """Mark everything alternating-reachable from ``from_side``'s
-        unmatched vertices in ``visit`` with the current epoch."""
-        epoch = self._epoch
+    def _settle(self, reclassified: List[int]) -> int:
+        """Bring the unmatched-neighbour counts, the matched set and the
+        codes of unmatched vertices up to date for every dirty vertex.
+
+        Each dirty vertex moves from its settled (side, unmatched) pair
+        to its current one against its neighbours' settled pairs, so the
+        counts stay exact after every single step, in any order.
+        Returns the vertices and adjacency entries scanned.
+        """
+        dirty = self._dirty
         side = self._side
         match = self._match
         adjacency = self._adjacency
-        queue = deque()
-        for v in range(self.num_vertices):
-            if side[v] == from_side and match[v] == -1:
-                visit[v] = epoch
-                queue.append(v)
-        while queue:
-            u = queue.popleft()
-            u_side = side[u]
-            for w in adjacency[u]:
-                if side[w] == u_side or visit[w] == epoch:
-                    continue
-                # (u, w) is a crossing non-matching edge (w unmarked, so
-                # it cannot be u's partner, which is marked with u).
-                visit[w] = epoch
-                mate = match[w]
-                if mate != -1 and visit[mate] != epoch:
-                    visit[mate] = epoch
-                    queue.append(mate)
-        # Note: unmatched start vertices were marked before the loop, and
-        # every vertex entered mid-loop is matched (else the matching
-        # would not be maximum).
-
-    # ------------------------------------------------------------------
-    # Vectorised classification (csr core)
-    # ------------------------------------------------------------------
-    def _ensure_np_adjacency(self):
-        if self._np_adjacency is None:
-            import numpy as np
-
-            cache = self._graph._csr_cache
-            if cache is not None:
-                self._np_adjacency = (cache[0], cache[1])
+        free_across = self._free_across
+        settled_side = self._settled_side
+        settled_free = self._settled_free
+        codes = self._codes
+        visits = len(dirty)
+        for x in dirty:
+            new_side = side[x]
+            new_free = match[x] == -1
+            old_side = settled_side[x]
+            old_free = settled_free[x]
+            if new_side == old_side and new_free == old_free:
+                continue
+            neighbours = adjacency[x]
+            visits += len(neighbours)
+            # Each neighbour's count loses x as it was and gains x as it
+            # is; x's own count is recounted against its new side.
+            own = 0
+            for y in neighbours:
+                y_side = settled_side[y]
+                was = old_free and y_side != old_side
+                now = new_free and y_side != new_side
+                if was != now:
+                    free_across[y] += 1 if now else -1
+                if y_side != new_side and settled_free[y]:
+                    own += 1
+            free_across[x] = own
+            settled_side[x] = new_side
+            settled_free[x] = new_free
+            if new_free:
+                self._matched.discard(x)
+                code = (
+                    VertexClass.EVEN_L if new_side == _LEFT
+                    else VertexClass.EVEN_R
+                )
+                if codes[x] != code:
+                    codes[x] = code
+                    reclassified.append(x)
             else:
-                n = self.num_vertices
-                counts = np.fromiter(
-                    (len(a) for a in self._adjacency),
-                    dtype=np.int64,
-                    count=n,
-                )
-                indptr = np.zeros(n + 1, dtype=np.int64)
-                np.cumsum(counts, out=indptr[1:])
-                indices = np.fromiter(
-                    (w for a in self._adjacency for w in a),
-                    dtype=np.int64,
-                    count=int(indptr[-1]),
-                )
-                self._np_adjacency = (indptr, indices)
-        return self._np_adjacency
+                self._matched.add(x)
+        dirty.clear()
+        return visits
 
-    def _classify_vectorised(self) -> List[int]:
-        import numpy as np
-
-        n = self.num_vertices
-        indptr, indices = self._ensure_np_adjacency()
-        side = np.asarray(self._side, dtype=np.int8)
-        match = np.asarray(self._match, dtype=np.int64)
-        reach_l = self._alternating_mark_vectorised(
-            _LEFT, side, match, indptr, indices
-        )
-        reach_r = self._alternating_mark_vectorised(
-            _RIGHT, side, match, indptr, indices
-        )
-        left = side == _LEFT
-        codes = np.where(left, VertexClass.CORE_L, VertexClass.CORE_R)
-        codes[left & reach_r] = VertexClass.ODD_R
-        codes[left & reach_l] = VertexClass.EVEN_L
-        codes[~left & reach_l] = VertexClass.ODD_L
-        codes[~left & reach_r] = VertexClass.EVEN_R
-        return codes.tolist()
-
-    @staticmethod
-    def _alternating_mark_vectorised(
-        from_side, side, match, indptr, indices
-    ):
-        """The marked set of :meth:`_alternating_mark` as a bool array.
-
-        Frontier BFS over alternating layers: unmatched ``from_side``
-        vertices seed the frontier; each round marks their unvisited
-        opposite-side neighbours, then advances the frontier to those
-        neighbours' unvisited mates.  Computes the same least fixed
-        point the sequential queue does.
-        """
-        import numpy as np
-
-        visited = np.zeros(side.size, dtype=bool)
-        frontier = np.flatnonzero((side == from_side) & (match == -1))
-        visited[frontier] = True
-        while frontier.size:
-            starts = indptr[frontier]
-            ends = indptr[frontier + 1]
-            counts = ends - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            offsets = (
-                np.repeat(ends - np.cumsum(counts), counts)
-                + np.arange(total)
-            )
-            neighbours = indices[offsets]
-            crossing = neighbours[
-                (side[neighbours] != from_side) & ~visited[neighbours]
-            ]
-            if crossing.size == 0:
-                break
-            crossing = np.unique(crossing)
-            visited[crossing] = True
-            mates = match[crossing]
-            mates = mates[mates != -1]
-            mates = mates[~visited[mates]]
-            visited[mates] = True
-            frontier = mates
-        return visited
+    def _alternate(self, stack: List[int], reach: List[int], epoch: int) -> int:
+        """Mark in ``reach`` everything alternating-reachable from the
+        (marked) matched vertices on ``stack``; return the adjacency
+        entries scanned."""
+        side = self._side
+        match = self._match
+        adjacency = self._adjacency
+        visits = 0
+        while stack:
+            u = stack.pop()
+            u_side = side[u]
+            neighbours = adjacency[u]
+            visits += len(neighbours)
+            for w in neighbours:
+                if side[w] == u_side or reach[w] == epoch:
+                    continue
+                # (u, w) is a crossing non-matching edge; w is matched,
+                # else the matching would not be maximum.
+                reach[w] = epoch
+                mate = match[w]
+                if mate != -1 and reach[mate] != epoch:
+                    reach[mate] = epoch
+                    stack.append(mate)
+        return visits
 
     # ------------------------------------------------------------------
     # Snapshots and invariants

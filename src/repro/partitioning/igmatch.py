@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import PartitionError
 from ..hypergraph import Hypergraph
@@ -73,7 +75,6 @@ class IGMatchConfig:
     split_stride: int = 1
     check_invariants: bool = False
     recursive_depth: int = 0
-    min_part_modules: int = 1
     #: Sweep orderings from this many Laplacian eigenvectors (2nd,
     #: 3rd, ...) and keep the best completion — the multi-eigenvector
     #: variant explored in the Hagen–Kahng follow-up work.  Falls back
@@ -130,174 +131,144 @@ class SweepWarmStart:
     matching_seed: Tuple[Tuple[int, int], ...] = ()
 
 
-class _SweepArrays:
-    """Precomputed flat pin arrays for the vectorised Phase II.
+#: The side a net's König class pins its modules to, indexed by
+#: :class:`VertexClass` code: winners pin, every other class leaves its
+#: modules to the core.
+_PINS_TO = tuple(
+    _L_SIDE if code == VertexClass.EVEN_L
+    else _R_SIDE if code == VertexClass.EVEN_R
+    else _UNASSIGNED
+    for code in range(6)
+)
 
-    ``pin_modules[i]`` / ``pin_nets[i]`` give the module and net of the
-    i-th pin; ``net_valid`` masks nets with >= 2 pins (the only ones
-    that can be cut).  Built once per sweep, O(pins).
+
+class _CompletionTally:
+    """Phase II of the main loop, maintained across the sweep's splits.
+
+    Winner nets (Even(L), Even(R)) pin their modules to their side; the
+    unassigned core is tried wholesale on each side and the better ratio
+    cut wins.  Rather than recount every pin per split, the tally keeps
+    per module the number of winner nets pinning it to each side and the
+    resulting assignment (``assign``: ``_L_SIDE``/``_R_SIDE``/
+    ``_UNASSIGNED``), per net its pin count on each of those three
+    sides, and whether the net is cut when the core joins L or R.
+    :meth:`update` replays only the nets whose class changed.  With net
+    weights the cut weight is a numpy masked sum over those cut flags.
     """
 
-    def __init__(self, h: Hypergraph, use_net_weights: bool = False):
-        import numpy as np
-
-        modules = []
-        nets = []
-        for net, pins in h.iter_nets():
-            for p in pins:
-                modules.append(p)
-                nets.append(net)
-        self.pin_modules = np.asarray(modules, dtype=np.int64)
-        self.pin_nets = np.asarray(nets, dtype=np.int64)
-        self.net_valid = np.asarray(
-            [h.net_size(j) >= 2 for j in range(h.num_nets)]
+    def __init__(self, h: Hypergraph, codes: List[int], use_weights: bool):
+        m = h.num_nets
+        self._num_modules = h.num_modules
+        self._pins = [h.pins(net) for net in range(m)]
+        self._nets_of = [h.nets_of(v) for v in range(h.num_modules)]
+        # Start from "no winners": every module in the core.
+        self._net_pins_to = [_UNASSIGNED] * m
+        self._pinned_l = [0] * h.num_modules
+        self._pinned_r = [0] * h.num_modules
+        self.assign = [_UNASSIGNED] * h.num_modules
+        self._side_count = [0, 0, h.num_modules]
+        self._pin_count = [0] * (3 * m)
+        for net, pins in enumerate(self._pins):
+            self._pin_count[3 * net + _UNASSIGNED] = len(pins)
+        self._cut_core_l = [False] * m
+        self._cut_core_r = [False] * m
+        self._cuts = [0, 0]
+        self._weights = (
+            np.asarray(h.net_weights, dtype=float) if use_weights else None
         )
-        if use_net_weights and h.has_net_weights:
-            self.net_weights = np.asarray(h.net_weights, dtype=float)
+        self.update(range(m), codes)
+
+    def update(self, nets: Iterable[int], codes: List[int]) -> None:
+        """Account for the current ``codes`` of ``nets`` (every net
+        whose class may have changed since the last update)."""
+        pinned_l = self._pinned_l
+        pinned_r = self._pinned_r
+        touched: List[int] = []
+        for net in nets:
+            new = _PINS_TO[codes[net]]
+            old = self._net_pins_to[net]
+            if new == old:
+                continue
+            self._net_pins_to[net] = new
+            pins = self._pins[net]
+            for pins_side, step in ((old, -1), (new, 1)):
+                if pins_side == _L_SIDE:
+                    for p in pins:
+                        pinned_l[p] += step
+                elif pins_side == _R_SIDE:
+                    for p in pins:
+                        pinned_r[p] += step
+            touched.extend(pins)
+
+        assign = self.assign
+        pin_count = self._pin_count
+        side_count = self._side_count
+        recount: List[int] = []
+        for p in touched:
+            # Winners are independent across the split, so no module is
+            # pinned to both sides.
+            new = (
+                _R_SIDE if pinned_r[p]
+                else _L_SIDE if pinned_l[p]
+                else _UNASSIGNED
+            )
+            old = assign[p]
+            if new == old:
+                continue
+            assign[p] = new
+            side_count[old] -= 1
+            side_count[new] += 1
+            for net in self._nets_of[p]:
+                pin_count[3 * net + old] -= 1
+                pin_count[3 * net + new] += 1
+            recount.extend(self._nets_of[p])
+
+        cut_core_l = self._cut_core_l
+        cut_core_r = self._cut_core_r
+        for net in recount:
+            base = 3 * net
+            in_l = pin_count[base + _L_SIDE]
+            in_r = pin_count[base + _R_SIDE]
+            in_n = pin_count[base + _UNASSIGNED]
+            # Core -> L: uncut iff all pins land in L (in_r == 0) or all
+            # in R; symmetrically for core -> R.
+            cut_l = in_r > 0 and (in_l > 0 or in_n > 0)
+            cut_r = in_l > 0 and (in_r > 0 or in_n > 0)
+            if cut_l != cut_core_l[net]:
+                cut_core_l[net] = cut_l
+                self._cuts[0] += 1 if cut_l else -1
+            if cut_r != cut_core_r[net]:
+                cut_core_r[net] = cut_r
+                self._cuts[1] += 1 if cut_r else -1
+
+    def evaluate(
+        self, rank: int, matching_size: int
+    ) -> Optional[SplitEvaluation]:
+        """The better completion at this split, or ``None`` when both
+        completions leave a side empty."""
+        num_l = self._side_count[_L_SIDE]
+        num_r = self._side_count[_R_SIDE]
+        num_n = self._side_count[_UNASSIGNED]
+        if self._weights is None:
+            cut_if_core_l, cut_if_core_r = self._cuts
         else:
-            self.net_weights = None
-        self.num_modules = h.num_modules
-        self.num_nets = h.num_nets
-
-
-def _evaluate_split_vectorised(
-    arrays: _SweepArrays,
-    codes: List[int],
-    rank: int,
-    matching_size: int,
-) -> Tuple[Optional[SplitEvaluation], Optional[List[int]]]:
-    """Vectorised Phase II, equivalent to :func:`_evaluate_split`.
-
-    (The pure-Python version remains the readable reference; the test
-    suite asserts both produce identical evaluations.)
-    """
-    import numpy as np
-
-    codes_arr = np.asarray(codes, dtype=np.int8)
-    net_class = codes_arr[arrays.pin_nets]
-    assign = np.full(arrays.num_modules, _UNASSIGNED, dtype=np.int8)
-    assign[arrays.pin_modules[net_class == VertexClass.EVEN_L]] = _L_SIDE
-    assign[arrays.pin_modules[net_class == VertexClass.EVEN_R]] = _R_SIDE
-
-    num_l = int(np.count_nonzero(assign == _L_SIDE))
-    num_r = int(np.count_nonzero(assign == _R_SIDE))
-    num_n = arrays.num_modules - num_l - num_r
-
-    pin_sides = assign[arrays.pin_modules]
-    m = arrays.num_nets
-    in_l = np.bincount(
-        arrays.pin_nets[pin_sides == _L_SIDE], minlength=m
-    )
-    in_r = np.bincount(
-        arrays.pin_nets[pin_sides == _R_SIDE], minlength=m
-    )
-    in_n = np.bincount(
-        arrays.pin_nets[pin_sides == _UNASSIGNED], minlength=m
-    )
-
-    valid = arrays.net_valid
-    uncut_core_l = (in_r == 0) | ((in_l == 0) & (in_n == 0))
-    uncut_core_r = (in_l == 0) | ((in_r == 0) & (in_n == 0))
-    if arrays.net_weights is None:
-        cut_if_core_l = int(np.count_nonzero(valid & ~uncut_core_l))
-        cut_if_core_r = int(np.count_nonzero(valid & ~uncut_core_r))
-    else:
-        # Criticality mode: the numerator is the summed weight of cut
-        # nets (IGMatchConfig.use_net_weights).
-        cut_if_core_l = float(
-            arrays.net_weights[valid & ~uncut_core_l].sum()
+            # Criticality mode: the numerator is the summed weight of
+            # cut nets (IGMatchConfig.use_net_weights).
+            weights = self._weights
+            cut_if_core_l = float(weights[np.array(self._cut_core_l)].sum())
+            cut_if_core_r = float(weights[np.array(self._cut_core_r)].sum())
+        ratio_core_l = ratio_cut_cost(cut_if_core_l, num_l + num_n, num_r)
+        ratio_core_r = ratio_cut_cost(cut_if_core_r, num_l, num_r + num_n)
+        if ratio_core_l == float("inf") and ratio_core_r == float("inf"):
+            return None
+        core_to_l = ratio_core_l <= ratio_core_r
+        return SplitEvaluation(
+            rank=rank,
+            matching_size=matching_size,
+            nets_cut=cut_if_core_l if core_to_l else cut_if_core_r,
+            ratio_cut=ratio_core_l if core_to_l else ratio_core_r,
+            assign_core_to_l=core_to_l,
         )
-        cut_if_core_r = float(
-            arrays.net_weights[valid & ~uncut_core_r].sum()
-        )
-
-    ratio_core_l = ratio_cut_cost(cut_if_core_l, num_l + num_n, num_r)
-    ratio_core_r = ratio_cut_cost(cut_if_core_r, num_l, num_r + num_n)
-    if ratio_core_l == float("inf") and ratio_core_r == float("inf"):
-        return None, None
-
-    core_to_l = ratio_core_l <= ratio_core_r
-    evaluation = SplitEvaluation(
-        rank=rank,
-        matching_size=matching_size,
-        nets_cut=cut_if_core_l if core_to_l else cut_if_core_r,
-        ratio_cut=ratio_core_l if core_to_l else ratio_core_r,
-        assign_core_to_l=core_to_l,
-    )
-    # Converted lazily by the caller; only the best split's assignment
-    # is ever materialised.
-    return evaluation, assign.tolist()
-
-
-def _evaluate_split(
-    h: Hypergraph,
-    codes: List[int],
-    rank: int,
-    matching_size: int,
-) -> Tuple[Optional[SplitEvaluation], Optional[List[int]]]:
-    """Phase II of the main loop: complete the module partition.
-
-    ``codes[net]`` is the König class of each net (R = nets already swept,
-    i.e. the first ``rank`` of the ordering).  Winner nets pin their
-    modules; unassigned modules are tried on the L side and on the R side
-    and the better ratio cut wins.
-
-    Returns the evaluation and the module assignment array (values
-    ``_L_SIDE``/``_R_SIDE``/``_UNASSIGNED``) for the winning option, or
-    ``(None, None)`` when both completions are degenerate (one side
-    empty).
-    """
-    n = h.num_modules
-    assign = [_UNASSIGNED] * n
-    for net in range(h.num_nets):
-        code = codes[net]
-        if code == VertexClass.EVEN_L:
-            for pin in h.pins(net):
-                assign[pin] = _L_SIDE
-        elif code == VertexClass.EVEN_R:
-            for pin in h.pins(net):
-                assign[pin] = _R_SIDE
-
-    num_l = assign.count(_L_SIDE)
-    num_r = assign.count(_R_SIDE)
-    num_n = n - num_l - num_r
-
-    # One pass over the pins classifies each net under both completions.
-    cut_if_core_l = 0  # unassigned modules join the L side
-    cut_if_core_r = 0
-    for net in range(h.num_nets):
-        pins = h.pins(net)
-        if len(pins) < 2:
-            continue
-        in_l = in_r = in_n = 0
-        for pin in pins:
-            side = assign[pin]
-            if side == _L_SIDE:
-                in_l += 1
-            elif side == _R_SIDE:
-                in_r += 1
-            else:
-                in_n += 1
-        # Core → L: uncut iff all pins land in L (in_r == 0) or all in R.
-        if not (in_r == 0 or (in_l == 0 and in_n == 0)):
-            cut_if_core_l += 1
-        if not (in_l == 0 or (in_r == 0 and in_n == 0)):
-            cut_if_core_r += 1
-
-    ratio_core_l = ratio_cut_cost(cut_if_core_l, num_l + num_n, num_r)
-    ratio_core_r = ratio_cut_cost(cut_if_core_r, num_l, num_r + num_n)
-    if ratio_core_l == float("inf") and ratio_core_r == float("inf"):
-        return None, None
-
-    core_to_l = ratio_core_l <= ratio_core_r
-    evaluation = SplitEvaluation(
-        rank=rank,
-        matching_size=matching_size,
-        nets_cut=cut_if_core_l if core_to_l else cut_if_core_r,
-        ratio_cut=ratio_core_l if core_to_l else ratio_core_r,
-        assign_core_to_l=core_to_l,
-    )
-    return evaluation, assign
 
 
 def _materialise(
@@ -386,15 +357,7 @@ def ig_match_sweep(
     complete_seconds = 0.0
     t_mark = 0.0
     with span("igmatch.sweep", nets=num_nets) as sweep_span:
-        # The vectorised Phase II pays off once circuits are
-        # non-trivial; the pure-Python version stays as the readable
-        # reference (and the tests assert they agree).  The weighted
-        # objective is only implemented in the vectorised path.
-        arrays = (
-            _SweepArrays(h, use_weights)
-            if (num_nets >= 64 or use_weights)
-            else None
-        )
+        tally: Optional[_CompletionTally] = None
         for index in range(start_index, stop_index):
             net = order[index]
             if profiling:
@@ -411,14 +374,11 @@ def ig_match_sweep(
                 now = time.perf_counter()
                 match_seconds += now - t_mark
                 t_mark = now
-            if arrays is not None:
-                evaluation, assign = _evaluate_split_vectorised(
-                    arrays, codes, rank, matcher.matching_size
-                )
+            if tally is None:
+                tally = _CompletionTally(h, codes, use_weights)
             else:
-                evaluation, assign = _evaluate_split(
-                    h, codes, rank, matcher.matching_size
-                )
+                tally.update(matcher.reclassified, codes)
+            evaluation = tally.evaluate(rank, matcher.matching_size)
             if profiling:
                 complete_seconds += time.perf_counter() - t_mark
             if evaluation is None:
@@ -437,7 +397,7 @@ def ig_match_sweep(
                 < (best_eval.ratio_cut, best_eval.rank)
             ):
                 best_eval = evaluation
-                best_assign = assign
+                best_assign = list(tally.assign)
                 if capture is not None:
                     md = matcher.matching_dict()
                     capture["best_rank"] = rank
@@ -469,6 +429,7 @@ def ig_match_sweep(
                 matcher.augmentation_attempts,
             )
             incr("matching.search_visits", matcher.search_visits)
+            incr("matching.classify_visits", matcher.classify_visits)
             emit(
                 "igmatch.sweep",
                 nets=num_nets,

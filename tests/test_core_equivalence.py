@@ -13,7 +13,8 @@ suite enforces that contract three ways:
    instance that raises must raise the identical error on both cores.
 2. Layer-by-layer: intersection-graph construction (adjacency structure,
    bitwise edge weights, insertion order), the matcher's Dulmage–
-   Mendelsohn ``classify`` under random sweeps, FM engine
+   Mendelsohn ``classify`` under random sweeps over each core's graph
+   (against the from-scratch oracle), FM engine
    initialisation, and the Laplacian adjacency matrix.
 3. Service-level: hypergraph fingerprints are core-blind, a served
    result equals a direct compute on either core, and a disk cache
@@ -51,6 +52,7 @@ from repro.service import (
 from repro.service.engine import ALGORITHMS
 from repro.service.fingerprint import canonical_fingerprint, exact_fingerprint
 from tests.conftest import random_hypergraph
+from tests.oracles import classify_from_scratch
 from tests.strategies import hypergraphs, partitionable_hypergraphs
 
 WEIGHTINGS = ("unit", "overlap", "jaccard", "paper")
@@ -184,24 +186,29 @@ class TestMatchingLayer:
     @settings(max_examples=30, deadline=None)
     @given(h=hypergraphs(max_modules=12, max_nets=15))
     def test_classify_identical_under_random_sweeps(self, h):
-        g = intersection_graph(h, "paper")
-        n = g.num_vertices
+        """Matchers over each core's intersection graph classify every
+        split identically, equal to the from-scratch oracle, with
+        identical work counters."""
+        with use_core("dict"):
+            gd = intersection_graph(h, "paper")
+        with use_core("csr"):
+            gc = intersection_graph(h, "paper")
+        n = gd.num_vertices
         order = list(range(n))
         random.Random(7).shuffle(order)
-        with use_core("dict"):
-            md = IncrementalMatching(g)
-        with use_core("csr"):
-            mc = IncrementalMatching(g)
+        md = IncrementalMatching(gd)
+        mc = IncrementalMatching(gc)
         for v in order:
-            with use_core("dict"):
-                md.move_to_right(v)
-                codes_d = md.classify()
-            with use_core("csr"):
-                mc.move_to_right(v)
-                codes_c = mc.classify()
-            assert codes_d == codes_c
-        assert (md.augmentations, md.augmentation_attempts, md.search_visits) \
-            == (mc.augmentations, mc.augmentation_attempts, mc.search_visits)
+            md.move_to_right(v)
+            mc.move_to_right(v)
+            codes_d = md.classify()
+            assert codes_d == mc.classify() == classify_from_scratch(md)
+
+        def work(m):
+            return (m.augmentations, m.augmentation_attempts,
+                    m.search_visits, m.classify_visits)
+
+        assert work(md) == work(mc)
 
 
 class TestFMLayer:

@@ -8,16 +8,19 @@
   bipartite graph.
 * Theorem 5: the completed partition cuts at most |maximum matching|
   nets.
-* Theorem 6's amortised complexity is exercised (not timed) by running
-  full sweeps.
+* Theorem 6: a full sweep's matching and classification work, counted
+  by the matcher, stays within c·|V|·(|V|+|E|).
 """
 
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.graph import Graph, connected_components
+from repro.intersection import intersection_graph
 from repro.matching import IncrementalMatching
 from repro.matching.incremental import VertexClass
 from repro.partitioning import IGMatchConfig, ig_match_sweep
@@ -28,6 +31,7 @@ from tests.conftest import (
     hypergraph_strategy,
     random_hypergraph,
 )
+from tests.strategies import adversarial_csr_hypergraphs
 
 
 class TestTheorem1:
@@ -108,6 +112,72 @@ class TestTheorems4And5:
                 for u, v, _ in graph.edges():
                     if matcher.side_of(u) != matcher.side_of(v):
                         assert u in losers or v in losers
+
+
+def sweep_counters(h, order=None):
+    """Run one cold full sweep with obs on; return (graph, evaluations,
+    counters)."""
+    graph = intersection_graph(h, "paper")
+    with obs.isolated() as state:
+        obs.enable()
+        try:
+            evaluations, _ = ig_match_sweep(
+                h, IGMatchConfig(), order=order, graph=graph
+            )
+        finally:
+            obs.disable()
+        return graph, evaluations, dict(state.counters)
+
+
+class TestTheorem6:
+    """The sweep's work, as counted by ``matching.search_visits`` and
+    ``matching.classify_visits``, against the paper's O(|V|·(|V|+|E|)).
+
+    Derivation of ``c`` for a cold full sweep (|V| - 1 moves, at most
+    |V| - 1 classify calls):
+
+    * an augmenting search visits at most |V| vertices and a move
+      tries at most two searches, so ``search_visits`` <= 2|V|^2;
+    * a move leaves at most six vertices to settle (the moved vertex,
+      its old partner, and both ends of at most two augmenting paths),
+      each costing one visit plus its degree (< |V|), so settling costs
+      at most 6|V|^2 over the sweep;
+    * each call scans the matched set twice (<= 2|V|) and the
+      alternating search expands each vertex at most once (<= 2|E|
+      adjacency entries), at most 2|V|(|V| + |E|) over the sweep.
+
+    In total at most 8|V|^2 + 2|V|(|V| + |E|) <= 10|V|(|V| + |E|).
+    """
+
+    C = 10
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.one_of(
+            hypergraph_strategy(max_modules=14, max_nets=18),
+            adversarial_csr_hypergraphs(),
+        ),
+        data=st.data(),
+    )
+    def test_sweep_work_within_bound(self, h, data):
+        assume(h.num_nets >= 2 and h.num_modules >= 2)
+        order = data.draw(st.permutations(range(h.num_nets)))
+        graph, _, counters = sweep_counters(h, order)
+        v, e = graph.num_vertices, graph.num_edges
+        work = (
+            counters.get("matching.search_visits", 0)
+            + counters.get("matching.classify_visits", 0)
+        )
+        assert work <= self.C * v * (v + e)
+
+    def test_classification_well_below_from_scratch(self, medium_circuit):
+        """Classifying from scratch scans |V| + 2|E| per split; the
+        incremental classifier touches under half of that."""
+        graph, evaluations, counters = sweep_counters(medium_circuit)
+        from_scratch = len(evaluations) * (
+            graph.num_vertices + 2 * graph.num_edges
+        )
+        assert counters["matching.classify_visits"] < 0.5 * from_scratch
 
 
 class TestDeterminism:
