@@ -206,6 +206,16 @@ class Hypergraph:
                 f"(have {self.num_modules} modules)"
             ) from None
 
+    @property
+    def net_pins(self) -> Tuple[Tuple[int, ...], ...]:
+        """Every net's :meth:`pins` tuple, indexed by net."""
+        return self._pins
+
+    @property
+    def module_nets(self) -> Tuple[Tuple[int, ...], ...]:
+        """Every module's :meth:`nets_of` tuple, indexed by module."""
+        return self._nets_of
+
     def net_size(self, net: int) -> int:
         """Number of pins on ``net`` (the ``k`` of a *k-pin net*)."""
         return len(self.pins(net))

@@ -6,12 +6,16 @@ maximum cell degree), a max-gain pointer that only moves down by
 scanning and up by O(1) on insert, and O(1) unlink/relink per gain
 update.  :class:`LinkedGainBuckets` implements it faithfully.
 
-The default engine uses the simpler dict-of-sets
-(:class:`repro.partitioning.fm.GainBuckets`) — equivalent behaviour,
-friendlier code.  This class exists (a) as the faithful reference for
-the paper-era complexity argument and (b) as a drop-in alternative:
-it implements the same ``insert / remove / update / iter_best_first``
-interface, and the test suite drives both through identical traces.
+The FM engine uses the simpler dict-of-sets
+(:class:`repro.partitioning.fm.GainBuckets`).  This class is the
+faithful reference for the paper-era complexity argument, not a
+drop-in for the engine: nothing in the package builds it, and its LIFO
+order within a bucket differs from the set iteration order by which
+the engine's pass breaks gain ties, so the two would pick different
+cells among equal gains.  It implements the same
+``insert / remove / update / iter_best_first`` interface, and the tests
+replay a real pass's bucket operations through both and check that
+they agree on the best gain after every step.
 """
 
 from __future__ import annotations
@@ -149,8 +153,9 @@ class LinkedGainBuckets:
     def iter_best_first(self):
         """Yield ``(gain, cell)`` best-gain-first (LIFO within bucket).
 
-        Snapshot semantics like the dict implementation: mutations
-        during iteration do not disturb already-yielded buckets.
+        Each bucket is read into a list before its cells are yielded,
+        so mutations during iteration do not disturb a bucket already
+        being yielded.
         """
         if self._max_index is None:
             return

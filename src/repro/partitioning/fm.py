@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -29,29 +30,45 @@ from ..parallel import ParallelConfig, pstarmap, spawn_seeds
 from .metrics import ratio_cut_cost
 from .partition import Partition, PartitionResult
 
-__all__ = ["GainBuckets", "SideBuckets", "FMEngine", "FMConfig",
-           "fm_bipartition", "fm_refine_engine", "random_balanced_sides"]
+__all__ = ["GainBuckets", "FMEngine", "FMConfig", "fm_bipartition",
+           "fm_refine_engine", "random_balanced_sides"]
 
 
 class GainBuckets:
     """Cells bucketed by gain, with O(1) expected operations.
 
     A simplified bucket list: gain -> set of cells, plus a max-gain
-    cursor.  ``pop_best`` returns an arbitrary cell of maximum gain that
-    satisfies the caller's feasibility predicate.
+    pointer.  A bucket that empties is deleted, and a later insert at
+    its gain starts a fresh set.  Within a bucket, cells come out in set
+    iteration order, which depends on the bucket's whole history of
+    inserts and removes; the FM pass breaks gain ties by that order.
+
+    ``groups`` (gain -> cells) fills the buckets up front, each set
+    built from its list in one call: the same set as adding the cells
+    one by one in list order.
     """
 
-    def __init__(self) -> None:
-        self._buckets: Dict[int, Set[int]] = {}
-        self._max_gain: Optional[int] = None
+    def __init__(self, groups: Optional[Dict[int, List[int]]] = None) -> None:
+        self._buckets: Dict[int, Set[int]] = {
+            gain: set(cells) for gain, cells in (groups or {}).items()
+        }
+        self._max_gain: Optional[int] = max(self._buckets, default=None)
+        # A lower bound on every gain ever bucketed: where walks stop.
+        self._floor: int = min(self._buckets, default=0)
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._buckets.values())
 
     def insert(self, cell: int, gain: int) -> None:
-        self._buckets.setdefault(gain, set()).add(cell)
+        bucket = self._buckets.get(gain)
+        if bucket is None:
+            self._buckets[gain] = {cell}
+        else:
+            bucket.add(cell)
         if self._max_gain is None or gain > self._max_gain:
             self._max_gain = gain
+        if gain < self._floor:
+            self._floor = gain
 
     def remove(self, cell: int, gain: int) -> None:
         bucket = self._buckets.get(gain)
@@ -75,62 +92,20 @@ class GainBuckets:
         return new_gain
 
     def iter_best_first(self):
-        """Yield ``(gain, cell)`` pairs from the highest bucket down."""
-        for gain in sorted(self._buckets, reverse=True):
-            for cell in tuple(self._buckets[gain]):
-                yield gain, cell
+        """Yield ``(gain, cell)`` pairs from the highest bucket down.
 
-
-class SideBuckets:
-    """One :class:`GainBuckets` per partition side.
-
-    Lets a pass ask for the best-gain *feasible* candidate on each side
-    separately — required by ratio-gain move selection, where the best
-    move from the small side and the best from the large side must be
-    compared by their resulting ratio cuts, not by raw cut gain.
-    """
-
-    def __init__(self) -> None:
-        self._buckets = (GainBuckets(), GainBuckets())
-        self._side_of: Dict[int, int] = {}
-
-    def insert(self, cell: int, gain: int, side: int) -> None:
-        self._side_of[cell] = side
-        self._buckets[side].insert(cell, gain)
-
-    def remove(self, cell: int, gain: int) -> None:
-        side = self._side_of.pop(cell)
-        self._buckets[side].remove(cell, gain)
-
-    def update(self, cell: int, old_gain: int, delta: int) -> int:
-        return self._buckets[self._side_of[cell]].update(
-            cell, old_gain, delta
-        )
-
-    def best_feasible(self, side: int, feasible):
-        """``(gain, cell)`` of the best feasible cell on ``side``."""
-        for gain, cell in self._buckets[side].iter_best_first():
-            if feasible(cell):
-                return gain, cell
-        return None
-
-    def tied_feasible(self, side: int, feasible, limit: int = 8):
-        """All feasible cells sharing the best feasible gain on
-        ``side``, up to ``limit`` — the tie set for lookahead
-        selection.  Returns ``(gain, [cells])`` or ``None``."""
-        best_gain = None
-        cells = []
-        for gain, cell in self._buckets[side].iter_best_first():
-            if best_gain is not None and gain < best_gain:
-                break
-            if feasible(cell):
-                best_gain = gain
-                cells.append(cell)
-                if len(cells) >= limit:
-                    break
-        if best_gain is None:
-            return None
-        return best_gain, cells
+        Walks the gains down from the max-gain pointer and iterates each
+        bucket in place, with no sort and no copy, so the buckets must
+        not change while a walk is live.
+        """
+        if self._max_gain is None:
+            return
+        buckets = self._buckets
+        for gain in range(self._max_gain, self._floor - 1, -1):
+            bucket = buckets.get(gain)
+            if bucket is not None:
+                for cell in bucket:
+                    yield gain, cell
 
 
 class FMEngine:
@@ -144,27 +119,12 @@ class FMEngine:
       before/after critical-net rules of Fiduccia–Mattheyses,
     * side sizes and areas.
 
-    The engine itself enforces no balance rule — callers pass a
-    feasibility predicate to :meth:`run_pass`.
+    The engine itself enforces no balance rule — callers pass one to
+    :meth:`run_pass`.
     """
 
     def __init__(self, h: Hypergraph, sides: Sequence[int]):
-        if len(sides) != h.num_modules:
-            raise PartitionError(
-                f"{len(sides)} sides for {h.num_modules} modules"
-            )
-        self.h = h
-        self.sides: List[int] = [int(s) for s in sides]
-        if any(s not in (0, 1) for s in self.sides):
-            raise PartitionError("sides must be 0/1")
-        self.side_count = [
-            self.sides.count(0),
-            h.num_modules - self.sides.count(0),
-        ]
-        areas = h.module_areas
-        self.side_area = [0.0, 0.0]
-        for v, s in enumerate(self.sides):
-            self.side_area[s] += areas[v]
+        self._bind(h, sides)
         if csr_active():
             self._init_counts_csr()
         else:
@@ -180,8 +140,6 @@ class FMEngine:
             self.gains = [
                 self._compute_gain(v) for v in range(h.num_modules)
             ]
-        # Stats of the most recent run_pass (moved/kept/best_value).
-        self.last_pass = {"moved": 0, "kept": 0, "best_value": 0.0}
 
     @classmethod
     def from_state(
@@ -204,32 +162,42 @@ class FMEngine:
         differential tests assert the patched state equals a cold
         ``FMEngine(h, sides)`` build.
         """
-        if len(sides) != h.num_modules:
-            raise PartitionError(
-                f"{len(sides)} sides for {h.num_modules} modules"
-            )
+        engine = cls.__new__(cls)
+        engine._bind(h, sides)
         if len(pin_count) != h.num_nets or len(gains) != h.num_modules:
             raise PartitionError("warm FM state does not match hypergraph")
-        engine = cls.__new__(cls)
-        engine.h = h
-        engine.sides = [int(s) for s in sides]
-        if any(s not in (0, 1) for s in engine.sides):
-            raise PartitionError("sides must be 0/1")
-        engine.side_count = [
-            engine.sides.count(0),
-            h.num_modules - engine.sides.count(0),
-        ]
-        areas = h.module_areas
-        engine.side_area = [0.0, 0.0]
-        for v, s in enumerate(engine.sides):
-            engine.side_area[s] += areas[v]
         engine.pin_count = [list(counts) for counts in pin_count]
         engine.cut = int(cut)
         engine.gains = [int(g) for g in gains]
         for v in recompute_gains:
             engine.gains[v] = engine._compute_gain(v)
-        engine.last_pass = {"moved": 0, "kept": 0, "best_value": 0.0}
         return engine
+
+    def _bind(self, h: Hypergraph, sides: Sequence[int]) -> None:
+        """Set the fields every engine has, whichever constructor ran:
+        the sides with their counts and areas, and the hypergraph's
+        pin, incidence and area tuples, read once here."""
+        if len(sides) != h.num_modules:
+            raise PartitionError(
+                f"{len(sides)} sides for {h.num_modules} modules"
+            )
+        self.h = h
+        self.sides: List[int] = [int(s) for s in sides]
+        if any(s not in (0, 1) for s in self.sides):
+            raise PartitionError("sides must be 0/1")
+        self.side_count = [
+            self.sides.count(0),
+            h.num_modules - self.sides.count(0),
+        ]
+        self._pins = h.net_pins
+        self._nets_of = h.module_nets
+        self._areas = h.module_areas
+        self._num_areas = len(set(self._areas))
+        self.side_area = [0.0, 0.0]
+        for v, s in enumerate(self.sides):
+            self.side_area[s] += self._areas[v]
+        # Stats of the most recent run_pass (moved/kept/best_value).
+        self.last_pass = {"moved": 0, "kept": 0, "best_value": 0.0}
 
     # ------------------------------------------------------------------
     def _init_counts_csr(self) -> None:
@@ -277,7 +245,7 @@ class FMEngine:
         side = self.sides[cell]
         other = 1 - side
         gain = 0
-        for net in self.h.nets_of(cell):
+        for net in self._nets_of[cell]:
             counts = self.pin_count[net]
             if counts[side] + counts[other] < 2:
                 continue
@@ -287,77 +255,82 @@ class FMEngine:
                 gain -= 1  # net entirely on cell's side: move cuts it
         return gain
 
-    def move(self, cell: int, buckets: Optional[GainBuckets] = None,
-             locked: Optional[Sequence[bool]] = None) -> None:
+    def move(
+        self,
+        cell: int,
+        buckets: Optional[Sequence[GainBuckets]] = None,
+        locked: Optional[Sequence[bool]] = None,
+    ) -> None:
         """Move ``cell`` to the other side, updating cut and gains.
 
-        If ``buckets`` is given, free (unlocked) neighbours are re-bucketed
-        as their gains change (the moved cell itself must already have been
-        removed from the buckets by the caller).
+        Each net of ``cell`` changes its pins' gains by the critical-net
+        rules of Fiduccia–Mattheyses, checked before the move against
+        the to side and after it against the from side.  Given
+        ``buckets`` (one :class:`GainBuckets` per side, with ``cell``
+        already taken out) and ``locked``, each gain change of a free
+        neighbour is one :meth:`GainBuckets.update`, in that order.  The
+        moved cell's new gain is minus its old one: moving it back
+        restores the cut.
         """
-        h = self.h
-        from_side = self.sides[cell]
+        sides = self.sides
+        gains = self.gains
+        pin_count = self.pin_count
+        pins_of = self._pins
+        from_side = sides[cell]
         to_side = 1 - from_side
-        for net in h.nets_of(cell):
-            counts = self.pin_count[net]
-            size = counts[0] + counts[1]
-            if size < 2:
-                counts[from_side] -= 1
-                counts[to_side] += 1
-                continue
-            # --- before-move critical checks (w.r.t. the TO side) ---
-            if counts[to_side] == 0:
-                # Net becomes cut by this move.
-                self.cut += 1
-                self._adjust_net_gains(net, +1, None, buckets, locked, cell)
-            elif counts[to_side] == 1:
-                self._adjust_single(net, to_side, -1, buckets, locked, cell)
-            counts[from_side] -= 1
-            counts[to_side] += 1
-            # --- after-move critical checks (w.r.t. the FROM side) ---
-            if counts[from_side] == 0:
-                # Net is no longer cut.
-                self.cut -= 1
-                self._adjust_net_gains(net, -1, None, buckets, locked, cell)
-            elif counts[from_side] == 1:
-                self._adjust_single(net, from_side, +1, buckets, locked, cell)
-        self.sides[cell] = to_side
+        cut = self.cut
+        for net in self._nets_of[cell]:
+            counts = pin_count[net]
+            on_to = counts[to_side]  # before the move
+            on_from = counts[from_side] - 1  # after it
+            counts[to_side] = on_to + 1
+            counts[from_side] = on_from
+            if on_to + on_from == 0:
+                continue  # a one-pin net is never cut
+            if on_to == 0:
+                # The net becomes cut: every other pin gains 1.
+                cut += 1
+                for pin in pins_of[net]:
+                    if pin != cell:
+                        gain = gains[pin]
+                        gains[pin] = gain + 1
+                        if buckets is not None and not locked[pin]:
+                            buckets[from_side].update(pin, gain, 1)
+            elif on_to == 1:
+                # Its one to-side pin can no longer uncut it alone.
+                for pin in pins_of[net]:
+                    if pin != cell and sides[pin] == to_side:
+                        gain = gains[pin]
+                        gains[pin] = gain - 1
+                        if buckets is not None and not locked[pin]:
+                            buckets[to_side].update(pin, gain, -1)
+                        break
+            if on_from == 0:
+                # The net is no longer cut: every other pin loses 1.
+                cut -= 1
+                for pin in pins_of[net]:
+                    if pin != cell:
+                        gain = gains[pin]
+                        gains[pin] = gain - 1
+                        if buckets is not None and not locked[pin]:
+                            buckets[to_side].update(pin, gain, -1)
+            elif on_from == 1:
+                # Its last from-side pin could now uncut it alone.
+                for pin in pins_of[net]:
+                    if pin != cell and sides[pin] == from_side:
+                        gain = gains[pin]
+                        gains[pin] = gain + 1
+                        if buckets is not None and not locked[pin]:
+                            buckets[from_side].update(pin, gain, 1)
+                        break
+        self.cut = cut
+        sides[cell] = to_side
         self.side_count[from_side] -= 1
         self.side_count[to_side] += 1
-        area = h.module_area(cell)
+        area = self._areas[cell]
         self.side_area[from_side] -= area
         self.side_area[to_side] += area
-        self.gains[cell] = self._compute_gain(cell)
-
-    def _adjust_net_gains(self, net, delta, _unused, buckets, locked, mover):
-        """Add ``delta`` to the gain of every pin of ``net`` except the
-        mover."""
-        for pin in self.h.pins(net):
-            if pin == mover:
-                continue
-            if locked is not None and locked[pin]:
-                self.gains[pin] += delta
-                continue
-            if buckets is not None:
-                self.gains[pin] = buckets.update(
-                    pin, self.gains[pin], delta
-                )
-            else:
-                self.gains[pin] += delta
-
-    def _adjust_single(self, net, side, delta, buckets, locked, mover):
-        """Adjust the single pin of ``net`` on ``side`` (if not mover)."""
-        for pin in self.h.pins(net):
-            if pin != mover and self.sides[pin] == side:
-                if locked is not None and locked[pin]:
-                    self.gains[pin] += delta
-                elif buckets is not None:
-                    self.gains[pin] = buckets.update(
-                        pin, self.gains[pin], delta
-                    )
-                else:
-                    self.gains[pin] += delta
-                return
+        gains[cell] = -gains[cell]
 
     # ------------------------------------------------------------------
     def lookahead_gain(
@@ -375,9 +348,8 @@ class FMEngine:
         """
         side = self.sides[cell]
         other = 1 - side
-        h = self.h
         gain2 = 0
-        for net in h.nets_of(cell):
+        for net in self._nets_of[cell]:
             counts = self.pin_count[net]
             if counts[side] + counts[other] < 2:
                 continue
@@ -386,7 +358,7 @@ class FMEngine:
                     p != cell
                     and self.sides[p] == side
                     and (locked is None or not locked[p])
-                    for p in h.pins(net)
+                    for p in self._pins[net]
                 )
                 if mate_free:
                     gain2 += 1
@@ -394,7 +366,7 @@ class FMEngine:
                 target = next(
                     (
                         p
-                        for p in h.pins(net)
+                        for p in self._pins[net]
                         if self.sides[p] == other
                     ),
                     None,
@@ -425,32 +397,75 @@ class FMEngine:
             u, w = self.side_count[0] + 1, self.side_count[1] - 1
         return ratio_cut_cost(new_cut, u, w)
 
+    def _best_movable(
+        self, buckets: GainBuckets, side: int, feasible, limit: int
+    ) -> Tuple[int, List[int]]:
+        """``(gain, cells)``: up to ``limit`` cells of the best gain on
+        ``side`` that the rule lets move, in bucket order.
+
+        ``cells`` is empty when the rule blocks the side.  The rule's
+        verdict is kept per area for this call, and the walk stops as
+        soon as every distinct module area has been rejected.
+        """
+        areas = self._areas
+        verdicts: Dict[float, bool] = {}
+        rejected = 0
+        best_gain = 0
+        cells: List[int] = []
+        for gain, cell in buckets.iter_best_first():
+            if cells and gain < best_gain:
+                break
+            area = areas[cell]
+            allowed = verdicts.get(area)
+            if allowed is None:
+                allowed = verdicts[area] = bool(feasible(side, area))
+                if not allowed:
+                    rejected += 1
+                    if rejected == self._num_areas:
+                        break
+            if allowed:
+                best_gain = gain
+                cells.append(cell)
+                if len(cells) == limit:
+                    break
+        return best_gain, cells
+
     def run_pass(
         self, feasible, objective="cut", lookahead: int = 1
     ) -> Tuple[int, float]:
         """One FM pass with prefix revert.
 
-        Every cell moves at most once.  At each step the best-gain
-        feasible candidate of each side is found and the move minimising
-        the post-move ``objective`` is applied (for ``"cut"`` this is
-        classic FM best-gain selection; for ``"ratio"`` it is Wei–Cheng's
-        myopic ratio-gain selection, where the denominator term makes
-        moves from the large side more attractive).  With
-        ``lookahead >= 2``, first-level gain ties are broken by the
-        Krishnamurthy second-level gain (:meth:`lookahead_gain`).  The
-        pass tracks the prefix with the best objective value and reverts
-        the rest.
+        ``feasible(side, area)`` is the balance rule: may a module of
+        ``area`` leave ``side`` now?  It may read the engine's side
+        counts and side areas, but not which module moves.  The pass
+        therefore asks it at most once per distinct area per side per
+        step, and gives up on a side for the step once the rule has
+        rejected every distinct module area of the netlist.  On a
+        unit-area netlist that is one call per side per step.
+
+        Every cell moves at most once.  At each step each side's
+        best-gain cell the rule lets move is found by walking that
+        side's buckets down from the max-gain pointer, and the move
+        minimising the post-move ``objective`` is applied (for ``"cut"``
+        this is classic FM best-gain selection; for ``"ratio"`` it is
+        Wei–Cheng's myopic ratio-gain selection, where the denominator
+        term makes moves from the large side more attractive).  With
+        ``lookahead >= 2``, first-level gain ties (up to eight cells
+        per side) are broken by the Krishnamurthy second-level gain
+        (:meth:`lookahead_gain`).  The pass tracks the prefix with the
+        best objective value and reverts the rest.
 
         Returns ``(moves_kept, best_objective_value)``.
         """
         if objective not in ("cut", "ratio"):
             raise PartitionError(f"unknown objective {objective!r}")
-        h = self.h
-        n = h.num_modules
-        locked = [False] * n
-        buckets = SideBuckets()
-        for v in range(n):
-            buckets.insert(v, self.gains[v], self.sides[v])
+        sides = self.sides
+        locked = [False] * len(sides)
+        groups = (defaultdict(list), defaultdict(list))
+        for v, gain in enumerate(self.gains):
+            groups[sides[v]][gain].append(v)
+        buckets = (GainBuckets(groups[0]), GainBuckets(groups[1]))
+        limit = 8 if lookahead >= 2 else 1
 
         move_sequence: List[int] = []
         best_prefix = 0
@@ -459,41 +474,24 @@ class FMEngine:
         while True:
             candidates = []
             for side in (0, 1):
-                if lookahead >= 2:
-                    found = buckets.tied_feasible(side, feasible)
-                    if found is None:
-                        continue
-                    gain, tied = found
-                    cell = max(
-                        tied,
-                        key=lambda c: self.lookahead_gain(c, locked),
-                    )
-                    candidates.append(
-                        (
-                            self._candidate_value(objective, cell, gain),
-                            -gain,
-                            cell,
-                        )
-                    )
-                else:
-                    found = buckets.best_feasible(side, feasible)
-                    if found is not None:
-                        gain, cell = found
-                        candidates.append(
-                            (
-                                self._candidate_value(
-                                    objective, cell, gain
-                                ),
-                                -gain,
-                                cell,
-                            )
-                        )
+                gain, tied = self._best_movable(
+                    buckets[side], side, feasible, limit
+                )
+                if not tied:
+                    continue
+                cell = tied[0] if len(tied) == 1 else max(
+                    tied, key=lambda c: self.lookahead_gain(c, locked)
+                )
+                candidates.append(
+                    (self._candidate_value(objective, cell, gain), -gain,
+                     cell)
+                )
             if not candidates:
                 break
             _, neg_gain, chosen = min(candidates)
-            buckets.remove(chosen, -neg_gain)
+            buckets[sides[chosen]].remove(chosen, -neg_gain)
             locked[chosen] = True
-            self.move(chosen, buckets=buckets, locked=locked)
+            self.move(chosen, buckets, locked)
             move_sequence.append(chosen)
             value = self._current_value(objective)
             if value < best_value:
@@ -568,6 +566,35 @@ def _optimise_start(
     return fm_refine_engine(FMEngine(h, sides), config)
 
 
+def _enter_window(engine: FMEngine, high: float) -> None:
+    """Move modules off the heavier side until its area is at most
+    ``high``, the top of the balance window.
+
+    A start can lie outside the window (a random half/half split of
+    mixed areas, or an explicit or warm start), and the pass's rule
+    then rejects every move that would repair it.  Each step moves the
+    heavier side's best-gain module (lowest index among ties) whose
+    area is positive and below the gap between the side areas, so the
+    gap shrinks every step; a side is never emptied.  Starts inside the
+    window are untouched.
+    """
+    areas = engine.h.module_areas
+    side_area = engine.side_area
+    while True:
+        heavy = 0 if side_area[0] > side_area[1] else 1
+        if side_area[heavy] <= high or engine.side_count[heavy] <= 1:
+            return
+        gap = side_area[heavy] - side_area[1 - heavy]
+        movable = [
+            v
+            for v, side in enumerate(engine.sides)
+            if side == heavy and 0 < areas[v] < gap
+        ]
+        if not movable:
+            return
+        engine.move(max(movable, key=engine.gains.__getitem__))
+
+
 def fm_refine_engine(
     engine: FMEngine, config: FMConfig
 ) -> Tuple[List[int], int, int]:
@@ -577,6 +604,8 @@ def fm_refine_engine(
     :func:`_optimise_start` so the ECO warm path can refine an engine
     built via :meth:`FMEngine.from_state` without paying a cold
     initialisation; behaviour is identical for a freshly built engine.
+    A start outside the balance window is first moved into it
+    (:func:`_enter_window`).
     """
     h = engine.h
     total_area = h.total_area
@@ -585,18 +614,16 @@ def fm_refine_engine(
     low = total_area / 2 - slack
     high = total_area / 2 + slack
 
-    def feasible(cell: int) -> bool:
-        from_side = engine.sides[cell]
+    def feasible(side: int, area: float) -> bool:
         # Never empty a side: zero-area modules (pads) make the area
         # window insufficient on its own.
-        if engine.side_count[from_side] <= 1:
+        if engine.side_count[side] <= 1:
             return False
-        to_side = 1 - from_side
-        area = h.module_area(cell)
-        new_to = engine.side_area[to_side] + area
-        new_from = engine.side_area[from_side] - area
+        new_to = engine.side_area[1 - side] + area
+        new_from = engine.side_area[side] - area
         return low <= new_to <= high and low <= new_from <= high
 
+    _enter_window(engine, high)
     passes = 0
     profiling = is_enabled()
     cut_initial = engine.cut

@@ -76,8 +76,8 @@ def _run_single(
     engine = FMEngine(h, sides)
     min_side = max(1, config.min_side)
 
-    def feasible_shift(cell: int) -> bool:
-        return engine.side_count[engine.sides[cell]] > min_side
+    def feasible_shift(side: int, area: float) -> bool:
+        return engine.side_count[side] > min_side
 
     rounds = 0
     best_ratio = _ratio(engine)
@@ -92,18 +92,14 @@ def _run_single(
             best_ratio = ratio
             improved = True
 
-        # Group swapping: strictly alternate move directions so the pass
-        # exchanges groups between sides at constant balance.
+        # Group swapping: two half-passes, the first moving cells off
+        # side 0 only and the second off side 1 only, so groups of
+        # cells exchange sides.
         direction = [0]
 
-        def feasible_swap(cell: int) -> bool:
-            if engine.sides[cell] != direction[0]:
-                return False
-            return engine.side_count[engine.sides[cell]] > min_side
+        def feasible_swap(side: int, area: float) -> bool:
+            return side == direction[0] and engine.side_count[side] > min_side
 
-        # run_pass consults feasibility before each move; flip the
-        # wanted direction after every kept move by wrapping move
-        # selection: simplest is two half-passes.
         for phase in (0, 1):
             direction[0] = phase
             engine.run_pass(feasible_swap, objective="ratio")

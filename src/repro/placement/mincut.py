@@ -133,13 +133,11 @@ def _partition_region(
         engine = FMEngine(sub, sides)
         slack = 1  # allow one-module imbalance, like a bisection
 
-        def feasible(cell: int) -> bool:
-            from_side = engine.sides[cell]
-            if engine.side_count[from_side] <= 1:
+        def feasible(side: int, area: float) -> bool:
+            if engine.side_count[side] <= 1:
                 return False
             new_diff = abs(
-                (engine.side_count[0]
-                 + (1 if from_side == 1 else -1)) * 2
+                (engine.side_count[0] + (1 if side == 1 else -1)) * 2
                 - sub.num_modules
             )
             return new_diff <= slack

@@ -1,11 +1,17 @@
-"""From-scratch reference implementations of the IG-Match sweep steps.
+"""Reference implementations the optimised code is checked against.
 
-The sweep maintains König classes and Phase II tallies incrementally
-(:meth:`repro.matching.IncrementalMatching.classify`,
+The IG-Match sweep maintains König classes and Phase II tallies
+incrementally (:meth:`repro.matching.IncrementalMatching.classify`,
 ``repro.partitioning.igmatch._CompletionTally``).  These oracles
 recompute both from nothing at a given split, using only the matcher's
 public accessors, and :func:`replay` drives a sweep that checks the
 maintained state against them at every evaluated split.
+
+:class:`ReferenceFMPass` is the FM pass as first written, before
+:meth:`repro.partitioning.FMEngine.run_pass` selected moves by the
+balance rule's ``(side, area)`` verdicts: a cell predicate checked over
+sorted gain keys and copied buckets, per-net gain adjustment helpers,
+and a recount of the moved cell's gain.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from repro.partitioning.metrics import ratio_cut_cost
 __all__ = [
     "L",
     "R",
+    "ReferenceFMPass",
     "UNASSIGNED",
     "bits",
     "classify_from_scratch",
@@ -215,3 +222,240 @@ def replay(h, order, stride=1, warm=None, use_weights=False):
     swept, _ = ig_match_sweep(h, config, order=order, graph=graph, warm=warm)
     assert [bits(e) for e in swept] == [bits(e) for e in evaluations]
     return evaluations
+
+
+# ----------------------------------------------------------------------
+# FM pass
+# ----------------------------------------------------------------------
+class _ReferenceGainBuckets:
+    """gain -> set of cells; every walk sorts the gains and copies each
+    bucket before iterating it."""
+
+    def __init__(self) -> None:
+        self._buckets = {}
+
+    def insert(self, cell: int, gain: int) -> None:
+        self._buckets.setdefault(gain, set()).add(cell)
+
+    def remove(self, cell: int, gain: int) -> None:
+        bucket = self._buckets[gain]
+        bucket.remove(cell)
+        if not bucket:
+            del self._buckets[gain]
+
+    def update(self, cell: int, old_gain: int, delta: int) -> int:
+        if delta == 0:
+            return old_gain
+        self.remove(cell, old_gain)
+        self.insert(cell, old_gain + delta)
+        return old_gain + delta
+
+    def iter_best_first(self):
+        for gain in sorted(self._buckets, reverse=True):
+            for cell in tuple(self._buckets[gain]):
+                yield gain, cell
+
+
+class _ReferenceSideBuckets:
+    """One bucket structure per side, asked for the best cell a cell
+    predicate accepts."""
+
+    def __init__(self) -> None:
+        self._buckets = (_ReferenceGainBuckets(), _ReferenceGainBuckets())
+        self._side_of = {}
+
+    def insert(self, cell: int, gain: int, side: int) -> None:
+        self._side_of[cell] = side
+        self._buckets[side].insert(cell, gain)
+
+    def remove(self, cell: int, gain: int) -> None:
+        self._buckets[self._side_of.pop(cell)].remove(cell, gain)
+
+    def update(self, cell: int, old_gain: int, delta: int) -> int:
+        return self._buckets[self._side_of[cell]].update(
+            cell, old_gain, delta
+        )
+
+    def best_feasible(self, side: int, feasible):
+        for gain, cell in self._buckets[side].iter_best_first():
+            if feasible(cell):
+                return gain, cell
+        return None
+
+    def tied_feasible(self, side: int, feasible, limit: int = 8):
+        best_gain = None
+        cells = []
+        for gain, cell in self._buckets[side].iter_best_first():
+            if best_gain is not None and gain < best_gain:
+                break
+            if feasible(cell):
+                best_gain = gain
+                cells.append(cell)
+                if len(cells) >= limit:
+                    break
+        if best_gain is None:
+            return None
+        return best_gain, cells
+
+
+class ReferenceFMPass:
+    """The FM pass as first written, on a private copy of an engine's
+    state.
+
+    ``run_pass`` takes a cell predicate.  ``moves`` logs every move in
+    order, the pass's own and its reverts alike.
+    """
+
+    def __init__(self, engine) -> None:
+        self.h = engine.h
+        self.sides = list(engine.sides)
+        self.side_count = list(engine.side_count)
+        self.side_area = list(engine.side_area)
+        self.pin_count = [list(counts) for counts in engine.pin_count]
+        self.cut = engine.cut
+        self.gains = list(engine.gains)
+        self.last_pass = dict(engine.last_pass)
+        self.moves: List[int] = []
+
+    def _compute_gain(self, cell: int) -> int:
+        side = self.sides[cell]
+        other = 1 - side
+        gain = 0
+        for net in self.h.nets_of(cell):
+            counts = self.pin_count[net]
+            if counts[side] + counts[other] < 2:
+                continue
+            if counts[side] == 1:
+                gain += 1
+            if counts[other] == 0:
+                gain -= 1
+        return gain
+
+    def move(self, cell: int, buckets=None, locked=None) -> None:
+        self.moves.append(cell)
+        from_side = self.sides[cell]
+        to_side = 1 - from_side
+        for net in self.h.nets_of(cell):
+            counts = self.pin_count[net]
+            if counts[0] + counts[1] < 2:
+                counts[from_side] -= 1
+                counts[to_side] += 1
+                continue
+            if counts[to_side] == 0:
+                self.cut += 1
+                self._adjust_net_gains(net, +1, buckets, locked, cell)
+            elif counts[to_side] == 1:
+                self._adjust_single(net, to_side, -1, buckets, locked, cell)
+            counts[from_side] -= 1
+            counts[to_side] += 1
+            if counts[from_side] == 0:
+                self.cut -= 1
+                self._adjust_net_gains(net, -1, buckets, locked, cell)
+            elif counts[from_side] == 1:
+                self._adjust_single(
+                    net, from_side, +1, buckets, locked, cell
+                )
+        self.sides[cell] = to_side
+        self.side_count[from_side] -= 1
+        self.side_count[to_side] += 1
+        area = self.h.module_area(cell)
+        self.side_area[from_side] -= area
+        self.side_area[to_side] += area
+        self.gains[cell] = self._compute_gain(cell)
+
+    def _shift_gain(self, pin, delta, buckets, locked) -> None:
+        if locked is not None and locked[pin]:
+            self.gains[pin] += delta
+        elif buckets is not None:
+            self.gains[pin] = buckets.update(pin, self.gains[pin], delta)
+        else:
+            self.gains[pin] += delta
+
+    def _adjust_net_gains(self, net, delta, buckets, locked, mover) -> None:
+        for pin in self.h.pins(net):
+            if pin != mover:
+                self._shift_gain(pin, delta, buckets, locked)
+
+    def _adjust_single(self, net, side, delta, buckets, locked, mover):
+        for pin in self.h.pins(net):
+            if pin != mover and self.sides[pin] == side:
+                self._shift_gain(pin, delta, buckets, locked)
+                return
+
+    def lookahead_gain(self, cell: int, locked) -> int:
+        side = self.sides[cell]
+        other = 1 - side
+        gain2 = 0
+        for net in self.h.nets_of(cell):
+            counts = self.pin_count[net]
+            if counts[side] + counts[other] < 2:
+                continue
+            if counts[side] == 2 and any(
+                p != cell and self.sides[p] == side and not locked[p]
+                for p in self.h.pins(net)
+            ):
+                gain2 += 1
+            if counts[other] == 1:
+                target = next(
+                    p for p in self.h.pins(net) if self.sides[p] == other
+                )
+                if not locked[target]:
+                    gain2 -= 1
+        return gain2
+
+    def _value(self, objective: str, cut: int, u: int, w: int) -> float:
+        if objective == "cut":
+            return float(cut)
+        return ratio_cut_cost(cut, u, w)
+
+    def run_pass(self, feasible, objective="cut", lookahead=1):
+        n = self.h.num_modules
+        locked = [False] * n
+        buckets = _ReferenceSideBuckets()
+        for v in range(n):
+            buckets.insert(v, self.gains[v], self.sides[v])
+        sequence: List[int] = []
+        best_prefix = 0
+        best_value = self._value(objective, self.cut, *self.side_count)
+        while True:
+            candidates = []
+            for side in (0, 1):
+                if lookahead >= 2:
+                    found = buckets.tied_feasible(side, feasible)
+                    if found is None:
+                        continue
+                    gain, tied = found
+                    cell = max(
+                        tied, key=lambda c: self.lookahead_gain(c, locked)
+                    )
+                else:
+                    found = buckets.best_feasible(side, feasible)
+                    if found is None:
+                        continue
+                    gain, cell = found
+                u, w = self.side_count
+                if side == 0:
+                    u, w = u - 1, w + 1
+                else:
+                    u, w = u + 1, w - 1
+                value = self._value(objective, self.cut - gain, u, w)
+                candidates.append((value, -gain, cell))
+            if not candidates:
+                break
+            _, neg_gain, chosen = min(candidates)
+            buckets.remove(chosen, -neg_gain)
+            locked[chosen] = True
+            self.move(chosen, buckets, locked)
+            sequence.append(chosen)
+            value = self._value(objective, self.cut, *self.side_count)
+            if value < best_value:
+                best_value = value
+                best_prefix = len(sequence)
+        for cell in reversed(sequence[best_prefix:]):
+            self.move(cell)
+        self.last_pass = {
+            "moved": len(sequence),
+            "kept": best_prefix,
+            "best_value": best_value,
+        }
+        return best_prefix, best_value

@@ -137,20 +137,63 @@ class TestEquivalence:
                 next(iter(plain.iter_best_first()))[0]
             )
 
-    def test_fm_pass_identical_with_either_structure(self):
-        """Both bucket structures drive run_pass to the same cut (cell
-        choice within a gain tie may differ, so compare outcomes on an
-        instance with unique gains along the trajectory)."""
-        from repro.hypergraph import Hypergraph
+    def test_fm_pass_identical_with_either_structure(self, monkeypatch):
+        """A real pass's bucket operations, replayed through both
+        structures, give the same best gain after every step."""
+        from repro.bench.generator import generate_from_spec
+        from repro.bench.specs import get_spec
         from repro.partitioning import FMEngine
+        from repro.partitioning import fm as fm_module
 
-        h = Hypergraph(
-            [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5], [1, 4]]
-        )
-        sides = [0, 1, 0, 1, 0, 1]
-        cuts = []
-        for _ in range(2):
-            engine = FMEngine(h, list(sides))
-            engine.run_pass(lambda c: True, objective="cut")
-            cuts.append(engine.cut)
-        assert cuts[0] == cuts[1]
+        trace = []
+        built = []
+
+        class Recording(GainBuckets):
+            """Logs every insert/remove/update the pass makes."""
+
+            def __init__(self, groups=None):
+                super().__init__(groups)
+                self.index = len(built)
+                self.inside_update = False
+                built.append(self)
+                for gain, cells in (groups or {}).items():
+                    for cell in cells:
+                        trace.append((self.index, "insert", cell, gain))
+
+            def _log(self, *op):
+                if not self.inside_update:
+                    trace.append((self.index,) + op)
+
+            def insert(self, cell, gain):
+                self._log("insert", cell, gain)
+                super().insert(cell, gain)
+
+            def remove(self, cell, gain):
+                self._log("remove", cell, gain)
+                super().remove(cell, gain)
+
+            def update(self, cell, old_gain, delta):
+                self._log("update", cell, old_gain, delta)
+                self.inside_update = True
+                try:
+                    return super().update(cell, old_gain, delta)
+                finally:
+                    self.inside_update = False
+
+        h = generate_from_spec(get_spec("bm1"), seed=1, scale=0.1)
+        monkeypatch.setattr(fm_module, "GainBuckets", Recording)
+        engine = FMEngine(h, [v % 2 for v in range(h.num_modules)])
+        engine.run_pass(lambda side, area: True, objective="cut")
+        monkeypatch.undo()
+        kinds = {op[1] for op in trace}
+        assert kinds == {"insert", "remove", "update"}
+
+        def best_gain(buckets):
+            return next(iter(buckets.iter_best_first()), (None,))[0]
+
+        linked = [LinkedGainBuckets() for _ in built]
+        plain = [GainBuckets() for _ in built]
+        for index, op, *args in trace:
+            getattr(linked[index], op)(*args)
+            getattr(plain[index], op)(*args)
+            assert best_gain(linked[index]) == best_gain(plain[index])

@@ -1,13 +1,16 @@
 """Tests for the Fiduccia–Mattheyses engine and partitioner."""
 
+import random
+
 import pytest
 
 from repro.errors import PartitionError
 from repro.hypergraph import Hypergraph
 from repro.partitioning import FMConfig, FMEngine, GainBuckets, fm_bipartition
-from repro.partitioning.fm import SideBuckets
+from repro.partitioning.fm import random_balanced_sides
 from repro.partitioning.metrics import net_cut_count
 from tests.conftest import random_hypergraph
+from tests.test_fm_pass_oracle import make_rule
 
 
 class TestGainBuckets:
@@ -47,17 +50,15 @@ class TestGainBuckets:
         b.insert(0, 1)
         assert b.update(0, 1, 0) == 1
 
-
-class TestSideBuckets:
-    def test_best_feasible_per_side(self):
-        sb = SideBuckets()
-        sb.insert(0, 5, 0)
-        sb.insert(1, 3, 1)
-        sb.insert(2, 7, 1)
-        assert sb.best_feasible(0, lambda c: True) == (5, 0)
-        assert sb.best_feasible(1, lambda c: True) == (7, 2)
-        assert sb.best_feasible(1, lambda c: c != 2) == (3, 1)
-        assert sb.best_feasible(0, lambda c: False) is None
+    def test_walk_follows_max_pointer_down(self):
+        b = GainBuckets({4: [0, 1], -2: [2]})
+        assert [g for g, _ in b.iter_best_first()] == [4, 4, -2]
+        b.remove(0, 4)
+        b.remove(1, 4)
+        b.update(2, -2, -3)
+        assert list(b.iter_best_first()) == [(-5, 2)]
+        b.insert(3, 0)
+        assert list(b.iter_best_first()) == [(0, 3), (-5, 2)]
 
 
 class TestEngineGains:
@@ -113,19 +114,43 @@ class TestRunPass:
                      for _ in range(h.num_modules)]
             engine = FMEngine(h, sides)
             before = engine.cut
-            engine.run_pass(lambda c: True, objective="cut")
+            engine.run_pass(lambda side, area: True, objective="cut")
             assert engine.cut <= before
 
     def test_bad_objective(self, tiny_hypergraph):
         engine = FMEngine(tiny_hypergraph, [0, 0, 1, 1])
         with pytest.raises(PartitionError):
-            engine.run_pass(lambda c: True, objective="nope")
+            engine.run_pass(lambda side, area: True, objective="nope")
 
     def test_pass_respects_feasibility(self, two_cluster_hypergraph):
-        engine = FMEngine(two_cluster_hypergraph, [0, 1, 0, 1, 0, 1, 0, 1])
-        frozen = {0, 1}
-        engine.run_pass(lambda c: c not in frozen, objective="cut")
+        # Modules 0 and 1 are the only ones of area 2, which the rule
+        # never lets move.
+        h = two_cluster_hypergraph
+        h = Hypergraph([h.pins(e) for e in range(h.num_nets)],
+                       module_areas=[2.0, 2.0] + [1.0] * 6)
+        engine = FMEngine(h, [0, 1, 0, 1, 0, 1, 0, 1])
+        engine.run_pass(lambda side, area: area != 2.0, objective="cut")
+        assert engine.last_pass["moved"] == 6
         assert engine.sides[0] == 0 and engine.sides[1] == 1
+
+    def test_blocked_side_keeps_its_cells(self, two_cluster_hypergraph):
+        start = [0, 1, 0, 1, 0, 1, 0, 1]
+        engine = FMEngine(two_cluster_hypergraph, start)
+        engine.run_pass(lambda side, area: side == 1, objective="cut")
+        assert engine.last_pass["moved"] == 4
+        assert all(engine.sides[v] == 0 for v in range(8) if start[v] == 0)
+
+    def test_rule_asked_once_per_side_per_step(self, small_circuit):
+        # Unit areas: one rejection drops side 0 for the step.  Every
+        # side-1 cell moves, so the last step finds no cell there to
+        # ask about.
+        calls = []
+        engine = FMEngine(small_circuit,
+                          [v % 2 for v in range(small_circuit.num_modules)])
+        engine.run_pass(lambda side, area: calls.append(side) or side == 1,
+                        objective="cut")
+        assert engine.last_pass["moved"] == small_circuit.num_modules // 2
+        assert calls == [0, 1] * engine.last_pass["moved"] + [0]
 
 
 class TestFmBipartition:
@@ -163,6 +188,38 @@ class TestFmBipartition:
         a = fm_bipartition(small_circuit, FMConfig(seed=9))
         b = fm_bipartition(small_circuit, FMConfig(seed=9))
         assert a.partition.sides == b.partition.sides
+
+    def test_start_outside_window_is_moved_into_it(self):
+        # Regression: with mixed areas a start can lie outside the area
+        # window [102, 178], and the pass's rule then rejects every
+        # move that would repair it.
+        rng = random.Random(0)
+        nets = [rng.sample(range(100), rng.randint(2, 4))
+                for _ in range(150)]
+        h = Hypergraph(nets, num_modules=100,
+                       module_areas=[10.0] * 20 + [1.0] * 80)
+
+        def area0(sides):
+            return sum(a for a, s in zip(h.module_areas, sides) if s == 0)
+
+        # seed 18's random start has side-0 area 203.
+        start = random_balanced_sides(h, random.Random(18))
+        assert area0(start) > 178
+        result = fm_bipartition(h, FMConfig(seed=18))
+        assert 102 <= area0(result.partition.sides) <= 178
+        heavy_first = [0] * 50 + [1] * 50
+        assert area0(heavy_first) == 230
+        result = fm_bipartition(h, FMConfig(), initial_sides=heavy_first)
+        assert 102 <= area0(result.partition.sides) <= 178
+
+    def test_start_inside_window_is_untouched(self, small_circuit):
+        sides = [v % 2 for v in range(small_circuit.num_modules)]
+        direct = FMEngine(small_circuit, sides)
+        direct.run_pass(make_rule("window", direct, small_circuit, 0),
+                        objective="cut")
+        result = fm_bipartition(small_circuit, FMConfig(max_passes=1),
+                                initial_sides=sides)
+        assert list(result.partition.sides) == direct.sides
 
     def test_zero_area_pads_cannot_empty_a_side(self):
         # Regression: area-based balance alone lets zero-area pads
