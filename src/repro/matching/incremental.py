@@ -21,19 +21,23 @@ the amortisation behind the paper's O(|V|·(|V|+|E|)) bound (Theorem 6).
 whose endpoints are currently on different sides.  This avoids rebuilding
 edge sets and keeps every search O(|V| + |E_G'|).
 
-König classification is maintained the same way.  An unmatched vertex
-is Even on its own side by definition, so only the matched region needs
-an alternating search, seeded from the matched vertices that have an
-unmatched neighbour across the split.  Those neighbour counts change
-only around the few vertices whose side or matched status a move
-touched: the moved vertex, its old partner, and the ends of each
-augmenting path.
+König classification is maintained the same way.  For each side ``s``
+the classes need the set of vertices that ``s``'s unmatched vertices
+reach by alternating paths.  Those reach marks persist across splits,
+each with a rank: a marked vertex that is not a source has a marked
+in-neighbour of strictly smaller rank.  A move changes the alternating
+arcs only at the vertices whose side or mate it changed (the moved
+vertex, its old partner, and every vertex of each augmenting path), so
+:meth:`IncrementalMatching.classify` deletes the marks that lost their
+support there and re-derives from the same vertices, at a cost set by
+what the moves changed rather than O(V + E) per split.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Set
+from heapq import heapify, heappop, heappush
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import MatchingError
 from ..graph import Graph
@@ -86,22 +90,17 @@ class IncrementalMatching:
         # method-call overhead would dominate the sweep.
         self._adjacency = [list(graph.neighbors(v)) for v in range(n)]
         # Classification state, brought up to date by classify(): the
-        # code array, the matched vertices, and each vertex's count of
-        # unmatched neighbours across the split.  The counts reflect
-        # every vertex's (side, unmatched) pair as last settled
-        # (``_settled_*``); ``_dirty`` lists the vertices whose pair may
-        # have changed since.
+        # code array and, per side, the reach marks with their ranks and
+        # supports (see classify()).  Every vertex starts as an
+        # unmatched L vertex, a source of L's reach, so L reaches
+        # everything at rank 0 and R nothing.
         self._codes = [VertexClass.EVEN_L] * n
-        self._matched: Set[int] = set()
-        self._free_across = [0] * n
-        self._settled_side = [_LEFT] * n
-        self._settled_free = [True] * n
-        self._dirty: List[int] = []
-        # Epoch-stamped reach marks let classify() run without
-        # reallocating per split.
-        self._reach_l = [0] * n
-        self._reach_r = [0] * n
-        self._epoch = 0
+        self._marks = ([True] * n, [False] * n)
+        self._ranks = ([0] * n, [0] * n)
+        self._supports = ([-1] * n, [-1] * n)
+        # (side, mate) as of the last classify(), recorded for each
+        # vertex the first time a move changes it after that call.
+        self._before: Dict[int, Tuple[int, int]] = {}
         #: Vertices whose class changed at the last :meth:`classify`.
         self.reclassified: List[int] = []
         #: Plain-int telemetry, always maintained (a few integer adds
@@ -166,6 +165,14 @@ class IncrementalMatching:
             if self._side[u] != self._side[v]
         )
 
+    def _check_vertex(self, v: int) -> None:
+        # A negative id would index from the end of the state lists and
+        # silently act on another vertex.
+        if not 0 <= v < len(self._side):
+            raise MatchingError(
+                f"vertex {v} out of range 0..{len(self._side) - 1}"
+            )
+
     # ------------------------------------------------------------------
     # The sweep primitive
     # ------------------------------------------------------------------
@@ -176,13 +183,19 @@ class IncrementalMatching:
         the winner-set construction (see :meth:`snapshot` /
         :func:`repro.matching.koenig.decompose`).
         """
+        self._check_vertex(v)
         if self._side[v] != _LEFT:
             raise MatchingError(f"vertex {v} is not on the L side")
 
         # Step 1: detach v from the matching; its old partner u (in R)
         # may be re-matchable along an augmenting path into L.
+        before = self._before
         u = self._match[v]
+        if v not in before:
+            before[v] = (_LEFT, u)
         if u != -1:
+            if u not in before:
+                before[u] = (_RIGHT, v)
             self._match[v] = -1
             self._match[u] = -1
             self._matching_size -= 1
@@ -193,10 +206,8 @@ class IncrementalMatching:
         # which we already unmatched.
         self._side[v] = _RIGHT
         self._left_count -= 1
-        self._dirty.append(v)
 
         if u != -1:
-            self._dirty.append(u)
             if self._augment_from(u):
                 self._matching_size += 1
 
@@ -228,14 +239,18 @@ class IncrementalMatching:
                 "jump_start requires a fresh matcher (all vertices on L, "
                 "empty matching)"
             )
+        right_vertices = list(right_vertices)
+        for v in right_vertices:
+            self._check_vertex(v)
+        before = self._before
         for v in right_vertices:
             if self._side[v] != _LEFT:
                 raise MatchingError(
                     f"jump_start vertex {v} listed twice"
                 )
+            before.setdefault(v, (_LEFT, -1))
             self._side[v] = _RIGHT
             self._left_count -= 1
-            self._dirty.append(v)
         installed = 0
         if seed:
             match = self._match
@@ -250,9 +265,10 @@ class IncrementalMatching:
                     continue
                 if not self._graph.has_edge(u, v):
                     continue
+                before.setdefault(u, (side[u], -1))
+                before.setdefault(v, (side[v], -1))
                 match[u] = v
                 match[v] = u
-                self._dirty.extend((u, v))
                 installed += 1
         self._matching_size += installed
         self.repair_to_maximum()
@@ -306,11 +322,15 @@ class IncrementalMatching:
                     while node != -1:
                         path.append(node)
                         node = parent[node]
+                    # Every vertex on the path changes mate.
+                    before = self._before
+                    for node in path:
+                        if node not in before:
+                            before[node] = (side[node], match[node])
                     for i in range(0, len(path) - 1, 2):
                         a, b = path[i], path[i + 1]
                         match[a] = b
                         match[b] = a
-                    self._dirty.extend((start, y))
                     self.augmentations += 1
                     self.search_visits += len(parent)
                     return True
@@ -329,58 +349,78 @@ class IncrementalMatching:
 
         Returns a list of :class:`VertexClass` codes and records in
         :attr:`reclassified` the vertices whose class changed since the
-        previous call.  The matching must be maximum, which
-        :meth:`move_to_right` maintains; then no alternating path joins
-        two unmatched vertices, so the reaches from the two sides are
-        disjoint and the six classes partition the vertices.
+        previous call, in no particular order.  The matching must be
+        maximum, which :meth:`move_to_right` maintains; then no
+        alternating path joins two unmatched vertices, so the reaches
+        from the two sides are disjoint and the six classes partition
+        the vertices.
 
-        Unmatched vertices are Even on their own side.  The alternating
-        search runs over the matched vertices only, seeded from those
-        with an unmatched neighbour across the split, so a call costs
-        the matched region and the edges it reaches, plus the neighbour
-        lists of the vertices moves touched since the previous call —
-        not O(V + E), except for the first call after :meth:`jump_start`,
-        which settles every flipped vertex.  The marked set is a fixed
-        point of alternating reachability, so visit order does not
-        change the codes.
+        For each side ``s`` the reach is taken in the alternating graph
+        whose arcs run from every ``s`` vertex to each neighbour across
+        the split except its mate, and from every matched vertex on the
+        other side to its mate.  The sources are ``s``'s unmatched
+        vertices, so they come out Even.  The marks persist between
+        calls, each with a rank, under one invariant: every marked
+        vertex that is not a source has a marked in-neighbour of
+        strictly smaller rank, its *support*.  On side ``s`` that is
+        the mate; across the split it is the neighbour recorded when the
+        mark was made or last confirmed.  Arcs change only at the
+        *changed* vertices, those whose (side, mate) differs from the
+        last call, and each call brings both sides' marks up to date
+        from them:
+
+        1. The candidates are the marked changed vertices and the marks
+           they supported through their arcs as they were at the last
+           call.
+        2. Candidates pop in increasing rank.  One stays marked if it is
+           a source, if its support is still a marked in-neighbour of
+           smaller rank, or if a scan of its in-neighbours finds one,
+           which becomes its support.  Otherwise it is unmarked, and the
+           marks it supported become candidates, all of larger rank.
+           Marks only shrink and ranks stay fixed here, so everything of
+           smaller rank than a popped vertex is final, and each vertex
+           pops once.
+        3. Each changed or just-unmarked vertex that is a source, or has
+           a marked in-neighbour, is marked again at rank 0 or that
+           neighbour's rank + 1, and marks propagate over the current
+           arcs, from these vertices and from every marked changed
+           vertex, at rank + 1 per step.
+        4. Codes are recomputed for the changed vertices and those whose
+           mark moved.
+
+        Step 3 restores closure, because every arc from a marked to an
+        unmarked vertex either ends at a changed or just-unmarked
+        vertex or starts at a changed one.  The marks are therefore the
+        unique alternating-reachability fixed point, whatever order
+        reached them, and a call scans each vertex and neighbour list a
+        bounded number of times (:attr:`classify_visits`).
         """
-        codes = self._codes
-        reclassified: List[int] = []
-        visits = self._settle(reclassified)
         side = self._side
         match = self._match
-        free_across = self._free_across
-        reach_l = self._reach_l
-        reach_r = self._reach_r
-        self._epoch += 1
-        epoch = self._epoch
-        # A matched vertex with an unmatched neighbour across is Odd,
-        # reached from that neighbour's side; its partner is Even.
-        stack_l: List[int] = []
-        stack_r: List[int] = []
-        for x in self._matched:
-            if free_across[x]:
-                mate = match[x]
-                if side[x] == _RIGHT:
-                    reach_l[x] = reach_l[mate] = epoch
-                    stack_l.append(mate)
-                else:
-                    reach_r[x] = reach_r[mate] = epoch
-                    stack_r.append(mate)
-        visits += 2 * len(self._matched)
-        visits += self._alternate(stack_l, reach_l, epoch)
-        visits += self._alternate(stack_r, reach_r, epoch)
-        for x in self._matched:
+        before = self._before
+        changed = [
+            x for x, was in before.items() if was != (side[x], match[x])
+        ]
+        touched = set(changed)
+        visits = len(before)
+        for s in (_LEFT, _RIGHT):
+            visits += self._update_reach(s, changed, touched)
+        before.clear()
+
+        codes = self._codes
+        marks_l, marks_r = self._marks
+        reclassified: List[int] = []
+        for x in touched:
             if side[x] == _LEFT:
-                if reach_l[x] == epoch:
+                if marks_l[x]:
                     code = VertexClass.EVEN_L
-                elif reach_r[x] == epoch:
+                elif marks_r[x]:
                     code = VertexClass.ODD_R
                 else:
                     code = VertexClass.CORE_L
-            elif reach_r[x] == epoch:
+            elif marks_r[x]:
                 code = VertexClass.EVEN_R
-            elif reach_l[x] == epoch:
+            elif marks_l[x]:
                 code = VertexClass.ODD_L
             else:
                 code = VertexClass.CORE_R
@@ -391,84 +431,138 @@ class IncrementalMatching:
         self.reclassified = reclassified
         return list(codes)
 
-    def _settle(self, reclassified: List[int]) -> int:
-        """Bring the unmatched-neighbour counts, the matched set and the
-        codes of unmatched vertices up to date for every dirty vertex.
-
-        Each dirty vertex moves from its settled (side, unmatched) pair
-        to its current one against its neighbours' settled pairs, so the
-        counts stay exact after every single step, in any order.
-        Returns the vertices and adjacency entries scanned.
-        """
-        dirty = self._dirty
+    def _update_reach(
+        self, s: int, changed: List[int], touched: Set[int]
+    ) -> int:
+        """Steps 1-3 of :meth:`classify` for side ``s``'s marks; adds
+        every vertex whose mark moved to ``touched`` and returns the
+        vertices and adjacency entries scanned."""
+        mark = self._marks[s]
+        rank = self._ranks[s]
+        support = self._supports[s]
         side = self._side
         match = self._match
         adjacency = self._adjacency
-        free_across = self._free_across
-        settled_side = self._settled_side
-        settled_free = self._settled_free
-        codes = self._codes
-        visits = len(dirty)
-        for x in dirty:
-            new_side = side[x]
-            new_free = match[x] == -1
-            old_side = settled_side[x]
-            old_free = settled_free[x]
-            if new_side == old_side and new_free == old_free:
-                continue
-            neighbours = adjacency[x]
-            visits += len(neighbours)
-            # Each neighbour's count loses x as it was and gains x as it
-            # is; x's own count is recounted against its new side.
-            own = 0
-            for y in neighbours:
-                y_side = settled_side[y]
-                was = old_free and y_side != old_side
-                now = new_free and y_side != new_side
-                if was != now:
-                    free_across[y] += 1 if now else -1
-                if y_side != new_side and settled_free[y]:
-                    own += 1
-            free_across[x] = own
-            settled_side[x] = new_side
-            settled_free[x] = new_free
-            if new_free:
-                self._matched.discard(x)
-                code = (
-                    VertexClass.EVEN_L if new_side == _LEFT
-                    else VertexClass.EVEN_R
-                )
-                if codes[x] != code:
-                    codes[x] = code
-                    reclassified.append(x)
+        before = self._before
+        visits = len(changed)
+
+        # Step 1.  ``pending`` collects the unmarked vertices step 3
+        # tries to mark: changed ones here, just-unmarked ones in step 2.
+        candidates = []
+        pending = []
+        for x in changed:
+            if mark[x]:
+                candidates.append(x)
             else:
-                self._matched.add(x)
-        dirty.clear()
-        return visits
+                pending.append(x)
+            old_side, old_mate = before[x]
+            if old_side == s:
+                neighbours = adjacency[x]
+                visits += len(neighbours)
+                candidates += [
+                    y for y in neighbours
+                    if support[y] == x and mark[y] and side[y] != s
+                ]
+            elif old_mate != -1 and mark[old_mate]:
+                candidates.append(old_mate)
+        queued = set(candidates)
+        heap = [(rank[y], y) for y in queued]
+        heapify(heap)
 
-    def _alternate(self, stack: List[int], reach: List[int], epoch: int) -> int:
-        """Mark in ``reach`` everything alternating-reachable from the
-        (marked) matched vertices on ``stack``; return the adjacency
-        entries scanned."""
-        side = self._side
-        match = self._match
-        adjacency = self._adjacency
-        visits = 0
+        # Step 2.  A vertex supports only marks of larger rank, so pops
+        # run in increasing rank.
+        while heap:
+            r, x = heappop(heap)
+            visits += 1
+            mate = match[x]
+            if side[x] == s:
+                if mate == -1 or (mark[mate] and rank[mate] < r):
+                    continue
+            else:
+                p = support[x]
+                if (
+                    p != -1
+                    and mark[p]
+                    and rank[p] < r
+                    and side[p] == s
+                    and p != mate
+                ):
+                    continue
+                neighbours = adjacency[x]
+                for y in neighbours:
+                    if mark[y] and rank[y] < r and side[y] == s and y != mate:
+                        visits += neighbours.index(y) + 1
+                        support[x] = y
+                        break
+                else:
+                    y = -1
+                    visits += len(neighbours)
+                if y != -1:
+                    continue
+            mark[x] = False
+            pending.append(x)
+            if side[x] == s:
+                neighbours = adjacency[x]
+                visits += len(neighbours)
+                for y in neighbours:
+                    if (
+                        support[y] == x
+                        and mark[y]
+                        and side[y] != s
+                        and y not in queued
+                    ):
+                        queued.add(y)
+                        heappush(heap, (rank[y], y))
+            elif mate != -1 and mark[mate] and mate not in queued:
+                queued.add(mate)
+                heappush(heap, (rank[mate], mate))
+
+        # Step 3.
+        stack = [x for x in changed if mark[x]]
+        for w in pending:
+            mate = match[w]
+            if side[w] == s:
+                if mate == -1:
+                    r = 0
+                elif mark[mate]:
+                    r = rank[mate] + 1
+                else:
+                    continue
+            else:
+                neighbours = adjacency[w]
+                for y in neighbours:
+                    if mark[y] and side[y] == s and y != mate:
+                        break
+                else:
+                    visits += len(neighbours)
+                    continue
+                visits += neighbours.index(y) + 1
+                r = rank[y] + 1
+                support[w] = y
+            mark[w] = True
+            rank[w] = r
+            stack.append(w)
+        touched.update(pending)
         while stack:
             u = stack.pop()
-            u_side = side[u]
-            neighbours = adjacency[u]
-            visits += len(neighbours)
-            for w in neighbours:
-                if side[w] == u_side or reach[w] == epoch:
-                    continue
-                # (u, w) is a crossing non-matching edge; w is matched,
-                # else the matching would not be maximum.
-                reach[w] = epoch
-                mate = match[w]
-                if mate != -1 and reach[mate] != epoch:
-                    reach[mate] = epoch
-                    stack.append(mate)
+            visits += 1
+            r = rank[u] + 1
+            mate = match[u]
+            if side[u] == s:
+                neighbours = adjacency[u]
+                visits += len(neighbours)
+                for w in neighbours:
+                    if not mark[w] and side[w] != s and w != mate:
+                        mark[w] = True
+                        rank[w] = r
+                        support[w] = u
+                        stack.append(w)
+                        touched.add(w)
+            elif mate != -1 and not mark[mate]:
+                mark[mate] = True
+                rank[mate] = r
+                stack.append(mate)
+                touched.add(mate)
         return visits
 
     # ------------------------------------------------------------------

@@ -178,9 +178,12 @@ def bits(evaluation):
     )
 
 
-def replay(h, order, stride=1, warm=None, use_weights=False):
+def replay(h, order, stride=1, warm=None, use_weights=False, repeat=()):
     """Drive the matcher and tally as the sweep does, checking every
-    evaluated split against the oracles; return the evaluations."""
+    evaluated split against the oracles; return the evaluations.
+
+    At the ranks in ``repeat`` the matcher classifies twice; the second
+    call must return the same codes and reclassify nothing."""
     graph = intersection_graph(h, "paper")
     matcher = IncrementalMatching(graph)
     n = h.num_nets
@@ -199,15 +202,19 @@ def replay(h, order, stride=1, warm=None, use_weights=False):
         if rank % stride and rank != n - 1:
             continue
         codes = matcher.classify()
+        reclassified = matcher.reclassified
         assert codes == classify_from_scratch(matcher), rank
-        assert sorted(matcher.reclassified) == [
+        assert sorted(reclassified) == [
             v for v in range(n) if codes[v] != previous[v]
         ], rank
+        if rank in repeat:
+            assert matcher.classify() == codes, rank
+            assert matcher.reclassified == [], rank
         previous = codes
         if tally is None:
             tally = _CompletionTally(h, codes, use_weights)
         else:
-            tally.update(matcher.reclassified, codes)
+            tally.update(reclassified, codes)
         evaluation = tally.evaluate(rank, matcher.matching_size)
         expected, assign = evaluate_split(
             h, codes, rank, matcher.matching_size, use_weights

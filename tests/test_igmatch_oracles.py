@@ -26,12 +26,18 @@ def sweepable(h):
 @settings(max_examples=60, deadline=None)
 @given(
     h=hypergraphs(max_modules=12, max_nets=16),
-    stride=st.sampled_from([1, 3]),
+    stride=st.integers(1, 6),
+    jump_at_start=st.booleans(),
     data=st.data(),
 )
-def test_random_orders_match_oracles(h, stride, data):
-    order = data.draw(st.permutations(range(h.num_nets)))
-    replay(h, order, stride=stride)
+def test_random_orders_match_oracles(h, stride, jump_at_start, data):
+    """Random orders and strides; optionally a jump start at ``lo = 1``
+    (an empty right set) and, at some splits, a second classify()."""
+    n = h.num_nets
+    order = data.draw(st.permutations(range(n)))
+    warm = SweepWarmStart(lo=1, hi=n - 1) if jump_at_start else None
+    repeat = data.draw(st.sets(st.integers(1, n - 1)))
+    replay(h, order, stride=stride, warm=warm, repeat=repeat)
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,3 +100,14 @@ def test_jump_start_with_stale_seed(h, data):
     assert [bits(e) for e in warm_evaluations] == [
         cold[e.rank] for e in warm_evaluations
     ]
+
+
+def test_source_that_kept_its_mark_reaches_new_neighbours():
+    """Nets z, u, x, y, t intersect as z-x, u-x, x-y, y-t.  With z, u, t
+    on R, net x is matched and reached from R's unmatched net; moving x
+    to R leaves it unmatched, so it keeps its mark as a source, and its
+    new arc must reach y and t, whose side and mate did not change."""
+    h = Hypergraph(
+        [[0, 4], [1, 5], [0, 1, 2], [2, 3], [3, 6]], num_modules=7
+    )
+    replay(h, [0, 1, 4, 2, 3])

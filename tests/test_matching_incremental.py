@@ -14,6 +14,7 @@ from repro.graph import Graph
 from repro.matching import IncrementalMatching, hopcroft_karp, matching_size
 from repro.matching.incremental import VertexClass
 from tests.conftest import random_graph
+from tests.oracles import classify_from_scratch
 
 
 class TestBasics:
@@ -44,6 +45,29 @@ class TestBasics:
         m.move_to_right(0)
         with pytest.raises(MatchingError):
             m.move_to_right(0)
+
+    @pytest.mark.parametrize("bad", [-1, -2, -4, 4, 9])
+    def test_out_of_range_ids_rejected(self, bad):
+        """A negative id once indexed from the end of the state lists:
+        on the path 0-1-2-3, ``move_to_right(-1)`` moved vertex 3 and
+        ``jump_start([-2])`` flipped vertex 2, each then reporting the
+        negative id as reclassified; an id >= n raised a bare
+        IndexError.  Both methods reject the id before any state
+        changes."""
+        g = Graph(4)
+        for v in range(3):
+            g.add_edge(v, v + 1)
+        m = IncrementalMatching(g)
+        with pytest.raises(MatchingError):
+            m.move_to_right(bad)
+        with pytest.raises(MatchingError):
+            m.jump_start([1, bad])
+        assert m.left_count == 4
+        assert m.matching_size == 0
+        assert m.classify() == [VertexClass.EVEN_L] * 4
+        assert m.reclassified == []
+        m.jump_start([1])
+        assert m.classify() == classify_from_scratch(m)
 
     def test_full_sweep_empties_left(self):
         g = Graph(3)

@@ -134,22 +134,29 @@ class TestTheorem6:
     ``matching.classify_visits``, against the paper's O(|V|·(|V|+|E|)).
 
     Derivation of ``c`` for a cold full sweep (|V| - 1 moves, at most
-    |V| - 1 classify calls):
+    |V| - 1 classify calls), with D = 2|E| the total adjacency length:
 
     * an augmenting search visits at most |V| vertices and a move
       tries at most two searches, so ``search_visits`` <= 2|V|^2;
-    * a move leaves at most six vertices to settle (the moved vertex,
-      its old partner, and both ends of at most two augmenting paths),
-      each costing one visit plus its degree (< |V|), so settling costs
-      at most 6|V|^2 over the sweep;
-    * each call scans the matched set twice (<= 2|V|) and the
-      alternating search expands each vertex at most once (<= 2|E|
-      adjacency entries), at most 2|V|(|V| + |E|) over the sweep.
+    * a classify call counts each recorded vertex once (<= |V|) and,
+      per side, each changed vertex once (<= |V|), each vertex it pops
+      in step 2 once (a vertex is queued at most once, <= |V|) and each
+      vertex it pops in step 3's propagation once (a vertex is marked
+      at most once, <= |V|), so at most 7|V| vertex visits;
+    * it scans each changed vertex's neighbour list once in step 1,
+      on its old side only (<= D over both sides), and per side each
+      neighbour list at most once in step 2 (the support scan of a
+      vertex across the split, or the dependents of an unmarked one on
+      the side) and once in step 3 (the pull scan of a vertex across,
+      or the propagation from one on the side), so at most 5D
+      adjacency entries;
+    * so a call costs at most 7|V| + 10|E| <= 10(|V| + |E|), at most
+      10|V|(|V| + |E|) over the sweep.
 
-    In total at most 8|V|^2 + 2|V|(|V| + |E|) <= 10|V|(|V| + |E|).
+    In total at most 2|V|^2 + 10|V|(|V| + |E|) <= 12|V|(|V| + |E|).
     """
 
-    C = 10
+    C = 12
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -164,20 +171,23 @@ class TestTheorem6:
         order = data.draw(st.permutations(range(h.num_nets)))
         graph, _, counters = sweep_counters(h, order)
         v, e = graph.num_vertices, graph.num_edges
-        work = (
-            counters.get("matching.search_visits", 0)
-            + counters.get("matching.classify_visits", 0)
-        )
+        # Every classify call after a move scans at least the moved
+        # vertex, so a classifier that stops counting fails here.
+        classify_visits = counters["matching.classify_visits"]
+        assert classify_visits > 0
+        work = counters["matching.search_visits"] + classify_visits
         assert work <= self.C * v * (v + e)
 
     def test_classification_well_below_from_scratch(self, medium_circuit):
-        """Classifying from scratch scans |V| + 2|E| per split; the
-        incremental classifier touches under half of that."""
+        """Classifying from scratch scans |V| + 2|E| per split.  On this
+        circuit, re-running the alternating search over the matched
+        region at every split scanned 0.156 of that; keeping the reach
+        marks across splits scans 0.047."""
         graph, evaluations, counters = sweep_counters(medium_circuit)
         from_scratch = len(evaluations) * (
             graph.num_vertices + 2 * graph.num_edges
         )
-        assert counters["matching.classify_visits"] < 0.5 * from_scratch
+        assert counters["matching.classify_visits"] < 0.1 * from_scratch
 
 
 class TestDeterminism:
