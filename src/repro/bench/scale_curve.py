@@ -53,7 +53,6 @@ import tracemalloc
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..core import get_core
 from ..errors import ReproError
 from .suite import build_circuit
 
@@ -225,11 +224,6 @@ def run_scale_curve(
         "circuit": circuit,
         "seed": seed,
         "scales": scales,
-        # Advisory provenance: which hypergraph core timed these runs.
-        # Results are core-independent; exponents are not compared
-        # across cores unless the caller points --compare at the
-        # matching baseline.
-        "core": get_core(),
         "algorithms": records,
     }
     if out_path is not None:

@@ -33,6 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import DeltaError
 from ..hypergraph import Hypergraph
+from .csrpatch import patched_csr
 
 __all__ = [
     "DELTA_FORMAT",
@@ -444,7 +445,11 @@ class NetlistDelta:
             added_nets=tuple(added_nets),
             changed_nets=tuple(sorted(changed)),
         )
-        _maybe_patch_csr(base, application)
+        # Install the edited hypergraph's CSR twin by patching the
+        # base's: unchanged net rows are spliced across with vectorised
+        # gathers, so Python-level row assembly is paid only for the
+        # nets the delta touched.
+        edited._csr = patched_csr(base, application)
         return application
 
     def apply(self, base: Hypergraph) -> Hypergraph:
@@ -563,23 +568,6 @@ class NetlistDelta:
             )
         except (TypeError, ValueError) as exc:
             raise DeltaError(f"malformed delta document: {exc}") from None
-
-
-def _maybe_patch_csr(base: Hypergraph, application: DeltaApplication) -> None:
-    """Install the edited hypergraph's CSR twin by patching the base's.
-
-    Only when the base twin is already materialised (or the CSR core is
-    active, which would materialise it on first touch anyway): unchanged
-    net rows are spliced across with vectorised gathers, so Python-level
-    row assembly is paid only for the nets the delta actually touched.
-    """
-    from ..core import csr_active
-
-    if base._csr is None and not csr_active():
-        return
-    from .csrpatch import patched_csr
-
-    application.hypergraph._csr = patched_csr(base, application)
 
 
 def delta_from_maps(

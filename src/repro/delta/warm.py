@@ -34,7 +34,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core import csr_active
 from ..errors import PartitionError
 from ..hypergraph import Hypergraph
 from ..intersection import (
@@ -228,9 +227,7 @@ def _warm_ig_match(
             )
         else:
             state = intersection_edge_state(h2, artifacts.weighting)
-        graph = graph_from_edge_state(
-            h2.num_nets, state, set_csr=csr_active()
-        )
+        graph = graph_from_edge_state(h2.num_nets, state)
         order = spectral_ordering(
             graph, backend=config.backend, seed=config.seed
         )

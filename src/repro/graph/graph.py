@@ -9,6 +9,7 @@ connecting modules *u* and *v* add their contributions to ``A_uv``).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..errors import GraphError
@@ -45,9 +46,9 @@ class Graph:
         self._total_weight = 0.0
         # Optional (indptr, indices, data) numpy triple describing the
         # symmetric adjacency in canonical CSR form (rows complete,
-        # columns sorted).  Populated by bulk builders (the CSR-core
-        # intersection build) or lazily by repro.graph.laplacian;
-        # invalidated by any mutation.
+        # columns sorted).  Installed by the intersection build or
+        # built on first use by csr_arrays(); invalidated by any
+        # mutation.
         self._csr_cache = None
 
     # ------------------------------------------------------------------
@@ -148,8 +149,7 @@ class Graph:
 
         The caller guarantees the triple describes exactly this graph's
         symmetric adjacency with sorted column indices per row.  Bulk
-        builders use this to hand downstream consumers (Laplacian
-        assembly, vectorised König classification) zero-copy arrays.
+        builders use this to hand Laplacian assembly zero-copy arrays.
         """
         self._csr_cache = (indptr, indices, data)
 
@@ -173,15 +173,19 @@ class Graph:
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
             nnz = int(indptr[-1])
-            indices = np.empty(nnz, dtype=np.int64)
-            data = np.empty(nnz, dtype=np.float64)
-            pos = 0
-            for nbrs in self._adj:
-                for v in sorted(nbrs):
-                    indices[pos] = v
-                    data[pos] = nbrs[v]
-                    pos += 1
-            self._csr_cache = (indptr, indices, data)
+            indices = np.fromiter(
+                chain.from_iterable(self._adj), dtype=np.int64, count=nnz
+            )
+            data = np.fromiter(
+                chain.from_iterable(nbrs.values() for nbrs in self._adj),
+                dtype=np.float64,
+                count=nnz,
+            )
+            # Rows arrive grouped; sort each row's columns by one
+            # row-major key per entry (timsort keeps the row runs).
+            rows = np.repeat(np.arange(n, dtype=np.int64), counts)
+            order = np.argsort(rows * n + indices, kind="stable")
+            self._csr_cache = (indptr, indices[order], data[order])
         return self._csr_cache
 
     # ------------------------------------------------------------------

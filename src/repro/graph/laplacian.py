@@ -12,8 +12,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.sparse as sp
 
-from ..core import csr_active
-
 if TYPE_CHECKING:  # pragma: no cover
     from .graph import Graph
 
@@ -28,32 +26,14 @@ __all__ = [
 def adjacency_matrix(g: "Graph") -> sp.csr_matrix:
     """The symmetric weighted adjacency matrix ``A`` of ``g`` (CSR).
 
-    When the graph carries cached CSR adjacency arrays (installed by
-    the CSR-core intersection build, or built on demand under the csr
-    core), the matrix is assembled directly from them — no COO
-    intermediate, no per-edge Python loop.  Both paths produce the
-    same canonical matrix: rows complete, columns sorted, identical
-    float64 values.
+    Assembled directly from the graph's canonical CSR arrays
+    (:meth:`~repro.graph.Graph.csr_arrays`: rows complete, columns
+    sorted), which the intersection build installs and any other
+    graph builds on first use.
     """
     n = g.num_vertices
-    if g._csr_cache is not None or csr_active():
-        indptr, indices, data = g.csr_arrays()
-        return sp.csr_matrix(
-            (data, indices, indptr), shape=(n, n), copy=False
-        )
-    rows = []
-    cols = []
-    vals = []
-    for u, v, w in g.edges():
-        rows.append(u)
-        cols.append(v)
-        vals.append(w)
-        rows.append(v)
-        cols.append(u)
-        vals.append(w)
-    return sp.csr_matrix(
-        (np.asarray(vals, dtype=float), (rows, cols)), shape=(n, n)
-    )
+    indptr, indices, data = g.csr_arrays()
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False)
 
 
 def degree_matrix(g: "Graph") -> sp.csr_matrix:

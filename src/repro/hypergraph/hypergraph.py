@@ -347,7 +347,7 @@ class Hypergraph:
         return sum(k * (k - 1) for k in self.net_sizes())
 
     # ------------------------------------------------------------------
-    # CSR core
+    # CSR twin
     # ------------------------------------------------------------------
     @property
     def csr(self):

@@ -1,8 +1,8 @@
 """The netlist intersection graph (the paper's dual representation).
 
 Vertices are signal nets; edges join nets sharing at least one module,
-weighted per Section 2.2 of the paper (or any alternative scheme from
-:mod:`repro.intersection.weights`).
+weighted per Section 2.2 of the paper (or an alternative named scheme
+from :mod:`repro.intersection.weights`).
 """
 
 from .build import (
@@ -11,7 +11,6 @@ from .build import (
     intersection_edge_state,
     intersection_graph,
     intersection_nonzeros,
-    shared_module_map,
 )
 from .weights import (
     available_weightings,
@@ -33,6 +32,5 @@ __all__ = [
     "jaccard_weight",
     "overlap_weight",
     "paper_weight",
-    "shared_module_map",
     "unit_weight",
 ]

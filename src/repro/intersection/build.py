@@ -6,20 +6,19 @@ between two nets exactly when they share at least one module.  ``G'`` is
 uniquely determined by ``H``; the converse does not hold.
 
 Construction is O(total pin pair work): for each module of degree ``d`` we
-touch its ``C(d, 2)`` incident-net pairs.  Shared module lists per net pair
-are accumulated so any :mod:`weighting <repro.intersection.weights>` can be
-evaluated exactly.
+touch its ``C(d, 2)`` incident-net pairs, vectorised over the hypergraph's
+CSR incidence arrays, and evaluate a named
+:mod:`weighting <repro.intersection.weights>` per intersecting pair.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple, Union
+from typing import NamedTuple
 
-from ..core import csr_active
 from ..graph import Graph
 from ..hypergraph import Hypergraph
 from ..obs import incr, span
-from .weights import Weighting, get_weighting
+from .weights import get_weighting
 
 __all__ = [
     "EdgeState",
@@ -27,7 +26,6 @@ __all__ = [
     "intersection_edge_state",
     "intersection_graph",
     "intersection_nonzeros",
-    "shared_module_map",
 ]
 
 
@@ -37,10 +35,11 @@ class EdgeState(NamedTuple):
     One entry per edge ``(edge_a[i], edge_b[i])`` with ``a < b``, weight
     ``weights[i]``, and ``first_mod[i]`` the smallest shared module.
     Entries are in canonical order — sorted by ``(first_mod, a, b)``,
-    the dict path's first-encounter order — so replaying them through
-    :func:`graph_from_edge_state` reproduces a cold build's adjacency
-    byte for byte.  This is the representation the incremental ECO
-    machinery (:mod:`repro.delta`) stores and patches.
+    the order a module-by-module scan first meets each pair — so
+    replaying them through :func:`graph_from_edge_state` reproduces a
+    cold build's adjacency byte for byte.  This is the representation
+    the incremental ECO machinery (:mod:`repro.delta`) stores and
+    patches.
     """
 
     edge_a: "object"  # np.ndarray[int64]
@@ -53,26 +52,7 @@ class EdgeState(NamedTuple):
         return int(self.edge_a.size)
 
 
-def shared_module_map(
-    h: Hypergraph,
-) -> Dict[Tuple[int, int], List[int]]:
-    """Map each intersecting net pair ``(a, b)`` with a < b to the shared
-    modules.
-
-    The keys are exactly the edges of the intersection graph.
-    """
-    shared: Dict[Tuple[int, int], List[int]] = {}
-    for module, nets in h.iter_modules():
-        for i, net_a in enumerate(nets):
-            for net_b in nets[i + 1 :]:
-                shared.setdefault((net_a, net_b), []).append(module)
-    return shared
-
-
-def intersection_graph(
-    h: Hypergraph,
-    weighting: Union[str, Weighting] = "paper",
-) -> Graph:
+def intersection_graph(h: Hypergraph, weighting: str = "paper") -> Graph:
     """Build the weighted intersection graph ``G'`` of ``h``.
 
     Parameters
@@ -83,57 +63,26 @@ def intersection_graph(
         downstream spectral code tolerates; prefer
         :func:`repro.hypergraph.drop_degenerate_nets` first.
     weighting:
-        Either a scheme name (``"paper"``, ``"unit"``, ``"overlap"``,
-        ``"jaccard"``) or a callable; see
-        :mod:`repro.intersection.weights`.
+        A scheme name (``"paper"``, ``"unit"``, ``"overlap"``,
+        ``"jaccard"``); see :mod:`repro.intersection.weights`.  Any
+        other value raises :class:`~repro.errors.ReproError`.
 
     Returns
     -------
     Graph
-        A graph on ``h.num_nets`` vertices where vertex ``j`` is net ``j``.
+        A graph on ``h.num_nets`` vertices where vertex ``j`` is net ``j``,
+        carrying its symmetric CSR adjacency arrays.
     """
     with span(
         "intersection.build", nets=h.num_nets, modules=h.num_modules
     ) as sp:
-        if isinstance(weighting, str):
-            name = weighting
-            weighting = get_weighting(name)
-            if csr_active():
-                g = _intersection_graph_csr(h, name)
-                sp.set(edges=g.num_edges)
-                incr("intersection.builds")
-                incr("intersection.edges", g.num_edges)
-                return g
-        g = Graph(h.num_nets)
-        for (net_a, net_b), shared in shared_module_map(h).items():
-            weight = weighting(h, net_a, net_b, shared)
-            if weight > 0:
-                g.add_edge(net_a, net_b, weight)
+        g = graph_from_edge_state(
+            h.num_nets, intersection_edge_state(h, weighting)
+        )
         sp.set(edges=g.num_edges)
         incr("intersection.builds")
         incr("intersection.edges", g.num_edges)
     return g
-
-
-def _intersection_graph_csr(h: Hypergraph, weighting_name: str) -> Graph:
-    """Vectorised ``G'`` construction from CSR incidence arrays.
-
-    Bit-identical to the dict path by construction:
-
-    * edges are inserted into the :class:`Graph` in the dict path's
-      first-encounter order — sorted by (minimum shared module, a, b) —
-      so every downstream adjacency iteration sees the same sequence;
-    * weights are computed with the same IEEE operations in the same
-      order (per-module contributions accumulate lowest module first,
-      one add per step, exactly like the sequential Python loop).
-
-    Named weightings only; callables take the reference path.
-    """
-    return graph_from_edge_state(
-        h.num_nets,
-        intersection_edge_state(h, weighting_name),
-        set_csr=True,
-    )
 
 
 def intersection_edge_state(
@@ -141,9 +90,9 @@ def intersection_edge_state(
 ) -> EdgeState:
     """Compute the canonical :class:`EdgeState` of ``h`` vectorised.
 
-    Named weightings only (the warm-start machinery needs a name it can
-    re-evaluate per edge); weight values are bitwise identical to both
-    cold build paths.  Touches ``h.csr`` (materialising it if needed).
+    Weight values are bitwise those of the per-pair weighting functions
+    in :mod:`repro.intersection.weights` (the same IEEE operations in
+    the same order).  Touches ``h.csr`` (materialising it if needed).
     """
     import numpy as np
 
@@ -155,8 +104,7 @@ def intersection_edge_state(
 
     # Enumerate every (module, net_a, net_b) co-incidence, batching
     # modules by degree so each batch is one fancy-indexed gather plus
-    # one triu pair expansion (lexicographic (a, b) within a module,
-    # matching the dict path's nested loop).
+    # one triu pair expansion (lexicographic (a, b) within a module).
     pair_a_parts = []
     pair_b_parts = []
     pair_mod_parts = []
@@ -180,8 +128,7 @@ def intersection_edge_state(
     b = np.concatenate(pair_b_parts)
     mod = np.concatenate(pair_mod_parts)
     # Group co-incidences by edge; within a group modules stay
-    # ascending, which is the order the dict path's shared lists
-    # accumulate in.
+    # ascending, the order the per-pair weightings sum them in.
     order = np.lexsort((mod, b, a))
     a, b, mod = a[order], b[order], mod[order]
     boundary = np.empty(a.size, dtype=bool)
@@ -205,8 +152,9 @@ def intersection_edge_state(
         size_term = 1.0 / sizes[edge_a] + 1.0 / sizes[edge_b]
         contrib = np.repeat(size_term, counts) / (degrees[mod] - 1.0)
         # Accumulate each edge's per-module terms sequentially (lowest
-        # module first, one IEEE add per round) — exactly the Python
-        # loop's summation order, never numpy's pairwise reduction.
+        # module first, one IEEE add per round) — exactly
+        # paper_weight's summation order, never numpy's pairwise
+        # reduction.
         weights = np.zeros(edge_a.size, dtype=np.float64)
         for k in range(int(counts.max())):
             sel = counts > k
@@ -225,16 +173,13 @@ def intersection_edge_state(
     )
 
 
-def graph_from_edge_state(
-    num_nets: int, state: EdgeState, set_csr: bool = True
-) -> Graph:
+def graph_from_edge_state(num_nets: int, state: EdgeState) -> Graph:
     """Materialise a :class:`~repro.graph.Graph` from an edge state.
 
-    Edges are inserted in array order — canonical states reproduce the
-    cold builds' adjacency iteration order exactly.  With ``set_csr``
-    the symmetric CSR adjacency is installed too (the CSR-core cold path
-    always does; the dict path never does — pass ``csr_active()`` to
-    mirror whichever cold build the caller is standing in for).
+    Edges are inserted in array order — canonical states reproduce a
+    cold build's adjacency iteration order exactly — and the symmetric
+    CSR adjacency is installed alongside, so Laplacian assembly reads
+    it without a pass over the adjacency dicts.
     """
     import numpy as np
 
@@ -244,11 +189,7 @@ def graph_from_edge_state(
         edge_a.tolist(), edge_b.tolist(), weights.tolist()
     ):
         g.add_edge(u, v, w)
-    if not set_csr:
-        return g
 
-    # Hand downstream consumers (Laplacian assembly, vectorised König
-    # classification) the canonical symmetric CSR adjacency for free.
     row = np.concatenate([edge_a, edge_b])
     col = np.concatenate([edge_b, edge_a])
     val = np.concatenate([weights, weights])
@@ -266,4 +207,4 @@ def intersection_nonzeros(h: Hypergraph) -> int:
     nonzero count (e.g. Test05: 19 935 vs 219 811) to argue the dual
     representation is an order of magnitude sparser.
     """
-    return 2 * len(shared_module_map(h))
+    return 2 * intersection_edge_state(h, "unit").num_edges

@@ -88,10 +88,11 @@ _WEIGHTINGS: Dict[str, Weighting] = {
 
 
 def get_weighting(name: str) -> Weighting:
-    """Look up a weighting scheme by name."""
+    """Look up a weighting scheme by name (anything else raises
+    :class:`~repro.errors.ReproError`)."""
     try:
         return _WEIGHTINGS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ReproError(
             f"unknown weighting {name!r}; available: {sorted(_WEIGHTINGS)}"
         ) from None

@@ -17,7 +17,6 @@ partitioning (:func:`recursive_partition`).
 """
 
 from .annealing import AnnealingConfig, anneal
-from .bucket_list import LinkedGainBuckets
 from .eig1 import EIG1Config, eig1
 from .exact import exact_min_cut_bisection, exact_min_ratio_cut
 from .fm import FMConfig, FMEngine, GainBuckets, fm_bipartition
@@ -68,7 +67,6 @@ __all__ = [
     "IGVoteConfig",
     "KLConfig",
     "KWayFMConfig",
-    "LinkedGainBuckets",
     "MultiwayResult",
     "Partition",
     "PartitionResult",

@@ -22,7 +22,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core import csr_active
 from ..errors import PartitionError
 from ..hypergraph import Hypergraph
 from ..obs import emit, incr, is_enabled, span
@@ -124,22 +123,40 @@ class FMEngine:
     """
 
     def __init__(self, h: Hypergraph, sides: Sequence[int]):
+        """Count pins per net and side, the cut and every cell's gain.
+
+        Pure integer arithmetic over the flat CSR pin arrays: bincount
+        the pins by side for per-net counts, then sum each pin's FS/TE
+        critical-net contribution per module (the rules of
+        :meth:`_compute_gain`).
+        """
+        import numpy as np
+
         self._bind(h, sides)
-        if csr_active():
-            self._init_counts_csr()
-        else:
-            self.pin_count = [[0, 0] for _ in range(h.num_nets)]
-            for net, pins in h.iter_nets():
-                for pin in pins:
-                    self.pin_count[net][self.sides[pin]] += 1
-            self.cut = sum(
-                1
-                for counts in self.pin_count
-                if counts[0] > 0 and counts[1] > 0
-            )
-            self.gains = [
-                self._compute_gain(v) for v in range(h.num_modules)
-            ]
+        m = h.num_nets
+        csr = h.csr
+        sizes = np.diff(csr.net_indptr)
+        pin_modules = csr.net_indices
+        pin_nets = np.repeat(np.arange(m, dtype=np.int64), sizes)
+        pin_sides = np.asarray(self.sides, dtype=np.int64)[pin_modules]
+        in1 = np.bincount(pin_nets[pin_sides == 1], minlength=m)
+        in0 = sizes - in1
+        self.pin_count = np.stack((in0, in1), axis=1).tolist()
+        self.cut = int(np.count_nonzero((in0 > 0) & (in1 > 0)))
+        count_same = np.where(pin_sides == 0, in0[pin_nets], in1[pin_nets])
+        count_other = np.where(
+            pin_sides == 0, in1[pin_nets], in0[pin_nets]
+        )
+        contribution = np.where(
+            (sizes >= 2)[pin_nets],
+            (count_same == 1).astype(np.int64)
+            - (count_other == 0).astype(np.int64),
+            0,
+        )
+        gains = np.bincount(
+            pin_modules, weights=contribution, minlength=h.num_modules
+        )
+        self.gains = gains.astype(np.int64).tolist()
 
     @classmethod
     def from_state(
@@ -198,46 +215,6 @@ class FMEngine:
             self.side_area[s] += self._areas[v]
         # Stats of the most recent run_pass (moved/kept/best_value).
         self.last_pass = {"moved": 0, "kept": 0, "best_value": 0.0}
-
-    # ------------------------------------------------------------------
-    def _init_counts_csr(self) -> None:
-        """Vectorised pin-count / cut / gain initialisation (csr core).
-
-        Pure integer arithmetic over the flat CSR pin arrays, so the
-        results equal the reference loops exactly: bincount the pins by
-        side for per-net counts, then sum each pin's FS/TE critical-net
-        contribution per module.  Only initialisation is vectorised —
-        the incremental :meth:`move` bookkeeping and bucket insertion
-        order (which is visit-order-sensitive) stay untouched.
-        """
-        import numpy as np
-
-        h = self.h
-        m = h.num_nets
-        n = h.num_modules
-        csr = h.csr
-        sizes = np.diff(csr.net_indptr)
-        pin_modules = csr.net_indices
-        pin_nets = np.repeat(np.arange(m, dtype=np.int64), sizes)
-        sides_arr = np.asarray(self.sides, dtype=np.int64)
-        pin_sides = sides_arr[pin_modules]
-        in1 = np.bincount(pin_nets[pin_sides == 1], minlength=m)
-        in0 = sizes - in1
-        self.pin_count = np.stack((in0, in1), axis=1).tolist()
-        self.cut = int(np.count_nonzero((in0 > 0) & (in1 > 0)))
-        valid = sizes >= 2
-        count_same = np.where(pin_sides == 0, in0[pin_nets], in1[pin_nets])
-        count_other = np.where(
-            pin_sides == 0, in1[pin_nets], in0[pin_nets]
-        )
-        contribution = np.where(
-            valid[pin_nets],
-            (count_same == 1).astype(np.int64)
-            - (count_other == 0).astype(np.int64),
-            0,
-        )
-        gains = np.bincount(pin_modules, weights=contribution, minlength=n)
-        self.gains = gains.astype(np.int64).tolist()
 
     # ------------------------------------------------------------------
     def _compute_gain(self, cell: int) -> int:

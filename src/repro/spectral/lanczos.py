@@ -72,9 +72,7 @@ def _as_matvec(
     if sp.issparse(matrix):
         # Bind the sparse matvec directly: one fewer Python frame per
         # Lanczos step, and the CSR kernel is the same routine ``@``
-        # dispatches to, so results are bit-identical.  The real win is
-        # upstream — under the csr core the matrix arrives assembled
-        # from cached CSR arrays with no COO intermediate.
+        # dispatches to, so results are bit-identical.
         return matrix.dot, matrix.shape[0]
     return (lambda x: matrix @ x), matrix.shape[0]
 

@@ -12,30 +12,53 @@ maintained state against them at every evaluated split.
 balance rule's ``(side, area)`` verdicts: a cell predicate checked over
 sorted gain keys and copied buckets, per-net gain adjustment helpers,
 and a recount of the moved cell's gain.
+
+The array-backed pipeline steps have their first, loop-based versions
+here: the per-pair intersection build (:func:`shared_module_map` plus
+one weighting call per pair, callables accepted), the COO adjacency
+assembly and the per-pin FM initialisation.  :func:`pipeline` runs code
+with them swapped in, so a whole partitioner run can be compared bit
+for bit against the shipped steps.  :class:`LinkedGainBuckets` is the
+paper-era bucket list the FM bucket replay test checks against.
 """
 
 from __future__ import annotations
 
+import contextlib
 import struct
 from collections import deque
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.hypergraph import Hypergraph
-from repro.intersection import intersection_graph
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from repro.errors import PartitionError
+from repro.graph import Graph
+from repro.hypergraph import CsrHypergraph, Hypergraph
+from repro.intersection import get_weighting, intersection_graph
 from repro.matching.incremental import IncrementalMatching, VertexClass
+from repro.obs import incr, span
 from repro.partitioning import IGMatchConfig, ig_match_sweep
 from repro.partitioning.igmatch import SplitEvaluation, _CompletionTally
 from repro.partitioning.metrics import ratio_cut_cost
 
 __all__ = [
+    "IMPLEMENTATIONS",
     "L",
+    "LinkedGainBuckets",
     "R",
     "ReferenceFMPass",
     "UNASSIGNED",
     "bits",
     "classify_from_scratch",
     "evaluate_split",
+    "pipeline",
+    "reference_adjacency_matrix",
+    "reference_fm_init",
+    "reference_intersection_graph",
     "replay",
+    "shared_module_map",
 ]
 
 L = 0
@@ -466,3 +489,265 @@ class ReferenceFMPass:
             "best_value": best_value,
         }
         return best_prefix, best_value
+
+
+# ----------------------------------------------------------------------
+# Intersection graph, adjacency matrix and FM initialisation
+# ----------------------------------------------------------------------
+def shared_module_map(h: Hypergraph) -> Dict[Tuple[int, int], List[int]]:
+    """Map each intersecting net pair ``(a, b)`` with a < b to the shared
+    modules, ascending; the keys are exactly the edges of ``G'``."""
+    shared: Dict[Tuple[int, int], List[int]] = {}
+    for module, nets in h.iter_modules():
+        for i, net_a in enumerate(nets):
+            for net_b in nets[i + 1:]:
+                shared.setdefault((net_a, net_b), []).append(module)
+    return shared
+
+
+def reference_intersection_graph(h: Hypergraph, weighting="paper") -> Graph:
+    """``G'`` built pair by pair: one weighting call per shared-module
+    list, edges added in first-encounter order.  ``weighting`` is a
+    scheme name or a ``(h, net_a, net_b, shared) -> float`` callable."""
+    if isinstance(weighting, str):
+        weighting = get_weighting(weighting)
+    with span(
+        "intersection.build", nets=h.num_nets, modules=h.num_modules
+    ) as sp_:
+        g = Graph(h.num_nets)
+        for (net_a, net_b), shared in shared_module_map(h).items():
+            weight = weighting(h, net_a, net_b, shared)
+            if weight > 0:
+                g.add_edge(net_a, net_b, weight)
+        sp_.set(edges=g.num_edges)
+        incr("intersection.builds")
+        incr("intersection.edges", g.num_edges)
+    return g
+
+
+def reference_adjacency_matrix(g: Graph) -> sp.csr_matrix:
+    """``A`` assembled from COO triples, one Python append per entry."""
+    n = g.num_vertices
+    rows, cols, vals = [], [], []
+    for u, v, w in g.edges():
+        rows.append(u)
+        cols.append(v)
+        vals.append(w)
+        rows.append(v)
+        cols.append(u)
+        vals.append(w)
+    return sp.csr_matrix(
+        (np.asarray(vals, dtype=float), (rows, cols)), shape=(n, n)
+    )
+
+
+def reference_fm_init(engine, h: Hypergraph, sides) -> None:
+    """``FMEngine.__init__`` with a Python loop over every pin and one
+    :meth:`~repro.partitioning.FMEngine._compute_gain` per cell."""
+    engine._bind(h, sides)
+    engine.pin_count = [[0, 0] for _ in range(h.num_nets)]
+    for net, pins in h.iter_nets():
+        for pin in pins:
+            engine.pin_count[net][engine.sides[pin]] += 1
+    engine.cut = sum(
+        1 for counts in engine.pin_count if counts[0] > 0 and counts[1] > 0
+    )
+    engine.gains = [engine._compute_gain(v) for v in range(h.num_modules)]
+
+
+def _cold_csr(base, application) -> CsrHypergraph:
+    """The edited hypergraph's CSR twin built from its tuples."""
+    return CsrHypergraph.from_hypergraph(application.hypergraph)
+
+
+#: Test ids for the two implementations of the steps above: ``"dict"``
+#: runs code under :func:`pipeline` with the references swapped in
+#: (dict-of-dict graphs and per-pin loops), ``"csr"`` runs the shipped
+#: array-backed steps.
+IMPLEMENTATIONS = ("dict", "csr")
+
+
+@contextlib.contextmanager
+def pipeline(implementation: str):
+    """Run the block on the ``implementation`` of the pipeline steps.
+
+    ``"dict"`` patches the references in where the pipeline calls the
+    steps: the intersection build in IG-Match and IG-Vote, adjacency
+    assembly under every Laplacian, FM engine initialisation, and the
+    CSR twin a netlist delta installs (built cold, not patched).
+    """
+    if implementation not in IMPLEMENTATIONS:
+        raise ValueError(f"unknown implementation {implementation!r}")
+    if implementation == "csr":
+        yield
+        return
+    import repro.delta.model as delta_model
+    import repro.graph.laplacian as laplacian
+    import repro.partitioning.igmatch as igmatch
+    import repro.partitioning.igvote as igvote
+    from repro.partitioning.fm import FMEngine
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            igmatch, "intersection_graph", reference_intersection_graph
+        )
+        patch.setattr(
+            igvote, "intersection_graph", reference_intersection_graph
+        )
+        patch.setattr(
+            laplacian, "adjacency_matrix", reference_adjacency_matrix
+        )
+        patch.setattr(FMEngine, "__init__", reference_fm_init)
+        patch.setattr(delta_model, "patched_csr", _cold_csr)
+        yield
+
+
+# ----------------------------------------------------------------------
+# The classic linked bucket list
+# ----------------------------------------------------------------------
+class _Node:
+    __slots__ = ("cell", "prev", "next")
+
+    def __init__(self, cell: int):
+        self.cell = cell
+        self.prev: Optional["_Node"] = None
+        self.next: Optional["_Node"] = None
+
+
+class LinkedGainBuckets:
+    """Gain buckets as a doubly-linked-list array with a max pointer.
+
+    FM's linear-time-per-pass claim rests on this structure: an array
+    of lists indexed by gain (bounded by ±p_max, the maximum cell
+    degree), a max-gain pointer that only moves down by scanning and up
+    by O(1) on insert, and O(1) unlink/relink per gain update.
+
+    ``max_gain`` bounds |gain|; inserts outside the bound grow the
+    array, each growth counted in :attr:`grows`.  Within a bucket,
+    cells pop in LIFO order — the classic implementation's behaviour,
+    which differs from the set order by which
+    :class:`repro.partitioning.fm.GainBuckets` breaks gain ties, so the
+    two agree on the best gain, not on the cell.
+    """
+
+    def __init__(self, max_gain: int = 16):
+        if max_gain < 1:
+            raise PartitionError(f"max_gain must be >= 1, got {max_gain}")
+        self._bound = max_gain
+        self._heads: List[Optional[_Node]] = [None] * (2 * max_gain + 1)
+        self._nodes: Dict[int, _Node] = {}
+        self._gains: Dict[int, int] = {}
+        self._max_index: Optional[int] = None
+        self._count = 0
+        #: O(bound) reallocations made because the preset bound was
+        #: too small.
+        self.grows = 0
+
+    # ------------------------------------------------------------------
+    def _index(self, gain: int) -> int:
+        if abs(gain) > self._bound:
+            self._grow(abs(gain))
+        return gain + self._bound
+
+    def _grow(self, needed: int) -> None:
+        self.grows += 1
+        new_bound = max(needed, 2 * self._bound)
+        shift = new_bound - self._bound
+        self._heads = (
+            [None] * shift + self._heads + [None] * shift
+        )
+        if self._max_index is not None:
+            self._max_index += shift
+        self._bound = new_bound
+
+    def __len__(self) -> int:
+        return self._count
+
+    # ------------------------------------------------------------------
+    @classmethod
+    def from_gains(cls, gains, max_gain: Optional[int] = None
+                   ) -> "LinkedGainBuckets":
+        """Bulk-build from a dense gain vector (cell ``i`` ↦ ``gains[i]``).
+
+        Exactly equivalent to inserting cells ``0..n-1`` in ascending
+        order — same LIFO bucket order, same ``iter_best_first``
+        sequence — but the bound is preset from the data, so the build
+        never grows the array.
+        """
+        gain_list = [int(g) for g in gains]
+        if max_gain is None:
+            max_gain = max((abs(g) for g in gain_list), default=0)
+        buckets = cls(max_gain=max(int(max_gain), 1))
+        for cell, gain in enumerate(gain_list):
+            buckets.insert(cell, gain)
+        return buckets
+
+    def insert(self, cell: int, gain: int) -> None:
+        if cell in self._nodes:
+            raise PartitionError(f"cell {cell} already bucketed")
+        index = self._index(gain)
+        node = _Node(cell)
+        head = self._heads[index]
+        node.next = head
+        if head is not None:
+            head.prev = node
+        self._heads[index] = node
+        self._nodes[cell] = node
+        self._gains[cell] = gain
+        self._count += 1
+        if self._max_index is None or index > self._max_index:
+            self._max_index = index
+
+    def remove(self, cell: int, gain: int) -> None:
+        node = self._nodes.get(cell)
+        if node is None or self._gains[cell] != gain:
+            raise PartitionError(
+                f"cell {cell} not in gain bucket {gain}"
+            )
+        index = self._index(gain)
+        if node.prev is not None:
+            node.prev.next = node.next
+        else:
+            self._heads[index] = node.next
+        if node.next is not None:
+            node.next.prev = node.prev
+        del self._nodes[cell]
+        del self._gains[cell]
+        self._count -= 1
+        # Let the max pointer drift down lazily.
+        while (
+            self._max_index is not None
+            and self._max_index >= 0
+            and self._heads[self._max_index] is None
+        ):
+            self._max_index -= 1
+        if self._max_index is not None and self._max_index < 0:
+            self._max_index = None
+
+    def update(self, cell: int, old_gain: int, delta: int) -> int:
+        """Relink a cell into its new bucket; returns the new gain."""
+        if delta == 0:
+            return old_gain
+        self.remove(cell, old_gain)
+        new_gain = old_gain + delta
+        self.insert(cell, new_gain)
+        return new_gain
+
+    def iter_best_first(self):
+        """Yield ``(gain, cell)`` best-gain-first (LIFO within bucket).
+
+        Each bucket is read into a list before its cells are yielded,
+        so mutations during iteration do not disturb a bucket already
+        being yielded.
+        """
+        if self._max_index is None:
+            return
+        for index in range(self._max_index, -1, -1):
+            node = self._heads[index]
+            cells = []
+            while node is not None:
+                cells.append(node.cell)
+                node = node.next
+            gain = index - self._bound
+            for cell in cells:
+                yield gain, cell

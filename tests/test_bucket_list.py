@@ -1,5 +1,6 @@
-"""Tests for the linked-list FM bucket structure, cross-validated
-against the dict-based implementation through identical traces."""
+"""Tests for the reference linked-list FM bucket structure
+(:class:`tests.oracles.LinkedGainBuckets`), cross-validated against the
+engine's dict-based buckets through identical traces."""
 
 import random
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PartitionError
-from repro.partitioning import GainBuckets, LinkedGainBuckets
+from repro.partitioning import GainBuckets
+from tests.oracles import LinkedGainBuckets
 
 
 class TestBasics:
@@ -69,6 +71,7 @@ class TestBasics:
         pairs = list(b.iter_best_first())
         assert pairs[0] == (100, 0)
         assert pairs[-1] == (-150, 1)
+        assert b.grows == 2
 
     def test_bad_bound(self):
         with pytest.raises(PartitionError):

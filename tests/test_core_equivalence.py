@@ -1,28 +1,29 @@
-"""Cross-representation differential suite: dict core vs CSR core.
+"""Differential suite: the array-backed pipeline steps vs their
+loop-based references in :mod:`tests.oracles`.
 
-The CSR core's contract is not "close enough" — it is **bit identity**.
-Every partitioner, run on the same instance with the same request, must
-produce byte-identical :func:`canonical_result_bytes` and identical
-deterministic observability counters whichever core is active.  This
-suite enforces that contract three ways:
+The intersection build, the adjacency assembly under every Laplacian
+and FM initialisation run vectorised over CSR arrays.  Their contract
+is not "close enough" — it is **bit identity** with the loop versions
+they replaced.  Test ids name the implementation: ``dict`` runs under
+:func:`tests.oracles.pipeline` with the references swapped in, ``csr``
+runs the shipped steps.  The suite checks three ways:
 
-1. End-to-end: all 8 algorithms through :func:`run_partitioner` under
-   ``use_core("dict")`` vs ``use_core("csr")``, comparing canonical
-   bytes *and* the full obs counter dict (so the cores do the same
-   amount of algorithmic work, not just reach the same answer).  An
-   instance that raises must raise the identical error on both cores.
+1. End-to-end: all 8 algorithms through :func:`run_partitioner` on
+   both, comparing canonical bytes *and* the full obs counter dict (so
+   both do the same amount of algorithmic work, not just reach the same
+   answer).  An instance that raises must raise the identical error on
+   both.
 2. Layer-by-layer: intersection-graph construction (adjacency structure,
    bitwise edge weights, insertion order), the matcher's Dulmage–
-   Mendelsohn ``classify`` under random sweeps over each core's graph
-   (against the from-scratch oracle), FM engine
-   initialisation, and the Laplacian adjacency matrix.
-3. Service-level: hypergraph fingerprints are core-blind, a served
-   result equals a direct compute on either core, and a disk cache
-   written by a dict-core engine is a hit — byte-identical — for a
-   CSR-core engine.
+   Mendelsohn ``classify`` under random sweeps over each graph (against
+   the from-scratch oracle), FM engine initialisation, and the
+   adjacency and Laplacian matrices.
+3. Service-level: fingerprints ignore the CSR twin, a served result
+   equals a direct compute on either implementation, and a disk cache
+   written by one is a hit — byte-identical — for the other.
 
-Modeled on ``tests/test_parallel_equivalence.py`` (PR 3), which plays
-the same role for the parallel execution backends.
+Modeled on ``tests/test_parallel_equivalence.py``, which plays the same
+role for the parallel execution backends.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ import pytest
 from hypothesis import given, settings
 
 from repro import obs
-from repro.core import use_core
+from repro.delta import NetlistDelta
 from repro.errors import ReproError
 from repro.graph import Graph
 from repro.graph.laplacian import adjacency_matrix, laplacian_matrix
-from repro.hypergraph import Hypergraph
 from repro.intersection import intersection_graph
 from repro.matching.incremental import IncrementalMatching
+from repro.netmodels import available_models, get_model
 from repro.partitioning.fm import FMEngine
 from repro.service import (
     PartitionEngine,
@@ -52,14 +53,21 @@ from repro.service import (
 from repro.service.engine import ALGORITHMS
 from repro.service.fingerprint import canonical_fingerprint, exact_fingerprint
 from tests.conftest import random_hypergraph
-from tests.oracles import classify_from_scratch
+from tests.oracles import (
+    IMPLEMENTATIONS,
+    classify_from_scratch,
+    pipeline,
+    reference_adjacency_matrix,
+    reference_fm_init,
+    reference_intersection_graph,
+)
 from tests.strategies import hypergraphs, partitionable_hypergraphs
 
 WEIGHTINGS = ("unit", "overlap", "jaccard", "paper")
 
 
-def run_one(core, h, request):
-    """One full run under ``core``: (outcome, counters).
+def run_one(implementation, h, request):
+    """One full run on ``implementation``: (outcome, counters).
 
     ``outcome`` is the canonical result bytes on success, or an
     ``("error", type-name, message)`` triple when the instance is
@@ -69,7 +77,7 @@ def run_one(core, h, request):
     with obs.isolated() as state:
         obs.enable()
         try:
-            with use_core(core):
+            with pipeline(implementation):
                 result = run_partitioner(h, request)
             outcome = canonical_result_bytes(result)
         except ReproError as exc:
@@ -85,6 +93,16 @@ def graph_signature(g: Graph) -> list:
         (v, [(u, struct.pack("<d", w)) for u, w in nbrs.items()])
         for v, nbrs in enumerate(g._adj)
     ]
+
+
+def matrix_bits(a) -> tuple:
+    """A CSR matrix's pattern and IEEE-754 values."""
+    return (
+        a.shape,
+        a.indptr.tolist(),
+        a.indices.tolist(),
+        [struct.pack("<d", x) for x in a.data],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -118,6 +136,7 @@ class TestEndToEnd:
         assert d_counters == c_counters
 
     def test_split_stride_and_restarts_respected_on_both_cores(self):
+        """Non-default knobs, on both implementations."""
         h = random_hypergraph(9, num_modules=16, num_nets=20)
         for request in (
             PartitionRequest("ig-match", seed=1, split_stride=3),
@@ -142,10 +161,8 @@ class TestIntersectionLayer:
         )
     )
     def test_graph_identical_including_order(self, weighting, h):
-        with use_core("dict"):
-            gd = intersection_graph(h, weighting)
-        with use_core("csr"):
-            gc = intersection_graph(h, weighting)
+        gd = reference_intersection_graph(h, weighting)
+        gc = intersection_graph(h, weighting)
         assert graph_signature(gd) == graph_signature(gc)
         assert struct.pack("<d", gd.total_weight) == struct.pack(
             "<d", gc.total_weight
@@ -153,8 +170,7 @@ class TestIntersectionLayer:
 
     def test_csr_build_installs_matching_adjacency_cache(self):
         h = random_hypergraph(5, num_modules=12, num_nets=16)
-        with use_core("csr"):
-            g = intersection_graph(h, "paper")
+        g = intersection_graph(h, "paper")
         assert g._csr_cache is not None
         cached = tuple(arr.tolist() for arr in g._csr_cache)
         g._csr_cache = None
@@ -165,34 +181,44 @@ class TestIntersectionLayer:
 class TestSpectralLayer:
     def test_adjacency_and_laplacian_identical(self):
         h = random_hypergraph(2, num_modules=14, num_nets=18)
-        with use_core("dict"):
-            g = intersection_graph(h, "paper")
-            ad = adjacency_matrix(g)
+        g = reference_intersection_graph(h, "paper")
+        ad = reference_adjacency_matrix(g)
+        with pipeline("dict"):
             ld = laplacian_matrix(g)
-        with use_core("csr"):
-            g2 = intersection_graph(h, "paper")
-            ac = adjacency_matrix(g2)
-            lc = laplacian_matrix(g2)
-        for dense, csr in ((ad, ac), (ld, lc)):
-            assert (dense != csr).nnz == 0
-            assert dense.indptr.tolist() == csr.indptr.tolist()
-            assert dense.indices.tolist() == csr.indices.tolist()
-            assert [struct.pack("<d", x) for x in dense.data] == [
-                struct.pack("<d", x) for x in csr.data
-            ]
+        g2 = intersection_graph(h, "paper")
+        ac = adjacency_matrix(g2)
+        lc = laplacian_matrix(g2)
+        assert matrix_bits(ad) == matrix_bits(ac)
+        assert matrix_bits(ld) == matrix_bits(lc)
+
+    @pytest.mark.parametrize("model", available_models())
+    @settings(max_examples=25, deadline=None)
+    @given(
+        h=hypergraphs(
+            max_modules=14,
+            max_nets=18,
+            allow_empty_nets=True,
+            allow_singleton_modules=True,
+        )
+    )
+    def test_lazy_csr_arrays_identical_on_net_model_graphs(self, model, h):
+        """Graphs built edge by edge (the net models) get their CSR
+        arrays on first use; they must equal the COO assembly."""
+        g = get_model(model).to_graph(h)
+        assert matrix_bits(adjacency_matrix(g)) == matrix_bits(
+            reference_adjacency_matrix(g)
+        )
 
 
 class TestMatchingLayer:
     @settings(max_examples=30, deadline=None)
     @given(h=hypergraphs(max_modules=12, max_nets=15))
     def test_classify_identical_under_random_sweeps(self, h):
-        """Matchers over each core's intersection graph classify every
-        split identically, equal to the from-scratch oracle, with
-        identical work counters."""
-        with use_core("dict"):
-            gd = intersection_graph(h, "paper")
-        with use_core("csr"):
-            gc = intersection_graph(h, "paper")
+        """Matchers over each implementation's intersection graph
+        classify every split identically, equal to the from-scratch
+        oracle, with identical work counters."""
+        gd = reference_intersection_graph(h, "paper")
+        gc = intersection_graph(h, "paper")
         n = gd.num_vertices
         order = list(range(n))
         random.Random(7).shuffle(order)
@@ -223,10 +249,9 @@ class TestFMLayer:
     )
     def test_engine_init_identical(self, h):
         sides = [v % 2 for v in range(h.num_modules)]
-        with use_core("dict"):
-            ed = FMEngine(h, sides)
-        with use_core("csr"):
-            ec = FMEngine(h, sides)
+        ed = FMEngine.__new__(FMEngine)
+        reference_fm_init(ed, h, sides)
+        ec = FMEngine(h, sides)
         assert ed.pin_count == ec.pin_count
         assert ed.cut == ec.cut
         assert ed.gains == ec.gains
@@ -241,63 +266,61 @@ class TestFMLayer:
 # ----------------------------------------------------------------------
 class TestServiceLevel:
     def test_fingerprints_are_core_blind(self):
+        """Fingerprints read the tuples only: building the CSR twin, or
+        installing a patched one, leaves them unchanged."""
         h = random_hypergraph(11, num_modules=13, num_nets=17)
-        with use_core("dict"):
-            exact_d = exact_fingerprint(h)
-            canon_d = canonical_fingerprint(h)
-        with use_core("csr"):
-            exact_c = exact_fingerprint(h)
-            canon_c = canonical_fingerprint(h)
-        assert exact_d == exact_c
-        assert canon_d == canon_c
 
-    @pytest.mark.parametrize("core", ("dict", "csr"))
-    def test_served_equals_direct(self, core):
+        def prints(x):
+            return exact_fingerprint(x), canonical_fingerprint(x)
+
+        assert h._csr is None
+        before = prints(h)
+        h.csr
+        assert prints(h) == before
+        edited = NetlistDelta().apply(h)
+        assert edited._csr is not None
+        assert prints(edited) == before
+
+    @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
+    def test_served_equals_direct(self, implementation):
         h = random_hypergraph(4, num_modules=13, num_nets=16)
         request = PartitionRequest("ig-match", seed=2, restarts=2)
-        engine = PartitionEngine(cache=None, core=core)
-        served = engine.partition(h, request)
-        direct = run_partitioner(h, request, core=core)
+        with pipeline(implementation):
+            engine = PartitionEngine(cache=None)
+            served = engine.partition(h, request)
+            direct = run_partitioner(h, request)
         assert canonical_result_bytes(served.result) == \
             canonical_result_bytes(direct)
         assert served.source == "computed"
         assert not served.cached
 
-    def test_dict_written_disk_cache_hits_for_csr_engine(self, tmp_path):
-        h = random_hypergraph(8, num_modules=14, num_nets=18)
-        request = PartitionRequest("ig-match", seed=5, restarts=2)
-
-        writer = PartitionEngine(
-            cache=ResultCache(disk_dir=tmp_path), core="dict"
-        )
-        first = writer.partition(h, request)
+    def _write_then_read(self, tmp_path, h, request, writer, reader):
+        with pipeline(writer):
+            first = PartitionEngine(
+                cache=ResultCache(disk_dir=tmp_path)
+            ).partition(h, request)
         assert first.source == "computed"
-
-        # A fresh engine (cold memory tier) on the other core, same
-        # disk directory: the entry must be a hit, because the core
-        # never enters the cache fingerprint.
-        reader = PartitionEngine(
-            cache=ResultCache(disk_dir=tmp_path), core="csr"
-        )
-        second = reader.partition(h, request)
+        # A fresh engine (cold memory tier) on the other implementation,
+        # same disk directory: the entry must be a hit and byte-equal
+        # to what that implementation computes itself.
+        with pipeline(reader):
+            engine = PartitionEngine(cache=ResultCache(disk_dir=tmp_path))
+            second = engine.partition(h, request)
+            own = run_partitioner(h, request)
         assert second.cached
         assert second.source == "disk"
         assert second.fingerprint == first.fingerprint
+        assert engine.cache.stats["disk_hits"] == 1
         assert canonical_result_bytes(second.result) == \
-            canonical_result_bytes(first.result)
-        assert reader.cache.stats["disk_hits"] == 1
+            canonical_result_bytes(first.result) == \
+            canonical_result_bytes(own)
+
+    def test_dict_written_disk_cache_hits_for_csr_engine(self, tmp_path):
+        h = random_hypergraph(8, num_modules=14, num_nets=18)
+        request = PartitionRequest("ig-match", seed=5, restarts=2)
+        self._write_then_read(tmp_path, h, request, "dict", "csr")
 
     def test_csr_written_disk_cache_hits_for_dict_engine(self, tmp_path):
         h = random_hypergraph(12, num_modules=12, num_nets=15)
         request = PartitionRequest("fm", seed=6, restarts=3)
-        writer = PartitionEngine(
-            cache=ResultCache(disk_dir=tmp_path), core="csr"
-        )
-        first = writer.partition(h, request)
-        reader = PartitionEngine(
-            cache=ResultCache(disk_dir=tmp_path), core="dict"
-        )
-        second = reader.partition(h, request)
-        assert second.source == "disk"
-        assert canonical_result_bytes(second.result) == \
-            canonical_result_bytes(first.result)
+        self._write_then_read(tmp_path, h, request, "csr", "dict")

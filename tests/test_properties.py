@@ -19,10 +19,11 @@ from repro.hypergraph import (
     net_size_histogram,
     to_json,
 )
-from repro.intersection import intersection_graph, shared_module_map
+from repro.intersection import intersection_graph
 from repro.partitioning import FMEngine, ratio_cut_of_sides
 from repro.partitioning.metrics import net_cut_count
 from tests.conftest import hypergraph_strategy
+from tests.oracles import shared_module_map
 
 
 class TestSerializationRoundtrips:
