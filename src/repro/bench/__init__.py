@@ -15,11 +15,7 @@ from .primary2_histogram import (
     PRIMARY2_NET_SIZE_HISTOGRAM,
     PRIMARY2_NUM_NETS,
 )
-from .scale_curve import (
-    fit_power_law,
-    run_scale_curve,
-    validate_scale_payload,
-)
+from .scale_curve import fit_power_law, run_scale_curve
 from .specs import BENCHMARKS, BenchmarkSpec, PaperRow, get_spec, spec_names
 from .suite import (
     build_circuit,
@@ -48,5 +44,4 @@ __all__ = [
     "run_scale_curve",
     "sample_net_sizes",
     "spec_names",
-    "validate_scale_payload",
 ]

@@ -11,14 +11,24 @@ warm trace contains none of them, and the engine counters show exactly
 one miss followed by one hit.
 
 ``python -m repro.bench --cache-scenario`` is the CLI front end; the
-returned payload is JSON-serialisable for machine consumption.
+result is a schema-3 bench payload of kind ``cache``
+(``BENCH_cache.json``, :mod:`repro.obs.diff`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+import time
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
+from ..obs.diff import (
+    EXACT,
+    NOISY,
+    check,
+    histogram_metrics,
+    make_payload,
+    metric,
+)
 from .suite import build_circuit
 
 __all__ = ["COMPUTE_SPAN_PREFIXES", "run_cache_scenario"]
@@ -52,32 +62,34 @@ def _compute_spans(phases: Dict[str, Any]) -> Sequence[str]:
     )
 
 
-def _observed_serve(engine, h, request) -> Dict[str, Any]:
-    """One serve under a fresh obs session; returns its trace summary."""
-    from ..service.engine import result_to_payload
-
+def _observed_serve(
+    engine, h, request, serve: str
+) -> Tuple[Any, List[str], List[Dict[str, Any]]]:
+    """One serve under a fresh obs session: the served result, the
+    compute spans it ran, and its metrics (label ``serve``)."""
+    labels = {"serve": serve}
+    start = time.perf_counter()
     with obs.enabled():
         served = engine.partition(h, request)
-        phases = {
-            name: {"seconds": round(seconds, 6), "count": count}
-            for name, (seconds, count) in sorted(
-                obs.flatten_totals().items()
-            )
-        }
+        wall = time.perf_counter() - start
+        totals = obs.flatten_totals()
         service_counters = obs.counters("service.")
-    return {
-        "cached": served.cached,
-        "source": served.source,
-        "fingerprint": served.fingerprint,
-        "trace_id": served.trace_id,
-        "seconds": served.result.elapsed_seconds,
-        "nets_cut": served.result.nets_cut,
-        "ratio_cut": served.result.ratio_cut,
-        "phases": phases,
-        "compute_spans": list(_compute_spans(phases)),
-        "counters": service_counters,
-        "payload": result_to_payload(served.result),
-    }
+    result = served.result
+    metrics = [
+        metric("wall_s", round(wall, 6), "s", NOISY, labels),
+        metric("seconds", result.elapsed_seconds, "s", NOISY, labels),
+        metric("nets_cut", result.nets_cut, "count", EXACT, labels),
+        metric("ratio_cut", result.ratio_cut, "", EXACT, labels),
+    ]
+    metrics += [
+        metric(key, value, "count", EXACT, labels)
+        for key, value in service_counters.items()
+    ]
+    for name, (seconds, count) in sorted(totals.items()):
+        phase = dict(labels, phase=name)
+        metrics.append(metric("phase.count", count, "count", EXACT, phase))
+        metrics.append(metric("phase.seconds", round(seconds, 6), "s", NOISY, phase))
+    return served, list(_compute_spans(totals)), metrics
 
 
 def run_cache_scenario(
@@ -89,29 +101,28 @@ def run_cache_scenario(
 ) -> Dict[str, Any]:
     """Serve ``name`` cold then warm through a fresh engine.
 
-    Returns a payload with both serve records, the speedup, and a
-    ``verified`` block recording the three contract checks: the warm
-    serve hit the cache, it ran **zero** compute-phase spans, and its
-    deterministic result fields are byte-identical to the cold serve's.
+    Returns a payload with both serves' metrics (label ``serve``: wall
+    time, cut, service counters, phase totals), the engine's latency
+    histograms, the speedup, and five checks: the warm serve hit the
+    cache, it ran **zero** compute-phase spans while the cold one ran
+    some, its deterministic result fields are byte-identical to the
+    cold serve's, and the engine counted one miss then one hit.
     """
-    import time
-
     from ..service import PartitionEngine, PartitionRequest, ResultCache
+    from ..service.engine import result_to_payload
 
     h = build_circuit(name, seed=seed, scale=scale)
     engine = PartitionEngine(
         cache=ResultCache(disk_dir=cache_dir, use_disk=cache_dir is not None)
     )
     request = PartitionRequest(algorithm=algorithm, seed=seed)
-
-    start = time.perf_counter()
-    cold = _observed_serve(engine, h, request)
-    cold_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    warm = _observed_serve(engine, h, request)
-    warm_wall = time.perf_counter() - start
-
-    latency = {}
+    cold, cold_spans, cold_metrics = _observed_serve(engine, h, request, "cold")
+    warm, warm_spans, warm_metrics = _observed_serve(engine, h, request, "warm")
+    metrics = [
+        metric("modules", h.num_modules, "count"),
+        metric("nets", h.num_nets, "count"),
+    ]
+    metrics += cold_metrics + warm_metrics
     for hist_name in (
         "service.request.duration_seconds",
         "service.cache.lookup.duration_seconds",
@@ -119,41 +130,49 @@ def run_cache_scenario(
     ):
         merged = engine.hists.merged(hist_name)
         if merged is not None and merged.count:
-            latency[hist_name] = dict(
-                merged.percentiles(), count=merged.count
-            )
+            metrics += histogram_metrics(hist_name, merged.snapshot(), EXACT)
+    walls = {m["labels"]["serve"]: m["value"] for m in metrics if m["name"] == "wall_s"}
+    if walls["warm"] > 0:
+        metrics.append(
+            metric("speedup", round(walls["cold"] / walls["warm"], 1), "x", NOISY)
+        )
 
-    cold_payload = dict(cold.pop("payload"))
-    warm_payload = dict(warm.pop("payload"))
+    cold_payload = result_to_payload(cold.result)
+    warm_payload = result_to_payload(warm.result)
     cold_payload.pop("elapsed_seconds", None)
     warm_payload.pop("elapsed_seconds", None)
     stats = engine.stats
-    verified = {
-        "warm_hit": warm["cached"] and not cold["cached"],
-        "warm_skipped_compute": not warm["compute_spans"],
-        "cold_ran_compute": bool(cold["compute_spans"]),
-        "results_identical": cold_payload == warm_payload,
-        "counters_one_miss_one_hit": (
+    checks = [
+        check(
+            "warm_hit",
+            warm.cached and not cold.cached,
+            f"cold source={cold.source} cached={cold.cached}; "
+            f"warm source={warm.source} cached={warm.cached}",
+        ),
+        check(
+            "warm_skipped_compute",
+            not warm_spans,
+            "warm compute spans: " + (", ".join(warm_spans) or "none"),
+        ),
+        check(
+            "cold_ran_compute",
+            bool(cold_spans),
+            "cold compute spans: " + (", ".join(cold_spans) or "none"),
+        ),
+        check("results_identical", cold_payload == warm_payload),
+        check(
+            "counters_one_miss_one_hit",
             stats["service.cache.miss"] == 1
             and stats["service.cache.hit"] == 1
-            and stats["service.computed"] == 1
+            and stats["service.computed"] == 1,
+            f"miss={stats['service.cache.miss']} "
+            f"hit={stats['service.cache.hit']} "
+            f"computed={stats['service.computed']}",
         ),
-    }
-    return {
-        "schema": 1,
-        "scenario": "cache-cold-vs-warm",
-        "circuit": name,
-        "algorithm": algorithm,
-        "seed": seed,
-        "scale": scale,
-        "modules": h.num_modules,
-        "nets": h.num_nets,
-        "cold": cold,
-        "warm": warm,
-        "cold_wall_s": round(cold_wall, 6),
-        "warm_wall_s": round(warm_wall, 6),
-        "latency": latency,
-        "speedup": round(cold_wall / warm_wall, 1) if warm_wall > 0 else None,
-        "verified": verified,
-        "ok": all(verified.values()),
-    }
+    ]
+    return make_payload(
+        "cache",
+        {"circuit": name, "algorithm": algorithm, "seed": seed, "scale": scale},
+        metrics,
+        checks,
+    )

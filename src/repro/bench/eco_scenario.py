@@ -17,8 +17,9 @@ scratch.  The scenario verifies, not just times:
   cold recomputes in total wall time.
 
 ``python -m repro.bench --eco-scenario`` is the CLI front end; the
-returned payload (``BENCH_eco.json``) is JSON-serialisable and gated
-in CI.
+result is a schema-3 bench payload of kind ``eco`` (``BENCH_eco.json``,
+:mod:`repro.obs.diff`) whose checks are the three contracts above plus
+two session checks, and CI gates on its ``ok``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from __future__ import annotations
 import json
 import random
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
+from ..obs.diff import EXACT, NOISY, check, make_payload, metric
 from .suite import build_circuit
 
 __all__ = ["run_eco_scenario"]
@@ -45,9 +47,10 @@ def run_eco_scenario(
     """Serve ``deltas`` chained ECO edits warm and cold; verify both
     the quality contract and the speedup floor.
 
-    Returns a payload with the base serve, one record per edit (warm
-    and cold wall time, cut quality, the sweep window actually used),
-    the aggregate speedup, and a ``verified`` block whose conjunction
+    Metrics: the base serve (label ``serve=base``), each edit's warm
+    and cold serve (labels ``edit``, ``serve``: wall time, cut,
+    splits evaluated) and edited size, the chain totals and speedup,
+    and the engine's delta and session counters.  The checks' ``ok``
     is the scenario's pass/fail verdict.
     """
     from ..delta import dumps_delta, random_delta
@@ -61,25 +64,30 @@ def run_eco_scenario(
     engine = PartitionEngine()
     request = PartitionRequest(algorithm=algorithm, seed=seed)
 
+    def served(result: Any, wall: float, labels: Dict[str, Any]) -> List[Dict[str, Any]]:
+        return [
+            metric("wall_s", round(wall, 6), "s", NOISY, labels),
+            metric("nets_cut", result.nets_cut, "count", EXACT, labels),
+            metric("ratio_cut", result.ratio_cut, "", EXACT, labels),
+        ]
+
     start = time.perf_counter()
     base_served = engine.partition(h, request)
-    base_wall = time.perf_counter() - start
-    base_record = {
-        "fingerprint": base_served.fingerprint,
-        "source": base_served.source,
-        "wall_s": round(base_wall, 6),
-        "nets_cut": base_served.result.nets_cut,
-        "ratio_cut": base_served.result.ratio_cut,
-    }
+    metrics = [
+        metric("modules", h.num_modules, "count"),
+        metric("nets", h.num_nets, "count"),
+    ]
+    metrics += served(
+        base_served.result, time.perf_counter() - start, {"serve": "base"}
+    )
 
     rng = random.Random(delta_seed)
     current = h
     fingerprint = base_served.fingerprint
-    edits: List[Dict[str, Any]] = []
     warm_total = 0.0
     cold_total = 0.0
-    quality_ok = True
-    sources_ok = True
+    better_or_equal = 0
+    warm_sources = 0
     for index in range(deltas):
         # module_churn would routinely strand a just-added module with
         # no nets, collapsing the optimum to a degenerate ratio-0 cut;
@@ -89,83 +97,95 @@ def run_eco_scenario(
         edited = delta.apply(current)
 
         start = time.perf_counter()
-        served = engine.partition_delta(fingerprint, doc, request)
+        warm = engine.partition_delta(fingerprint, doc, request)
         warm_wall = time.perf_counter() - start
 
         start = time.perf_counter()
-        cold_result = run_partitioner(edited, request)
+        cold = run_partitioner(edited, request)
         cold_wall = time.perf_counter() - start
 
         warm_total += warm_wall
         cold_total += cold_wall
-        warm_ratio = served.result.ratio_cut
-        cold_ratio = cold_result.ratio_cut
-        quality_ok = quality_ok and warm_ratio <= cold_ratio
-        sources_ok = sources_ok and served.source == "delta-warm"
-        details = served.result.details
-        edits.append(
-            {
-                "edit": index,
-                "modules": edited.num_modules,
-                "nets": edited.num_nets,
-                "source": served.source,
-                "warm_wall_s": round(warm_wall, 6),
-                "cold_wall_s": round(cold_wall, 6),
-                "warm_ratio_cut": warm_ratio,
-                "cold_ratio_cut": cold_ratio,
-                "warm_nets_cut": served.result.nets_cut,
-                "cold_nets_cut": cold_result.nets_cut,
-                "window": [
-                    details.get("window_lo"),
-                    details.get("window_hi"),
-                ],
-                "splits_evaluated": details.get("splits_evaluated"),
-                "fingerprint": served.fingerprint,
-            }
-        )
-        fingerprint = served.fingerprint
+        better_or_equal += warm.result.ratio_cut <= cold.ratio_cut
+        warm_sources += warm.source == "delta-warm"
+        edit = {"edit": index}
+        metrics += [
+            metric("modules", edited.num_modules, "count", EXACT, edit),
+            metric("nets", edited.num_nets, "count", EXACT, edit),
+        ]
+        metrics += served(warm.result, warm_wall, dict(edit, serve="warm"))
+        metrics += served(cold, cold_wall, dict(edit, serve="cold"))
+        splits = warm.result.details.get("splits_evaluated")
+        if splits is not None:
+            metrics.append(
+                metric(
+                    "splits_evaluated", splits, "count", EXACT,
+                    dict(edit, serve="warm"),
+                )
+            )
+        fingerprint = warm.fingerprint
         current = edited
 
-    speedup: Optional[float] = (
-        round(cold_total / warm_total, 1) if warm_total > 0 else None
-    )
+    speedup = round(cold_total / warm_total, 1) if warm_total > 0 else None
+    metrics += [
+        metric("chain_wall_s", round(warm_total, 6), "s", NOISY, {"serve": "warm"}),
+        metric("chain_wall_s", round(cold_total, 6), "s", NOISY, {"serve": "cold"}),
+    ]
+    if speedup is not None:
+        metrics.append(metric("speedup", speedup, "x", NOISY))
     stats = engine.stats
     session_stats = engine.sessions.stats_dict()
-    verified = {
-        "all_edits_served_warm": sources_ok
-        and stats["service.delta.warm"] == deltas,
-        "quality_no_worse_than_cold": quality_ok,
-        "speedup_at_least_min": (
-            speedup is not None and speedup >= min_speedup
+    metrics += [
+        metric(key, value, "count")
+        for key, value in sorted(stats.items())
+        if key.startswith("service.delta.")
+    ]
+    metrics += [
+        metric(key, value, "bytes", NOISY)
+        if key == "service.session.bytes"
+        else metric(key, value, "count")
+        for key, value in sorted(session_stats.items())
+    ]
+    chained = fingerprint in engine.sessions
+    checks = [
+        check(
+            "all_edits_served_warm",
+            warm_sources == deltas and stats["service.delta.warm"] == deltas,
+            f"{warm_sources} of {deltas} edits served delta-warm",
         ),
-        "no_base_misses": stats["service.delta.base_miss"] == 0,
-        "sessions_chained": (
-            fingerprint in engine.sessions
-            and session_stats["service.session.entries"] >= 1
+        check(
+            "quality_no_worse_than_cold",
+            better_or_equal == deltas,
+            f"warm ratio cut <= cold on {better_or_equal} of {deltas} edits",
         ),
-    }
-    return {
-        "schema": 1,
-        "scenario": "eco-warm-vs-cold",
-        "circuit": name,
-        "algorithm": algorithm,
-        "seed": seed,
-        "scale": scale,
-        "delta_seed": delta_seed,
-        "modules": h.num_modules,
-        "nets": h.num_nets,
-        "base": base_record,
-        "edits": edits,
-        "warm_wall_s": round(warm_total, 6),
-        "cold_wall_s": round(cold_total, 6),
-        "speedup": speedup,
-        "min_speedup": min_speedup,
-        "counters": {
-            key: value
-            for key, value in sorted(stats.items())
-            if key.startswith("service.delta.")
+        check(
+            "speedup_at_least_min",
+            speedup is not None and speedup >= min_speedup,
+            f"warm chain {speedup}x faster than cold; floor {min_speedup}x",
+        ),
+        check(
+            "no_base_misses",
+            stats["service.delta.base_miss"] == 0,
+            f"{stats['service.delta.base_miss']} base misses",
+        ),
+        check(
+            "sessions_chained",
+            chained and session_stats["service.session.entries"] >= 1,
+            f"last edit's session live: {chained}; "
+            f"{session_stats['service.session.entries']} session entries",
+        ),
+    ]
+    return make_payload(
+        "eco",
+        {
+            "circuit": name,
+            "algorithm": algorithm,
+            "seed": seed,
+            "scale": scale,
+            "deltas": deltas,
+            "delta_seed": delta_seed,
+            "min_speedup": min_speedup,
         },
-        "sessions": session_stats,
-        "verified": verified,
-        "ok": all(verified.values()),
-    }
+        metrics,
+        checks,
+    )

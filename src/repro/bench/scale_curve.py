@@ -12,48 +12,42 @@ factor-fast ``n^2`` looks great on every small benchmark.
 size ladder (the ``scale`` knob of :func:`repro.bench.build_circuit`),
 measures wall time and Python-heap peak memory at each rung, and fits
 log-log least-squares power laws ``y = coeff * n^exponent`` for both
-metrics.  The exponents — *not* the raw times — are what
-:func:`repro.obs.diff.diff_scale_payloads` gates on, which makes the
-gate robust to machine speed: a slower CI runner shifts every point by
-the same factor and leaves the slope untouched.
+against the module count.  The exponents — *not* the raw times — are
+what the bench diff (:func:`repro.obs.diff.diff_payloads`) gates on,
+which makes the gate robust to machine speed: a slower CI runner
+shifts every point by the same factor and leaves the slope untouched.
 
 Measurement notes
 -----------------
 
-* Each point runs under :mod:`tracemalloc` so memory and time come from
-  the same run.  tracemalloc adds allocation-proportional overhead; the
-  baseline is produced the same way, so the overhead cancels in the
-  exponent comparison.
-* ``repeats`` re-runs each rung and keeps the *minimum* wall time and
-  *maximum* heap peak — min-of-k is the standard noise reducer for
-  timing, max-of-k the conservative choice for a watermark.
+* Each rung first runs once under :mod:`tracemalloc` for
+  ``peak_mem_bytes`` / ``alloc_bytes``, then ``repeats`` times with
+  tracing off for ``wall_s``: tracemalloc's per-allocation cost would
+  otherwise dominate the timing (Prim2 ×0.4 IG-Match: about 1.25 s
+  traced vs 0.21 s untraced), and the traced run also takes one-time
+  set-up costs out of the timed ones.
+* ``repeats`` keeps the *minimum* wall time — min-of-k is the standard
+  noise reducer for timing.
 * The fitted ``stderr`` of the slope feeds the diff tolerance: a noisy
-  fit widens its own gate (see :func:`~repro.obs.diff.diff_scale_payloads`).
+  fit widens its own gate.
 
-Payload schema (``BENCH_scale.json``)::
-
-    {"schema": 1, "kind": "scale",
-     "circuit": "Prim2", "seed": 0, "scales": [0.05, ...],
-     "algorithms": [
-       {"algorithm": "ig-match",
-        "points": [{"scale", "modules", "nets", "wall_s",
-                    "peak_mem_bytes", "alloc_bytes",
-                    "nets_cut", "ratio_cut"}, ...],
-        "fits": {"time":   {"exponent", "coeff", "stderr", "r2"},
-                 "memory": {"exponent", "coeff", "stderr", "r2"}}},
-       ...]}
+The result is a schema-3 bench payload of kind ``scale``
+(``BENCH_scale.json``): per rung (labels ``algorithm``, ``scale``)
+exact ``modules``, ``nets``, ``nets_cut``, ``ratio_cut`` and noisy
+``wall_s``, ``peak_mem_bytes``, ``alloc_bytes``; per algorithm the
+exponent metrics ``wall_s`` and ``peak_mem_bytes`` (``x`` =
+``modules``, with ``stderr``, ``coeff``, ``r2``).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
 import tracemalloc
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Sequence
 
 from ..errors import ReproError
+from ..obs.diff import EXACT, EXPONENT, NOISY, make_payload, metric
 from .suite import build_circuit
 
 __all__ = [
@@ -61,7 +55,6 @@ __all__ = [
     "DEFAULT_SCALES",
     "fit_power_law",
     "run_scale_curve",
-    "validate_scale_payload",
 ]
 
 #: Geometric ladder (each rung 2x the previous) small enough for a CI
@@ -128,9 +121,9 @@ def _measure_point(
     algorithm: str,
     repeats: int,
     restarts: int,
-) -> Dict[str, Any]:
-    """One ladder rung: run ``algorithm`` ``repeats`` times under
-    tracemalloc, keep min wall time and max heap peak."""
+) -> List[Dict[str, Any]]:
+    """One ladder rung: memory from one traced run, then the minimum
+    wall time of ``repeats`` untraced runs."""
     # Late import: repro.bench loads before repro.partitioning in the
     # package __init__ (same circularity as suite._circuit_task).
     from ..cli import _run_algorithm
@@ -140,35 +133,39 @@ def _measure_point(
     if we_started:
         tracemalloc.start()
     try:
-        best_wall = math.inf
-        max_peak = 0
-        max_alloc = 0
-        result = None
-        for _ in range(max(1, repeats)):
-            tracemalloc.reset_peak()
-            start_bytes = tracemalloc.get_traced_memory()[0]
-            t0 = time.perf_counter()
-            result = _run_algorithm(
-                h, algorithm, seed=seed, restarts=restarts, stride=1
-            )
-            wall = time.perf_counter() - t0
-            current, peak = tracemalloc.get_traced_memory()
-            best_wall = min(best_wall, wall)
-            max_peak = max(max_peak, peak - start_bytes)
-            max_alloc = max(max_alloc, current - start_bytes)
+        tracemalloc.reset_peak()
+        start_bytes = tracemalloc.get_traced_memory()[0]
+        _run_algorithm(h, algorithm, seed=seed, restarts=restarts, stride=1)
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         if we_started:
             tracemalloc.stop()
-    return {
-        "scale": scale,
-        "modules": h.num_modules,
-        "nets": h.num_nets,
-        "wall_s": round(max(best_wall, _TIME_FLOOR_S), 6),
-        "peak_mem_bytes": int(max(max_peak, _MEM_FLOOR_B)),
-        "alloc_bytes": int(max_alloc),
-        "nets_cut": result.nets_cut,
-        "ratio_cut": result.ratio_cut,
-    }
+    best_wall = math.inf
+    for _ in range(max(1, repeats)):
+        t0 = time.perf_counter()
+        result = _run_algorithm(
+            h, algorithm, seed=seed, restarts=restarts, stride=1
+        )
+        best_wall = min(best_wall, time.perf_counter() - t0)
+    labels = {"algorithm": algorithm, "scale": scale}
+    return [
+        metric("modules", h.num_modules, "count", EXACT, labels),
+        metric("nets", h.num_nets, "count", EXACT, labels),
+        metric(
+            "wall_s", round(max(best_wall, _TIME_FLOOR_S), 6), "s", NOISY,
+            labels,
+        ),
+        metric(
+            "peak_mem_bytes", int(max(peak - start_bytes, _MEM_FLOOR_B)),
+            "bytes", NOISY, labels,
+        ),
+        metric(
+            "alloc_bytes", int(max(current - start_bytes, 0)), "bytes",
+            NOISY, labels,
+        ),
+        metric("nets_cut", result.nets_cut, "count", EXACT, labels),
+        metric("ratio_cut", result.ratio_cut, "", EXACT, labels),
+    ]
 
 
 def run_scale_curve(
@@ -178,15 +175,13 @@ def run_scale_curve(
     algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
     repeats: int = 1,
     restarts: int = 1,
-    out_path: Optional[Union[str, Path]] = None,
 ) -> Dict[str, Any]:
     """Sweep ``circuit`` over the size ladder and fit complexity
     exponents for every algorithm.
 
-    Returns (and optionally writes to ``out_path``, conventionally
-    ``BENCH_scale.json``) the payload documented in the module
-    docstring.  The x-axis of every fit is the realised module count at
-    each rung, not the abstract scale factor.
+    Returns the ``scale`` payload described in the module docstring.
+    The x-axis of every fit is the realised module count at each rung,
+    not the abstract scale factor.
     """
     scales = sorted(float(s) for s in scales)
     if len(set(scales)) < 2:
@@ -194,112 +189,35 @@ def run_scale_curve(
             "a scale curve needs at least two distinct scales "
             f"(got {scales})"
         )
-    records: List[Dict[str, Any]] = []
+    metrics: List[Dict[str, Any]] = []
     for algorithm in algorithms:
-        points = [
-            _measure_point(
+        rungs = []
+        for scale in scales:
+            rung = _measure_point(
                 circuit, seed, scale, algorithm,
                 repeats=repeats, restarts=restarts,
             )
-            for scale in scales
-        ]
-        sizes = [p["modules"] for p in points]
-        records.append({
-            "algorithm": algorithm,
-            "points": points,
-            "fits": {
-                "time": fit_power_law(
-                    sizes, [p["wall_s"] for p in points], _TIME_FLOOR_S
-                ),
-                "memory": fit_power_law(
-                    sizes,
-                    [p["peak_mem_bytes"] for p in points],
-                    _MEM_FLOOR_B,
-                ),
-            },
-        })
-    payload: Dict[str, Any] = {
-        "schema": 1,
-        "kind": "scale",
-        "circuit": circuit,
-        "seed": seed,
-        "scales": scales,
-        "algorithms": records,
-    }
-    if out_path is not None:
-        Path(out_path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    return payload
-
-
-#: Known BENCH_scale.json schema versions.
-_KNOWN_SCALE_SCHEMAS = (1,)
-
-_POINT_KEYS = ("scale", "modules", "wall_s", "peak_mem_bytes")
-_FIT_KEYS = ("exponent", "coeff", "stderr", "r2")
-
-
-def validate_scale_payload(payload: Any) -> List[str]:
-    """Structural validation of a BENCH_scale payload.
-
-    Returns a list of human-readable problems (empty = valid).  Used by
-    the CLI on ``--compare`` baselines and by tests on fresh output, so
-    a hand-edited or truncated baseline fails with a message instead of
-    a ``KeyError`` deep inside the diff.
-    """
-    problems: List[str] = []
-    if not isinstance(payload, dict):
-        return [f"payload is {type(payload).__name__}, expected object"]
-    if payload.get("schema") not in _KNOWN_SCALE_SCHEMAS:
-        problems.append(
-            f"unknown schema {payload.get('schema')!r} "
-            f"(known: {_KNOWN_SCALE_SCHEMAS})"
-        )
-    if payload.get("kind") != "scale":
-        problems.append(
-            f"kind is {payload.get('kind')!r}, expected 'scale'"
-        )
-    for key in ("circuit", "seed", "scales"):
-        if key not in payload:
-            problems.append(f"missing top-level key {key!r}")
-    algorithms = payload.get("algorithms")
-    if not isinstance(algorithms, list) or not algorithms:
-        problems.append("'algorithms' must be a non-empty list")
-        return problems
-    for i, alg in enumerate(algorithms):
-        label = alg.get("algorithm", f"#{i}") if isinstance(alg, dict) else f"#{i}"
-        if not isinstance(alg, dict):
-            problems.append(f"algorithm {label} is not an object")
-            continue
-        points = alg.get("points")
-        if not isinstance(points, list) or len(points) < 2:
-            problems.append(
-                f"algorithm {label}: 'points' must list >= 2 rungs"
-            )
-        else:
-            for j, point in enumerate(points):
-                missing = [
-                    k for k in _POINT_KEYS
-                    if not isinstance(point, dict) or k not in point
-                ]
-                if missing:
-                    problems.append(
-                        f"algorithm {label} point {j}: missing {missing}"
-                    )
-        fits = alg.get("fits")
-        if not isinstance(fits, dict):
-            problems.append(f"algorithm {label}: missing 'fits'")
-            continue
-        for metric in ("time", "memory"):
-            fit = fits.get(metric)
-            missing = [
-                k for k in _FIT_KEYS
-                if not isinstance(fit, dict) or k not in fit
-            ]
-            if missing:
-                problems.append(
-                    f"algorithm {label} fits.{metric}: missing {missing}"
+            metrics.extend(rung)
+            rungs.append({m["name"]: m["value"] for m in rung})
+        sizes = [rung["modules"] for rung in rungs]
+        for name, floor in (
+            ("wall_s", _TIME_FLOOR_S), ("peak_mem_bytes", _MEM_FLOOR_B)
+        ):
+            fit = fit_power_law(sizes, [rung[name] for rung in rungs], floor)
+            metrics.append(
+                metric(
+                    name, fit.pop("exponent"), "", EXPONENT,
+                    {"algorithm": algorithm}, x="modules", **fit,
                 )
-    return problems
+            )
+    return make_payload(
+        "scale",
+        {
+            "circuit": circuit,
+            "seed": seed,
+            "scales": scales,
+            "algorithms": list(algorithms),
+            "repeats": repeats,
+        },
+        metrics,
+    )

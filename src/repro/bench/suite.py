@@ -5,21 +5,21 @@ scaled down), caching generated hypergraphs in-process so experiments and
 pytest benchmarks share instances.
 
 :func:`run_observed_suite` runs a partitioner over the suite with the
-:mod:`repro.obs` layer enabled and returns (optionally writes, as
-``BENCH_obs.json``) a machine-readable record of per-circuit wall time,
-per-phase time totals, and counters — the perf trajectory that future
-optimisation PRs diff against.  ``python -m repro.bench`` is the CLI
-front end.
+:mod:`repro.obs` layer enabled and returns the bench payload of kind
+``obs`` (schema 3, :mod:`repro.obs.diff`): per circuit, the cut, the
+work counters and phase counts as exact metrics, the wall clocks as
+noisy ones, and the span and curve events as traces — the perf
+trajectory that optimisation PRs diff against.  ``python -m
+repro.bench`` is the CLI front end and writes it to ``BENCH_obs.json``.
 """
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..hypergraph import Hypergraph
+from ..obs.diff import EXACT, NOISY, make_payload, metric
 from ..parallel import ParallelConfig, pstarmap
 from .generator import generate_from_spec
 from .specs import BENCHMARKS, BenchmarkSpec, get_spec
@@ -101,8 +101,9 @@ def _downsample_curve(
 def _circuit_task(
     name: str, seed: int, scale: float, algorithm: str,
     memprof: bool = False,
-) -> Dict[str, Any]:
-    """Partition one benchmark circuit under an isolated obs session.
+) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
+    """Partition one benchmark circuit under an isolated obs session;
+    returns its metrics and its trace.
 
     Module-level (picklable) so :func:`run_observed_suite` can fan
     circuits out over a process pool; the isolated obs state keeps
@@ -115,8 +116,8 @@ def _circuit_task(
     from ..cli import _run_algorithm
 
     h = build_circuit(name, seed=seed, scale=scale)
+    labels = {"circuit": name}
     sink = obs.MemorySink()
-    mem: Optional[Dict[str, Any]] = None
     with obs.isolated():
         with obs.enabled(sink=sink):
             if memprof:
@@ -124,40 +125,52 @@ def _circuit_task(
             result = _run_algorithm(
                 h, algorithm, seed=seed, restarts=10, stride=1
             )
-            phases = {
-                span_name: {"seconds": round(seconds, 6), "count": count}
-                for span_name, (seconds, count) in sorted(
-                    obs.flatten_totals().items()
+            metrics = [
+                metric("modules", h.num_modules, "count", EXACT, labels),
+                metric("nets", h.num_nets, "count", EXACT, labels),
+                metric("nets_cut", result.nets_cut, "count", EXACT, labels),
+                metric("ratio_cut", result.ratio_cut, "", EXACT, labels),
+                metric(
+                    "seconds", round(result.elapsed_seconds, 6), "s", NOISY,
+                    labels,
+                ),
+            ]
+            # Work counters are exact; byte gauges (memprof) are not.
+            metrics.extend(
+                metric(key, value, "bytes", NOISY, labels)
+                if key.endswith("_bytes")
+                else metric(key, value, "count", EXACT, labels)
+                for key, value in obs.counters().items()
+            )
+            memory = obs.flatten_memory() if memprof else {}
+            for span_name, (seconds, count) in sorted(
+                obs.flatten_totals().items()
+            ):
+                phase = dict(labels, phase=span_name)
+                metrics.append(metric("phase.count", count, "count", EXACT, phase))
+                metrics.append(
+                    metric("phase.seconds", round(seconds, 6), "s", NOISY, phase)
                 )
-            }
+                if span_name in memory:
+                    alloc, peak = memory[span_name]
+                    metrics.append(
+                        metric("phase.mem_alloc_bytes", alloc, "bytes", NOISY, phase)
+                    )
+                    metrics.append(
+                        metric("phase.mem_peak_bytes", peak, "bytes", NOISY, phase)
+                    )
             if memprof:
-                for span_name, (alloc, peak) in obs.flatten_memory().items():
-                    if span_name in phases:
-                        phases[span_name]["mem_alloc_bytes"] = alloc
-                        phases[span_name]["mem_peak_bytes"] = peak
-                mem = obs.memory_snapshot()
-            counters = obs.counters()
-    spans = [e for e in sink.events if e.get("type") == "span"]
-    curves = [
+                metrics.extend(
+                    metric(key, value, "bytes", NOISY, labels)
+                    for key, value in obs.memory_snapshot().items()
+                )
+    events = [e for e in sink.events if e.get("type") == "span"]
+    events.extend(
         _downsample_curve(e)
         for e in sink.events
         if e.get("type") == "point" and _is_curve_event(e)
-    ]
-    record = {
-        "name": name,
-        "modules": h.num_modules,
-        "nets": h.num_nets,
-        "seconds": round(result.elapsed_seconds, 6),
-        "nets_cut": result.nets_cut,
-        "ratio_cut": result.ratio_cut,
-        "phases": phases,
-        "counters": counters,
-        "spans": spans,
-        "curves": curves,
-    }
-    if mem is not None:
-        record["mem"] = mem
-    return record
+    )
+    return metrics, {"labels": labels, "events": events}
 
 
 def run_observed_suite(
@@ -165,68 +178,47 @@ def run_observed_suite(
     seed: int = 0,
     scale: float = 1.0,
     algorithm: str = "ig-match",
-    out_path: Optional[Union[str, Path]] = None,
     parallel: Optional[ParallelConfig] = None,
     memprof: bool = False,
 ) -> Dict[str, Any]:
     """Run ``algorithm`` over the suite with observability enabled.
 
     Each circuit is partitioned with a fresh observability session
-    (counters reset between circuits), and the collected phase totals
-    and counters are folded into one JSON-serialisable payload::
-
-        {"schema": 2, "algorithm": ..., "seed": ..., "scale": ...,
-         "circuits": [{"name", "modules", "nets", "seconds",
-                       "nets_cut", "ratio_cut", "phases", "counters",
-                       "spans", "curves"},
-                      ...]}
-
-    ``phases`` maps span name -> ``{"seconds", "count"}`` summed over
-    the whole run of that circuit.  ``spans`` keeps the raw span events
-    (name/dur_s/depth/seq) so reports can rebuild the phase tree;
-    ``curves`` keeps the convergence point events (ratio-cut sweeps,
-    residual decay, FM gains), downsampled to a rendering-friendly
-    size.  When ``out_path`` is given the payload is also written there
-    as indented JSON (the conventional name is ``BENCH_obs.json``).
-
-    Schema history: 1 had no ``spans``/``curves``;
-    :func:`repro.obs.diff.diff_payloads` accepts both.
+    (counters reset between circuits) and becomes metrics labelled
+    ``circuit``: exact ``modules``, ``nets``, ``nets_cut``,
+    ``ratio_cut``, every counter and every phase's ``phase.count``
+    (label ``phase``), and noisy ``seconds`` and ``phase.seconds``.
+    The payload's ``traces`` keep each circuit's span events (so
+    reports can rebuild the phase tree) and its convergence curves
+    (ratio-cut sweeps, residual decay, FM gains), downsampled to a
+    rendering-friendly size.  Returns a schema-3 bench payload of kind
+    ``obs`` (:mod:`repro.obs.diff`).
 
     ``parallel`` fans the per-circuit runs out over a worker pool
     (``None`` resolves from the ``REPRO_WORKERS`` / ``REPRO_BACKEND``
-    environment).  The payload's deterministic fields (``nets_cut``,
-    ``ratio_cut``, ``counters``, phase counts, circuit order) are
-    byte-identical to a serial run; only wall-clock fields vary.
+    environment).  Exact metrics, their order and the traces' span and
+    curve structure are identical to a serial run's; only wall clocks
+    vary.
 
-    ``memprof`` turns on per-span memory attribution: each phase entry
-    gains ``mem_alloc_bytes`` / ``mem_peak_bytes``, every circuit gains
-    a ``mem`` snapshot (RSS + tracemalloc watermarks), and the payload
-    carries ``"memprof": true``.  Memory fields diff noise-aware and
-    never gate (see :mod:`repro.obs.diff`).
+    ``memprof`` turns on per-span memory attribution: each phase gains
+    noisy ``phase.mem_alloc_bytes`` / ``phase.mem_peak_bytes`` and
+    each circuit a memory snapshot (``rss_bytes``, ``max_rss_bytes``,
+    tracemalloc watermarks).  Memory metrics never gate.
     """
     if names is None:
         names = [spec.name for spec in BENCHMARKS]
-    circuits: List[Dict[str, Any]] = pstarmap(
+    results = pstarmap(
         _circuit_task,
         [(name, seed, scale, algorithm, memprof) for name in names],
         parallel,
         label="bench.circuits",
     )
-    payload: Dict[str, Any] = {
-        "schema": 2,
-        "algorithm": algorithm,
-        "seed": seed,
-        "scale": scale,
-        "circuits": circuits,
-    }
-    if memprof:
-        payload["memprof"] = True
-    if out_path is not None:
-        Path(out_path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    return payload
+    return make_payload(
+        "obs",
+        {"algorithm": algorithm, "seed": seed, "scale": scale, "memprof": memprof},
+        [m for metrics, _trace in results for m in metrics],
+        traces=[trace for _metrics, trace in results],
+    )
 
 
 def planted_sides(h: Hypergraph, spec: BenchmarkSpec) -> List[int]:

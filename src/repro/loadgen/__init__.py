@@ -19,7 +19,7 @@ pieces plus one honest clock:
   client-side :class:`repro.obs.HistogramSet` histograms;
 * a declarative **SLO spec** (:mod:`repro.loadgen.slo`) evaluated
   with the noise-aware verdict thresholds from :mod:`repro.obs.diff`;
-* a **server cross-check** and schema'd report
+* a **server cross-check** and the ``serving`` bench payload
   (:mod:`repro.loadgen.report`): ``/metrics`` is scraped (and
   validated with :func:`repro.obs.parse_prometheus_text`) before and
   after the run, and the server-side histogram ``_count`` deltas and
@@ -28,17 +28,12 @@ pieces plus one honest clock:
 
 ``repro-loadgen`` (:mod:`repro.loadgen.__main__`) drives a run end to
 end and writes ``BENCH_serving.json`` plus markdown/HTML reports via
-:mod:`repro.obs.render`.  See ``docs/loadtest.md``.
+:func:`repro.obs.render.publish`.  See ``docs/loadtest.md``.
 """
 
 from .client import LoadClient, LoadResult, RequestRecord, scrape_metrics
 from .corpus import Corpus, CorpusEntry, build_corpus
-from .report import (
-    SERVING_SCHEMA,
-    build_payload,
-    crosscheck,
-    validate_payload,
-)
+from .report import build_payload, crosscheck
 from .scenario import run_serving_scenario
 from .slo import SLOSpec, evaluate_slo, parse_slo, slo_ok
 from .workload import (
@@ -57,7 +52,6 @@ __all__ = [
     "LoadResult",
     "RequestRecord",
     "RequestSpec",
-    "SERVING_SCHEMA",
     "SLOSpec",
     "Workload",
     "build_corpus",
@@ -69,6 +63,5 @@ __all__ = [
     "run_serving_scenario",
     "scrape_metrics",
     "slo_ok",
-    "validate_payload",
     "zipf_weights",
 ]

@@ -12,20 +12,21 @@ objective hard-failed; 1 — an SLO objective failed or the client/server
 cross-check found unaccounted requests; 2 — usage error or the server
 could not be reached at all.
 
-Writes ``BENCH_serving.json`` (schema-validated before writing, see
-:mod:`repro.loadgen.report`), prints the markdown verdict summary, and
-optionally renders the self-contained HTML report (``--html``).
+Writes the ``serving`` bench payload to ``BENCH_serving.json``
+(validated before writing, see :mod:`repro.loadgen.report`), prints its
+markdown view and optionally writes its HTML view (``--html``) — the
+same write and report path as ``python -m repro.bench``
+(:func:`repro.obs.render.publish`).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
 from ..errors import ReproError
-from ..obs import render_serving_html, render_serving_markdown
+from ..obs.render import publish
 from .scenario import DEFAULT_MIX, run_serving_scenario
 from .slo import parse_slo
 
@@ -151,25 +152,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"repro-loadgen: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if args.html:
-        with open(args.html, "w", encoding="utf-8") as handle:
-            handle.write(render_serving_html(payload))
-    if not args.quiet:
-        print(render_serving_markdown(payload))
-        if args.output and args.output != "-":
-            print(f"\nwrote {args.output}")
-        if args.html:
-            print(f"wrote {args.html}")
-
-    slo_failed = payload["slo"]["ok"] is False
-    cross_failed = not payload["crosscheck"]["ok"]
-    if slo_failed or cross_failed:
+    try:
+        return publish(
+            payload,
+            out=None if args.output in ("", "-") else args.output,
+            report=args.html,
+            quiet=args.quiet,
+        )
+    except OSError as exc:
+        print(f"repro-loadgen: {exc}", file=sys.stderr)
         return EXIT_FAILED
-    return EXIT_OK
 
 
 if __name__ == "__main__":

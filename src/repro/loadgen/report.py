@@ -1,11 +1,13 @@
-"""The serving benchmark report: schema, cross-check, validation.
+"""The serving benchmark report: payload and cross-check.
 
-One load run produces one ``BENCH_serving.json`` payload
-(:func:`build_payload`, schema version :data:`SERVING_SCHEMA`,
-validated by :func:`validate_payload`) holding the workload/corpus
-configuration, client-side latency summaries, per-objective SLO
-verdicts, and — the part that makes the numbers trustworthy — the
-**client/server cross-check** (:func:`crosscheck`): the server's
+One load run produces one bench payload of kind ``serving``
+(:func:`build_payload`; schema 3, validated by
+:func:`repro.obs.diff.validate_payload`, written to
+``BENCH_serving.json``): the workload/corpus configuration as ``run``,
+client-side outcome counts, throughput and latency quantiles as noisy
+metrics, and as checks the per-objective SLO verdicts and — the part
+that makes the numbers trustworthy — the **client/server cross-check**
+(:func:`crosscheck`): the server's
 ``/metrics`` snapshot from before the run is subtracted from the one
 after, and the deltas must account for exactly the requests the client
 sent:
@@ -38,34 +40,17 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from ..errors import ReproError
+from ..obs.diff import NOISY, check, histogram_metrics, make_payload, metric
 from .client import LoadResult
 from .corpus import Corpus
-from .slo import SLOSpec, evaluate_slo, slo_ok
+from .slo import SLOSpec, evaluate_slo
 from .workload import Workload
 
 __all__ = [
-    "SERVING_SCHEMA",
     "build_payload",
     "crosscheck",
     "hist_count",
-    "validate_payload",
 ]
-
-#: Version of the ``BENCH_serving.json`` payload shape.
-SERVING_SCHEMA = 1
-
-_REQUIRED_KEYS = (
-    "schema",
-    "kind",
-    "workload",
-    "corpus",
-    "client",
-    "latency",
-    "slo",
-    "crosscheck",
-    "server",
-)
 
 
 def hist_count(
@@ -308,36 +293,33 @@ def crosscheck(
     return rows
 
 
-def _latency_summary(result: LoadResult) -> Dict[str, Any]:
-    """Client-observed latency: overall + ok-only quantiles, by source."""
-    doc: Dict[str, Any] = {}
-    overall = result.hists.merged("loadgen.request.duration_seconds")
+def _latency_metrics(result: LoadResult) -> List[Dict[str, Any]]:
+    """Client-observed latency: overall, ok-only, ok by algorithm and
+    by cache source, as histogram metrics."""
+    name = "loadgen.request.duration_seconds"
+    metrics: List[Dict[str, Any]] = []
+    overall = result.hists.merged(name)
     if overall is not None and overall.count:
-        doc["all"] = overall.snapshot()
-    ok_only: Dict[str, Any] = {}
-    merged_ok = None
-    for record_algorithm in sorted(
-        {r.algorithm for r in result.records}
-    ):
-        hist = result.hists.get(
-            "loadgen.request.duration_seconds",
-            algorithm=record_algorithm,
-            outcome="ok",
-        )
-        if hist is None or not hist.count:
-            continue
-        ok_only[record_algorithm] = hist.snapshot()
-        merged_ok = hist if merged_ok is None else merged_ok.merge(hist)
-    if merged_ok is not None:
-        doc["ok"] = merged_ok.snapshot()
-    if ok_only:
-        doc["ok_by_algorithm"] = ok_only
-    by_source = result.hists.snapshot().get(
-        "loadgen.serve.duration_seconds", []
-    )
-    if by_source:
-        doc["ok_by_source"] = by_source
-    return doc
+        metrics += histogram_metrics(name, overall.snapshot(), NOISY)
+    by_algorithm = []
+    for algorithm in sorted({r.algorithm for r in result.records}):
+        hist = result.hists.get(name, algorithm=algorithm, outcome="ok")
+        if hist is not None and hist.count:
+            by_algorithm.append((algorithm, hist))
+    if by_algorithm:
+        merged = by_algorithm[0][1].copy()
+        for _algorithm, hist in by_algorithm[1:]:
+            merged = merged.merge(hist)
+        metrics += histogram_metrics(name, merged.snapshot(), NOISY, {"outcome": "ok"})
+        for algorithm, hist in by_algorithm:
+            metrics += histogram_metrics(
+                name, hist.snapshot(), NOISY,
+                {"outcome": "ok", "algorithm": algorithm},
+            )
+    serve = "loadgen.serve.duration_seconds"
+    for series in result.hists.snapshot().get(serve, []):
+        metrics += histogram_metrics(serve, series, NOISY, series["labels"])
+    return metrics
 
 
 def ok_quantiles(result: LoadResult) -> Dict[str, Optional[float]]:
@@ -363,161 +345,101 @@ def build_payload(
     corpus: Corpus,
     slo: Optional[SLOSpec],
     checks: List[Dict[str, Any]],
-    extra: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Assemble the full ``BENCH_serving.json`` document."""
+    """Assemble the ``serving`` bench payload of one load run.
+
+    ``checks`` are :func:`crosscheck`'s rows; they join the SLO verdicts
+    as payload checks (``ok`` → ``pass``, ``mismatch`` → ``fail``), so
+    the payload is ``ok`` when every server count balanced and no
+    objective hard-failed.
+    """
     ok = result.count("ok")
-    rejected = result.count("rejected")
     errors = result.count("error")
     non_rejected = ok + errors
     error_rate = (errors / non_rejected) if non_rejected else None
     rps = ok / result.elapsed_s if result.elapsed_s > 0 else None
-    quantiles = ok_quantiles(result)
-
     slo_rows: List[Dict[str, Any]] = []
     if slo is not None:
-        slo_rows = evaluate_slo(slo, quantiles, error_rate, rps)
+        slo_rows = evaluate_slo(slo, ok_quantiles(result), error_rate, rps)
 
+    metrics = [
+        metric("requests", len(result.records), "count", NOISY),
+        metric("elapsed_s", round(result.elapsed_s, 6), "s", NOISY),
+        metric("behind_schedule", result.behind_schedule, "count", NOISY),
+        metric(
+            "requests",
+            sum(1 for r in result.records if r.status == 429),
+            "count", NOISY, {"status": 429},
+        ),
+    ]
+    metrics += [
+        metric("requests", result.count(outcome), "count", NOISY, {"outcome": outcome})
+        for outcome in ("ok", "rejected", "error", "refused", "transport")
+    ]
+    metrics += [
+        metric("requests", count, "count", NOISY, {"source": source})
+        for source, count in sorted(result.by_source().items())
+    ]
+    if error_rate is not None:
+        metrics.append(metric("error_rate", error_rate, "", NOISY))
+    if rps is not None:
+        metrics.append(metric("rps", round(rps, 6), "1/s", NOISY))
     # Isomorph traffic that missed the exact-fingerprint cache is the
-    # measured win a canonical-fingerprint tier (ROADMAP item 2) would
-    # capture: same canonical fingerprint as a base, different exact key.
-    iso_requests = sum(
-        1 for r in result.records if r.kind == "isomorph"
-    )
-    iso_computed = sum(
-        1
-        for r in result.records
-        if r.kind == "isomorph"
-        and r.outcome == "ok"
-        and r.source == "computed"
-    )
+    # measured win a canonical-fingerprint tier would capture: same
+    # canonical fingerprint as a base, different exact key.
+    isomorphs = [r for r in result.records if r.kind == "isomorph"]
+    metrics += [
+        metric("isomorph_requests", len(isomorphs), "count", NOISY),
+        metric(
+            "isomorph_computed",
+            sum(1 for r in isomorphs if r.outcome == "ok" and r.source == "computed"),
+            "count", NOISY,
+        ),
+    ]
+    metrics += _latency_metrics(result)
+    # The server's footprint gauges around the run (process.rss_bytes,
+    # process.cpu_seconds, ...), from the two /metrics scrapes.
+    for scrape, doc in (
+        ("before", result.metrics_before), ("after", result.metrics_after)
+    ):
+        block = (doc or {}).get("process")
+        if not isinstance(block, dict):
+            continue
+        metrics += [
+            metric(
+                f"process.{key}", value,
+                "bytes" if key.endswith("_bytes")
+                else "s" if key.endswith("seconds") else "",
+                NOISY, {"scrape": scrape},
+            )
+            for key, value in sorted(block.items())
+            if isinstance(value, (int, float)) and not isinstance(value, bool)
+        ]
 
-    payload: Dict[str, Any] = {
-        "schema": SERVING_SCHEMA,
-        "kind": "serving",
+    payload_checks = [
+        check(
+            f"slo.{row['objective']}",
+            row["verdict"],
+            f"observed {row['observed']!r} vs target {row['target']!r}",
+        )
+        for row in slo_rows
+    ]
+    payload_checks += [
+        check(
+            row["check"],
+            {"ok": "pass", "mismatch": "fail"}.get(row["status"], row["status"]),
+            f"expected {row['expected']!r}, observed {row['observed']!r}"
+            + (f"; {row['detail']}" if row["detail"] else ""),
+        )
+        for row in checks
+    ]
+    run = {
         "workload": dict(workload.describe(), model=result.model),
         "corpus": corpus.describe(),
-        "client": {
-            "requests": len(result.records),
-            "elapsed_s": round(result.elapsed_s, 6),
-            "outcomes": {
-                outcome: result.count(outcome)
-                for outcome in (
-                    "ok",
-                    "rejected",
-                    "error",
-                    "refused",
-                    "transport",
-                )
-            },
-            "rejected_429": sum(
-                1 for r in result.records if r.status == 429
-            ),
-            "by_source": result.by_source(),
-            "error_rate": error_rate,
-            "rps": round(rps, 6) if rps is not None else None,
-            "concurrency": result.concurrency,
-            "rate": result.rate,
-            "behind_schedule": result.behind_schedule,
-        },
-        "latency": _latency_summary(result),
-        "slo": {
-            "spec": slo.describe() if slo is not None else None,
-            "verdicts": slo_rows,
-            "ok": slo_ok(slo_rows) if slo is not None else None,
-        },
-        "crosscheck": {
-            "checks": checks,
-            "ok": all(c["status"] == "ok" for c in checks),
-        },
-        "canonical_tier_opportunity": {
-            "isomorph_requests": iso_requests,
-            "isomorph_computed": iso_computed,
-        },
-        "server": {
-            "before": _server_summary(result.metrics_before),
-            "after": _server_summary(result.metrics_after),
-        },
+        "slo": slo.describe() if slo is not None else None,
     }
     if result.model == "closed":
-        payload["workload"]["concurrency"] = result.concurrency
+        run["workload"]["concurrency"] = result.concurrency
     else:
-        payload["workload"]["rate"] = result.rate
-    if extra:
-        payload.update(extra)
-    return payload
-
-
-def _server_summary(
-    metrics: Optional[Dict[str, Any]]
-) -> Optional[Dict[str, Any]]:
-    """Compact slice of one ``/metrics`` scrape for the report."""
-    if not metrics:
-        return None
-    doc: Dict[str, Any] = {}
-    for section in ("service", "cache", "jobs", "process"):
-        block = metrics.get(section)
-        if isinstance(block, dict):
-            doc[section] = {
-                k: v
-                for k, v in block.items()
-                if isinstance(v, (int, float, bool))
-            }
-    doc["http_partition_count"] = hist_count(
-        metrics,
-        "http.request.duration_seconds",
-        method="POST",
-        route="/partition",
-    )
-    return doc
-
-
-def validate_payload(payload: Dict[str, Any]) -> None:
-    """Raise :class:`ReproError` unless ``payload`` is a well-formed
-    schema-:data:`SERVING_SCHEMA` serving benchmark document."""
-    if not isinstance(payload, dict):
-        raise ReproError("serving payload must be a JSON object")
-    if payload.get("schema") != SERVING_SCHEMA:
-        raise ReproError(
-            f"unknown serving payload schema {payload.get('schema')!r} "
-            f"(expected {SERVING_SCHEMA})"
-        )
-    if payload.get("kind") != "serving":
-        raise ReproError(
-            f"payload kind {payload.get('kind')!r} is not 'serving'"
-        )
-    missing = [k for k in _REQUIRED_KEYS if k not in payload]
-    if missing:
-        raise ReproError(
-            f"serving payload missing key(s): {', '.join(missing)}"
-        )
-    client = payload["client"]
-    if not isinstance(client, dict) or "outcomes" not in client:
-        raise ReproError("serving payload client block malformed")
-    outcomes = client["outcomes"]
-    if not isinstance(outcomes, dict) or not all(
-        isinstance(v, int) and v >= 0 for v in outcomes.values()
-    ):
-        raise ReproError(
-            "client outcomes must map outcome -> non-negative int"
-        )
-    if sum(outcomes.values()) != client.get("requests"):
-        raise ReproError(
-            "client outcome counts do not sum to client requests"
-        )
-    slo = payload["slo"]
-    if not isinstance(slo, dict) or "verdicts" not in slo:
-        raise ReproError("serving payload slo block malformed")
-    for row in slo["verdicts"]:
-        if not {"objective", "target", "observed", "verdict"} <= set(row):
-            raise ReproError(f"malformed SLO verdict row: {row!r}")
-    cross = payload["crosscheck"]
-    if not isinstance(cross, dict) or "checks" not in cross:
-        raise ReproError("serving payload crosscheck block malformed")
-    for row in cross["checks"]:
-        if not {"check", "expected", "observed", "status"} <= set(row):
-            raise ReproError(f"malformed crosscheck row: {row!r}")
-        if row["status"] not in ("ok", "mismatch", "indeterminate"):
-            raise ReproError(
-                f"unknown crosscheck status {row['status']!r}"
-            )
+        run["workload"]["rate"] = result.rate
+    return make_payload("serving", run, metrics, payload_checks)

@@ -8,7 +8,7 @@ request histogram and writes its access-log line *after* the response
 bytes leave the socket, so the after-scrape polls until the server's
 POST ``/partition`` count stops moving rather than trusting the first
 read), scrapes again, cross-checks the deltas against the client's
-records, evaluates the SLO, and returns the full schema'd payload
+records, evaluates the SLO, and returns the ``serving`` bench payload
 (already validated).
 
 When no ``base_url`` is given the scenario boots a private in-process
@@ -24,12 +24,13 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ReproError
+from ..obs.diff import validate_payload
 from ..service.cache import ResultCache
 from ..service.engine import PartitionEngine
 from ..service.http import create_server
 from .client import LoadClient, LoadResult, scrape_metrics
 from .corpus import Corpus, build_corpus
-from .report import build_payload, crosscheck, hist_count, validate_payload
+from .report import build_payload, crosscheck, hist_count
 from .slo import SLOSpec
 from .workload import Workload, parse_mix
 
@@ -125,7 +126,6 @@ def run_serving_scenario(
     scale: float = 0.15,
     timeout_s: float = 120.0,
     settle_timeout_s: float = 10.0,
-    extra: Optional[Dict[str, Any]] = None,
 ) -> Tuple[Dict[str, Any], LoadResult]:
     """One full load run; returns ``(payload, result)``.
 
@@ -177,8 +177,6 @@ def run_serving_scenario(
     result.prom_after = after_prom
 
     checks = crosscheck(before_doc, after_doc, result)
-    payload = build_payload(
-        result, workload, corpus, slo, checks, extra=extra
-    )
+    payload = build_payload(result, workload, corpus, slo, checks)
     validate_payload(payload)
     return payload, result

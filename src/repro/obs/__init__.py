@@ -34,17 +34,23 @@ Everything in a trace is deterministic under a fixed seed except
 wall-clock durations (``dur_s`` fields); see
 :mod:`repro.obs.events` for the event schema and
 ``docs/observability.md`` for the span-name catalogue.
+
+Benchmarks report through one payload shape, schema 3
+(:mod:`repro.obs.diff`: ``make_payload``, ``validate_payload``,
+``diff_payloads``), rendered by one renderer (:mod:`repro.obs.render`:
+``render_markdown``, ``render_html``; ``publish`` is the CLIs' shared
+write / compare / report tail).
 """
 
 from .counters import counters, gauge, gauges, incr, reset_counters
 from .diff import (
     BenchDiff,
-    CircuitDiff,
     DiffThresholds,
     FieldDiff,
-    ScaleDiff,
     diff_payloads,
-    diff_scale_payloads,
+    load_payload,
+    validate_payload,
+    write_payload,
 )
 from .events import JsonLinesSink, MemorySink, emit
 from .hist import (
@@ -76,12 +82,9 @@ from .registry import (
 )
 from .render import (
     load_jsonl,
+    publish,
     render_html,
     render_markdown,
-    render_scale_html,
-    render_scale_markdown,
-    render_serving_html,
-    render_serving_markdown,
     render_slow_html,
     render_trace_html,
     span_tree_from_events,
@@ -92,7 +95,6 @@ from .trace import TraceCapture, current_trace_id, new_trace_id
 
 __all__ = [
     "BenchDiff",
-    "CircuitDiff",
     "DEFAULT_LATENCY_BUCKETS",
     "DiffThresholds",
     "FieldDiff",
@@ -102,7 +104,6 @@ __all__ = [
     "MemorySink",
     "RssSampler",
     "STATE",
-    "ScaleDiff",
     "Span",
     "SpanNode",
     "TraceCapture",
@@ -112,7 +113,6 @@ __all__ = [
     "current_state",
     "current_trace_id",
     "diff_payloads",
-    "diff_scale_payloads",
     "disable",
     "disable_memprof",
     "emit",
@@ -128,6 +128,7 @@ __all__ = [
     "is_enabled",
     "isolated",
     "load_jsonl",
+    "load_payload",
     "log_buckets",
     "memory_snapshot",
     "memprof_active",
@@ -136,13 +137,10 @@ __all__ = [
     "parse_prometheus_text",
     "phase_report",
     "process_metrics",
+    "publish",
     "render_html",
     "render_markdown",
     "render_prometheus",
-    "render_scale_html",
-    "render_scale_markdown",
-    "render_serving_html",
-    "render_serving_markdown",
     "render_slow_html",
     "render_trace_html",
     "reset",
@@ -150,4 +148,6 @@ __all__ = [
     "rss_sampling",
     "span",
     "span_tree_from_events",
+    "validate_payload",
+    "write_payload",
 ]

@@ -1,71 +1,89 @@
-"""Regression diffing of two ``BENCH_obs.json`` perf trajectories.
+"""The bench payload: its one schema, validator and diff.
 
-:func:`diff_payloads` compares a *baseline* benchmark payload (written
-by :func:`repro.bench.run_observed_suite`) against a *current* one and
-produces a structured verdict per circuit, per field:
+Every benchmark mode writes one JSON shape, schema 3 (documented in
+``docs/observability.md``, "Bench payloads")::
 
-* **Deterministic fields** — counters, phase ``count``s, ``nets_cut``,
-  ``ratio_cut`` — are compared exactly (up to float round-trip noise).
-  Any increase is a :data:`REGRESSED` verdict: more Lanczos iterations,
-  more augmenting-search visits, or a worse cut under the same seed
-  means the algorithm did more work or produced a worse answer.
-* **Wall-clock fields** — circuit ``seconds`` and phase ``seconds`` —
-  are compared with *noise-aware* thresholds: a relative tolerance plus
-  an absolute floor, so micro-phases (a 2 ms eigensolve) cannot trip
-  the gate on scheduler jitter.  Time verdicts are :data:`SLOWER` /
-  :data:`FASTER` and are advisory by default — only deterministic
-  regressions fail CI (wall clocks differ across machines; work
-  counters do not).
-* **Memory fields** — any ``*_bytes`` name (``process.rss_bytes``
-  gauges, memprof's ``mem_alloc_bytes`` / ``mem_peak_bytes`` phase
-  attributes) — are likewise noise-aware: resident-set size jitters
-  with allocator arena reuse and OS page accounting, so exact-comparing
-  it hard-fails healthy runs.  Memory verdicts are :data:`GREW` /
-  :data:`SHRANK` under a relative band plus an absolute byte floor,
-  and are advisory like time.
+    {"schema": 3,
+     "kind": "obs" | "scale" | "eco" | "cache" | "serving",
+     "run": {...},                                  # the producer's config
+     "metrics": [{"name", "labels", "value", "unit", "kind"}, ...],
+     "checks": [{"name", "status", "detail"}, ...],
+     "ok": true,                                    # no check failed
+     "traces": [{"labels", "events"}, ...]}         # optional
 
-:func:`diff_scale_payloads` compares two ``BENCH_scale.json`` payloads
-(:mod:`repro.bench.scale_curve`): the fitted log-log complexity
-*exponents* for time and memory are the gating quantities — an
-exponent is machine-independent in a way absolute seconds are not, so
-exponent drift beyond the tolerance (widened by the fits' own standard
-errors, the same noise-model philosophy as :class:`DiffThresholds`)
-**does** fail CI.  Largest-instance wall time and peak memory are
-compared as advisory extras.
+:func:`metric`, :func:`check` and :func:`make_payload` build it,
+:func:`validate_payload` (and :func:`load_payload` /
+:func:`write_payload` around it) is its one validator, and
+:func:`diff_payloads` is its one diff.  A metric is keyed by
+``(name, labels)``; its ``kind`` sets how two runs compare:
 
-The exit-code gate (`python -m repro.bench --compare BASELINE
---fail-on-regress`) and the renderers in :mod:`repro.obs.render`
-consume the same :class:`BenchDiff` / :class:`ScaleDiff` objects.
+* ``exact`` — deterministic under the run's config (counters, phase
+  counts, ``nets_cut``, ``ratio_cut``, input sizes).  Compared exactly,
+  up to a 1e-9 relative slack for JSON float round-trips; any increase
+  is ``regressed`` (more work or a worse cut), any decrease
+  ``improved``.  Gates.
+* ``noisy`` — measured, never gates.  Wall clocks (unit ``s``) are
+  ``slower`` / ``faster``, byte sizes (unit ``bytes``) ``grew`` /
+  ``shrank``, and other measured quantities (rates, speedups, request
+  counts) ``grew`` / ``shrank``, each only past both bands of
+  :class:`DiffThresholds`.
+* ``exponent`` — the log-log slope of the metric of the same name
+  against metric ``x``, fitted over the metrics whose labels extend its
+  own; it carries the fit's ``stderr`` (and ``coeff``, ``r2``).  It is
+  ``regressed`` / ``improved`` only when it moves by more than
+  ``exponent_tol`` widened to two combined standard errors.  Gates: a
+  growth law is machine-speed independent in a way seconds are not.
+
+Keys on one side only are ``new`` / ``missing`` and never gate.
+``traces`` (span and curve events for the HTML report) is ignored.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from pathlib import Path
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+
+from ..errors import ReproError
 
 __all__ = [
+    "BenchDiff",
+    "CHECK_STATUSES",
     "DiffThresholds",
     "FieldDiff",
-    "CircuitDiff",
-    "BenchDiff",
-    "ScaleDiff",
+    "KINDS",
+    "SCHEMA",
+    "check",
     "diff_payloads",
-    "diff_scale_payloads",
-    "UNCHANGED",
-    "REGRESSED",
-    "IMPROVED",
-    "SLOWER",
-    "FASTER",
-    "GREW",
-    "SHRANK",
-    "NEW",
-    "MISSING",
+    "histogram_metrics",
+    "load_payload",
+    "make_payload",
+    "metric",
+    "validate_payload",
+    "write_payload",
 ]
 
-#: Verdict vocabulary.  Deterministic fields use UNCHANGED / REGRESSED /
-#: IMPROVED / NEW / MISSING; wall-clock fields use UNCHANGED / SLOWER /
-#: FASTER / NEW / MISSING; memory fields use UNCHANGED / GREW / SHRANK /
-#: NEW / MISSING.
+SCHEMA = 3
+
+#: Payload kinds, one per producer; ``BENCH_<kind>.json`` by default.
+KINDS = ("obs", "scale", "eco", "cache", "serving")
+
+EXACT = "exact"
+NOISY = "noisy"
+EXPONENT = "exponent"
+METRIC_KINDS = (EXACT, NOISY, EXPONENT)
+
+#: Check statuses.  ``pass-within-noise`` (an SLO missed by less than
+#: the noise band) and ``skipped`` (nothing to observe) do not fail a
+#: payload; :data:`FAILING` ones do.
+CHECK_STATUSES = ("pass", "pass-within-noise", "skipped", "indeterminate", "fail")
+FAILING = ("indeterminate", "fail")
+
+#: Verdict words.  Exact metrics and exponents: unchanged / regressed /
+#: improved; wall clocks: unchanged / slower / faster; other measured
+#: quantities: unchanged / grew / shrank; one-sided keys: new / missing.
 UNCHANGED = "unchanged"
 REGRESSED = "regressed"
 IMPROVED = "improved"
@@ -76,25 +94,216 @@ SHRANK = "shrank"
 NEW = "new"
 MISSING = "missing"
 
-#: Relative equality slack for deterministic floats (``ratio_cut``):
-#: wide enough to absorb JSON round-trip noise, far below any real
-#: change in cut quality.
+#: Relative equality slack for exact floats (``ratio_cut``): wide
+#: enough to absorb JSON round-trip noise, far below any real change.
 _FLOAT_EQ_RTOL = 1e-9
+
+_METRIC_KEYS = ("name", "labels", "value", "unit", "kind")
+
+
+def metric(
+    name: str,
+    value: float,
+    unit: str,
+    kind: str = EXACT,
+    labels: Optional[Dict[str, Any]] = None,
+    **fit: Any,
+) -> Dict[str, Any]:
+    """One metric row; ``fit`` carries an exponent's ``stderr``,
+    ``coeff``, ``r2`` and ``x``."""
+    row = {
+        "name": name,
+        "labels": dict(labels or {}),
+        "value": value,
+        "unit": unit,
+        "kind": kind,
+    }
+    row.update(fit)
+    return row
+
+
+def check(name: str, status: Union[bool, str], detail: str = "") -> Dict[str, Any]:
+    """One check row; a bool status reads as ``pass`` / ``fail``."""
+    if isinstance(status, bool):
+        status = "pass" if status else "fail"
+    return {"name": name, "status": status, "detail": detail}
+
+
+def make_payload(
+    kind: str,
+    run: Dict[str, Any],
+    metrics: Iterable[Dict[str, Any]],
+    checks: Iterable[Dict[str, Any]] = (),
+    traces: Optional[List[Dict[str, Any]]] = None,
+) -> Dict[str, Any]:
+    """Assemble a payload; ``ok`` is true when no check failed."""
+    checks = list(checks)
+    payload: Dict[str, Any] = {
+        "schema": SCHEMA,
+        "kind": kind,
+        "run": run,
+        "metrics": list(metrics),
+        "checks": checks,
+        "ok": not any(c["status"] in FAILING for c in checks),
+    }
+    if traces:
+        payload["traces"] = traces
+    return payload
+
+
+def histogram_metrics(
+    name: str,
+    snapshot: Dict[str, Any],
+    count_kind: str,
+    labels: Optional[Dict[str, Any]] = None,
+) -> List[Dict[str, Any]]:
+    """A latency histogram snapshot as metrics: ``<name>.count`` plus
+    one noisy ``<name>`` per quantile (label ``q``: p50/p95/p99/max)."""
+    labels = dict(labels or {})
+    rows = [metric(f"{name}.count", snapshot.get("count", 0), "count", count_kind, labels)]
+    for q in ("p50", "p95", "p99", "max"):
+        if snapshot.get(q) is not None:
+            rows.append(metric(name, snapshot[q], "s", NOISY, dict(labels, q=q)))
+    return rows
+
+
+def _key(m: Dict[str, Any]) -> Tuple[str, Tuple[Tuple[str, Any], ...]]:
+    return m["name"], tuple(sorted(m["labels"].items()))
+
+
+def _is_number(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _metric_problems(i: int, m: Any) -> List[str]:
+    if not isinstance(m, dict):
+        return [f"metric {i} is not an object"]
+    missing = [k for k in _METRIC_KEYS if k not in m]
+    if missing:
+        return [f"metric {i}: missing {missing}"]
+    where = f"metric {i} ({m['name']!r})"
+    problems = []
+    if not isinstance(m["name"], str) or not isinstance(m["unit"], str):
+        problems.append(f"{where}: name and unit must be strings")
+    labels = m["labels"]
+    if not isinstance(labels, dict) or not all(
+        isinstance(v, (str, int, float)) for v in labels.values()
+    ):
+        problems.append(f"{where}: labels must map names to scalars")
+    if not _is_number(m["value"]):
+        problems.append(f"{where}: value {m['value']!r} is not a finite number")
+    if m["kind"] not in METRIC_KINDS:
+        problems.append(f"{where}: kind {m['kind']!r} is not one of {METRIC_KINDS}")
+    elif m["kind"] == EXPONENT and not _is_number(m.get("stderr")):
+        problems.append(f"{where}: an exponent needs a numeric stderr")
+    return problems
+
+
+def _problems(payload: Any, kind: Optional[str]) -> List[str]:
+    if not isinstance(payload, dict):
+        return [
+            "not a bench payload (expected a JSON object, got "
+            f"{type(payload).__name__})"
+        ]
+    if payload.get("schema") != SCHEMA:
+        return [
+            f"unknown schema version {payload.get('schema')!r} (known: "
+            f"{SCHEMA}; re-run its producer to regenerate it)"
+        ]
+    problems: List[str] = []
+    if payload.get("kind") not in KINDS:
+        problems.append(f"kind {payload.get('kind')!r} is not one of {KINDS}")
+    elif kind is not None and payload["kind"] != kind:
+        problems.append(
+            f"kind {payload['kind']!r} differs from this run's {kind!r}"
+        )
+    if not isinstance(payload.get("run"), dict):
+        problems.append("'run' must be an object")
+    metrics = payload.get("metrics")
+    if not isinstance(metrics, list):
+        problems.append("'metrics' must be a list")
+        metrics = []
+    keys = set()
+    for i, m in enumerate(metrics):
+        found = _metric_problems(i, m)
+        problems.extend(found)
+        if not found:
+            key = _key(m)
+            if key in keys:
+                problems.append(f"metric {i}: duplicate key {key!r}")
+            keys.add(key)
+    checks = payload.get("checks")
+    if not isinstance(checks, list):
+        problems.append("'checks' must be a list")
+        checks = []
+    well_formed = True
+    for i, c in enumerate(checks):
+        if not (
+            isinstance(c, dict)
+            and isinstance(c.get("name"), str)
+            and isinstance(c.get("detail"), str)
+            and c.get("status") in CHECK_STATUSES
+        ):
+            well_formed = False
+            problems.append(
+                f"check {i}: needs a name, a detail and a status in "
+                f"{CHECK_STATUSES}"
+            )
+    ok = payload.get("ok")
+    if not isinstance(ok, bool):
+        problems.append("'ok' must be true or false")
+    elif well_formed and ok != (not any(c["status"] in FAILING for c in checks)):
+        problems.append("'ok' disagrees with the check statuses")
+    if not isinstance(payload.get("traces", []), list):
+        problems.append("'traces' must be a list")
+    return problems
+
+
+def validate_payload(payload: Any, kind: Optional[str] = None) -> None:
+    """Raise :class:`ReproError` naming every way ``payload`` is not a
+    schema-3 bench payload (of ``kind``, when given)."""
+    problems = _problems(payload, kind)
+    if problems:
+        raise ReproError("; ".join(problems))
+
+
+def load_payload(path: Union[str, Path], kind: Optional[str] = None) -> Dict[str, Any]:
+    """Read and validate a payload file; any failure is one
+    :class:`ReproError` naming the file, never a traceback."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ReproError(f"cannot read {path}: {exc}") from None
+    try:
+        validate_payload(payload, kind)
+    except ReproError as exc:
+        raise ReproError(f"{path} is not a usable bench payload: {exc}") from None
+    return payload
+
+
+def write_payload(payload: Dict[str, Any], path: Union[str, Path]) -> None:
+    """Validate ``payload`` and write it as indented, key-sorted JSON."""
+    validate_payload(payload)
+    Path(path).write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 @dataclass(frozen=True)
 class DiffThresholds:
-    """Noise model for wall-clock comparisons.
+    """Noise model for measured (``noisy``) metrics.
 
-    A time is *changed* only when it moves by more than
-    ``rel_tol`` (fraction of the baseline) **and** by more than
-    ``abs_floor_s`` seconds.  The floor dominates for micro-phases
-    (including zero-second baselines), the relative band for long ones.
-
-    Memory fields get the same two-sided model with their own knobs:
-    ``mem_rel_tol`` (RSS and heap watermarks jitter less than wall
-    clock, but allocator arena reuse still moves them run to run) and
-    ``abs_floor_bytes`` (1 MiB — below that, page-accounting noise).
+    A value is *changed* only when it moves by more than a relative band
+    (a fraction of the baseline) **and** by more than an absolute floor.
+    Wall clocks use ``rel_tol`` and ``abs_floor_s`` — the floor mutes
+    micro-phases and zero-second baselines.  Byte sizes use
+    ``mem_rel_tol`` and ``abs_floor_bytes`` (1 MiB — below that, page
+    accounting noise).  Other measured quantities use ``rel_tol`` with
+    no floor.
     """
 
     rel_tol: float = 0.25
@@ -102,39 +311,35 @@ class DiffThresholds:
     mem_rel_tol: float = 0.15
     abs_floor_bytes: float = float(1 << 20)
 
-    def verdict(self, baseline_s: float, current_s: float) -> str:
-        delta = current_s - baseline_s
-        if abs(delta) <= self.abs_floor_s:
+    def verdict(self, baseline: float, current: float, unit: str = "s") -> str:
+        if unit == "s":
+            rel, floor, up, down = self.rel_tol, self.abs_floor_s, SLOWER, FASTER
+        elif unit == "bytes":
+            rel, floor, up, down = self.mem_rel_tol, self.abs_floor_bytes, GREW, SHRANK
+        else:
+            rel, floor, up, down = self.rel_tol, 0.0, GREW, SHRANK
+        delta = current - baseline
+        if abs(delta) <= floor or abs(delta) <= rel * abs(baseline):
             return UNCHANGED
-        if abs(delta) <= self.rel_tol * abs(baseline_s):
-            return UNCHANGED
-        return SLOWER if delta > 0 else FASTER
-
-    def mem_verdict(self, baseline_b: float, current_b: float) -> str:
-        delta = current_b - baseline_b
-        if abs(delta) <= self.abs_floor_bytes:
-            return UNCHANGED
-        if abs(delta) <= self.mem_rel_tol * abs(baseline_b):
-            return UNCHANGED
-        return GREW if delta > 0 else SHRANK
+        return up if delta > 0 else down
 
 
 @dataclass(frozen=True)
 class FieldDiff:
-    """One compared field of one circuit.
+    """One compared metric: its key, both values and the verdict.
 
-    ``kind`` names the field family (``"metric"``, ``"counter"``,
-    ``"phase.seconds"``, ``"phase.count"``, ``"phase.mem"``,
-    ``"time"``, ``"mem"``, ``"exponent"``); ``deterministic`` marks
-    fields whose verdicts gate the exit code.
+    ``gates`` marks exact and exponent metrics, whose ``regressed``
+    verdict fails ``--fail-on-regress``.
     """
 
-    kind: str
     name: str
+    labels: Dict[str, Any]
+    kind: str
+    unit: str
     baseline: Optional[float]
     current: Optional[float]
     status: str
-    deterministic: bool
+    gates: bool
 
     @property
     def delta(self) -> Optional[float]:
@@ -144,307 +349,20 @@ class FieldDiff:
 
     @property
     def is_regression(self) -> bool:
-        """A gate-worthy verdict: deterministic field got worse."""
-        return self.deterministic and self.status == REGRESSED
-
-
-@dataclass
-class CircuitDiff:
-    """All field verdicts for one circuit.
-
-    ``status`` is ``"common"`` for circuits in both payloads, ``"new"``
-    / ``"missing"`` when only one side has the circuit (those carry no
-    field diffs).
-    """
-
-    name: str
-    status: str
-    fields: List[FieldDiff] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> List[FieldDiff]:
-        return [f for f in self.fields if f.is_regression]
-
-    @property
-    def time_regressions(self) -> List[FieldDiff]:
-        return [f for f in self.fields if f.status == SLOWER]
-
-    @property
-    def memory_growths(self) -> List[FieldDiff]:
-        return [f for f in self.fields if f.status == GREW]
-
-    def by_status(self, status: str) -> List[FieldDiff]:
-        return [f for f in self.fields if f.status == status]
+        return self.gates and self.status == REGRESSED
 
 
 @dataclass
 class BenchDiff:
-    """The full verdict of one baseline-vs-current comparison."""
+    """The verdict of one baseline-vs-current comparison.
 
-    baseline_meta: Dict[str, Any]
-    current_meta: Dict[str, Any]
-    circuits: List[CircuitDiff] = field(default_factory=list)
-    mismatched_config: List[str] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> List[FieldDiff]:
-        return [f for c in self.circuits for f in c.regressions]
-
-    @property
-    def time_regressions(self) -> List[FieldDiff]:
-        return [f for c in self.circuits for f in c.time_regressions]
-
-    @property
-    def memory_growths(self) -> List[FieldDiff]:
-        return [f for c in self.circuits for f in c.memory_growths]
-
-    @property
-    def improvements(self) -> List[FieldDiff]:
-        return [
-            f
-            for c in self.circuits
-            for f in c.fields
-            if f.deterministic and f.status == IMPROVED
-        ]
-
-    @property
-    def has_regressions(self) -> bool:
-        """True when any deterministic field regressed (the CI gate)."""
-        return bool(self.regressions)
-
-    def counts(self) -> Dict[str, int]:
-        """Verdict tally over every compared field."""
-        tally: Dict[str, int] = {}
-        for circuit in self.circuits:
-            for f in circuit.fields:
-                tally[f.status] = tally.get(f.status, 0) + 1
-        return tally
-
-
-def _float_eq(a: float, b: float) -> bool:
-    if a == b:
-        return True
-    scale = max(abs(a), abs(b))
-    return abs(a - b) <= _FLOAT_EQ_RTOL * scale
-
-
-def _deterministic_verdict(baseline: float, current: float) -> str:
-    """Exact compare where *larger is worse* (work done / cut size)."""
-    if _float_eq(baseline, current):
-        return UNCHANGED
-    return REGRESSED if current > baseline else IMPROVED
-
-
-def _is_memory_field(name: str) -> bool:
-    """Byte-sized observations: RSS gauges, heap watermarks, cache
-    sizes.  Memory numbers jitter run to run, so they are compared
-    through the noise model, never exactly."""
-    return name.endswith("_bytes")
-
-
-def _diff_mapping(
-    kind: str,
-    baseline: Dict[str, float],
-    current: Dict[str, float],
-    deterministic: bool,
-    thresholds: DiffThresholds,
-) -> List[FieldDiff]:
-    """Per-key verdicts over two flat name->number mappings.
-
-    ``*_bytes`` names override ``deterministic``: they are classified
-    through :meth:`DiffThresholds.mem_verdict` and never gate — an RSS
-    gauge that moved 2% is jitter, not a regression.
-    """
-    diffs: List[FieldDiff] = []
-    for name in sorted(set(baseline) | set(current)):
-        b = baseline.get(name)
-        c = current.get(name)
-        gates = deterministic
-        if b is None:
-            status = NEW
-        elif c is None:
-            status = MISSING
-        elif _is_memory_field(name):
-            status = thresholds.mem_verdict(b, c)
-            gates = False
-        elif deterministic:
-            status = _deterministic_verdict(b, c)
-        else:
-            status = thresholds.verdict(b, c)
-        diffs.append(
-            FieldDiff(
-                kind=kind,
-                name=name,
-                baseline=b,
-                current=c,
-                status=status,
-                deterministic=gates,
-            )
-        )
-    return diffs
-
-
-def _diff_circuit(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    thresholds: DiffThresholds,
-) -> CircuitDiff:
-    circuit = CircuitDiff(name=current["name"], status="common")
-    fields = circuit.fields
-
-    # Cut-quality metrics: deterministic under a fixed seed.
-    for metric in ("nets_cut", "ratio_cut"):
-        b, c = baseline.get(metric), current.get(metric)
-        if b is None and c is None:
-            continue
-        if b is None:
-            status = NEW
-        elif c is None:
-            status = MISSING
-        else:
-            status = _deterministic_verdict(float(b), float(c))
-        fields.append(
-            FieldDiff("metric", metric, b, c, status, deterministic=True)
-        )
-
-    # Whole-circuit wall time: noise-aware.
-    b_s, c_s = baseline.get("seconds"), current.get("seconds")
-    if b_s is not None or c_s is not None:
-        if b_s is None:
-            status = NEW
-        elif c_s is None:
-            status = MISSING
-        else:
-            status = thresholds.verdict(float(b_s), float(c_s))
-        fields.append(
-            FieldDiff("time", "seconds", b_s, c_s, status, False)
-        )
-
-    # Counters: all deterministic work totals.
-    fields.extend(
-        _diff_mapping(
-            "counter",
-            baseline.get("counters", {}),
-            current.get("counters", {}),
-            deterministic=True,
-            thresholds=thresholds,
-        )
-    )
-
-    # Phases: the count is deterministic, the seconds are wall clock.
-    b_phases = baseline.get("phases", {})
-    c_phases = current.get("phases", {})
-    fields.extend(
-        _diff_mapping(
-            "phase.count",
-            {k: v["count"] for k, v in b_phases.items()},
-            {k: v["count"] for k, v in c_phases.items()},
-            deterministic=True,
-            thresholds=thresholds,
-        )
-    )
-    fields.extend(
-        _diff_mapping(
-            "phase.seconds",
-            {k: v["seconds"] for k, v in b_phases.items()},
-            {k: v["seconds"] for k, v in c_phases.items()},
-            deterministic=False,
-            thresholds=thresholds,
-        )
-    )
-
-    # Per-phase memory attribution (present when the run was memory-
-    # profiled) and the circuit-level memory rollup: noise-aware.
-    def _phase_mem(phases: Dict[str, Any]) -> Dict[str, float]:
-        flat: Dict[str, float] = {}
-        for name, data in phases.items():
-            for key in ("mem_alloc_bytes", "mem_peak_bytes"):
-                if key in data:
-                    flat[f"{name}.{key}"] = data[key]
-        return flat
-
-    fields.extend(
-        _diff_mapping(
-            "phase.mem",
-            _phase_mem(b_phases),
-            _phase_mem(c_phases),
-            deterministic=False,
-            thresholds=thresholds,
-        )
-    )
-    fields.extend(
-        _diff_mapping(
-            "mem",
-            baseline.get("mem", {}),
-            current.get("mem", {}),
-            deterministic=False,
-            thresholds=thresholds,
-        )
-    )
-    return circuit
-
-
-def diff_payloads(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    thresholds: DiffThresholds = DiffThresholds(),
-) -> BenchDiff:
-    """Compare two benchmark payloads; see the module docstring.
-
-    Circuits present on only one side are classified ``new`` /
-    ``missing`` (a partial rerun against a full baseline is normal, so
-    neither gates the exit code by itself).  Config keys that differ
-    between the payloads (``algorithm``, ``seed``, ``scale``) are
-    recorded in ``mismatched_config`` — verdicts are still produced,
-    but a diff across configs is usually operator error and the
-    renderers surface it prominently.
-    """
-    meta_keys = ("schema", "algorithm", "seed", "scale")
-    diff = BenchDiff(
-        baseline_meta={k: baseline.get(k) for k in meta_keys},
-        current_meta={k: current.get(k) for k in meta_keys},
-        mismatched_config=[
-            k
-            for k in ("algorithm", "seed", "scale")
-            if baseline.get(k) != current.get(k)
-        ],
-    )
-    b_circuits = {c["name"]: c for c in baseline.get("circuits", [])}
-    c_circuits = {c["name"]: c for c in current.get("circuits", [])}
-    for name in b_circuits:
-        if name not in c_circuits:
-            diff.circuits.append(CircuitDiff(name=name, status="missing"))
-    for name, circuit in c_circuits.items():
-        if name not in b_circuits:
-            diff.circuits.append(CircuitDiff(name=name, status="new"))
-            continue
-        diff.circuits.append(
-            _diff_circuit(b_circuits[name], circuit, thresholds)
-        )
-    return diff
-
-
-# ----------------------------------------------------------------------
-# Scale-curve payloads (BENCH_scale.json): exponent-drift gating.
-
-
-@dataclass
-class ScaleDiff:
-    """The verdict of one scale-curve baseline-vs-current comparison.
-
-    Fitted complexity exponents gate (kind ``"exponent"``,
-    ``deterministic=True``): a time exponent moving from 1.1 to 1.5
-    means the algorithm's growth *law* changed, which no amount of
-    machine variance explains away once the fit tolerance (widened by
-    the fits' standard errors) is exceeded.  Largest-instance wall
-    time and peak memory ride along as advisory ``"time"`` / ``"mem"``
-    fields using the ordinary noise model.
+    ``mismatched_config`` maps each ``run`` key whose value differs to
+    ``(baseline, current)``: verdicts are still produced, but a diff
+    across configs is usually operator error and the renderers say so.
     """
 
-    baseline_meta: Dict[str, Any]
-    current_meta: Dict[str, Any]
+    mismatched_config: Dict[str, Tuple[Any, Any]] = field(default_factory=dict)
     fields: List[FieldDiff] = field(default_factory=list)
-    mismatched_config: List[str] = field(default_factory=list)
 
     @property
     def regressions(self) -> List[FieldDiff]:
@@ -452,128 +370,87 @@ class ScaleDiff:
 
     @property
     def has_regressions(self) -> bool:
-        """True when any fitted exponent regressed (the CI gate)."""
+        """True when a gated metric regressed (the CI gate)."""
         return bool(self.regressions)
 
+    @property
+    def common(self) -> int:
+        """How many metric keys both payloads share."""
+        return sum(1 for f in self.fields if f.status not in (NEW, MISSING))
+
+    def by_status(self, status: str) -> List[FieldDiff]:
+        return [f for f in self.fields if f.status == status]
+
     def counts(self) -> Dict[str, int]:
+        """Verdict tally over every compared metric."""
         tally: Dict[str, int] = {}
         for f in self.fields:
             tally[f.status] = tally.get(f.status, 0) + 1
         return tally
 
 
-def _exponent_tolerance(
-    base_fit: Dict[str, Any],
-    cur_fit: Dict[str, Any],
+def _float_eq(a: float, b: float) -> bool:
+    return a == b or abs(a - b) <= _FLOAT_EQ_RTOL * max(abs(a), abs(b))
+
+
+def _verdict(
+    b: Dict[str, Any],
+    c: Dict[str, Any],
+    thresholds: DiffThresholds,
     exponent_tol: float,
-) -> float:
-    """The drift band for one exponent pair.
+) -> str:
+    base, cur = float(b["value"]), float(c["value"])
+    if c["kind"] == NOISY:
+        return thresholds.verdict(base, cur, c["unit"])
+    if c["kind"] == EXPONENT:
+        stderr = float(b.get("stderr", 0.0)) + float(c.get("stderr", 0.0))
+        if abs(cur - base) <= max(exponent_tol, 2.0 * stderr):
+            return UNCHANGED
+    elif _float_eq(base, cur):
+        return UNCHANGED
+    return REGRESSED if cur > base else IMPROVED
 
-    ``exponent_tol`` is the floor; when the least-squares fits carry a
-    ``stderr``, the band widens to two combined standard errors — the
-    same philosophy as :class:`DiffThresholds` (never flag what the
-    measurement's own uncertainty can explain).
-    """
-    stderr = float(base_fit.get("stderr") or 0.0) + float(
-        cur_fit.get("stderr") or 0.0
-    )
-    return max(exponent_tol, 2.0 * stderr)
 
-
-def diff_scale_payloads(
+def diff_payloads(
     baseline: Dict[str, Any],
     current: Dict[str, Any],
-    exponent_tol: float = 0.2,
     thresholds: DiffThresholds = DiffThresholds(),
-) -> ScaleDiff:
-    """Compare two ``BENCH_scale.json`` payloads; see :class:`ScaleDiff`.
+    exponent_tol: float = 0.2,
+) -> BenchDiff:
+    """Compare two payloads metric by metric; see the module docstring.
 
-    Field names are ``<algorithm>.<metric>_exponent`` for the gating
-    exponents and ``<algorithm>.max_wall_s`` /
-    ``<algorithm>.max_peak_mem_bytes`` for the advisory
-    largest-instance comparisons.  Algorithms present on only one side
-    are classified ``new`` / ``missing`` and do not gate.
+    Fields come in the current payload's order, then the baseline-only
+    (``missing``) keys.  Both payloads should be valid and of one kind.
     """
-    meta_keys = ("schema", "kind", "circuit", "seed", "scales")
-    diff = ScaleDiff(
-        baseline_meta={k: baseline.get(k) for k in meta_keys},
-        current_meta={k: current.get(k) for k in meta_keys},
-        mismatched_config=[
-            k
-            for k in ("circuit", "seed", "scales")
-            if baseline.get(k) != current.get(k)
-        ],
+    b_run, c_run = baseline.get("run", {}), current.get("run", {})
+    diff = BenchDiff(
+        mismatched_config={
+            k: (b_run.get(k), c_run.get(k))
+            for k in sorted(set(b_run) | set(c_run))
+            if b_run.get(k) != c_run.get(k)
+        },
     )
-    b_algs = {a["algorithm"]: a for a in baseline.get("algorithms", [])}
-    c_algs = {a["algorithm"]: a for a in current.get("algorithms", [])}
-    for name in sorted(set(b_algs) | set(c_algs)):
-        if name not in c_algs:
-            diff.fields.append(
-                FieldDiff("exponent", name, None, None, MISSING, False)
+    base = {_key(m): m for m in baseline.get("metrics", [])}
+    cur = {_key(m): m for m in current.get("metrics", [])}
+    for key in list(cur) + [k for k in base if k not in cur]:
+        b, c = base.get(key), cur.get(key)
+        if b is None:
+            status = NEW
+        elif c is None:
+            status = MISSING
+        else:
+            status = _verdict(b, c, thresholds, exponent_tol)
+        m = b if c is None else c
+        diff.fields.append(
+            FieldDiff(
+                name=m["name"],
+                labels=m["labels"],
+                kind=m["kind"],
+                unit=m["unit"],
+                baseline=None if b is None else b["value"],
+                current=None if c is None else c["value"],
+                status=status,
+                gates=m["kind"] != NOISY,
             )
-            continue
-        if name not in b_algs:
-            diff.fields.append(
-                FieldDiff("exponent", name, None, None, NEW, False)
-            )
-            continue
-        b_alg, c_alg = b_algs[name], c_algs[name]
-        for metric in ("time", "memory"):
-            b_fit = b_alg.get("fits", {}).get(metric)
-            c_fit = c_alg.get("fits", {}).get(metric)
-            if not b_fit or not c_fit:
-                continue
-            b_exp = float(b_fit["exponent"])
-            c_exp = float(c_fit["exponent"])
-            tol = _exponent_tolerance(b_fit, c_fit, exponent_tol)
-            if c_exp - b_exp > tol:
-                status = REGRESSED
-            elif b_exp - c_exp > tol:
-                status = IMPROVED
-            else:
-                status = UNCHANGED
-            diff.fields.append(
-                FieldDiff(
-                    kind="exponent",
-                    name=f"{name}.{metric}_exponent",
-                    baseline=b_exp,
-                    current=c_exp,
-                    status=status,
-                    deterministic=True,
-                )
-            )
-        b_points = b_alg.get("points", [])
-        c_points = c_alg.get("points", [])
-        if b_points and c_points:
-            b_last, c_last = b_points[-1], c_points[-1]
-            diff.fields.append(
-                FieldDiff(
-                    kind="time",
-                    name=f"{name}.max_wall_s",
-                    baseline=b_last.get("wall_s"),
-                    current=c_last.get("wall_s"),
-                    status=thresholds.verdict(
-                        float(b_last.get("wall_s", 0.0)),
-                        float(c_last.get("wall_s", 0.0)),
-                    ),
-                    deterministic=False,
-                )
-            )
-            if (
-                b_last.get("peak_mem_bytes") is not None
-                and c_last.get("peak_mem_bytes") is not None
-            ):
-                diff.fields.append(
-                    FieldDiff(
-                        kind="mem",
-                        name=f"{name}.max_peak_mem_bytes",
-                        baseline=b_last["peak_mem_bytes"],
-                        current=c_last["peak_mem_bytes"],
-                        status=thresholds.mem_verdict(
-                            float(b_last["peak_mem_bytes"]),
-                            float(c_last["peak_mem_bytes"]),
-                        ),
-                        deterministic=False,
-                    )
-                )
+        )
     return diff

@@ -1,15 +1,20 @@
-"""Render traces, bench payloads, and diffs for humans.
+"""Render bench payloads, their diffs and traces for humans.
 
-Two output forms, both free of external assets:
+:func:`render_markdown` and :func:`render_html` are the one renderer
+for every bench payload kind (:mod:`repro.obs.diff`): both views print
+the same rows — the run config, every check, the baseline comparison
+when a diff is given, and every metric, one row per label set.  The
+HTML view adds a log-log chart of each fitted exponent over its
+measured points, and the payload's traces: a phase-tree flame view
+rebuilt from span events and one chart per convergence curve.
+:func:`render_trace_html` (one profiled run's events) and
+:func:`render_slow_html` (``GET /debug/slow`` exemplars) reuse the same
+flame and chart code.  :func:`publish` is the write / compare / report
+tail both benchmark CLIs share.
 
-* :func:`render_html` / :func:`render_trace_html` — a self-contained
-  HTML report: per-circuit stat tables, a phase-tree flame view
-  reconstructed from span ``depth``/``seq``, counters, and inline SVG
-  convergence curves (Lanczos residual decay, ratio-cut-vs-split-index
-  sweeps, FM pass gains).  Everything is inline CSS/SVG so the file can
-  be archived as a CI artifact and opened anywhere.
-* :func:`render_markdown` — a compact verdict summary of a
-  :class:`repro.obs.diff.BenchDiff` for CI logs and PR comments.
+Every page is self-contained — inline CSS and SVG, no scripts, no
+external assets — so it can be archived as a CI artifact and opened
+anywhere.
 
 The span-tree reconstruction relies on the event contract of
 :mod:`repro.obs.events`: spans are emitted *at close* in ``seq`` order
@@ -22,20 +27,35 @@ from __future__ import annotations
 import html
 import json
 import math
+import sys
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .diff import BenchDiff, FieldDiff, GREW, REGRESSED, SLOWER, ScaleDiff
+from .diff import (
+    EXPONENT,
+    FAILING,
+    FASTER,
+    GREW,
+    IMPROVED,
+    MISSING,
+    NEW,
+    REGRESSED,
+    SHRANK,
+    SLOWER,
+    UNCHANGED,
+    BenchDiff,
+    DiffThresholds,
+    diff_payloads,
+    write_payload,
+)
 
 __all__ = [
     "load_jsonl",
+    "publish",
     "render_html",
-    "render_scale_html",
-    "render_scale_markdown",
-    "render_serving_html",
-    "render_serving_markdown",
+    "render_markdown",
     "render_slow_html",
     "render_trace_html",
-    "render_markdown",
     "span_tree_from_events",
 ]
 
@@ -77,8 +97,23 @@ def span_tree_from_events(
     return roots
 
 
+def _tree_from_nodes(nodes: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """The same tree from span-node dicts (``seconds`` keyed), the shape
+    :class:`repro.obs.trace.TraceCapture` stores."""
+    return [
+        {
+            "name": node.get("name", "?"),
+            "dur_s": float(node.get("seconds", 0.0)),
+            "count": int(node.get("count", 1)),
+            "attrs": dict(node.get("attrs", {})),
+            "children": _tree_from_nodes(node.get("children", [])),
+        }
+        for node in nodes
+    ]
+
+
 # ----------------------------------------------------------------------
-# Inline SVG curves
+# Inline SVG charts
 
 #: Known convergence curves: name -> (x field, y field, log-scale y).
 _CURVE_FIELDS: Dict[str, Tuple[str, str, bool]] = {
@@ -120,6 +155,11 @@ def _curve_series(
     )
 
 
+def _num(value: float) -> str:
+    """Integers in full, other numbers to about four digits."""
+    return str(value) if isinstance(value, int) else _fmt(value)
+
+
 def _fmt(value: float) -> str:
     if value == 0:
         return "0"
@@ -128,22 +168,43 @@ def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
-def _svg_curve(
-    title: str, xs: List[float], ys: List[float], log_y: bool = False
+def _axis(values: Sequence[float], log: bool) -> List[float]:
+    """Plot coordinates: log10 on a log axis, with non-positive values
+    clamped to 1% of the smallest positive one."""
+    if not log:
+        return [float(v) for v in values]
+    floor = min((v for v in values if v > 0), default=1e-16) * 1e-2
+    return [math.log10(max(v, floor)) for v in values]
+
+
+def _svg_chart(
+    title: str,
+    xs: Sequence[float],
+    ys: Sequence[float],
+    log_x: bool = False,
+    log_y: bool = False,
+    fit: Optional[Tuple[float, float]] = None,
 ) -> str:
-    """One inline SVG line chart (340x180, no external assets)."""
+    """One inline SVG chart (340x180, no external assets).
+
+    The series is a polyline with its lowest point marked.  ``fit`` =
+    ``(exponent, coeff)`` (log-log axes) overlays the power law
+    ``coeff * x**exponent`` as a dashed line and dots every measured
+    point, so curvature away from the fit is visible at a glance.
+    """
     width, height = 340, 180
-    left, right, top, bottom = 46, 8, 22, 22
+    left, right, top, bottom = 52, 10, 22, 22
     plot_w = width - left - right
     plot_h = height - top - bottom
-
-    if log_y:
-        floor = min((y for y in ys if y > 0), default=1e-16)
-        ys_t = [math.log10(max(y, floor * 1e-2)) for y in ys]
-    else:
-        ys_t = list(ys)
-    x_min, x_max = min(xs), max(xs)
-    y_min, y_max = min(ys_t), max(ys_t)
+    xt, yt = _axis(xs, log_x), _axis(ys, log_y)
+    x_min, x_max = min(xt), max(xt)
+    y_min, y_max = min(yt), max(yt)
+    fit_ends: List[float] = []
+    if fit is not None:
+        exponent, coeff = fit
+        fit_ends = [math.log10(coeff) + exponent * x for x in (x_min, x_max)]
+        y_min, y_max = min(y_min, *fit_ends), max(y_max, *fit_ends)
+        title = f"{title} ~ n^{exponent:.2f}"
     if x_max == x_min:
         x_max = x_min + 1.0
     if y_max == y_min:
@@ -155,34 +216,47 @@ def _svg_curve(
     def py(y: float) -> float:
         return top + (y_max - y) / (y_max - y_min) * plot_h
 
-    points = " ".join(
-        f"{px(x):.1f},{py(y):.1f}" for x, y in zip(xs, ys_t)
-    )
-    y_lo_label = _fmt(min(ys))
-    y_hi_label = _fmt(max(ys))
-    if log_y:
-        y_lo_label = f"1e{y_min:.1f}"
-        y_hi_label = f"1e{y_max:.1f}"
-    best_i = min(range(len(ys)), key=lambda i: ys[i])
-    return (
+    def label(value: float, log: bool) -> str:
+        return _fmt(10 ** value if log else value)
+
+    scale = " (log-log)" if log_x and log_y else " (log y)" if log_y else ""
+    points = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in zip(xt, yt))
+    best = min(range(len(yt)), key=yt.__getitem__)
+    parts = [
         f'<svg class="curve" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" role="img">'
-        f'<text x="{left}" y="13" class="ct">{html.escape(title)}'
-        f"{' (log y)' if log_y else ''}</text>"
-        f'<rect x="{left}" y="{top}" width="{plot_w}" '
-        f'height="{plot_h}" class="pf"/>'
-        f'<polyline points="{points}" class="pl"/>'
-        f'<circle cx="{px(xs[best_i]):.1f}" cy="{py(ys_t[best_i]):.1f}" '
-        f'r="3" class="pb"/>'
-        f'<text x="{left - 4}" y="{top + 8}" class="al" '
-        f'text-anchor="end">{y_hi_label}</text>'
+        f'<text x="{left}" y="13" class="ct">{html.escape(title)}{scale}'
+        "</text>"
+        f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
+        'class="pf"/>'
+    ]
+    if fit_ends:
+        parts.append(
+            f'<polyline points="{px(x_min):.1f},{py(fit_ends[0]):.1f} '
+            f'{px(x_max):.1f},{py(fit_ends[1]):.1f}" class="pfit"/>'
+        )
+    parts.append(f'<polyline points="{points}" class="pl"/>')
+    if fit_ends:
+        parts.extend(
+            f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="2.5" class="pp"/>'
+            for x, y in zip(xt, yt)
+        )
+    else:
+        parts.append(
+            f'<circle cx="{px(xt[best]):.1f}" cy="{py(yt[best]):.1f}" '
+            'r="3" class="pb"/>'
+        )
+    parts.append(
+        f'<text x="{left - 4}" y="{top + 8}" class="al" text-anchor="end">'
+        f"{label(y_max, log_y)}</text>"
         f'<text x="{left - 4}" y="{top + plot_h}" class="al" '
-        f'text-anchor="end">{y_lo_label}</text>'
-        f'<text x="{left}" y="{height - 6}" class="al">{_fmt(x_min)}</text>'
+        f'text-anchor="end">{label(y_min, log_y)}</text>'
+        f'<text x="{left}" y="{height - 6}" class="al">'
+        f"{label(x_min, log_x)}</text>"
         f'<text x="{width - right}" y="{height - 6}" class="al" '
-        f'text-anchor="end">{_fmt(x_max)}</text>'
-        f"</svg>"
+        f'text-anchor="end">{label(x_max, log_x)}</text></svg>'
     )
+    return "".join(parts)
 
 
 def _curves_html(point_events: Sequence[Dict[str, Any]]) -> str:
@@ -192,14 +266,14 @@ def _curves_html(point_events: Sequence[Dict[str, Any]]) -> str:
         if series is None:
             continue
         xs, ys, log_y = series
-        charts.append(_svg_curve(event.get("name", "?"), xs, ys, log_y))
+        charts.append(_svg_chart(event.get("name", "?"), xs, ys, log_y=log_y))
     if not charts:
         return ""
     return '<div class="curves">' + "".join(charts) + "</div>"
 
 
 # ----------------------------------------------------------------------
-# Phase-tree flame view
+# Phase-tree flame view and trace sections
 
 
 def _flame_rows(
@@ -227,18 +301,13 @@ def _flame_rows(
         _flame_rows(node["children"], depth + 1, total, rows)
 
 
-def _flame_html(span_events: Sequence[Dict[str, Any]]) -> str:
-    roots = span_tree_from_events(span_events)
+def _flame_html(roots: Sequence[Dict[str, Any]]) -> str:
     if not roots:
         return ""
     total = sum(node["dur_s"] for node in roots) or 1.0
     rows: List[str] = []
     _flame_rows(roots, 0, total, rows)
     return '<div class="flame">' + "".join(rows) + "</div>"
-
-
-# ----------------------------------------------------------------------
-# Tables
 
 
 def _counters_html(counters: Dict[str, float]) -> str:
@@ -255,85 +324,14 @@ def _counters_html(counters: Dict[str, float]) -> str:
     )
 
 
-_STATUS_CLASS = {
-    REGRESSED: "bad",
-    SLOWER: "warn",
-    GREW: "warn",
-    "improved": "good",
-    "faster": "good",
-    "shrank": "good",
-    "new": "info",
-    "missing": "info",
-}
-
-
-def _diff_rows(circuit_name: str, fields: Sequence[FieldDiff]) -> str:
-    rows = []
-    for f in fields:
-        cls = _STATUS_CLASS.get(f.status, "")
-        b = "—" if f.baseline is None else _fmt(float(f.baseline))
-        c = "—" if f.current is None else _fmt(float(f.current))
-        rows.append(
-            f'<tr class="{cls}"><td>{html.escape(circuit_name)}</td>'
-            f"<td>{html.escape(f.kind)}</td>"
-            f"<td>{html.escape(f.name)}</td>"
-            f'<td class="num">{b}</td><td class="num">{c}</td>'
-            f"<td>{f.status}</td></tr>"
-        )
-    return "".join(rows)
-
-
-def _diff_html(diff: BenchDiff) -> str:
-    counts = diff.counts()
-    badges = " ".join(
-        f'<span class="badge {_STATUS_CLASS.get(status, "")}">'
-        f"{counts[status]} {status}</span>"
-        for status in sorted(counts)
-    )
-    warning = ""
-    if diff.mismatched_config:
-        pairs = ", ".join(
-            f"{k}: {diff.baseline_meta.get(k)!r} → "
-            f"{diff.current_meta.get(k)!r}"
-            for k in diff.mismatched_config
-        )
-        warning = (
-            f'<p class="bad">⚠ config mismatch between payloads '
-            f"({html.escape(pairs)}) — verdicts below compare different "
-            "runs.</p>"
-        )
-    interesting = []
-    for circuit in diff.circuits:
-        if circuit.status != "common":
-            interesting.append(
-                f'<tr class="info"><td>{html.escape(circuit.name)}</td>'
-                f'<td>circuit</td><td>—</td><td class="num">—</td>'
-                f'<td class="num">—</td><td>{circuit.status}</td></tr>'
-            )
-            continue
-        shown = [f for f in circuit.fields if f.status != "unchanged"]
-        interesting.append(_diff_rows(circuit.name, shown))
-    body = "".join(interesting)
-    if not body:
-        body = (
-            '<tr><td colspan="6">no changes — payloads agree on every '
-            "deterministic field and every wall clock is within "
-            "tolerance</td></tr>"
-        )
-    verdict = (
-        '<p class="bad"><strong>✗ deterministic regression</strong> — '
-        f"{len(diff.regressions)} field(s) regressed</p>"
-        if diff.has_regressions
-        else '<p class="good"><strong>✓ no deterministic '
-        "regressions</strong></p>"
-    )
-    return (
-        "<section><h2>Baseline comparison</h2>"
-        f"{warning}{verdict}<p>{badges}</p>"
-        "<table><tr><th>circuit</th><th>kind</th><th>field</th>"
-        "<th>baseline</th><th>current</th><th>verdict</th></tr>"
-        f"{body}</table></section>"
-    )
+def _trace_html(
+    roots: Sequence[Dict[str, Any]],
+    events: Sequence[Dict[str, Any]],
+    counters: Dict[str, float],
+) -> str:
+    """Flame view, convergence curves and counters of one trace."""
+    points = [e for e in events if e.get("type") == "point"]
+    return _flame_html(roots) + _curves_html(points) + _counters_html(counters)
 
 
 _CSS = """
@@ -341,7 +339,6 @@ body{font:14px/1.45 -apple-system,'Segoe UI',Roboto,sans-serif;
   margin:24px auto;max-width:1060px;color:#1a1a2e;padding:0 16px}
 h1{font-size:22px}h2{font-size:17px;margin:28px 0 8px;
   border-bottom:1px solid #d8d8e0;padding-bottom:4px}
-h3{font-size:15px;margin:18px 0 6px}
 table{border-collapse:collapse;margin:8px 0}
 td,th{padding:3px 10px;border:1px solid #e2e2ea;text-align:left}
 th{background:#f4f4f8}.num{text-align:right;
@@ -387,48 +384,6 @@ def _page(title: str, body: str) -> str:
     )
 
 
-def _circuit_section(circuit: Dict[str, Any]) -> str:
-    stats = (
-        "<table><tr><th>modules</th><th>nets</th><th>nets cut</th>"
-        "<th>ratio cut</th><th>seconds</th></tr>"
-        f'<tr><td class="num">{circuit.get("modules", "—")}</td>'
-        f'<td class="num">{circuit.get("nets", "—")}</td>'
-        f'<td class="num">{circuit.get("nets_cut", "—")}</td>'
-        f'<td class="num">{_fmt(float(circuit.get("ratio_cut", 0.0)))}'
-        "</td>"
-        f'<td class="num">{circuit.get("seconds", "—")}</td></tr>'
-        "</table>"
-    )
-    flame = _flame_html(circuit.get("spans", []))
-    curves = _curves_html(circuit.get("curves", []))
-    counters = _counters_html(circuit.get("counters", {}))
-    return (
-        f"<section><h2>{html.escape(circuit['name'])}</h2>"
-        f"{stats}{flame}{curves}{counters}</section>"
-    )
-
-
-def render_html(
-    payload: Dict[str, Any],
-    diff: Optional[BenchDiff] = None,
-    title: str = "repro bench report",
-) -> str:
-    """Render a ``BENCH_obs.json`` payload (and optional diff) as HTML."""
-    meta = (
-        '<p class="meta">algorithm '
-        f"<strong>{html.escape(str(payload.get('algorithm', '?')))}"
-        f"</strong> · seed {payload.get('seed', '?')} · scale "
-        f"{payload.get('scale', '?')} · schema "
-        f"{payload.get('schema', '?')}</p>"
-    )
-    sections = [meta]
-    if diff is not None:
-        sections.append(_diff_html(diff))
-    for circuit in payload.get("circuits", []):
-        sections.append(_circuit_section(circuit))
-    return _page(title, "".join(sections))
-
-
 def render_trace_html(
     events: Sequence[Dict[str, Any]],
     title: str = "repro trace report",
@@ -439,41 +394,12 @@ def render_trace_html(
     ``[json.loads(line) for line in open("trace.jsonl")]`` — and shows
     the phase-tree flame view, convergence curves, and final counters.
     """
-    flame = _flame_html(list(events))
-    points = [e for e in events if e.get("type") == "point"]
-    curves = _curves_html(points)
     counters: Dict[str, float] = {}
     for event in events:
         if event.get("type") == "counters":
             counters = event.get("values", {})
-    body = flame + curves + _counters_html(counters)
-    if not body:
-        body = "<p>(no events)</p>"
-    return _page(title, body)
-
-
-def _flame_from_nodes(nodes: Sequence[Dict[str, Any]]) -> str:
-    """Flame view straight from span-node dicts (``seconds`` keyed),
-    the shape :class:`repro.obs.trace.TraceCapture` stores."""
-
-    def convert(node: Dict[str, Any]) -> Dict[str, Any]:
-        return {
-            "name": node.get("name", "?"),
-            "dur_s": float(node.get("seconds", 0.0)),
-            "count": int(node.get("count", 1)),
-            "attrs": dict(node.get("attrs", {})),
-            "children": [
-                convert(child) for child in node.get("children", [])
-            ],
-        }
-
-    roots = [convert(node) for node in nodes]
-    if not roots:
-        return ""
-    total = sum(node["dur_s"] for node in roots) or 1.0
-    rows: List[str] = []
-    _flame_rows(roots, 0, total, rows)
-    return '<div class="flame">' + "".join(rows) + "</div>"
+    body = _trace_html(span_tree_from_events(events), events, counters)
+    return _page(title, body or "<p>(no events)</p>")
 
 
 def render_slow_html(
@@ -486,609 +412,344 @@ def render_slow_html(
     section: the request's provenance line (trace id, algorithm, cache
     source, duration, capture time), the full phase-tree flame view of
     what the request actually computed, any convergence curves its
-    point events carried, and its counter totals.  Newest first, same
-    inline-CSS/SVG contract as every other obs report.
+    point events carried, and its counter totals.  Newest first.
     """
     sections: List[str] = []
     for entry in exemplars:
+        trace_id = html.escape(str(entry.get("trace_id", "?")))
         meta = (
-            '<p class="meta">trace <strong>'
-            f"{html.escape(str(entry.get('trace_id', '?')))}</strong>"
+            f'<p class="meta">trace <strong>{trace_id}</strong>'
             f" · algorithm {html.escape(str(entry.get('algorithm', '?')))}"
             f" · source {html.escape(str(entry.get('source', '?')))}"
             f" · {float(entry.get('duration_s', 0.0)):.4f}s"
             f" · {html.escape(str(entry.get('time', '?')))}</p>"
         )
-        flame = _flame_from_nodes(entry.get("spans", []))
-        points = [
-            e
-            for e in entry.get("events", [])
-            if e.get("type") == "point"
-        ]
-        curves = _curves_html(points)
-        counters = _counters_html(entry.get("counters", {}))
-        sections.append(
-            "<section><h2>"
-            f"{html.escape(str(entry.get('trace_id', '?')))}"
-            f"</h2>{meta}{flame}{curves}{counters}</section>"
+        trace = _trace_html(
+            _tree_from_nodes(entry.get("spans", [])),
+            entry.get("events", []),
+            entry.get("counters", {}),
         )
+        sections.append(f"<section><h2>{trace_id}</h2>{meta}{trace}</section>")
     if not sections:
         sections.append("<p>(no slow requests recorded)</p>")
     return _page(title, "".join(sections))
 
 
 # ----------------------------------------------------------------------
-# Markdown summary (CI logs)
+# Bench payloads: the rows both views print
 
 
-def render_markdown(diff: BenchDiff) -> str:
-    """Compact verdict summary of a diff for CI logs / PR comments."""
-    lines: List[str] = []
-    counts = diff.counts()
-    tally = ", ".join(
-        f"{counts[status]} {status}" for status in sorted(counts)
-    )
-    if diff.mismatched_config:
-        pairs = ", ".join(
-            f"{k}={diff.baseline_meta.get(k)!r}→"
-            f"{diff.current_meta.get(k)!r}"
-            for k in diff.mismatched_config
-        )
-        lines.append(f"⚠ config mismatch: {pairs}")
-    if diff.has_regressions:
-        lines.append(
-            f"✗ REGRESSED: {len(diff.regressions)} deterministic "
-            f"field(s) ({tally or 'no fields compared'})"
-        )
+def _labels_text(labels: Dict[str, Any]) -> str:
+    return " ".join(f"{k}={labels[k]}" for k in sorted(labels))
+
+
+def _flatten(prefix: str, value: Any, out: List[Tuple[str, str]]) -> None:
+    if isinstance(value, dict):
+        for key in sorted(value):
+            _flatten(f"{prefix}.{key}" if prefix else key, value[key], out)
+    elif isinstance(value, list):
+        out.append((prefix, ", ".join(str(v) for v in value)))
     else:
-        lines.append(
-            "✓ no deterministic regressions "
-            f"({tally or 'no fields compared'})"
+        out.append((prefix, str(value)))
+
+
+def _run_items(payload: Dict[str, Any]) -> List[Tuple[str, str]]:
+    """The run config as flat ``(key, value)`` items."""
+    items: List[Tuple[str, str]] = []
+    _flatten("", payload.get("run", {}), items)
+    return items
+
+
+def _run_text(payload: Dict[str, Any]) -> str:
+    return " · ".join(
+        [str(payload.get("kind"))] + [f"{k}={v}" for k, v in _run_items(payload)]
+    )
+
+
+def _value_text(m: Dict[str, Any]) -> str:
+    """One metric as both views print it."""
+    if m["kind"] == EXPONENT:
+        text = f"∝ {m.get('x', 'n')}^{m['value']:.3f} ±{m['stderr']:.3f}"
+        if "r2" in m:
+            text += f" (R²={m['r2']:.3f})"
+        return text
+    unit = "" if m["unit"] in ("", "count") else f" {m['unit']}"
+    return f"{_num(m['value'])}{unit}"
+
+
+def _metric_groups(
+    payload: Dict[str, Any],
+) -> List[Tuple[str, List[str]]]:
+    """Every metric as ``name=value``, one row per label set, in order
+    of first appearance."""
+    groups: Dict[str, List[str]] = {}
+    for m in payload.get("metrics", []):
+        groups.setdefault(_labels_text(m["labels"]), []).append(
+            f"{m['name']}={_value_text(m)}"
         )
-    for circuit in diff.circuits:
-        if circuit.status != "common":
-            lines.append(f"- {circuit.name}: circuit {circuit.status}")
-            continue
-        changed = [f for f in circuit.fields if f.status != "unchanged"]
-        for f in changed:
-            b = "—" if f.baseline is None else _fmt(float(f.baseline))
-            c = "—" if f.current is None else _fmt(float(f.current))
-            marker = {
-                REGRESSED: "✗",
-                SLOWER: "~",
-                GREW: "~",
-                "improved": "✓",
-                "faster": "~",
-                "shrank": "~",
-            }.get(f.status, "·")
-            lines.append(
-                f"- {marker} {circuit.name} {f.kind} {f.name}: "
-                f"{b} → {c} ({f.status})"
-            )
-    return "\n".join(lines)
+    return list(groups.items())
 
 
-# ----------------------------------------------------------------------
-# Serving benchmark reports (BENCH_serving.json)
-
-_SLO_VERDICT_CLASS = {
-    "pass": "good",
-    "pass-within-noise": "warn",
-    "fail": "bad",
-    "skipped": "info",
-}
-
-_CHECK_STATUS_CLASS = {
-    "ok": "good",
-    "mismatch": "bad",
-    "indeterminate": "warn",
-}
-
-_SLO_VERDICT_MARK = {
+#: Markdown marks and HTML row classes of check statuses and verdicts.
+_MARK = {
     "pass": "✓",
     "pass-within-noise": "~",
-    "fail": "✗",
     "skipped": "·",
+    "indeterminate": "?",
+    "fail": "✗",
+    REGRESSED: "✗",
+    IMPROVED: "✓",
+    NEW: "·",
+    MISSING: "·",
+}
+
+_CLASS = {
+    "pass": "good",
+    "pass-within-noise": "warn",
+    "skipped": "info",
+    "indeterminate": "warn",
+    "fail": "bad",
+    REGRESSED: "bad",
+    SLOWER: "warn",
+    GREW: "warn",
+    IMPROVED: "good",
+    FASTER: "good",
+    SHRANK: "good",
+    NEW: "info",
+    MISSING: "info",
 }
 
 
-def _serving_overview(payload: Dict[str, Any]) -> List[str]:
-    """The headline facts of one serving run, as plain strings."""
-    client = payload.get("client", {})
-    workload = payload.get("workload", {})
-    outcomes = client.get("outcomes", {})
-    mix = ", ".join(
-        f"{name}={weight:.2f}"
-        for name, weight in sorted(workload.get("mix", {}).items())
-    )
-    model = workload.get("model", "?")
-    shape = (
-        f"concurrency {client.get('concurrency')}"
-        if model == "closed"
-        else f"rate {client.get('rate')}/s"
-    )
-    lines = [
-        f"model {model} ({shape}) · mix {mix} · "
-        f"zipf s={workload.get('zipf_s')} · seed {workload.get('seed')}",
-        f"{client.get('requests', 0)} requests in "
-        f"{float(client.get('elapsed_s', 0.0)):.2f}s — "
-        + ", ".join(
-            f"{outcomes.get(k, 0)} {k}"
-            for k in ("ok", "rejected", "error", "refused", "transport")
-            if outcomes.get(k)
-        ),
-    ]
-    rps = client.get("rps")
-    error_rate = client.get("error_rate")
-    facts = []
-    if rps is not None:
-        facts.append(f"throughput {float(rps):.2f} ok/s")
-    if error_rate is not None:
-        facts.append(f"error rate {float(error_rate):.4f}")
-    sources = client.get("by_source", {})
-    if sources:
-        facts.append(
-            "sources "
-            + ", ".join(
-                f"{name}={sources[name]}" for name in sorted(sources)
-            )
-        )
-    if facts:
-        lines.append(" · ".join(facts))
-    opportunity = payload.get("canonical_tier_opportunity", {})
-    if opportunity.get("isomorph_requests"):
-        lines.append(
-            f"canonical-tier opportunity: "
-            f"{opportunity.get('isomorph_computed', 0)} of "
-            f"{opportunity['isomorph_requests']} isomorph requests "
-            "recomputed (same canonical fingerprint as a cached base)"
-        )
-    return lines
+def _checks_headline(payload: Dict[str, Any]) -> Optional[str]:
+    checks = payload.get("checks", [])
+    if not checks:
+        return None
+    failed = sum(1 for c in checks if c["status"] in FAILING)
+    if failed:
+        return f"✗ FAILED: {failed} of {len(checks)} check(s)"
+    return f"✓ all {len(checks)} checks passed"
 
 
-def render_serving_markdown(payload: Dict[str, Any]) -> str:
-    """Compact summary of a ``BENCH_serving.json`` payload for CI logs."""
-    lines: List[str] = list(_serving_overview(payload))
-    latency = payload.get("latency", {}).get("ok", {})
-    if latency:
-        lines.append(
-            "ok latency: "
-            + " · ".join(
-                f"{q}={_fmt(float(latency[q]))}s"
-                for q in ("p50", "p95", "p99")
-                if latency.get(q) is not None
-            )
+def _diff_summary(diff: BenchDiff) -> Tuple[Optional[str], str]:
+    """The config-mismatch warning (if any) and the verdict headline."""
+    counts = diff.counts()
+    tally = ", ".join(f"{counts[s]} {s}" for s in sorted(counts))
+    warning = None
+    if diff.mismatched_config:
+        warning = "⚠ config mismatch: " + ", ".join(
+            f"{k}={b!r}→{c!r}" for k, (b, c) in diff.mismatched_config.items()
         )
-    slo = payload.get("slo", {})
-    for row in slo.get("verdicts", []):
-        mark = _SLO_VERDICT_MARK.get(row.get("verdict", ""), "·")
-        observed = row.get("observed")
-        shown = "—" if observed is None else _fmt(float(observed))
-        lines.append(
-            f"- {mark} SLO {row.get('objective')}: observed {shown} "
-            f"vs target {_fmt(float(row.get('target', 0.0)))} "
-            f"({row.get('verdict')})"
-        )
-    if slo.get("ok") is True:
-        lines.append("✓ SLO: all objectives met")
-    elif slo.get("ok") is False:
-        lines.append("✗ SLO: objective(s) failed")
-    cross = payload.get("crosscheck", {})
-    mismatches = [
-        row
-        for row in cross.get("checks", [])
-        if row.get("status") != "ok"
-    ]
-    if cross.get("ok"):
-        lines.append(
-            f"✓ cross-check: {len(cross.get('checks', []))} "
-            "client/server accounting checks passed"
+    if diff.has_regressions:
+        headline = (
+            f"✗ REGRESSED: {len(diff.regressions)} gated metric(s) "
+            f"({tally or 'nothing compared'})"
         )
     else:
-        lines.append("✗ cross-check: client/server accounting disagrees")
-        for row in mismatches:
+        headline = f"✓ no gated regressions ({tally or 'nothing compared'})"
+    return warning, headline
+
+
+def _diff_rows(diff: BenchDiff) -> List[Tuple[str, str, str, str, str]]:
+    """Each changed metric: (labels, name, baseline, current, verdict)."""
+    return [
+        (
+            _labels_text(f.labels),
+            f.name,
+            "—" if f.baseline is None else _num(f.baseline),
+            "—" if f.current is None else _num(f.current),
+            f.status,
+        )
+        for f in diff.fields
+        if f.status != UNCHANGED
+    ]
+
+
+def render_markdown(
+    payload: Dict[str, Any], diff: Optional[BenchDiff] = None
+) -> str:
+    """The compact view of a bench payload (and diff), for CI logs."""
+    lines = [_run_text(payload)]
+    headline = _checks_headline(payload)
+    if headline:
+        lines.append(headline)
+    for c in payload.get("checks", []):
+        detail = f": {c['detail']}" if c["detail"] else ""
+        lines.append(
+            f"- {_MARK.get(c['status'], '·')} {c['name']} ({c['status']})"
+            f"{detail}"
+        )
+    if diff is not None:
+        warning, verdict = _diff_summary(diff)
+        lines.extend(line for line in (warning, verdict) if line)
+        for labels, name, base, cur, status in _diff_rows(diff):
+            where = f"{labels} {name}" if labels else name
             lines.append(
-                f"- ✗ {row.get('check')}: expected "
-                f"{row.get('expected')!r}, observed "
-                f"{row.get('observed')!r} ({row.get('status')})"
+                f"- {_MARK.get(status, '~')} {where}: {base} → {cur} ({status})"
             )
+    for labels, items in _metric_groups(payload):
+        lines.append(f"- {labels or '(run)'}: " + " · ".join(items))
     return "\n".join(lines)
 
 
-def render_serving_html(
-    payload: Dict[str, Any],
-    title: str = "repro serving benchmark",
-) -> str:
-    """Render a ``BENCH_serving.json`` payload as self-contained HTML."""
-    overview = "".join(
-        f'<p class="meta">{html.escape(line)}</p>'
-        for line in _serving_overview(payload)
+def _table(head: Sequence[str], rows: Sequence[Sequence[str]], classes: Sequence[str]) -> str:
+    cells = "".join(f"<th>{html.escape(h)}</th>" for h in head)
+    body = "".join(
+        f'<tr class="{cls}">'
+        + "".join(f"<td>{html.escape(cell)}</td>" for cell in row)
+        + "</tr>"
+        for row, cls in zip(rows, classes)
     )
+    return f"<table><tr>{cells}</tr>{body}</table>"
 
-    slo = payload.get("slo", {})
-    slo_rows = []
-    for row in slo.get("verdicts", []):
-        cls = _SLO_VERDICT_CLASS.get(row.get("verdict", ""), "")
-        observed = row.get("observed")
-        shown = "—" if observed is None else _fmt(float(observed))
-        slo_rows.append(
-            f'<tr class="{cls}">'
-            f"<td>{html.escape(str(row.get('objective')))}</td>"
-            f'<td class="num">{_fmt(float(row.get("target", 0.0)))}</td>'
-            f'<td class="num">{shown}</td>'
-            f"<td>{html.escape(str(row.get('verdict')))}</td></tr>"
-        )
-    if slo_rows:
-        headline = (
-            '<p class="good"><strong>✓ all SLO objectives met</strong></p>'
-            if slo.get("ok")
-            else '<p class="bad"><strong>✗ SLO objective(s) failed'
-            "</strong></p>"
-        )
-        slo_html = (
-            "<section><h2>SLO verdicts</h2>" + headline +
-            "<table><tr><th>objective</th><th>target</th>"
-            "<th>observed</th><th>verdict</th></tr>"
-            + "".join(slo_rows)
-            + "</table></section>"
-        )
-    else:
-        slo_html = (
-            "<section><h2>SLO verdicts</h2>"
-            "<p>(no SLO asserted)</p></section>"
-        )
 
-    cross = payload.get("crosscheck", {})
-    check_rows = []
-    for row in cross.get("checks", []):
-        cls = _CHECK_STATUS_CLASS.get(row.get("status", ""), "")
-        detail = row.get("detail", "")
-        check_rows.append(
-            f'<tr class="{cls}">'
-            f"<td>{html.escape(str(row.get('check')))}</td>"
-            f'<td class="num">{html.escape(str(row.get("expected")))}</td>'
-            f'<td class="num">{html.escape(str(row.get("observed")))}</td>'
-            f"<td>{html.escape(str(row.get('status')))}</td>"
-            f"<td>{html.escape(str(detail))}</td></tr>"
-        )
-    cross_headline = (
-        '<p class="good"><strong>✓ server metrics account for every '
-        "client request</strong></p>"
-        if cross.get("ok")
-        else '<p class="bad"><strong>✗ client/server accounting '
-        "disagrees</strong></p>"
-    )
-    cross_html = (
-        "<section><h2>Client/server cross-check</h2>" + cross_headline +
-        "<table><tr><th>check</th><th>expected</th><th>observed</th>"
-        "<th>status</th><th>detail</th></tr>"
-        + "".join(check_rows)
-        + "</table></section>"
-    )
-
-    latency = payload.get("latency", {})
-    latency_rows = []
-    for label, block in (
-        ("all requests", latency.get("all")),
-        ("ok only", latency.get("ok")),
-    ):
-        if not block:
+def _fit_charts(metrics: Sequence[Dict[str, Any]]) -> str:
+    """A log-log chart per exponent: the metric it was fitted on,
+    against its ``x`` metric, over the label sets extending its own."""
+    by_key = {
+        (m["name"], _labels_text(m["labels"])): m["value"]
+        for m in metrics
+        if m["kind"] != EXPONENT
+    }
+    charts = []
+    for fit in metrics:
+        if fit["kind"] != EXPONENT or "x" not in fit or "coeff" not in fit:
             continue
-        latency_rows.append(
-            f"<tr><td>{html.escape(label)}</td>"
-            f'<td class="num">{block.get("count", 0)}</td>'
-            + "".join(
-                f'<td class="num">'
-                f"{_fmt(float(block[q])) if block.get(q) is not None else '—'}"
-                "</td>"
-                for q in ("p50", "p95", "p99", "max")
-            )
-            + "</tr>"
+        points = sorted(
+            (by_key[(fit["x"], _labels_text(m["labels"]))], m["value"])
+            for m in metrics
+            if m["name"] == fit["name"]
+            and m["kind"] != EXPONENT
+            and all(m["labels"].get(k) == v for k, v in fit["labels"].items())
+            and (fit["x"], _labels_text(m["labels"])) in by_key
         )
-    for block in latency.get("ok_by_source", []):
-        labels = block.get("labels", {})
-        latency_rows.append(
-            f"<tr><td>ok · source={html.escape(str(labels.get('source')))}"
-            f'</td><td class="num">{block.get("count", 0)}</td>'
-            + "".join(
-                f'<td class="num">'
-                f"{_fmt(float(block[q])) if block.get(q) is not None else '—'}"
-                "</td>"
-                for q in ("p50", "p95", "p99", "max")
+        if len(points) >= 2:
+            title = f"{fit['name']} vs {fit['x']} · {_labels_text(fit['labels'])}"
+            charts.append(
+                _svg_chart(
+                    title,
+                    [x for x, _ in points],
+                    [y for _, y in points],
+                    log_x=True,
+                    log_y=True,
+                    fit=(fit["value"], fit["coeff"]),
+                )
             )
-            + "</tr>"
+    return '<div class="curves">' + "".join(charts) + "</div>" if charts else ""
+
+
+def render_html(
+    payload: Dict[str, Any],
+    diff: Optional[BenchDiff] = None,
+    title: Optional[str] = None,
+) -> str:
+    """The full, self-contained HTML view of a bench payload (and diff)."""
+    sections = [
+        f'<p class="meta">{html.escape(_run_text(payload))} · schema '
+        f"{payload.get('schema')}</p>"
+    ]
+    checks = payload.get("checks", [])
+    if checks:
+        failed = any(c["status"] in FAILING for c in checks)
+        sections.append(
+            "<section><h2>Checks</h2>"
+            f'<p class="{"bad" if failed else "good"}"><strong>'
+            f"{html.escape(_checks_headline(payload) or '')}</strong></p>"
+            + _table(
+                ("check", "status", "detail"),
+                [(c["name"], c["status"], c["detail"]) for c in checks],
+                [_CLASS.get(c["status"], "") for c in checks],
+            )
+            + "</section>"
         )
-    latency_html = (
-        "<section><h2>Client-observed latency</h2>"
-        "<table><tr><th>slice</th><th>count</th><th>p50</th>"
-        "<th>p95</th><th>p99</th><th>max</th></tr>"
-        + ("".join(latency_rows) or '<tr><td colspan="6">(none)</td></tr>')
-        + "</table></section>"
+    if diff is not None:
+        warning, verdict = _diff_summary(diff)
+        rows = _diff_rows(diff)
+        sections.append(
+            "<section><h2>Baseline comparison</h2>"
+            + (f'<p class="bad">{html.escape(warning)}</p>' if warning else "")
+            + f'<p class="{"bad" if diff.has_regressions else "good"}">'
+            f"<strong>{html.escape(verdict)}</strong></p>"
+            + _table(
+                ("labels", "metric", "baseline", "current", "verdict"),
+                rows or [("", "no changes: every metric within tolerance", "", "", "")],
+                [_CLASS.get(row[4], "") for row in rows] or [""],
+            )
+            + "</section>"
+        )
+    metrics = payload.get("metrics", [])
+    groups = _metric_groups(payload)
+    sections.append(
+        "<section><h2>Metrics</h2>"
+        + _fit_charts(metrics)
+        + _table(
+            ("labels", "metrics"),
+            [(labels or "(run)", " · ".join(items)) for labels, items in groups],
+            [""] * len(groups),
+        )
+        + "</section>"
     )
-
-    corpus = payload.get("corpus", {})
-    corpus_html = (
-        "<section><h2>Corpus</h2><p class='meta'>"
-        f"{corpus.get('entries', 0)} entries "
-        f"({corpus.get('bases', 0)} base, "
-        f"{corpus.get('isomorphs', 0)} relabeled isomorph) · "
-        f"{corpus.get('modules', 0)} modules, "
-        f"{corpus.get('nets', 0)} nets total</p></section>"
-    )
-
-    return _page(
-        title, overview + slo_html + cross_html + latency_html + corpus_html
-    )
+    for trace in payload.get("traces", []):
+        events = trace.get("events", [])
+        sections.append(
+            f"<section><h2>{html.escape(_labels_text(trace.get('labels', {})))}"
+            "</h2>"
+            + _trace_html(span_tree_from_events(events), events, {})
+            + "</section>"
+        )
+    return _page(title or f"repro {payload.get('kind')} report", "".join(sections))
 
 
 # ----------------------------------------------------------------------
-# Scale-curve reports (BENCH_scale.json)
+# The CLI tail
 
 
-def _svg_loglog(
-    title: str,
-    xs: List[float],
-    ys: List[float],
-    exponent: Optional[float] = None,
-    coeff: Optional[float] = None,
-) -> str:
-    """A log-log scatter of measured points with the fitted power law.
-
-    ``exponent`` / ``coeff`` describe the least-squares fit
-    ``y = coeff * x**exponent``; when given, it is drawn as a dashed
-    line across the measured x range, so curvature away from the fit —
-    the thing a single exponent number hides — is visible at a glance.
-    """
-    width, height = 340, 180
-    left, right, top, bottom = 52, 10, 22, 22
-    plot_w = width - left - right
-    plot_h = height - top - bottom
-
-    pairs = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0]
-    if len(pairs) < 2:
-        return ""
-    lx = [math.log10(x) for x, _ in pairs]
-    ly = [math.log10(y) for _, y in pairs]
-    x_min, x_max = min(lx), max(lx)
-    y_min, y_max = min(ly), max(ly)
-    if exponent is not None and coeff is not None and coeff > 0:
-        fit_lo = math.log10(coeff) + exponent * x_min
-        fit_hi = math.log10(coeff) + exponent * x_max
-        y_min = min(y_min, fit_lo, fit_hi)
-        y_max = max(y_max, fit_lo, fit_hi)
-    if x_max == x_min:
-        x_max = x_min + 1.0
-    if y_max == y_min:
-        y_max = y_min + 1.0
-
-    def px(x: float) -> float:
-        return left + (x - x_min) / (x_max - x_min) * plot_w
-
-    def py(y: float) -> float:
-        return top + (y_max - y) / (y_max - y_min) * plot_h
-
-    points = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in zip(lx, ly))
-    dots = "".join(
-        f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="2.5" class="pp"/>'
-        for x, y in zip(lx, ly)
-    )
-    fit_line = ""
-    label = title
-    if exponent is not None and coeff is not None and coeff > 0:
-        fit_lo = math.log10(coeff) + exponent * x_min
-        fit_hi = math.log10(coeff) + exponent * x_max
-        fit_line = (
-            f'<polyline points="{px(x_min):.1f},{py(fit_lo):.1f} '
-            f'{px(x_max):.1f},{py(fit_hi):.1f}" class="pfit"/>'
-        )
-        label = f"{title} ~ n^{exponent:.2f}"
-    return (
-        f'<svg class="curve" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" role="img">'
-        f'<text x="{left}" y="13" class="ct">{html.escape(label)} '
-        f"(log-log)</text>"
-        f'<rect x="{left}" y="{top}" width="{plot_w}" '
-        f'height="{plot_h}" class="pf"/>'
-        f"{fit_line}"
-        f'<polyline points="{points}" class="pl"/>'
-        f"{dots}"
-        f'<text x="{left - 4}" y="{top + 8}" class="al" '
-        f'text-anchor="end">{_fmt(10 ** y_max)}</text>'
-        f'<text x="{left - 4}" y="{top + plot_h}" class="al" '
-        f'text-anchor="end">{_fmt(10 ** y_min)}</text>'
-        f'<text x="{left}" y="{height - 6}" class="al">'
-        f"{_fmt(10 ** x_min)}</text>"
-        f'<text x="{width - right}" y="{height - 6}" class="al" '
-        f'text-anchor="end">{_fmt(10 ** x_max)}</text>'
-        f"</svg>"
-    )
-
-
-def _fit_label(fit: Optional[Dict[str, Any]]) -> str:
-    if not fit or fit.get("exponent") is None:
-        return "—"
-    text = f"n^{float(fit['exponent']):.3f}"
-    stderr = fit.get("stderr")
-    if stderr is not None:
-        text += f" ±{float(stderr):.3f}"
-    r2 = fit.get("r2")
-    if r2 is not None:
-        text += f" (R²={float(r2):.3f})"
-    return text
-
-
-def _scale_meta_line(payload: Dict[str, Any]) -> str:
-    scales = payload.get("scales", [])
-    ladder = ", ".join(_fmt(float(s)) for s in scales)
-    return (
-        f"circuit {payload.get('circuit', '?')} · seed "
-        f"{payload.get('seed', '?')} · ladder ×[{ladder}] · schema "
-        f"{payload.get('schema', '?')}"
-    )
-
-
-def _scale_diff_section(diff: ScaleDiff) -> str:
-    counts = diff.counts()
-    badges = " ".join(
-        f'<span class="badge {_STATUS_CLASS.get(status, "")}">'
-        f"{counts[status]} {status}</span>"
-        for status in sorted(counts)
-    )
-    warning = ""
-    if diff.mismatched_config:
-        pairs = ", ".join(
-            f"{k}: {diff.baseline_meta.get(k)!r} → "
-            f"{diff.current_meta.get(k)!r}"
-            for k in diff.mismatched_config
-        )
-        warning = (
-            f'<p class="bad">⚠ config mismatch between payloads '
-            f"({html.escape(pairs)}) — exponents below compare different "
-            "ladders.</p>"
-        )
-    verdict = (
-        '<p class="bad"><strong>✗ complexity-exponent regression</strong>'
-        f" — {len(diff.regressions)} fit(s) drifted beyond tolerance</p>"
-        if diff.has_regressions
-        else '<p class="good"><strong>✓ no exponent regressions'
-        "</strong></p>"
-    )
-    rows = []
-    for f in diff.fields:
-        if f.status == "unchanged":
-            continue
-        cls = _STATUS_CLASS.get(f.status, "")
-        b = "—" if f.baseline is None else _fmt(float(f.baseline))
-        c = "—" if f.current is None else _fmt(float(f.current))
-        rows.append(
-            f'<tr class="{cls}"><td>{html.escape(f.kind)}</td>'
-            f"<td>{html.escape(f.name)}</td>"
-            f'<td class="num">{b}</td><td class="num">{c}</td>'
-            f"<td>{f.status}</td></tr>"
-        )
-    body = "".join(rows) or (
-        '<tr><td colspan="5">every fitted exponent is within '
-        "tolerance of the baseline</td></tr>"
-    )
-    return (
-        "<section><h2>Baseline comparison</h2>"
-        f"{warning}{verdict}<p>{badges}</p>"
-        "<table><tr><th>kind</th><th>field</th><th>baseline</th>"
-        "<th>current</th><th>verdict</th></tr>"
-        f"{body}</table></section>"
-    )
-
-
-def render_scale_html(
+def publish(
     payload: Dict[str, Any],
-    diff: Optional[ScaleDiff] = None,
-    title: str = "repro scale curves",
-) -> str:
-    """Render a ``BENCH_scale.json`` payload (and optional diff) as
-    self-contained HTML: per-algorithm log-log plots of wall time and
-    peak memory against instance size, the fitted power laws, and the
-    raw measurement table."""
-    sections = [
-        f'<p class="meta">{html.escape(_scale_meta_line(payload))}</p>'
-    ]
-    if diff is not None:
-        sections.append(_scale_diff_section(diff))
-    for alg in payload.get("algorithms", []):
-        points = alg.get("points", [])
-        sizes = [float(p.get("modules", 0)) for p in points]
-        walls = [float(p.get("wall_s", 0.0)) for p in points]
-        peaks = [float(p.get("peak_mem_bytes") or 0) for p in points]
-        fits = alg.get("fits", {})
-        time_fit = fits.get("time") or {}
-        mem_fit = fits.get("memory") or {}
-        charts = _svg_loglog(
-            "wall_s vs modules",
-            sizes,
-            walls,
-            time_fit.get("exponent"),
-            time_fit.get("coeff"),
-        )
-        if any(peaks):
-            charts += _svg_loglog(
-                "peak_mem vs modules",
-                sizes,
-                peaks,
-                mem_fit.get("exponent"),
-                mem_fit.get("coeff"),
-            )
-        fit_meta = (
-            f'<p class="meta">time {_fit_label(time_fit)} · '
-            f"memory {_fit_label(mem_fit)}</p>"
-        )
-        rows = "".join(
-            f'<tr><td class="num">{_fmt(float(p.get("scale", 0)))}</td>'
-            f'<td class="num">{p.get("modules", "—")}</td>'
-            f'<td class="num">{p.get("nets", "—")}</td>'
-            f'<td class="num">{float(p.get("wall_s", 0.0)):.4f}</td>'
-            f'<td class="num">'
-            f"{_fmt(float(p.get('peak_mem_bytes') or 0))}</td>"
-            f'<td class="num">{p.get("nets_cut", "—")}</td></tr>'
-            for p in points
-        )
-        table = (
-            "<table><tr><th>scale</th><th>modules</th><th>nets</th>"
-            "<th>wall_s</th><th>peak_mem_bytes</th><th>nets_cut</th></tr>"
-            f"{rows}</table>"
-        )
-        sections.append(
-            f"<section><h2>{html.escape(str(alg.get('algorithm', '?')))}"
-            f"</h2>{fit_meta}"
-            f'<div class="curves">{charts}</div>{table}</section>'
-        )
-    return _page(title, "".join(sections))
+    out: Optional[str] = None,
+    report: Optional[str] = None,
+    baseline: Optional[Dict[str, Any]] = None,
+    thresholds: DiffThresholds = DiffThresholds(),
+    exponent_tol: float = 0.2,
+    fail_on_regress: bool = False,
+    quiet: bool = False,
+) -> int:
+    """Write, compare and report one payload; return the exit code.
 
-
-def render_scale_markdown(
-    payload: Dict[str, Any], diff: Optional[ScaleDiff] = None
-) -> str:
-    """Compact summary of a scale-curve run (and optional diff) for CI
-    logs: one line per algorithm with both fitted exponents, then the
-    baseline verdicts."""
-    lines = [_scale_meta_line(payload)]
-    for alg in payload.get("algorithms", []):
-        fits = alg.get("fits", {})
-        points = alg.get("points", [])
-        largest = points[-1] if points else {}
-        lines.append(
-            f"- {alg.get('algorithm', '?')}: time {_fit_label(fits.get('time'))}"
-            f" · memory {_fit_label(fits.get('memory'))}"
-            f" · largest {largest.get('modules', '—')} modules in "
-            f"{float(largest.get('wall_s', 0.0)):.3f}s"
+    Writes ``payload`` to ``out``, diffs it against ``baseline``, prints
+    the markdown view (unless ``quiet``) and writes the HTML view to
+    ``report``.  Exit codes: 0 ok; 1 a check failed, or a gated metric
+    regressed under ``fail_on_regress``; 2 the baseline shares no
+    metric key with the run, so nothing was compared.  Raises
+    ``OSError`` when a file cannot be written.
+    """
+    if out:
+        write_payload(payload, out)
+        print(f"wrote {out}", file=sys.stderr)
+    diff = None
+    if baseline is not None:
+        diff = diff_payloads(baseline, payload, thresholds, exponent_tol)
+        if not diff.common:
+            print(
+                "error: the baseline shares no metric with this run "
+                "(other circuits, algorithms or ladder?); nothing to compare",
+                file=sys.stderr,
+            )
+            return 2
+    if not quiet:
+        print(render_markdown(payload, diff))
+    if report:
+        Path(report).write_text(render_html(payload, diff), encoding="utf-8")
+        print(f"wrote report to {report}", file=sys.stderr)
+    if not payload["ok"]:
+        print("FAIL: a check failed", file=sys.stderr)
+        return 1
+    if diff is not None and fail_on_regress and diff.has_regressions:
+        print(
+            f"FAIL: {len(diff.regressions)} gated regression(s)",
+            file=sys.stderr,
         )
-    if diff is not None:
-        counts = diff.counts()
-        tally = ", ".join(
-            f"{counts[status]} {status}" for status in sorted(counts)
-        )
-        if diff.mismatched_config:
-            pairs = ", ".join(
-                f"{k}={diff.baseline_meta.get(k)!r}→"
-                f"{diff.current_meta.get(k)!r}"
-                for k in diff.mismatched_config
-            )
-            lines.append(f"⚠ config mismatch: {pairs}")
-        if diff.has_regressions:
-            lines.append(
-                f"✗ REGRESSED: {len(diff.regressions)} complexity "
-                f"exponent(s) drifted ({tally})"
-            )
-        else:
-            lines.append(f"✓ no exponent regressions ({tally})")
-        for f in diff.fields:
-            if f.status == "unchanged":
-                continue
-            b = "—" if f.baseline is None else _fmt(float(f.baseline))
-            c = "—" if f.current is None else _fmt(float(f.current))
-            marker = "✗" if f.is_regression else "~"
-            lines.append(
-                f"- {marker} {f.kind} {f.name}: {b} → {c} ({f.status})"
-            )
-    return "\n".join(lines)
+        return 1
+    return 0
 
 
 def load_jsonl(path: Any) -> List[Dict[str, Any]]:

@@ -78,18 +78,34 @@ class TestEcoScenario:
     def test_scenario_payload_shape_and_gates(self, tmp_path):
         from repro.bench.eco_scenario import run_eco_scenario
 
-        record = run_eco_scenario(
+        from repro.obs import validate_payload
+
+        payload = run_eco_scenario(
             "Test02", scale=0.3, deltas=2, min_speedup=0.0
         )
-        assert record["schema"] == 1
-        assert record["scenario"] == "eco-warm-vs-cold"
-        assert len(record["edits"]) == 2
-        assert record["verified"]["all_edits_served_warm"]
-        assert record["verified"]["quality_no_worse_than_cold"]
-        assert record["verified"]["no_base_misses"]
-        assert record["verified"]["sessions_chained"]
-        assert record["counters"]["service.delta.warm"] == 2
-        json.dumps(record)  # must be serialisable as-is
+        validate_payload(json.loads(json.dumps(payload)), "eco")
+        assert payload["run"]["deltas"] == 2
+        edits = {
+            m["labels"]["edit"]
+            for m in payload["metrics"]
+            if "edit" in m["labels"]
+        }
+        assert edits == {0, 1}
+        assert {c["name"]: c["status"] for c in payload["checks"]} == dict.fromkeys(
+            [
+                "all_edits_served_warm",
+                "quality_no_worse_than_cold",
+                "speedup_at_least_min",
+                "no_base_misses",
+                "sessions_chained",
+            ],
+            "pass",
+        )
+        (warm,) = [
+            m["value"] for m in payload["metrics"]
+            if m["name"] == "service.delta.warm"
+        ]
+        assert warm == 2
 
     def test_cli_writes_record_and_gates(self, tmp_path, capsys):
         from repro.bench.__main__ import main as bench_main
@@ -110,6 +126,6 @@ class TestEcoScenario:
             ]
         )
         assert code == 0
-        record = json.loads(out.read_text())
-        assert record["ok"] is True
-        assert "PASS" in capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        assert payload["kind"] == "eco" and payload["ok"] is True
+        assert "(pass)" in capsys.readouterr().out

@@ -4,8 +4,8 @@ Covers the tentpole contract end to end: deterministic workloads driven
 over HTTP, client-side histograms, the before/after ``/metrics``
 cross-check (every client request accounted in server deltas), 429
 backpressure recorded as ``rejected`` (not an error), graceful drain
-losing zero accepted requests, the schema'd payload, renderers, and the
-CLI exit codes.
+losing zero accepted requests, the ``serving`` bench payload and its
+rendering, and the CLI exit codes.
 """
 
 import json
@@ -25,11 +25,10 @@ from repro.loadgen import (
     parse_slo,
     run_serving_scenario,
     scrape_metrics,
-    validate_payload,
 )
 from repro.loadgen.__main__ import EXIT_FAILED, EXIT_OK, main
 from repro.loadgen.scenario import settle_metrics
-from repro.obs import render_serving_html, render_serving_markdown
+from repro.obs import render_html, render_markdown, validate_payload
 from repro.service import PartitionEngine, ResultCache, create_server
 from repro.service.http import AccessLog
 
@@ -37,6 +36,23 @@ from repro.service.http import AccessLog
 @pytest.fixture(scope="module")
 def corpus():
     return build_corpus(distinct=2, isomorphs=1, seed=0, scale=0.1)
+
+
+def _values(payload, name):
+    """``{labels: value}`` of every metric called ``name``."""
+    return {
+        tuple(sorted(m["labels"].items())): m["value"]
+        for m in payload["metrics"]
+        if m["name"] == name
+    }
+
+
+def _statuses(payload, prefix=""):
+    return {
+        c["name"]: c["status"]
+        for c in payload["checks"]
+        if c["name"].startswith(prefix)
+    }
 
 
 def _workload(corpus, **kwargs):
@@ -108,16 +124,17 @@ class TestClosedLoopRun:
         payload = build_payload(
             result, workload, corpus, slo, checks
         )
-        validate_payload(payload)
-        assert payload["slo"]["ok"] is True
-        assert payload["crosscheck"]["ok"] is True
+        validate_payload(payload, "serving")
+        assert payload["ok"] is True
+        assert set(_statuses(payload, "slo.").values()) == {"pass"}
+        assert len(payload["checks"]) == 2 + len(checks)
 
         # Renderers accept the payload.
-        markdown = render_serving_markdown(payload)
-        assert "cross-check" in markdown
-        html = render_serving_html(payload)
+        markdown = render_markdown(payload)
+        assert "http.request.duration_seconds count delta" in markdown
+        html = render_html(payload)
         assert html.startswith("<!doctype html>")
-        assert "SLO verdicts" in html
+        assert "slo.p99" in html
 
         # The payload is JSON-serialisable as written.
         (tmp_path / "BENCH_serving.json").write_text(json.dumps(payload))
@@ -186,13 +203,12 @@ class TestBackpressure:
             parse_slo("error_rate=0.01"),
             checks,
         )
-        validate_payload(payload)
+        validate_payload(payload, "serving")
         # With zero non-rejected requests the error rate is unobservable
         # — skipped, not failed: shedding is flow control, not an error.
-        assert payload["client"]["error_rate"] is None
-        verdicts = payload["slo"]["verdicts"]
-        assert verdicts[0]["verdict"] == "skipped"
-        assert payload["slo"]["ok"] is True
+        assert _values(payload, "error_rate") == {}
+        assert _statuses(payload, "slo.") == {"slo.error_rate": "skipped"}
+        assert payload["ok"] is True
 
 
 class TestGracefulDrain:
@@ -252,10 +268,12 @@ class TestScenarioAndCli:
             isomorphs=1,
             scale=0.1,
         )
-        validate_payload(payload)
-        assert payload["crosscheck"]["ok"] is True
-        assert payload["slo"]["ok"] is True
-        assert payload["client"]["outcomes"]["ok"] == result.count("ok")
+        validate_payload(payload, "serving")
+        assert payload["ok"] is True
+        assert set(_statuses(payload).values()) == {"pass"}
+        assert _values(payload, "requests")[(("outcome", "ok"),)] == (
+            result.count("ok")
+        )
 
     def test_cli_writes_reports_and_exits_zero(self, tmp_path):
         out = tmp_path / "BENCH_serving.json"
@@ -278,7 +296,7 @@ class TestScenarioAndCli:
         )
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
-        validate_payload(payload)
+        validate_payload(payload, "serving")
         assert html.read_text().startswith("<!doctype html>")
 
     def test_cli_failing_slo_exits_nonzero(self, tmp_path):
@@ -333,10 +351,26 @@ class TestValidatePayload:
         from repro.errors import ReproError
 
         with pytest.raises(ReproError, match="JSON object"):
-            validate_payload([])
+            validate_payload([], "serving")
         with pytest.raises(ReproError, match="schema"):
-            validate_payload({"schema": 99})
+            validate_payload({"schema": 99}, "serving")
         with pytest.raises(ReproError, match="kind"):
-            validate_payload({"schema": 1, "kind": "nope"})
-        with pytest.raises(ReproError, match="missing key"):
-            validate_payload({"schema": 1, "kind": "serving"})
+            validate_payload({"schema": 3, "kind": "nope"}, "serving")
+        with pytest.raises(ReproError, match="'run' must be an object"):
+            validate_payload({"schema": 3, "kind": "serving"}, "serving")
+        eco = {
+            "schema": 3, "kind": "eco", "run": {}, "metrics": [],
+            "checks": [], "ok": True,
+        }
+        validate_payload(eco)
+        with pytest.raises(ReproError, match="differs from this run's"):
+            validate_payload(eco, "serving")
+        bad_check = dict(
+            eco, checks=[{"name": "x", "status": "mismatch", "detail": ""}]
+        )
+        with pytest.raises(ReproError, match="check 0"):
+            validate_payload(bad_check)
+        with pytest.raises(ReproError, match="disagrees"):
+            validate_payload(
+                dict(eco, checks=[{"name": "x", "status": "fail", "detail": ""}])
+            )

@@ -432,21 +432,24 @@ class TestObservedSuite:
         from repro.bench import run_observed_suite
 
         out = tmp_path / "BENCH_obs.json"
-        payload = run_observed_suite(
-            names=["bm1"], scale=0.1, out_path=out
-        )
-        assert payload["schema"] == 2
-        (circuit,) = payload["circuits"]
-        assert circuit["name"] == "bm1"
-        assert circuit["nets_cut"] >= 0
-        assert "igmatch.sweep" in circuit["phases"]
-        assert circuit["counters"]["matching.augmentations"] > 0
-        # Schema 2: raw span events (for the phase-tree flame view) and
-        # convergence curves ride along.
-        span_names = {e["name"] for e in circuit["spans"]}
-        assert "igmatch" in span_names
-        curve_names = {e["name"] for e in circuit["curves"]}
-        assert "igmatch.curve" in curve_names
-        on_disk = json.loads(out.read_text())
+        payload = run_observed_suite(names=["bm1"], scale=0.1)
+        obs.write_payload(payload, out)
+        assert (payload["schema"], payload["kind"]) == (3, "obs")
+        values = {
+            (m["name"], m["labels"].get("phase")): m["value"]
+            for m in payload["metrics"]
+        }
+        assert {m["labels"]["circuit"] for m in payload["metrics"]} == {"bm1"}
+        assert values[("nets_cut", None)] >= 0
+        assert values[("phase.count", "igmatch.sweep")] == 1
+        assert values[("matching.augmentations", None)] > 0
+        # The trace keeps the raw span events (for the phase-tree flame
+        # view) and the convergence curves.
+        (trace,) = payload["traces"]
+        assert trace["labels"] == {"circuit": "bm1"}
+        names = {(e["type"], e["name"]) for e in trace["events"]}
+        assert ("span", "igmatch") in names
+        assert ("point", "igmatch.curve") in names
+        on_disk = obs.load_payload(out, "obs")
         assert on_disk == payload
         assert not obs.is_enabled()

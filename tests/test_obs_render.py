@@ -125,7 +125,7 @@ class TestBenchHtml:
         diff = obs.diff_payloads(base, cur)
         html = render_html(cur, diff=diff)
         assert "Baseline comparison" in html
-        assert "deterministic regression" in html
+        assert "REGRESSED" in html
         assert "lanczos.iterations" in html
 
     def test_config_mismatch_warning(self):
@@ -146,23 +146,25 @@ class TestMarkdown:
     def test_clean_diff_summary(self):
         base = make_payload()
         diff = obs.diff_payloads(base, make_payload())
-        text = render_markdown(diff)
-        assert "no deterministic regressions" in text
+        text = render_markdown(make_payload(), diff)
+        assert "no gated regressions" in text
 
     def test_regression_lines(self):
         cur = make_payload(
             make_circuit(counters={"lanczos.iterations": 99})
         )
         diff = obs.diff_payloads(make_payload(), cur)
-        text = render_markdown(diff)
+        text = render_markdown(cur, diff)
         assert "REGRESSED" in text
-        assert "lanczos.iterations" in text
-        assert "missing" in text  # matching.augmentations disappeared
+        assert "circuit=bm1 lanczos.iterations: 40 → 99 (regressed)" in text
+        # matching.augmentations disappeared.
+        assert "circuit=bm1 matching.augmentations: 70 → — (missing)" in text
 
     def test_missing_circuit_line(self):
         base = make_payload(make_circuit("bm1"), make_circuit("Prim1"))
-        diff = obs.diff_payloads(base, make_payload(make_circuit("bm1")))
-        assert "Prim1: circuit missing" in render_markdown(diff)
+        cur = make_payload(make_circuit("bm1"))
+        text = render_markdown(cur, obs.diff_payloads(base, cur))
+        assert "circuit=Prim1 nets_cut: 5 → — (missing)" in text
 
 
 class TestCurveDownsampling:

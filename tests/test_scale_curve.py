@@ -5,13 +5,16 @@ import json
 
 import pytest
 
-from repro.bench import fit_power_law, run_scale_curve, validate_scale_payload
+from repro.bench import fit_power_law, run_scale_curve
 from repro.bench.__main__ import main as bench_main
 from repro.errors import ReproError
 from repro.obs import (
-    diff_scale_payloads,
-    render_scale_html,
-    render_scale_markdown,
+    diff_payloads,
+    load_payload,
+    render_html,
+    render_markdown,
+    validate_payload,
+    write_payload,
 )
 
 #: A tiny, fast ladder shared by the tests that need a real sweep.
@@ -55,29 +58,48 @@ class TestFit:
             fit_power_law([100, 200], [1.0])
 
 
+def _rungs(payload, algorithm="fm"):
+    """Per-rung metric values, ``{scale: {name: value}}``."""
+    rungs = {}
+    for m in payload["metrics"]:
+        if m["labels"].get("algorithm") == algorithm and "scale" in m["labels"]:
+            rungs.setdefault(m["labels"]["scale"], {})[m["name"]] = m["value"]
+    return rungs
+
+
+def _exponents(payload):
+    return {
+        (m["labels"]["algorithm"], m["name"]): m
+        for m in payload["metrics"]
+        if m["kind"] == "exponent"
+    }
+
+
 class TestRunScaleCurve:
     def test_payload_is_schema_valid(self, payload):
-        assert validate_scale_payload(payload) == []
+        validate_payload(payload, "scale")
         assert payload["kind"] == "scale"
-        assert payload["circuit"] == "Test02"
+        assert payload["run"]["circuit"] == "Test02"
 
     def test_points_grow_along_the_ladder(self, payload):
-        points = payload["algorithms"][0]["points"]
-        assert len(points) == 3
-        modules = [p["modules"] for p in points]
+        rungs = _rungs(payload)
+        assert sorted(rungs) == [0.1, 0.2, 0.4]
+        modules = [rungs[s]["modules"] for s in sorted(rungs)]
         assert modules == sorted(modules) and modules[0] < modules[-1]
-        for p in points:
-            assert p["wall_s"] > 0
-            assert p["peak_mem_bytes"] > 0
-            assert p["nets_cut"] >= 0
+        for rung in rungs.values():
+            assert rung["wall_s"] > 0
+            assert rung["peak_mem_bytes"] > 0
+            assert rung["nets_cut"] >= 0
 
     def test_fits_present_for_both_metrics(self, payload):
-        fits = payload["algorithms"][0]["fits"]
-        for metric in ("time", "memory"):
-            assert set(fits[metric]) == {"exponent", "coeff", "stderr", "r2"}
+        fits = _exponents(payload)
+        assert set(fits) == {("fm", "wall_s"), ("fm", "peak_mem_bytes")}
+        for fit in fits.values():
+            assert fit["x"] == "modules"
+            assert {"stderr", "coeff", "r2"} <= set(fit)
         # Memory of any sane implementation grows at least linearly-ish
         # and far slower than n^3.
-        assert 0.1 < fits["memory"]["exponent"] < 3.0
+        assert 0.1 < fits[("fm", "peak_mem_bytes")]["value"] < 3.0
 
     def test_rejects_single_rung(self):
         with pytest.raises(ReproError):
@@ -85,58 +107,64 @@ class TestRunScaleCurve:
 
     def test_writes_out_path(self, tmp_path):
         out = tmp_path / "BENCH_scale.json"
-        run_scale_curve(
-            circuit="Test02", scales=(0.1, 0.2), algorithms=("fm",),
-            out_path=out,
+        write_payload(
+            run_scale_curve(
+                circuit="Test02", scales=(0.1, 0.2), algorithms=("fm",)
+            ),
+            out,
         )
-        assert validate_scale_payload(json.loads(out.read_text())) == []
+        assert load_payload(out, "scale")["kind"] == "scale"
 
 
 class TestValidate:
     def test_flags_structural_problems(self, payload):
-        assert validate_scale_payload([]) != []
-        assert any(
-            "kind" in p for p in validate_scale_payload({"schema": 1})
-        )
+        with pytest.raises(ReproError, match="not a bench payload"):
+            validate_payload([])
+        with pytest.raises(ReproError, match="kind"):
+            validate_payload(payload, "obs")
         broken = json.loads(json.dumps(payload))
-        del broken["algorithms"][0]["fits"]["time"]["exponent"]
-        broken["algorithms"][0]["points"][0].pop("wall_s")
-        problems = validate_scale_payload(broken)
-        assert any("fits.time" in p for p in problems)
-        assert any("point 0" in p for p in problems)
+        exponent = next(
+            i for i, m in enumerate(broken["metrics"]) if m["kind"] == "exponent"
+        )
+        del broken["metrics"][exponent]["stderr"]
+        broken["metrics"][0].pop("value")
+        with pytest.raises(ReproError) as info:
+            validate_payload(broken)
+        assert f"metric {exponent} ('wall_s'): an exponent needs" in str(info.value)
+        assert "metric 0: missing ['value']" in str(info.value)
 
 
 def _with_exponents(payload, delta):
     """Copy of ``payload`` with every fitted exponent shifted by
     ``delta`` and tight stderr, so the drift band stays at the floor."""
     copy = json.loads(json.dumps(payload))
-    for alg in copy["algorithms"]:
-        for metric in ("time", "memory"):
-            alg["fits"][metric]["exponent"] += delta
-            alg["fits"][metric]["stderr"] = 0.0
+    for m in copy["metrics"]:
+        if m["kind"] == "exponent":
+            m["value"] += delta
+            m["stderr"] = 0.0
     return copy
 
 
 class TestDiff:
     def test_self_diff_is_unchanged_and_passes(self, payload):
-        diff = diff_scale_payloads(payload, payload)
+        diff = diff_payloads(payload, payload)
         assert not diff.has_regressions
         exponents = [f for f in diff.fields if f.kind == "exponent"]
         assert len(exponents) == 2  # time + memory for one algorithm
-        assert all(f.status == "unchanged" for f in exponents)
+        assert all(f.status == "unchanged" for f in diff.fields)
 
     def test_grown_exponent_regresses_and_gates(self, payload):
         current = _with_exponents(payload, +1.0)
         baseline = _with_exponents(payload, 0.0)
-        diff = diff_scale_payloads(baseline, current)
+        diff = diff_payloads(baseline, current)
         assert diff.has_regressions
-        assert {f.name for f in diff.regressions} == {
-            "fm.time_exponent", "fm.memory_exponent",
+        assert {(f.labels["algorithm"], f.name) for f in diff.regressions} == {
+            ("fm", "wall_s"), ("fm", "peak_mem_bytes"),
         }
-        assert all(f.deterministic for f in diff.regressions)
+        assert all(f.gates and f.kind == "exponent" for f in diff.regressions)
 
     def test_shrunk_exponent_improves(self, payload):
-        diff = diff_scale_payloads(
+        diff = diff_payloads(
             _with_exponents(payload, 0.0), _with_exponents(payload, -1.0)
         )
         assert not diff.has_regressions
@@ -146,61 +174,66 @@ class TestDiff:
         baseline = _with_exponents(payload, 0.0)
         current = _with_exponents(payload, +0.5)
         # 0.5 drift > 0.2 floor: regresses with exact fits...
-        assert diff_scale_payloads(baseline, current).has_regressions
+        assert diff_payloads(baseline, current).has_regressions
         # ...but not when the fits themselves are that uncertain.
-        for alg in current["algorithms"]:
-            for metric in ("time", "memory"):
-                alg["fits"][metric]["stderr"] = 0.3
-        assert not diff_scale_payloads(baseline, current).has_regressions
+        for m in current["metrics"]:
+            if m["kind"] == "exponent":
+                m["stderr"] = 0.3
+        assert not diff_payloads(baseline, current).has_regressions
 
     def test_wall_and_mem_fields_never_gate(self, payload):
         current = json.loads(json.dumps(payload))
-        last = current["algorithms"][0]["points"][-1]
-        last["wall_s"] = last["wall_s"] * 100
-        last["peak_mem_bytes"] = int(last["peak_mem_bytes"] * 100)
-        diff = diff_scale_payloads(payload, current)
+        for m in current["metrics"]:
+            if m["labels"].get("scale") == 0.4 and m["name"] in (
+                "wall_s", "peak_mem_bytes"
+            ):
+                m["value"] *= 100
+        diff = diff_payloads(payload, current)
         assert not diff.has_regressions  # advisory only
-        by_name = {f.name: f for f in diff.fields}
-        assert by_name["fm.max_wall_s"].status == "slower"
-        assert by_name["fm.max_peak_mem_bytes"].status == "grew"
+        by_name = {
+            f.name: f.status for f in diff.fields if f.labels.get("scale") == 0.4
+        }
+        assert by_name["wall_s"] == "slower"
+        assert by_name["peak_mem_bytes"] == "grew"
 
     def test_mismatched_config_is_surfaced(self, payload):
         other = json.loads(json.dumps(payload))
-        other["circuit"] = "Prim1"
-        other["seed"] = 7
-        diff = diff_scale_payloads(payload, other)
+        other["run"]["circuit"] = "Prim1"
+        other["run"]["seed"] = 7
+        diff = diff_payloads(payload, other)
         assert set(diff.mismatched_config) == {"circuit", "seed"}
 
     def test_one_sided_algorithms_do_not_gate(self, payload):
         current = json.loads(json.dumps(payload))
-        current["algorithms"][0]["algorithm"] = "kl"
-        diff = diff_scale_payloads(payload, current)
-        statuses = {f.name: f.status for f in diff.fields}
-        assert statuses["fm"] == "missing"
-        assert statuses["kl"] == "new"
+        for m in current["metrics"]:
+            m["labels"]["algorithm"] = "kl"
+        diff = diff_payloads(payload, current)
+        statuses = {(f.labels["algorithm"], f.status) for f in diff.fields}
+        assert statuses == {("fm", "missing"), ("kl", "new")}
         assert not diff.has_regressions
 
 
 class TestRender:
     def test_html_report_has_loglog_charts(self, payload):
-        html = render_scale_html(payload)
+        html = render_html(payload)
         assert html.count("<svg") == 2  # time + memory for one algorithm
+        assert html.count('class="pfit"') == 2  # each with its fitted law
+        assert html.count('class="pp"') == 2 * 3  # over its three rungs
         assert "log-log" in html
         assert "fm" in html
 
     def test_html_includes_diff_verdict(self, payload):
-        diff = diff_scale_payloads(
+        diff = diff_payloads(
             _with_exponents(payload, 0.0), _with_exponents(payload, +1.0)
         )
-        html = render_scale_html(payload, diff=diff)
+        html = render_html(payload, diff=diff)
         assert "regressed" in html.lower()
 
     def test_markdown_summarises_fits_and_diff(self, payload):
-        md = render_scale_markdown(payload)
-        assert "Test02" in md and "fm" in md and "n^" in md
-        diff = diff_scale_payloads(payload, payload)
-        md = render_scale_markdown(payload, diff=diff)
-        assert "no exponent regressions" in md
+        md = render_markdown(payload)
+        assert "Test02" in md and "fm" in md and "modules^" in md
+        md = render_markdown(payload, diff=diff_payloads(payload, payload))
+        assert "no gated regressions" in md
 
 
 class TestCli:
@@ -216,8 +249,8 @@ class TestCli:
     def test_writes_valid_payload(self, tmp_path, capsys):
         rc, out = self._run(tmp_path=tmp_path)
         assert rc == 0
-        assert validate_scale_payload(json.loads(out.read_text())) == []
-        assert "n^" in capsys.readouterr().out
+        load_payload(out, "scale")
+        assert "modules^" in capsys.readouterr().out
 
     def test_compare_gates_on_drift(self, tmp_path, capsys):
         rc, out = self._run(tmp_path=tmp_path)
@@ -239,7 +272,7 @@ class TestCli:
         bad.write_text(json.dumps({"schema": 99}))
         rc, _ = self._run("--compare", str(bad), tmp_path=tmp_path)
         assert rc == 2
-        assert "not a scale-curve payload" in capsys.readouterr().err
+        assert "not a usable bench payload" in capsys.readouterr().err
 
     def test_unknown_circuit_is_usage_error(self, tmp_path, capsys):
         rc = bench_main([
@@ -269,9 +302,7 @@ class TestCli:
             Path(__file__).resolve().parents[1]
             / "benchmarks" / "results" / "BENCH_scale.json"
         )
-        baseline = json.loads(path.read_text())
-        assert validate_scale_payload(baseline) == []
-        assert baseline["circuit"] == "Prim2"
-        assert {a["algorithm"] for a in baseline["algorithms"]} == {
-            "ig-match", "fm",
-        }
+        baseline = load_payload(path, "scale")
+        assert baseline["run"]["circuit"] == "Prim2"
+        assert baseline["run"]["repeats"] == 2
+        assert {a for a, _name in _exponents(baseline)} == {"ig-match", "fm"}
