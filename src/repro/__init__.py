@@ -17,6 +17,10 @@ Quickstart
 True
 """
 
+# Set before the subpackage imports below, which read it while this
+# module is still initialising.
+__version__ = "1.0.0"
+
 from .bench import (
     BENCHMARKS,
     BenchmarkSpec,
@@ -77,8 +81,6 @@ from .partitioning import (
 from .placement import MincutPlacement, hpwl, mincut_placement
 from .spectral import fiedler_vector, lanczos_extreme, spectral_ordering
 from . import service
-
-__version__ = "1.0.0"
 
 __all__ = [
     "AnnealingConfig",

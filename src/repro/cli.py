@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import obs
+from . import __version__, obs
 from .bench import build_circuit, spec_names
 from .errors import ReproError
 from .hypergraph import Hypergraph, describe, load_json, load_net, save_net
@@ -65,17 +65,6 @@ def _load(path: str) -> Hypergraph:
         f"unsupported netlist extension {file.suffix!r} for {path}; "
         f"supported extensions: {', '.join(_SUPPORTED_SUFFIXES)}"
     )
-
-
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("repro")
-    except Exception:  # pragma: no cover - metadata missing
-        from . import __version__
-
-        return __version__
 
 
 def _request(
@@ -122,9 +111,10 @@ def _run_multiway(h: Hypergraph, args) -> int:
         spectral_kway,
     )
 
-    k = max(2, args.blocks)
     if args.algorithm == "spectral-kway":
-        result = spectral_kway(h, k, SpectralKWayConfig(seed=args.seed))
+        result = spectral_kway(
+            h, args.blocks, SpectralKWayConfig(seed=args.seed)
+        )
         label = "spectral-kway"
     else:
 
@@ -135,7 +125,9 @@ def _run_multiway(h: Hypergraph, args) -> int:
                 resolve_parallel(args.workers, args.backend),
             )
 
-        result = recursive_partition(h, k, bipartitioner=bipartitioner)
+        result = recursive_partition(
+            h, args.blocks, bipartitioner=bipartitioner
+        )
         label = f"recursive {args.algorithm}"
 
     cost = scaled_cost(h, result.block_of, result.num_blocks)
@@ -175,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(IG-Match and baselines).",
     )
     parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {_version()}"
+        "--version", action="version", version=f"%(prog)s {__version__}"
     )
     parser.add_argument(
         "netlist", nargs="?",
@@ -204,8 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker pool size for parallel fan-outs (restarts, "
-        "multi-starts, candidate orderings); 0 = auto-detect CPUs; "
+        help="worker pool size for parallel fan-outs (RCut restarts, "
+        "FM multi-starts); 0 = auto-detect CPUs; "
         "default: $REPRO_WORKERS or 1.  Results are identical for "
         "any worker count",
     )
@@ -426,6 +418,9 @@ def _execute(args, parser: argparse.ArgumentParser) -> int:
     try:
         if args.base and not args.delta:
             parser.error("--base requires --delta")
+            return 2
+        if args.blocks < 2:
+            parser.error(f"--blocks must be >= 2, got {args.blocks}")
             return 2
         if args.generate:
             h = build_circuit(args.generate, seed=args.seed, scale=args.scale)

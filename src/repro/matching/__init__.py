@@ -1,31 +1,11 @@
-"""Bipartite matching machinery underlying IG-Match.
+"""Bipartite matching under the IG-Match sweep.
 
-Maximum matching (BFS augmenting paths and Hopcroft–Karp), incremental
-matching maintenance under the L→R sweep, and the König / Dulmage–
-Mendelsohn decomposition that converts a maximum matching into winner and
-loser net sets (Figure 3 / Theorems 2–3 of the paper).
+:class:`IncrementalMatching` keeps a maximum matching of the crossing
+bipartite graph as nets move from L to R, and the König classes that
+turn it into winner and loser nets (Figure 3 / Theorems 2–3 of the
+paper), both maintained across splits.
 """
 
-from .bipartite import BipartiteGraph
 from .incremental import IncrementalMatching
-from .koenig import Decomposition, decompose, decompose_bipartite
-from .maximum import (
-    apply_augmenting_path,
-    augmenting_path_matching,
-    find_augmenting_path,
-    hopcroft_karp,
-    matching_size,
-)
 
-__all__ = [
-    "BipartiteGraph",
-    "Decomposition",
-    "IncrementalMatching",
-    "apply_augmenting_path",
-    "augmenting_path_matching",
-    "decompose",
-    "decompose_bipartite",
-    "find_augmenting_path",
-    "hopcroft_karp",
-    "matching_size",
-]
+__all__ = ["IncrementalMatching"]

@@ -41,7 +41,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import MatchingError
 from ..graph import Graph
-from .bipartite import BipartiteGraph
 
 __all__ = ["IncrementalMatching", "VertexClass"]
 
@@ -142,6 +141,12 @@ class IncrementalMatching:
         p = self._match[v]
         return None if p == -1 else p
 
+    def matching_dict(self) -> Dict[int, int]:
+        """The current matching as a symmetric dict."""
+        return {
+            v: p for v, p in enumerate(self._match) if p != -1
+        }
+
     def left_vertices(self) -> Iterator[int]:
         return (v for v in range(self.num_vertices) if self._side[v] == _LEFT)
 
@@ -180,8 +185,7 @@ class IncrementalMatching:
         """Move vertex ``v`` from L to R, restoring matching maximality.
 
         This is one iteration of the paper's Figure 5 pseudocode, minus
-        the winner-set construction (see :meth:`snapshot` /
-        :func:`repro.matching.koenig.decompose`).
+        the winner-set construction (see :meth:`classify`).
         """
         self._check_vertex(v)
         if self._side[v] != _LEFT:
@@ -564,52 +568,3 @@ class IncrementalMatching:
                 stack.append(mate)
                 touched.add(mate)
         return visits
-
-    # ------------------------------------------------------------------
-    # Snapshots and invariants
-    # ------------------------------------------------------------------
-    def snapshot(self) -> BipartiteGraph:
-        """An explicit :class:`BipartiteGraph` copy of the crossing graph.
-
-        O(V + E); intended for tests and the König decomposition.
-        """
-        b = BipartiteGraph(self.left_vertices(), self.right_vertices())
-        for u, v, _ in self._graph.edges():
-            if self._side[u] != self._side[v]:
-                if self._side[u] == _LEFT:
-                    b.add_edge(u, v)
-                else:
-                    b.add_edge(v, u)
-        return b
-
-    def matching_dict(self) -> Dict[int, int]:
-        """The current matching as a symmetric dict."""
-        return {
-            v: p for v, p in enumerate(self._match) if p != -1
-        }
-
-    def check_invariants(self) -> None:
-        """Raise :class:`MatchingError` on any internal inconsistency.
-
-        Verifies symmetry, that matched pairs are crossing edges, and
-        that the recorded size agrees.  (Maximality is verified in the
-        test suite against Hopcroft–Karp.)
-        """
-        count = 0
-        for v, p in enumerate(self._match):
-            if p == -1:
-                continue
-            if self._match[p] != v:
-                raise MatchingError(f"matching asymmetric at {v}<->{p}")
-            if self._side[v] == self._side[p]:
-                raise MatchingError(
-                    f"matched pair ({v},{p}) on the same side"
-                )
-            if not self._graph.has_edge(v, p):
-                raise MatchingError(f"matched pair ({v},{p}) not an edge")
-            count += 1
-        if count != 2 * self._matching_size:
-            raise MatchingError(
-                f"matching size {self._matching_size} disagrees with "
-                f"{count} matched endpoints"
-            )

@@ -42,6 +42,8 @@ import sys
 import tracemalloc
 from typing import Dict
 
+from .. import __version__
+
 __all__ = ["build_info", "process_metrics"]
 
 
@@ -88,14 +90,8 @@ def build_info() -> Dict[str, str]:
     constant ``repro_build_info 1`` sample): the package version, the
     Python version and implementation, and the platform.
     """
-    try:
-        from importlib.metadata import version
-
-        pkg_version = version("repro")
-    except Exception:
-        from .. import __version__ as pkg_version
     return {
-        "version": pkg_version,
+        "version": __version__,
         "python": _platform.python_version(),
         "implementation": _platform.python_implementation(),
         "platform": sys.platform,

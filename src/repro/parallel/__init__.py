@@ -1,11 +1,11 @@
 """repro.parallel — deterministic fan-out over threads or processes.
 
 The executor layer behind the pipeline's embarrassingly parallel loops:
-RCut random restarts, FM multi-start refinement, IG-Match candidate
-orderings, and the benchmark suite's per-circuit runs.  The contract is
-strict determinism: for a fixed master seed, results are bit-identical
-across the ``serial``, ``thread``, and ``process`` backends and any
-worker count, because per-task seeds are spawned up front
+RCut random restarts, FM multi-start refinement, and the benchmark
+suite's per-circuit runs.  The contract is strict determinism: for a
+fixed master seed, results are bit-identical across the ``serial``,
+``thread``, and ``process`` backends and any worker count, because
+per-task seeds are spawned up front
 (:func:`spawn_seeds`), reductions happen in submission order, and each
 worker's observability trace is captured privately and merged
 deterministically.  See ``docs/parallel.md`` for the full contract and

@@ -12,10 +12,11 @@ The paper's main algorithm (Section 3, Figures 5–7):
    wholesale on each side and the better ratio cut kept (Phase II).
 3. Return the best completed module partition over all splits.
 
-Guarantees surfaced as checkable invariants:
+Guarantees the tests check:
 
 * the completed partition never cuts more nets than the size of the
-  maximum matching of ``B`` (Theorem 5) — optionally asserted per split;
+  maximum matching of ``B`` (Theorem 5); each :class:`SplitEvaluation`
+  carries both numbers, so the check runs at every evaluated split;
 * the output is deterministic for a fixed eigensolver seed, one of the
   paper's headline practical advantages.
 
@@ -27,10 +28,8 @@ unassigned core instead of assigning it wholesale) is available via
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..errors import PartitionError
 from ..hypergraph import Hypergraph
@@ -38,7 +37,6 @@ from ..intersection import intersection_graph
 from ..matching import IncrementalMatching
 from ..matching.incremental import VertexClass
 from ..obs import add_timing, emit, incr, is_enabled, span
-from ..parallel import ParallelConfig, pstarmap
 from ..spectral import spectral_ordering
 from .metrics import ratio_cut_cost
 from .partition import Partition, PartitionResult
@@ -64,48 +62,28 @@ class IGMatchConfig:
     (``"paper"`` by default).  ``backend``/``seed`` control the
     eigensolver.  ``split_stride`` evaluates every k-th split (1 = all
     splits, the paper's algorithm; larger values trade quality for
-    speed on very large netlists).  ``check_invariants`` asserts
-    Theorem 5's loser bound at every evaluated split.
-    ``recursive_depth`` > 0 enables the recursive completion extension.
+    speed on very large netlists).  ``recursive_depth`` > 0 enables
+    the recursive completion extension.
     """
 
     weighting: str = "paper"
     backend: str = "scipy"
     seed: int = 0
     split_stride: int = 1
-    check_invariants: bool = False
     recursive_depth: int = 0
-    #: Sweep orderings from this many Laplacian eigenvectors (2nd,
-    #: 3rd, ...) and keep the best completion — the multi-eigenvector
-    #: variant explored in the Hagen–Kahng follow-up work.  Falls back
-    #: to the Fiedler ordering alone when the intersection graph cannot
-    #: supply more eigenvectors (disconnected or too small).
-    candidate_orderings: int = 1
-    #: Optimise the *weighted* ratio cut: the numerator becomes the sum
-    #: of cut-net weights (criticality), so heavy nets are kept uncut
-    #: preferentially — the "critical signal nets" emphasis of the
-    #: paper's introduction.  Theorem 5's loser-count invariant applies
-    #: to net *counts*, so ``check_invariants`` is unavailable in this
-    #: mode.  No-op on unweighted netlists.
-    use_net_weights: bool = False
-    #: Fan the candidate-ordering sweeps out over a worker pool
-    #: (``None`` resolves from the ``REPRO_WORKERS`` /
-    #: ``REPRO_BACKEND`` environment).  IG-Match is deterministic, so
-    #: this only changes wall-clock time, never the result.
-    parallel: Optional[ParallelConfig] = None
 
 
 @dataclass(frozen=True)
 class SplitEvaluation:
     """Outcome of completing the module partition at one split rank.
 
-    ``nets_cut`` is a count normally, or the summed cut-net weight when
-    the sweep runs with ``use_net_weights``.
+    ``nets_cut`` counts nets, as the paper's ratio cut does; Theorem 5
+    bounds it by ``matching_size``.
     """
 
     rank: int
     matching_size: int
-    nets_cut: float
+    nets_cut: int
     ratio_cut: float
     assign_core_to_l: bool
 
@@ -152,11 +130,10 @@ class _CompletionTally:
     resulting assignment (``assign``: ``_L_SIDE``/``_R_SIDE``/
     ``_UNASSIGNED``), per net its pin count on each of those three
     sides, and whether the net is cut when the core joins L or R.
-    :meth:`update` replays only the nets whose class changed.  With net
-    weights the cut weight is a numpy masked sum over those cut flags.
+    :meth:`update` replays only the nets whose class changed.
     """
 
-    def __init__(self, h: Hypergraph, codes: List[int], use_weights: bool):
+    def __init__(self, h: Hypergraph, codes: List[int]):
         m = h.num_nets
         self._num_modules = h.num_modules
         self._pins = [h.pins(net) for net in range(m)]
@@ -173,9 +150,6 @@ class _CompletionTally:
         self._cut_core_l = [False] * m
         self._cut_core_r = [False] * m
         self._cuts = [0, 0]
-        self._weights = (
-            np.asarray(h.net_weights, dtype=float) if use_weights else None
-        )
         self.update(range(m), codes)
 
     def update(self, nets: Iterable[int], codes: List[int]) -> None:
@@ -249,14 +223,7 @@ class _CompletionTally:
         num_l = self._side_count[_L_SIDE]
         num_r = self._side_count[_R_SIDE]
         num_n = self._side_count[_UNASSIGNED]
-        if self._weights is None:
-            cut_if_core_l, cut_if_core_r = self._cuts
-        else:
-            # Criticality mode: the numerator is the summed weight of
-            # cut nets (IGMatchConfig.use_net_weights).
-            weights = self._weights
-            cut_if_core_l = float(weights[np.array(self._cut_core_l)].sum())
-            cut_if_core_r = float(weights[np.array(self._cut_core_r)].sum())
+        cut_if_core_l, cut_if_core_r = self._cuts
         ratio_core_l = ratio_cut_cost(cut_if_core_l, num_l + num_n, num_r)
         ratio_core_r = ratio_cut_cost(cut_if_core_r, num_l, num_r + num_n)
         if ratio_core_l == float("inf") and ratio_core_r == float("inf"):
@@ -342,12 +309,6 @@ def ig_match_sweep(
         )
         start_index = warm.lo - 1
         stop_index = warm.hi
-    use_weights = config.use_net_weights and h.has_net_weights
-    if use_weights and config.check_invariants:
-        raise PartitionError(
-            "check_invariants (Theorem 5, a net-count bound) is not "
-            "available with use_net_weights"
-        )
     # The per-split loop is the pipeline's hot path, so it is profiled
     # with local perf_counter accumulators (reported once after the
     # loop) rather than a span per split; ``profiling`` is a local
@@ -375,7 +336,7 @@ def ig_match_sweep(
                 match_seconds += now - t_mark
                 t_mark = now
             if tally is None:
-                tally = _CompletionTally(h, codes, use_weights)
+                tally = _CompletionTally(h, codes)
             else:
                 tally.update(matcher.reclassified, codes)
             evaluation = tally.evaluate(rank, matcher.matching_size)
@@ -383,14 +344,6 @@ def ig_match_sweep(
                 complete_seconds += time.perf_counter() - t_mark
             if evaluation is None:
                 continue
-            if config.check_invariants and (
-                evaluation.nets_cut > evaluation.matching_size
-            ):
-                raise PartitionError(
-                    f"Theorem 5 violated at rank {rank}: "
-                    f"{evaluation.nets_cut} nets cut > matching size "
-                    f"{evaluation.matching_size}"
-                )
             evaluations.append(evaluation)
             if best_eval is None or (
                 (evaluation.ratio_cut, evaluation.rank)
@@ -491,13 +444,7 @@ def _recursive_refine(
     sub, module_map, _ = induced_subhypergraph(h, unassigned)
     if sub.num_nets < 2 or sub.num_modules < 2:
         return baseline
-    sub_config = IGMatchConfig(
-        weighting=config.weighting,
-        backend=config.backend,
-        seed=config.seed,
-        split_stride=config.split_stride,
-        recursive_depth=config.recursive_depth - 1,
-    )
+    sub_config = replace(config, recursive_depth=config.recursive_depth - 1)
     try:
         _, sub_partition = ig_match_sweep(sub, sub_config)
     except PartitionError:
@@ -522,59 +469,6 @@ def _recursive_refine(
     return best
 
 
-def _candidate_orders(
-    h: Hypergraph, graph, config: IGMatchConfig
-) -> List[List[int]]:
-    """Net orderings from the first ``candidate_orderings``
-    eigenvectors, falling back to the single component-aware ordering
-    when the graph cannot supply them."""
-    from ..spectral import nontrivial_eigenvectors, ordering_from_values
-    from ..errors import SpectralError
-
-    count = max(1, config.candidate_orderings)
-    if count > 1:
-        try:
-            _, vectors = nontrivial_eigenvectors(
-                graph, count, backend=config.backend, seed=config.seed
-            )
-            return [
-                ordering_from_values(vectors[:, i])
-                for i in range(vectors.shape[1])
-            ]
-        except SpectralError:
-            pass
-    return [
-        spectral_ordering(graph, backend=config.backend, seed=config.seed)
-    ]
-
-
-def _sweep_task(
-    h: Hypergraph,
-    config: IGMatchConfig,
-    order: Sequence[int],
-    graph,
-    capture: bool = False,
-) -> Tuple[
-    int, Optional[SplitEvaluation], Optional[List[int]], Optional[dict]
-]:
-    """Run one candidate ordering's sweep (picklable worker task).
-
-    Returns ``(splits_evaluated, best_evaluation, sides, captured)``
-    with the partition flattened to its side list so process workers
-    never ship a full :class:`Partition` back.  ``captured`` (the best
-    split's matching snapshot) travels through the return tuple so the
-    process backend works — mutated closures would not survive pickling.
-    """
-    captured: Optional[dict] = {} if capture else None
-    evaluations, partition = ig_match_sweep(
-        h, config, order=order, graph=graph, capture=captured
-    )
-    if partition is None:
-        return len(evaluations), None, None, None
-    sweep_best = min(evaluations, key=lambda e: (e.ratio_cut, e.rank))
-    return len(evaluations), sweep_best, list(partition.sides), captured
-
-
 def ig_match(
     h: Hypergraph,
     config: IGMatchConfig = IGMatchConfig(),
@@ -585,13 +479,10 @@ def ig_match(
 
     Returns a :class:`PartitionResult` whose ``details`` include the best
     split rank, the matching-size bound at that split (Theorem 5), and
-    the number of splits evaluated.  With
-    ``config.candidate_orderings > 1`` the sweep is repeated for
-    orderings from additional Laplacian eigenvectors and the best
-    completion kept (still fully deterministic).  When ``capture`` is a
-    dict it receives the winning sweep's best rank and matching pairs
-    (the warm-start seed the ECO serving path stores per session);
-    passing it never changes the result.
+    the number of splits evaluated.  When ``capture`` is a dict it
+    receives the sweep's best rank and matching pairs (the warm-start
+    seed the ECO serving path stores per session); passing it never
+    changes the result.
     """
     start = time.perf_counter()
     if h.num_modules < 2:
@@ -603,79 +494,35 @@ def ig_match(
         "igmatch", modules=h.num_modules, nets=h.num_nets
     ) as ig_span:
         graph = intersection_graph(h, config.weighting)
-        if order is not None:
-            orders: List[Sequence[int]] = [order]
-        else:
-            with span(
-                "igmatch.ordering", candidates=config.candidate_orderings
-            ):
-                orders = _candidate_orders(h, graph, config)
-
-        # Candidate orderings sweep independently over the shared
-        # intersection graph — the IG-Match fan-out site.  Reduction is
-        # in ordering index order, so the first ordering wins ties.
-        sweeps = pstarmap(
-            _sweep_task,
-            [
-                (h, config, list(candidate), graph, capture is not None)
-                for candidate in orders
-            ],
-            config.parallel,
-            label="igmatch.orderings",
+        if order is None:
+            with span("igmatch.ordering"):
+                order = spectral_ordering(
+                    graph, backend=config.backend, seed=config.seed
+                )
+        evaluations, partition = ig_match_sweep(
+            h, config, order=order, graph=graph, capture=capture
         )
-        best_partition: Optional[Partition] = None
-        best_eval: Optional[SplitEvaluation] = None
-        best_index = 0
-        best_captured: Optional[dict] = None
-        total_evaluations = 0
-        for index, (splits, sweep_best, sides, captured) in enumerate(
-            sweeps
-        ):
-            total_evaluations += splits
-            if sides is None or sweep_best is None:
-                continue
-            # Compare orderings by the sweep objective (which is the
-            # weighted ratio cut under use_net_weights).
-            if best_eval is None or sweep_best.ratio_cut < best_eval.ratio_cut:
-                best_partition = Partition(h, sides)
-                best_eval = sweep_best
-                best_index = index
-                best_captured = captured
-        if best_eval is not None:
-            ig_span.set(
-                best_rank=best_eval.rank,
-                splits_evaluated=total_evaluations,
-                orderings=len(orders),
+        if partition is None:
+            raise PartitionError(
+                "IG-Match found no feasible completion at any split"
             )
-    elapsed = time.perf_counter() - start
-    if best_partition is None or best_eval is None:
-        raise PartitionError(
-            "IG-Match found no feasible completion at any split"
+        best = min(evaluations, key=lambda e: (e.ratio_cut, e.rank))
+        ig_span.set(
+            best_rank=best.rank, splits_evaluated=len(evaluations)
         )
-    if capture is not None and best_captured:
-        capture.update(best_captured)
-        capture["best_ordering"] = best_index
+    elapsed = time.perf_counter() - start
     return PartitionResult(
         algorithm="IG-Match",
-        partition=best_partition,
+        partition=partition,
         elapsed_seconds=elapsed,
         details={
-            "best_rank": best_eval.rank,
-            "matching_bound": best_eval.matching_size,
-            "splits_evaluated": total_evaluations,
+            "best_rank": best.rank,
+            "matching_bound": best.matching_size,
+            "splits_evaluated": len(evaluations),
             "weighting": config.weighting,
             "backend": config.backend,
             "recursive_depth": config.recursive_depth,
-            "orderings_tried": len(orders),
-            "best_ordering": best_index,
-            **(
-                {
-                    "weighted_objective": True,
-                    "weighted_ratio_cut": best_eval.ratio_cut,
-                    "weighted_cut": best_eval.nets_cut,
-                }
-                if config.use_net_weights and h.has_net_weights
-                else {}
-            ),
+            "orderings_tried": 1,
+            "best_ordering": 0,
         },
     )

@@ -183,21 +183,18 @@ def run_partitioner(
 ) -> PartitionResult:
     """Run the requested algorithm directly (no cache involvement).
 
-    ``parallel`` never affects results, only wall-clock time, so it
-    does not enter any cache fingerprint.  ``capture`` (ig-match only)
-    receives the warm-start seed the serving sessions store; it never
-    changes the result.
+    ``parallel`` fans out RCut restarts and FM starts; it never
+    affects results, only wall-clock time, so it does not enter any
+    cache fingerprint.  ``capture`` (ig-match only) receives the
+    warm-start seed the serving sessions store; it never changes the
+    result.
     """
     algorithm = request.algorithm
     seed = request.seed
     if algorithm == "ig-match":
         return ig_match(
             h,
-            IGMatchConfig(
-                seed=seed,
-                split_stride=request.split_stride,
-                parallel=parallel,
-            ),
+            IGMatchConfig(seed=seed, split_stride=request.split_stride),
             capture=capture,
         )
     if algorithm == "ig-vote":

@@ -78,6 +78,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, IO, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from .. import __version__
 from ..errors import ReproError
 from ..hypergraph import Hypergraph, from_json, loads_net
 from ..obs import render_prometheus, render_slow_html
@@ -108,17 +109,6 @@ _DELTA_BODY_FIELDS = frozenset(_REQUEST_FIELDS) | {"base", "delta"}
 
 #: Inbound ``X-Trace-Id`` values must look like ids, not payloads.
 _TRACE_ID_RE = re.compile(r"[A-Za-z0-9_-]{1,64}$")
-
-
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("repro")
-    except Exception:  # pragma: no cover - metadata missing
-        from .. import __version__
-
-        return __version__
 
 
 def _parse_body(doc: Dict[str, Any]) -> Tuple[Hypergraph, PartitionRequest]:
@@ -241,7 +231,7 @@ class AccessLog:
 class _Handler(BaseHTTPRequestHandler):
     """Routes requests to the server's engine.  One instance per request."""
 
-    server_version = "repro-serve/" + _version()
+    server_version = "repro-serve/" + __version__
     protocol_version = "HTTP/1.1"
 
     # ------------------------------------------------------------------
@@ -384,7 +374,7 @@ class _Handler(BaseHTTPRequestHandler):
                 200,
                 {
                     "status": "ok",
-                    "version": _version(),
+                    "version": __version__,
                     "uptime_s": round(
                         time.monotonic() - self.server.started_at, 3
                     ),
@@ -880,7 +870,7 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     host, port = server.server_address[:2]
     print(
-        f"repro-serve {_version()} listening on http://{host}:{port} "
+        f"repro-serve {__version__} listening on http://{host}:{port} "
         f"(POST /partition, GET /jobs/<id>, /healthz, /readyz, /metrics, "
         f"/debug/slow)",
         file=sys.stderr,

@@ -11,7 +11,6 @@ from .fiedler import (
     FiedlerResult,
     component_spectral_values,
     fiedler_vector,
-    nontrivial_eigenvectors,
 )
 from .hall import HallPlacement, hall_placement, quadratic_wirelength
 from .lanczos import LanczosResult, lanczos_extreme
@@ -29,7 +28,6 @@ __all__ = [
     "fiedler_vector",
     "hall_placement",
     "lanczos_extreme",
-    "nontrivial_eigenvectors",
     "ordering_from_values",
     "quadratic_wirelength",
     "rayleigh_quotient_iteration",

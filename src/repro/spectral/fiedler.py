@@ -40,7 +40,6 @@ __all__ = [
     "FiedlerResult",
     "component_spectral_values",
     "fiedler_vector",
-    "nontrivial_eigenvectors",
 ]
 
 _BACKENDS = ("scipy", "lanczos")
@@ -185,80 +184,6 @@ def fiedler_vector(
         vector=_canonical_sign(np.asarray(vector, dtype=float)),
         backend=backend,
     )
-
-
-def nontrivial_eigenvectors(
-    g: Graph,
-    count: int,
-    backend: str = "scipy",
-    seed: int = 0,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs 2 .. count+1 of the Laplacian of a connected graph.
-
-    Returns ``(eigenvalues, vectors)`` with ``vectors[:, i]`` the
-    eigenvector for the (i+2)-th smallest eigenvalue.  Column 0 is the
-    Fiedler vector; later columns are the alternative orderings used by
-    multi-eigenvector sweep variants.
-    """
-    if count < 1:
-        raise SpectralError(f"count must be >= 1, got {count}")
-    n = g.num_vertices
-    if n < count + 2:
-        raise SpectralError(
-            f"{n} vertices cannot supply {count} nontrivial eigenvectors"
-        )
-    if len(connected_components(g)) > 1:
-        raise SpectralError(
-            "nontrivial_eigenvectors requires a connected graph"
-        )
-    with span(
-        "spectral.eigenvectors", backend=backend, n=n, count=count
-    ):
-        shifted, shift = _shifted_laplacian(g)
-        k = count + 1
-        if backend == "lanczos":
-            res = lanczos_extreme(shifted, k=k, which="LA", seed=seed)
-            mu = res.eigenvalues
-            vecs = res.eigenvectors
-        elif backend == "scipy":
-            if n <= max(2 * k, 20):
-                mu_all, vecs_all = np.linalg.eigh(shifted.toarray())
-                mu = mu_all[-k:]
-                vecs = vecs_all[:, -k:]
-            else:
-                rng = np.random.default_rng(seed)
-                if is_enabled():
-                    operator, calls = _counting_operator(shifted)
-                else:
-                    operator, calls = shifted, [0]
-                mu, vecs = spla.eigsh(
-                    operator, k=k, which="LA",
-                    v0=rng.standard_normal(n),
-                )
-                if is_enabled():
-                    incr("lanczos.solves")
-                    incr("lanczos.iterations", calls[0])
-                    emit(
-                        "spectral.lanczos",
-                        backend="scipy-eigsh",
-                        n=n,
-                        k=k,
-                        iterations=calls[0],
-                    )
-        else:
-            raise SpectralError(
-                f"unknown backend {backend!r}; available: {_BACKENDS}"
-            )
-    # Sort by descending mu = ascending Laplacian eigenvalue; drop the
-    # trivial (constant) eigenvector.
-    order = np.argsort(mu)[::-1]
-    mu = mu[order][1:]
-    vecs = vecs[:, order][:, 1:]
-    eigenvalues = shift - mu
-    vectors = np.column_stack(
-        [_canonical_sign(vecs[:, i]) for i in range(count)]
-    )
-    return np.asarray(eigenvalues, dtype=float), vectors
 
 
 def component_spectral_values(

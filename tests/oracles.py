@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import struct
-from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -42,6 +41,7 @@ from repro.obs import incr, span
 from repro.partitioning import IGMatchConfig, ig_match_sweep
 from repro.partitioning.igmatch import SplitEvaluation, _CompletionTally
 from repro.partitioning.metrics import ratio_cut_cost
+from tests.bipartite import decompose
 
 __all__ = [
     "IMPLEMENTATIONS",
@@ -66,47 +66,26 @@ R = 1
 UNASSIGNED = 2
 
 
-def _alternating_mark(matcher: IncrementalMatching, from_side: str) -> set:
-    """Everything alternating-reachable from ``from_side``'s unmatched
-    vertices: one queue BFS over the whole crossing graph."""
-    marked = set()
-    queue = deque()
-    for v in range(matcher.num_vertices):
-        if matcher.side_of(v) == from_side and matcher.partner(v) is None:
-            marked.add(v)
-            queue.append(v)
-    while queue:
-        u = queue.popleft()
-        for w in matcher.crossing_neighbors(u):
-            if w in marked:
-                continue
-            marked.add(w)
-            mate = matcher.partner(w)
-            if mate is not None and mate not in marked:
-                marked.add(mate)
-                queue.append(mate)
-    return marked
-
-
 def classify_from_scratch(matcher: IncrementalMatching) -> List[int]:
-    """König classes of the matcher's current split, O(V + E)."""
-    reach_l = _alternating_mark(matcher, "L")
-    reach_r = _alternating_mark(matcher, "R")
-    codes = []
-    for v in range(matcher.num_vertices):
-        if matcher.side_of(v) == "L":
-            if v in reach_l:
-                codes.append(VertexClass.EVEN_L)
-            elif v in reach_r:
-                codes.append(VertexClass.ODD_R)
-            else:
-                codes.append(VertexClass.CORE_L)
-        elif v in reach_r:
-            codes.append(VertexClass.EVEN_R)
-        elif v in reach_l:
-            codes.append(VertexClass.ODD_L)
-        else:
-            codes.append(VertexClass.CORE_R)
+    """König classes of the matcher's current split: one
+    :func:`tests.bipartite.decompose` of its crossing graph, O(V + E)."""
+    d = decompose(
+        matcher.left_vertices(),
+        matcher.right_vertices(),
+        matcher.crossing_neighbors,
+        matcher.partner,
+    )
+    codes = [-1] * matcher.num_vertices
+    for members, code in (
+        (d.even_left, VertexClass.EVEN_L),
+        (d.odd_left, VertexClass.ODD_L),
+        (d.even_right, VertexClass.EVEN_R),
+        (d.odd_right, VertexClass.ODD_R),
+        (d.core_left, VertexClass.CORE_L),
+        (d.core_right, VertexClass.CORE_R),
+    ):
+        for v in members:
+            codes[v] = code
     return codes
 
 
@@ -115,16 +94,13 @@ def evaluate_split(
     codes: List[int],
     rank: int,
     matching_size: int,
-    use_weights: bool = False,
 ) -> Tuple[Optional[SplitEvaluation], Optional[List[int]]]:
     """Phase II from scratch: complete the module partition.
 
     Winner nets pin their modules; unassigned modules are tried on the
     L side and on the R side and the better ratio cut wins.  Returns the
     evaluation and the module assignment (``L``/``R``/``UNASSIGNED``),
-    or ``(None, None)`` when both completions leave a side empty.  With
-    ``use_weights`` the cut is the numpy sum of the cut nets' weights,
-    taken in net order.
+    or ``(None, None)`` when both completions leave a side empty.
     """
     n = h.num_modules
     assign = [UNASSIGNED] * n
@@ -162,15 +138,8 @@ def evaluate_split(
         if not (in_l == 0 or (in_r == 0 and in_n == 0)):
             cut_core_r.append(net)
 
-    if use_weights:
-        import numpy as np
-
-        weights = np.asarray(h.net_weights, dtype=float)
-        cut_if_core_l = float(weights[cut_core_l].sum())
-        cut_if_core_r = float(weights[cut_core_r].sum())
-    else:
-        cut_if_core_l = len(cut_core_l)
-        cut_if_core_r = len(cut_core_r)
+    cut_if_core_l = len(cut_core_l)
+    cut_if_core_r = len(cut_core_r)
 
     ratio_core_l = ratio_cut_cost(cut_if_core_l, num_l + num_n, num_r)
     ratio_core_r = ratio_cut_cost(cut_if_core_r, num_l, num_r + num_n)
@@ -189,19 +158,19 @@ def evaluate_split(
 
 
 def bits(evaluation):
-    """An evaluation with its floats as their IEEE-754 bytes."""
+    """An evaluation with its ratio cut as its IEEE-754 bytes."""
     if evaluation is None:
         return None
     return (
         evaluation.rank,
         evaluation.matching_size,
-        struct.pack("<d", evaluation.nets_cut),
+        evaluation.nets_cut,
         struct.pack("<d", evaluation.ratio_cut),
         evaluation.assign_core_to_l,
     )
 
 
-def replay(h, order, stride=1, warm=None, use_weights=False, repeat=()):
+def replay(h, order, stride=1, warm=None, repeat=()):
     """Drive the matcher and tally as the sweep does, checking every
     evaluated split against the oracles; return the evaluations.
 
@@ -235,12 +204,12 @@ def replay(h, order, stride=1, warm=None, use_weights=False, repeat=()):
             assert matcher.reclassified == [], rank
         previous = codes
         if tally is None:
-            tally = _CompletionTally(h, codes, use_weights)
+            tally = _CompletionTally(h, codes)
         else:
             tally.update(reclassified, codes)
         evaluation = tally.evaluate(rank, matcher.matching_size)
         expected, assign = evaluate_split(
-            h, codes, rank, matcher.matching_size, use_weights
+            h, codes, rank, matcher.matching_size
         )
         assert bits(evaluation) == bits(expected), rank
         if assign is not None:
@@ -248,7 +217,7 @@ def replay(h, order, stride=1, warm=None, use_weights=False, repeat=()):
         if evaluation is not None:
             evaluations.append(evaluation)
 
-    config = IGMatchConfig(split_stride=stride, use_net_weights=use_weights)
+    config = IGMatchConfig(split_stride=stride)
     swept, _ = ig_match_sweep(h, config, order=order, graph=graph, warm=warm)
     assert [bits(e) for e in swept] == [bits(e) for e in evaluations]
     return evaluations

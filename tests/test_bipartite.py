@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import MatchingError
-from repro.matching import BipartiteGraph
+from tests.bipartite import BipartiteGraph
 
 
 class TestConstruction:

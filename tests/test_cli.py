@@ -1,9 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.hypergraph import load_net, save_net
 from tests.conftest import random_hypergraph
@@ -80,6 +83,14 @@ class TestVersion:
         # Some version number must be reported.
         assert any(ch.isdigit() for ch in out)
 
+    def test_pyproject_version_is_package_version(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        found = re.search(
+            r'^version\s*=\s*"([^"]+)"', pyproject.read_text(), re.MULTILINE
+        )
+        assert found is not None
+        assert found.group(1) == repro.__version__
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -98,6 +109,16 @@ class TestErrors:
     def test_no_input(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("blocks", ["0", "1", "-3"])
+    def test_blocks_below_two_is_a_usage_error(self, blocks, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--generate", "Test02", "--scale", "0.05",
+                  "--blocks", blocks])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--blocks must be >= 2" in captured.err
 
     def test_json_netlist_input(self, tmp_path, capsys):
         from repro.hypergraph import save_json

@@ -8,8 +8,8 @@ import repro
 import repro.graph.graph
 import repro.hypergraph.builder
 import repro.hypergraph.hypergraph
-import repro.matching.bipartite
 import repro.partitioning.partition
+import tests.bipartite
 
 
 @pytest.mark.parametrize(
@@ -19,8 +19,8 @@ import repro.partitioning.partition
         repro.graph.graph,
         repro.hypergraph.builder,
         repro.hypergraph.hypergraph,
-        repro.matching.bipartite,
         repro.partitioning.partition,
+        tests.bipartite,
     ],
     ids=lambda m: m.__name__,
 )

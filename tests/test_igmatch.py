@@ -57,14 +57,15 @@ class TestTheorem5Invariant:
     @pytest.mark.parametrize("seed", range(8))
     def test_invariant_random_hypergraphs(self, seed):
         h = random_hypergraph(seed, num_modules=14, num_nets=16)
-        # check_invariants raises if any split violates Theorem 5.
-        result = ig_match(h, IGMatchConfig(check_invariants=True))
-        assert result.nets_cut >= 0
+        evaluations, partition = ig_match_sweep(h, IGMatchConfig())
+        assert partition is not None
+        for e in evaluations:
+            assert e.nets_cut <= e.matching_size
+        result = ig_match(h, IGMatchConfig())
+        assert result.nets_cut <= result.details["matching_bound"]
 
     def test_invariant_on_circuit(self, small_circuit):
-        evaluations, partition = ig_match_sweep(
-            small_circuit, IGMatchConfig(check_invariants=True)
-        )
+        evaluations, partition = ig_match_sweep(small_circuit, IGMatchConfig())
         assert partition is not None
         for e in evaluations:
             assert e.nets_cut <= e.matching_size

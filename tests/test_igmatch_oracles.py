@@ -1,7 +1,7 @@
 """Differential tests: the IG-Match sweep's maintained state against
 from-scratch oracles at every evaluated split (see
-:func:`tests.oracles.replay`), over random move orders, split strides,
-net weights and mid-sweep jump starts with stale seeds.
+:func:`tests.oracles.replay`), over random move orders, split strides
+and mid-sweep jump starts with stale seeds.
 """
 
 from __future__ import annotations
@@ -49,27 +49,7 @@ def test_random_orders_match_oracles(h, stride, jump_at_start, data):
 def test_adversarial_hypergraphs_match_oracles(h, stride, data):
     assume(sweepable(h))
     order = data.draw(st.permutations(range(h.num_nets)))
-    replay(h, order, stride=stride, use_weights=h.has_net_weights)
-
-
-@settings(max_examples=40, deadline=None)
-@given(h=hypergraphs(max_modules=12, max_nets=16), data=st.data())
-def test_net_weights_match_oracles(h, data):
-    weights = data.draw(
-        st.lists(
-            st.floats(0.0, 4.0, allow_nan=False),
-            min_size=h.num_nets,
-            max_size=h.num_nets,
-        )
-    )
-    weighted = Hypergraph(
-        [h.pins(j) for j in range(h.num_nets)],
-        num_modules=h.num_modules,
-        net_weights=weights,
-    )
-    order = data.draw(st.permutations(range(h.num_nets)))
-    replay(weighted, order, stride=data.draw(st.sampled_from([1, 3])),
-           use_weights=True)
+    replay(h, order, stride=stride)
 
 
 @settings(max_examples=60, deadline=None)

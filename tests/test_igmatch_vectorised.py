@@ -1,14 +1,11 @@
 """Phase II as the sweep maintains it must match the scalar reference.
 
-The sweep keeps per-module and per-net tallies across splits and, with
-net weights, sums cut-net weights as a numpy masked sum over its
-maintained cut masks.  The reference (:func:`tests.oracles.
-evaluate_split`) recounts every pin at every split.  The hypothesis
-version over random orders lives in ``tests/test_igmatch_oracles.py``;
-these are the fixed-instance checks on spectral orders.
+The sweep keeps per-module and per-net tallies across splits.  The
+reference (:func:`tests.oracles.evaluate_split`) recounts every pin at
+every split.  The hypothesis version over random orders lives in
+``tests/test_igmatch_oracles.py``; these are the fixed-instance checks
+on spectral orders.
 """
-
-import random
 
 import pytest
 
@@ -31,13 +28,6 @@ def test_vectorised_equals_reference(seed):
     h = random_hypergraph(seed, num_modules=18, num_nets=22)
     order = spectral_ordering(intersection_graph(h, "paper"), seed=0)
     replay(h, order)
-    rng = random.Random(seed)
-    weighted = Hypergraph(
-        [h.pins(j) for j in range(h.num_nets)],
-        num_modules=h.num_modules,
-        net_weights=[rng.uniform(0.0, 4.0) for _ in range(h.num_nets)],
-    )
-    replay(weighted, order, use_weights=True)
 
 
 def test_degenerate_nets_agree():

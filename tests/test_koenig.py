@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.errors import MatchingError
-from repro.matching import (
+from tests.bipartite import (
     BipartiteGraph,
+    augmenting_path_matching,
     decompose_bipartite,
     hopcroft_karp,
     matching_size,
@@ -105,8 +106,6 @@ class TestCriticalSet:
         edges = [(l, r) for l in range(nl) for r in range(nr)
                  if rng.random() < 0.3]
         b = build(nl, nr, edges)
-        from repro.matching import augmenting_path_matching
-
         d1 = decompose_bipartite(b, hopcroft_karp(b))
         d2 = decompose_bipartite(b, augmenting_path_matching(b))
         assert d1.critical_set == d2.critical_set

@@ -2,7 +2,7 @@
 
 The central property: after every move, the maintained matching must be
 a *maximum* matching of the current crossing bipartite graph — verified
-against Hopcroft–Karp on an explicit snapshot.
+against Hopcroft–Karp on an explicit copy of that graph.
 """
 
 import random
@@ -11,8 +11,15 @@ import pytest
 
 from repro.errors import MatchingError
 from repro.graph import Graph
-from repro.matching import IncrementalMatching, hopcroft_karp, matching_size
+from repro.matching import IncrementalMatching
 from repro.matching.incremental import VertexClass
+from tests.bipartite import (
+    check_matching,
+    crossing_graph,
+    decompose_bipartite,
+    hopcroft_karp,
+    matching_size,
+)
 from tests.conftest import random_graph
 from tests.oracles import classify_from_scratch
 
@@ -85,7 +92,7 @@ class TestBasics:
         g.add_edge(0, 1)
         m = IncrementalMatching(g)
         m.move_to_right(0)
-        snap = m.snapshot()
+        snap = crossing_graph(m)
         assert snap.left == {1, 2, 3}
         assert snap.right == {0}
         # edges of g: (0,2),(1,3),(0,1); after moving 0 the crossing
@@ -99,7 +106,7 @@ class TestBasics:
         g.add_edge(0, 1)
         m = IncrementalMatching(g)
         m.move_to_right(0)
-        assert m.snapshot().num_edges == 2
+        assert crossing_graph(m).num_edges == 2
 
 
 class TestMaximalityInvariant:
@@ -111,8 +118,8 @@ class TestMaximalityInvariant:
         random.Random(seed).shuffle(order)
         for v in order[:-1]:
             m.move_to_right(v)
-            m.check_invariants()
-            expected = matching_size(hopcroft_karp(m.snapshot()))
+            check_matching(m)
+            expected = matching_size(hopcroft_karp(crossing_graph(m)))
             assert m.matching_size == expected
 
     def test_dense_graph_sweep(self):
@@ -168,16 +175,13 @@ class TestClassify:
                 assert codes[v] in (VertexClass.EVEN_L, VertexClass.EVEN_R)
 
     def test_matches_reference_decomposition(self):
-        from repro.matching import decompose_bipartite
-
         for seed in range(8):
             g = random_graph(seed + 20, num_vertices=12)
             m = IncrementalMatching(g)
             for v in range(seed % 10 + 1):
                 m.move_to_right(v)
             codes = m.classify()
-            snap = m.snapshot()
-            ref = decompose_bipartite(snap, m.matching_dict())
+            ref = decompose_bipartite(crossing_graph(m), m.matching_dict())
             got_even_l = {v for v, c in enumerate(codes)
                           if c == VertexClass.EVEN_L}
             got_even_r = {v for v, c in enumerate(codes)

@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from repro.matching import (
+from tests.bipartite import (
     BipartiteGraph,
     augmenting_path_matching,
     hopcroft_karp,

@@ -1,66 +1,10 @@
-"""Tests for nontrivial_eigenvectors, the bisection bound, and the
-multi-ordering IG-Match variant."""
+"""Tests for the spectral bisection-width lower bound."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import bisection_width_lower_bound
-from repro.errors import SpectralError
-from repro.graph import Graph, laplacian_matrix
-from repro.partitioning import IGMatchConfig, ig_match
-from repro.spectral import nontrivial_eigenvectors
+from repro.graph import Graph
 from tests.conftest import connected_random_graph
-
-
-class TestNontrivialEigenvectors:
-    def test_first_column_is_fiedler(self):
-        from repro.spectral import fiedler_vector
-
-        g = connected_random_graph(0, num_vertices=18)
-        values, vectors = nontrivial_eigenvectors(g, 3)
-        fiedler = fiedler_vector(g)
-        assert values[0] == pytest.approx(fiedler.eigenvalue, abs=1e-8)
-        assert abs(np.dot(vectors[:, 0], fiedler.vector)) == (
-            pytest.approx(1.0, abs=1e-7)
-        )
-
-    def test_eigen_equations(self):
-        g = connected_random_graph(5, num_vertices=16)
-        values, vectors = nontrivial_eigenvectors(g, 3)
-        q = laplacian_matrix(g).toarray()
-        for i in range(3):
-            residual = q @ vectors[:, i] - values[i] * vectors[:, i]
-            assert np.linalg.norm(residual) < 1e-6
-
-    def test_values_ascending_positive(self):
-        g = connected_random_graph(2, num_vertices=20)
-        values, _ = nontrivial_eigenvectors(g, 4)
-        assert np.all(np.diff(values) >= -1e-9)
-        assert values[0] > 0
-
-    def test_backends_agree(self):
-        g = connected_random_graph(7, num_vertices=30, extra_edges=25)
-        values_s, _ = nontrivial_eigenvectors(g, 2, backend="scipy")
-        values_l, _ = nontrivial_eigenvectors(g, 2, backend="lanczos")
-        assert np.allclose(values_s, values_l, atol=1e-6)
-
-    def test_disconnected_rejected(self):
-        g = Graph(6)
-        g.add_edge(0, 1)
-        g.add_edge(2, 3)
-        g.add_edge(4, 5)
-        with pytest.raises(SpectralError):
-            nontrivial_eigenvectors(g, 2)
-
-    def test_too_many_requested(self):
-        g = connected_random_graph(1, num_vertices=5)
-        with pytest.raises(SpectralError):
-            nontrivial_eigenvectors(g, 5)
-
-    def test_bad_count(self):
-        g = connected_random_graph(1, num_vertices=8)
-        with pytest.raises(SpectralError):
-            nontrivial_eigenvectors(g, 0)
 
 
 class TestBisectionBound:
@@ -87,40 +31,3 @@ class TestBisectionBound:
             g.add_edge(i, j)
         # K_n: lambda_2 = n, bound = n^2/4 = 9 = actual bisection cut.
         assert bisection_width_lower_bound(g) == pytest.approx(9.0)
-
-
-class TestMultiOrderingIGMatch:
-    def test_never_worse_than_single(self, medium_circuit):
-        single = ig_match(medium_circuit, IGMatchConfig(seed=0))
-        multi = ig_match(
-            medium_circuit,
-            IGMatchConfig(seed=0, candidate_orderings=3),
-        )
-        assert multi.ratio_cut <= single.ratio_cut + 1e-15
-        assert multi.details["orderings_tried"] == 3
-
-    def test_deterministic(self, small_circuit):
-        a = ig_match(
-            small_circuit, IGMatchConfig(seed=0, candidate_orderings=2)
-        )
-        b = ig_match(
-            small_circuit, IGMatchConfig(seed=0, candidate_orderings=2)
-        )
-        assert a.partition.sides == b.partition.sides
-
-    def test_fallback_on_tiny_graph(self):
-        from repro.hypergraph import Hypergraph
-
-        # 3 nets cannot supply 4 nontrivial eigenvectors: fall back.
-        h = Hypergraph([[0, 1], [1, 2], [2, 3]])
-        result = ig_match(h, IGMatchConfig(candidate_orderings=4))
-        assert result.details["orderings_tried"] == 1
-
-    def test_explicit_order_bypasses_candidates(self, small_circuit):
-        order = list(range(small_circuit.num_nets))
-        result = ig_match(
-            small_circuit,
-            IGMatchConfig(candidate_orderings=3),
-            order=order,
-        )
-        assert result.details["orderings_tried"] == 1

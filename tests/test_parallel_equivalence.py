@@ -3,9 +3,9 @@
 Three families of guarantees:
 
 1. **Backend equivalence** — for every fanned-out algorithm (RCut
-   restarts, FM multi-start, IG-Match orderings, the bench suite) the
-   serial, thread, and process backends produce bit-identical results:
-   same partition, same ``nets_cut``/``ratio_cut``, same details.
+   restarts, FM multi-start, the bench suite) the serial, thread, and
+   process backends produce bit-identical results: same partition,
+   same ``nets_cut``/``ratio_cut``, same details.
 2. **Seed determinism** — every top-level partitioner run twice with
    the same seed returns an identical :class:`PartitionResult`.
 3. **Executor semantics** — submission-order reduction, per-task seed
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.clustering import MultilevelConfig, multilevel_partition
-from repro.errors import PartitionError, ReproError
+from repro.errors import ReproError
 from repro.parallel import (
     BACKENDS,
     ParallelConfig,
@@ -361,33 +361,6 @@ class TestFMEquivalence:
         b = fm_bipartition(h, FMConfig(seed=4, starts=1,
                                        parallel=_pool("thread")))
         assert fingerprint(a) == fingerprint(b)
-
-
-class TestIGMatchEquivalence:
-    @pytest.mark.parametrize("backend", POOL_BACKENDS)
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_fixed_circuits(self, backend, seed):
-        h = random_hypergraph(seed, num_modules=14, num_nets=18)
-        serial = ig_match(h, IGMatchConfig(seed=seed))
-        parallel = ig_match(
-            h, IGMatchConfig(seed=seed, parallel=_pool(backend))
-        )
-        assert fingerprint(parallel) == fingerprint(serial)
-
-    @given(partitionable_hypergraphs(min_modules=6, max_modules=10),
-           st.integers(0, 100))
-    @settings(max_examples=8, deadline=None)
-    def test_all_backends_identical(self, h, seed):
-        try:
-            serial = ig_match(h, IGMatchConfig(seed=seed))
-        except PartitionError:
-            assume(False)
-            return
-        for backend in POOL_BACKENDS:
-            parallel = ig_match(
-                h, IGMatchConfig(seed=seed, parallel=_pool(backend))
-            )
-            assert fingerprint(parallel) == fingerprint(serial)
 
 
 # ----------------------------------------------------------------------

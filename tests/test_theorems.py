@@ -3,11 +3,13 @@
 * Theorem 1 (Hagen–Kahng): lambda_2 / n lower-bounds the optimal graph
   ratio cut — verified against exhaustive enumeration on small graphs
   and random partitions on larger ones.
-* Theorems 2–3 (König) are covered in tests/test_koenig.py.
+* Theorems 2–3 (König): |MVC| = |MM|, on the from-scratch
+  decomposition in tests/test_koenig.py and, at every split, on the
+  classes the sweep maintains.
 * Theorem 4: IG-Match's losers form a vertex cover of the crossing
   bipartite graph.
 * Theorem 5: the completed partition cuts at most |maximum matching|
-  nets.
+  nets, at every split of cold, strided and warm-window sweeps.
 * Theorem 6: a full sweep's matching and classification work, counted
   by the matcher, stays within c·|V|·(|V|+|E|).
 """
@@ -24,6 +26,7 @@ from repro.intersection import intersection_graph
 from repro.matching import IncrementalMatching
 from repro.matching.incremental import VertexClass
 from repro.partitioning import IGMatchConfig, ig_match_sweep
+from repro.partitioning.igmatch import SweepWarmStart
 from repro.partitioning.metrics import graph_edge_cut
 from repro.spectral import fiedler_vector
 from tests.conftest import (
@@ -81,16 +84,41 @@ class TestTheorems4And5:
     @given(hypergraph_strategy(min_modules=4, max_modules=10,
                                min_nets=3, max_nets=10))
     def test_loser_bound_all_splits(self, h):
-        # check_invariants raises on any Theorem 5 violation.
-        evaluations, _ = ig_match_sweep(
-            h, IGMatchConfig(check_invariants=True)
-        )
+        # A strided sweep classifies once per three moves.
+        for stride in (1, 3):
+            evaluations, _ = ig_match_sweep(
+                h, IGMatchConfig(split_stride=stride)
+            )
+            for e in evaluations:
+                assert e.nets_cut <= e.matching_size
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        h=hypergraph_strategy(min_modules=4, max_modules=10,
+                              min_nets=3, max_nets=10),
+        data=st.data(),
+    )
+    def test_loser_bound_warm_window(self, h, data):
+        """A window around a cold run's best split, jump-started from
+        the matching that run captured there."""
+        capture = {}
+        _, partition = ig_match_sweep(h, IGMatchConfig(), capture=capture)
+        assume(partition is not None)
+        best = capture["best_rank"]
+        lo = data.draw(st.integers(1, best))
+        hi = data.draw(st.integers(best, h.num_nets - 1))
+        warm = SweepWarmStart(lo=lo, hi=hi, matching_seed=capture["matching"])
+        evaluations, _ = ig_match_sweep(h, IGMatchConfig(), warm=warm)
+        assert best in [e.rank for e in evaluations]
         for e in evaluations:
+            assert lo <= e.rank <= hi
             assert e.nets_cut <= e.matching_size
 
     @pytest.mark.parametrize("seed", range(6))
     def test_losers_form_vertex_cover(self, seed):
-        """Theorem 4, checked directly on the crossing graph."""
+        """Theorem 4, checked directly on the crossing graph, and
+        Theorems 2–3: the losers number exactly |MM|, so at every split
+        they are a minimum cover and the matching is maximum."""
         from repro.intersection import intersection_graph
         from repro.spectral import spectral_ordering
 
@@ -109,6 +137,7 @@ class TestTheorems4And5:
                     if c in (VertexClass.ODD_L, VertexClass.ODD_R,
                              core_loser)
                 }
+                assert len(losers) == matcher.matching_size
                 for u, v, _ in graph.edges():
                     if matcher.side_of(u) != matcher.side_of(v):
                         assert u in losers or v in losers
