@@ -46,7 +46,6 @@ from .errors import (
 )
 from .graph import Graph, laplacian_matrix
 from .hypergraph import (
-    CsrHypergraph,
     Hypergraph,
     HypergraphBuilder,
     describe,

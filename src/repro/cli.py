@@ -246,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "the base netlist and partition the edited netlist warm: the "
         "base is partitioned cold to seed warm-start artifacts, then "
         "the delta path reuses the intersection graph, sweep window, "
-        "and matching (ig-match) or the gain structures (fm)",
+        "and matching (ig-match) or the previous sides (fm)",
     )
     parser.add_argument(
         "--base", metavar="FILE",

@@ -4,12 +4,13 @@ An engineering change order arrives as a :class:`NetlistDelta` — a
 value object describing module/net additions, removals, and edits
 against a base hypergraph, with a canonical JSON wire format
 (:data:`DELTA_FORMAT`).  Applying a delta yields the edited hypergraph
-plus the index maps (:class:`DeltaApplication`) that let every
-downstream structure be *patched* instead of rebuilt:
+plus the index maps (:class:`DeltaApplication`) that let the warm paths
+reuse what the delta did not touch:
 
-* the CSR twin (:mod:`repro.delta.csrpatch`),
-* the intersection graph (:mod:`repro.delta.igraph`),
-* the IG-Match sweep and FM gain structures (:mod:`repro.delta.warm`).
+* the intersection graph's edge state is patched
+  (:mod:`repro.delta.igraph`);
+* the IG-Match sweep restarts from the previous best split and
+  matching, and FM from the previous sides (:mod:`repro.delta.warm`).
 
 The serving integration (``POST /partition/delta``) lives in
 :mod:`repro.service`; the measurement harness in ``repro.bench

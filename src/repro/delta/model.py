@@ -4,8 +4,7 @@ An engineering change order (ECO) rarely rewrites a netlist — it adds a
 few cells, reroutes a handful of signals, tweaks an area.  This module
 models such an edit as an immutable :class:`NetlistDelta` value that can
 be validated against its base hypergraph, applied to produce the edited
-hypergraph (with the CSR twin patched incrementally rather than rebuilt),
-inverted, and composed.  A canonical JSON wire format
+hypergraph, inverted, and composed.  A canonical JSON wire format
 (``repro-netlist-delta-v1``) makes deltas portable across the CLI and the
 HTTP API.
 
@@ -27,13 +26,13 @@ automatically; a net edited via ``set_pins`` is replaced wholesale.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import DeltaError
 from ..hypergraph import Hypergraph
-from .csrpatch import patched_csr
 
 __all__ = [
     "DELTA_FORMAT",
@@ -299,21 +298,28 @@ class NetlistDelta:
         final_m = m - len(removed_e) + len(self.add_nets)
         if final_n < 0 or final_m < 0:  # pragma: no cover - sets forbid
             raise DeltaError("delta removes more entities than exist")
+        # The chained comparisons also fail for NaN and infinities.
         for area in self.set_module_areas.values():
-            if area < 0:
-                raise DeltaError(f"module area must be non-negative: {area}")
-        for weight in self.set_net_weights.values():
-            if weight < 0:
-                raise DeltaError(f"net weight must be non-negative: {weight}")
-        for entry in self.add_modules:
-            if entry.area < 0:
+            if not 0 <= area < math.inf:
                 raise DeltaError(
-                    f"added module area must be non-negative: {entry.area}"
+                    f"module area must be finite and non-negative: {area}"
+                )
+        for weight in self.set_net_weights.values():
+            if not 0 <= weight < math.inf:
+                raise DeltaError(
+                    f"net weight must be finite and non-negative: {weight}"
+                )
+        for entry in self.add_modules:
+            if not 0 <= entry.area < math.inf:
+                raise DeltaError(
+                    "added module area must be finite and non-negative: "
+                    f"{entry.area}"
                 )
         for entry in self.add_nets:
-            if entry.weight is not None and entry.weight < 0:
+            if entry.weight is not None and not 0 <= entry.weight < math.inf:
                 raise DeltaError(
-                    f"added net weight must be non-negative: {entry.weight}"
+                    "added net weight must be finite and non-negative: "
+                    f"{entry.weight}"
                 )
             _check_indices(entry.pins, final_n, "add_nets pin")
         for pins in self.set_pins.values():
@@ -437,7 +443,7 @@ class NetlistDelta:
             net_weights=weights,
             name=base.name,
         )
-        application = DeltaApplication(
+        return DeltaApplication(
             hypergraph=edited,
             module_map=tuple(module_map),
             net_map=tuple(net_map),
@@ -445,12 +451,6 @@ class NetlistDelta:
             added_nets=tuple(added_nets),
             changed_nets=tuple(sorted(changed)),
         )
-        # Install the edited hypergraph's CSR twin by patching the
-        # base's: unchanged net rows are spliced across with vectorised
-        # gathers, so Python-level row assembly is paid only for the
-        # nets the delta touched.
-        edited._csr = patched_csr(base, application)
-        return application
 
     def apply(self, base: Hypergraph) -> Hypergraph:
         """Apply to ``base`` and return the edited hypergraph."""

@@ -1,11 +1,10 @@
 """Warm-started partitioning across a netlist delta.
 
 The ECO serving core: given a base hypergraph, the artifacts saved when
-the base was partitioned (its intersection edge state, the best split
-rank and matching for IG-Match, the gain structures for FM), and a
-validated :class:`~repro.delta.model.DeltaApplication`, produce the
-edited hypergraph's partition while reusing everything the delta did
-not touch:
+the base was partitioned (its intersection edge state, and the best
+split rank and matching for IG-Match), and a validated
+:class:`~repro.delta.model.DeltaApplication`, produce the edited
+hypergraph's partition while reusing what the delta did not touch:
 
 * **IG-Match** — the intersection graph is patched, not rebuilt
   (:func:`~repro.delta.igraph.updated_edge_state`); the eigen ordering
@@ -16,10 +15,8 @@ not touch:
   (:class:`~repro.partitioning.SweepWarmStart`).  Every evaluation
   inside the window is identical to the cold sweep's at the same rank.
 * **FM** — the previous sides map through the delta (new modules join
-  the lighter side), and the engine's pin counts and gains are patched
-  for touched nets/modules only (:meth:`FMEngine.from_state
-  <repro.partitioning.FMEngine.from_state>`) before the normal pass
-  loop refines.
+  the lighter side), and a fresh :class:`~repro.partitioning.FMEngine`
+  on the edited hypergraph refines from them with the normal pass loop.
 * anything else falls back to a cold
   :func:`~repro.service.run_partitioner` run on the edited hypergraph.
 
@@ -85,17 +82,10 @@ class SessionArtifacts:
     #: Canonical intersection edge state of the session's hypergraph
     #: (IG-Match; lets the next delta patch instead of rebuild).
     edge_state: Optional[EdgeState] = None
-    #: Intersection weighting the edge state was built with.
-    weighting: str = "paper"
     #: Best split rank of the previous sweep (window centre).
     best_rank: Optional[int] = None
     #: Matching pairs ``(net, net)`` at the previous best split.
     matching: Tuple[Tuple[int, int], ...] = ()
-    #: FM gain structures of the previous answer: per-net pin counts,
-    #: net cut, per-module gains (pure functions of (h, sides)).
-    fm_pin_count: Optional[List[List[int]]] = None
-    fm_cut: Optional[int] = None
-    fm_gains: Optional[List[int]] = None
 
     def estimated_bytes(self) -> int:
         """Rough retained size, for the session store's accounting."""
@@ -114,10 +104,6 @@ class SessionArtifacts:
                 )
             )
         total += 16 * len(self.matching)
-        if self.fm_pin_count is not None:
-            total += 16 * len(self.fm_pin_count)
-        if self.fm_gains is not None:
-            total += 8 * len(self.fm_gains)
         return total
 
 
@@ -130,9 +116,7 @@ def seed_artifacts(
     """Build full session artifacts after a cold compute.
 
     ``capture`` is the dict filled by ``ig_match(..., capture=...)``
-    (best rank and matching pairs).  For FM the gain structures are
-    rebuilt once from the final sides — O(pins), amortised across every
-    delta the session will serve.
+    (best rank and matching pairs).  FM needs only the payload's sides.
     """
     artifacts = SessionArtifacts(payload=payload)
     if algorithm == "ig-match":
@@ -140,11 +124,6 @@ def seed_artifacts(
         if capture:
             artifacts.best_rank = capture.get("best_rank")
             artifacts.matching = tuple(capture.get("matching", ()))
-    elif algorithm == "fm":
-        engine = FMEngine(h, payload["sides"])
-        artifacts.fm_pin_count = engine.pin_count
-        artifacts.fm_cut = engine.cut
-        artifacts.fm_gains = engine.gains
     return artifacts
 
 
@@ -184,29 +163,6 @@ def _map_sides(
     return mapped
 
 
-def _touched_for_fm(
-    base: Hypergraph, application: DeltaApplication
-) -> Tuple[set, set]:
-    """(touched edited-net set, touched edited-module set) whose FM
-    state cannot be copied across the delta."""
-    edited = application.hypergraph
-    changed_final = {
-        application.net_map[k] for k in application.changed_nets
-    }
-    touched_nets = changed_final | set(application.added_nets)
-    touched_mods = set(application.added_modules)
-    for e in touched_nets:
-        touched_mods.update(edited.pins(e))
-    changed_base = set(application.changed_nets)
-    for k, target in enumerate(application.net_map):
-        if target is None or k in changed_base:
-            for p in base.pins(k):
-                mapped = application.module_map[p]
-                if mapped is not None:
-                    touched_mods.add(mapped)
-    return touched_nets, touched_mods
-
-
 def _warm_ig_match(
     base: Hypergraph,
     artifacts: SessionArtifacts,
@@ -223,10 +179,10 @@ def _warm_ig_match(
         if artifacts.edge_state is not None:
             state = updated_edge_state(
                 base, artifacts.edge_state, application,
-                weighting=artifacts.weighting,
+                weighting=config.weighting,
             )
         else:
-            state = intersection_edge_state(h2, artifacts.weighting)
+            state = intersection_edge_state(h2, config.weighting)
         graph = graph_from_edge_state(h2.num_nets, state)
         order = spectral_ordering(
             graph, backend=config.backend, seed=config.seed
@@ -283,7 +239,6 @@ def _warm_ig_match(
     fresh = SessionArtifacts(
         payload={},  # caller installs the served payload
         edge_state=state,
-        weighting=artifacts.weighting,
         best_rank=capture.get("best_rank"),
         matching=tuple(capture.get("matching", ())),
     )
@@ -291,7 +246,6 @@ def _warm_ig_match(
 
 
 def _warm_fm(
-    base: Hypergraph,
     artifacts: SessionArtifacts,
     application: DeltaApplication,
     seed: int,
@@ -299,46 +253,11 @@ def _warm_fm(
     h2 = application.hypergraph
     config = FMConfig(seed=seed)
     start = time.perf_counter()
-    with span(
-        "delta.warm.fm", modules=h2.num_modules, nets=h2.num_nets
-    ) as sp:
+    with span("delta.warm.fm", modules=h2.num_modules, nets=h2.num_nets):
         sides2 = _map_sides(list(artifacts.payload["sides"]), application)
-        if (
-            artifacts.fm_pin_count is not None
-            and artifacts.fm_gains is not None
-        ):
-            touched_nets, touched_mods = _touched_for_fm(
-                base, application
-            )
-            pin_count: List[Optional[List[int]]] = [None] * h2.num_nets
-            for k, target in enumerate(application.net_map):
-                if target is not None and target not in touched_nets:
-                    pin_count[target] = list(artifacts.fm_pin_count[k])
-            for e in sorted(touched_nets):
-                counts = [0, 0]
-                for p in h2.pins(e):
-                    counts[sides2[p]] += 1
-                pin_count[e] = counts
-            cut = sum(
-                1 for c in pin_count if c[0] > 0 and c[1] > 0
-            )
-            gains = [0] * h2.num_modules
-            for v, target in enumerate(application.module_map):
-                if target is not None and target not in touched_mods:
-                    gains[target] = artifacts.fm_gains[v]
-            engine = FMEngine.from_state(
-                h2, sides2, pin_count, cut, gains,
-                recompute_gains=sorted(touched_mods),
-            )
-            sp.set(
-                patched=True,
-                touched_nets=len(touched_nets),
-                touched_modules=len(touched_mods),
-            )
-        else:
-            engine = FMEngine(h2, sides2)
-            sp.set(patched=False)
-        final_sides, cut, passes = fm_refine_engine(engine, config)
+        final_sides, _, passes = fm_refine_engine(
+            FMEngine(h2, sides2), config
+        )
     elapsed = time.perf_counter() - start
     result = PartitionResult(
         algorithm="FM",
@@ -354,13 +273,7 @@ def _warm_fm(
         },
     )
     incr("delta.warm.fm")
-    fresh = SessionArtifacts(
-        payload={},
-        fm_pin_count=engine.pin_count,
-        fm_cut=engine.cut,
-        fm_gains=engine.gains,
-    )
-    return result, fresh
+    return result, SessionArtifacts(payload={})
 
 
 def warm_partition(
@@ -388,9 +301,7 @@ def warm_partition(
         )
         return result, fresh, True
     if viable and request.algorithm == "fm":
-        result, fresh = _warm_fm(
-            base, artifacts, application, seed=request.seed
-        )
+        result, fresh = _warm_fm(artifacts, application, seed=request.seed)
         return result, fresh, True
 
     from ..service.engine import run_partitioner

@@ -6,7 +6,6 @@ transformations.
 """
 
 from .builder import HypergraphBuilder
-from .csr import CsrHypergraph
 from .formats import (
     dumps_bookshelf,
     dumps_hgr,
@@ -49,12 +48,10 @@ from .validate import (
     Issue,
     ValidationReport,
     check,
-    find_incidence_mismatch,
     validate,
 )
 
 __all__ = [
-    "CsrHypergraph",
     "Hypergraph",
     "HypergraphBuilder",
     "HypergraphStats",
@@ -67,7 +64,6 @@ __all__ = [
     "dumps_hgr",
     "dumps_net",
     "dumps_verilog",
-    "find_incidence_mismatch",
     "from_json",
     "induced_subhypergraph",
     "load_bookshelf",

@@ -15,11 +15,55 @@ hypergraphs (see :mod:`repro.hypergraph.transform`).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+import math
+from itertools import chain
+from typing import (
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 from ..errors import HypergraphError
 
-__all__ = ["Hypergraph"]
+__all__ = ["Hypergraph", "Incidence"]
+
+
+class Incidence(NamedTuple):
+    """Both incidence directions of a hypergraph as flat CSR rows.
+
+    Row ``e`` of the net direction,
+    ``net_indices[net_indptr[e]:net_indptr[e + 1]]``, holds
+    ``pins(e)``; row ``v`` of the module direction holds
+    ``nets_of(v)``.  All four arrays are frozen int64.
+    """
+
+    net_indptr: np.ndarray
+    net_indices: np.ndarray
+    module_indptr: np.ndarray
+    module_indices: np.ndarray
+
+
+def _csr_rows(
+    rows: Sequence[Tuple[int, ...]], num_pins: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Frozen ``(indptr, indices)`` arrays of ``rows``, in O(pins)."""
+    sizes = np.fromiter(
+        (len(row) for row in rows), dtype=np.int64, count=len(rows)
+    )
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    indices = np.fromiter(
+        chain.from_iterable(rows), dtype=np.int64, count=num_pins
+    )
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return indptr, indices
 
 
 def _freeze_pins(
@@ -132,8 +176,11 @@ class Hypergraph:
                 raise HypergraphError(
                     f"expected {len(pins)} net weights, got {len(weights)}"
                 )
-            if any(w < 0 for w in weights):
-                raise HypergraphError("net weights must be non-negative")
+            # The chained comparison also fails for NaN and infinities.
+            if not all(0 <= w < math.inf for w in weights):
+                raise HypergraphError(
+                    "net weights must be finite and non-negative"
+                )
             self._net_weights = weights
         if module_areas is None:
             self._module_areas: Tuple[float, ...] = (1.0,) * self._num_modules
@@ -144,8 +191,10 @@ class Hypergraph:
                     f"expected {self._num_modules} module areas, "
                     f"got {len(areas)}"
                 )
-            if any(a < 0 for a in areas):
-                raise HypergraphError("module areas must be non-negative")
+            if not all(0 <= a < math.inf for a in areas):
+                raise HypergraphError(
+                    "module areas must be finite and non-negative"
+                )
             self._module_areas = areas
 
     @staticmethod
@@ -347,27 +396,28 @@ class Hypergraph:
         return sum(k * (k - 1) for k in self.net_sizes())
 
     # ------------------------------------------------------------------
-    # CSR twin
+    # Flat incidence arrays
     # ------------------------------------------------------------------
     @property
-    def csr(self):
-        """The :class:`~repro.hypergraph.csr.CsrHypergraph` twin.
+    def csr(self) -> Incidence:
+        """The pin tuples of both directions as flat :class:`Incidence`
+        arrays, which the intersection build and FM initialisation read.
 
-        Built lazily on first access (O(pins)) and cached; the cached
+        Built from the tuples on first access (O(pins)) and cached; the
         arrays are frozen, so sharing across threads is safe.  The
         cache never enters pickles — process-pool workers rebuild it
         once per worker.
         """
         if self._csr is None:
-            from .csr import CsrHypergraph
-
-            self._csr = CsrHypergraph.from_hypergraph(self)
+            self._csr = Incidence(
+                *_csr_rows(self._pins, self._num_pins),
+                *_csr_rows(self._nets_of, self._num_pins),
+            )
         return self._csr
 
     def __getstate__(self):
-        # Exclude the cached CSR arrays: keeps task pickles for the
-        # process backend small, at the cost of one O(pins) rebuild
-        # per worker.
+        # Exclude the cached arrays: keeps task pickles for the process
+        # backend small, at the cost of one O(pins) rebuild per worker.
         return {
             slot: getattr(self, slot)
             for slot in self.__slots__

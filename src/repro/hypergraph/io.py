@@ -17,8 +17,9 @@ Two formats are supported:
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import List, Union
+from typing import List, Mapping, Union
 
 from ..errors import ParseError
 from .builder import HypergraphBuilder
@@ -64,22 +65,38 @@ def to_json(h: Hypergraph) -> dict:
     return doc
 
 
-def from_json(doc: dict) -> Hypergraph:
-    """Rebuild a hypergraph from :func:`to_json` output."""
+def from_json(doc: Mapping) -> Hypergraph:
+    """Rebuild a hypergraph from :func:`to_json` output.
+
+    A document that is not an object, lacks a required key, or holds
+    values of the wrong type raises :class:`ParseError`.
+    """
+    if not isinstance(doc, Mapping):
+        raise ParseError(
+            f"netlist document must be a JSON object, not "
+            f"{type(doc).__name__}"
+        )
     if doc.get("format") != _JSON_FORMAT:
         raise ParseError(
             f"unrecognised format tag {doc.get('format')!r}; "
             f"expected {_JSON_FORMAT!r}"
         )
-    return Hypergraph(
-        doc["nets"],
-        num_modules=doc["num_modules"],
-        module_names=doc.get("module_names"),
-        net_names=doc.get("net_names"),
-        module_areas=doc.get("module_areas"),
-        net_weights=doc.get("net_weights"),
-        name=doc.get("name", ""),
-    )
+    try:
+        return Hypergraph(
+            doc["nets"],
+            num_modules=doc["num_modules"],
+            module_names=doc.get("module_names"),
+            net_names=doc.get("net_names"),
+            module_areas=doc.get("module_areas"),
+            net_weights=doc.get("net_weights"),
+            name=doc.get("name", ""),
+        )
+    except KeyError as exc:
+        raise ParseError(
+            f"netlist document lacks the {exc.args[0]!r} key"
+        ) from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed netlist document: {exc}") from None
 
 
 def save_json(h: Hypergraph, path: PathLike) -> None:
@@ -132,9 +149,12 @@ def loads_net(text: str, name: str = "") -> Hypergraph:
                 try:
                     area = float(fields[2])
                 except ValueError:
+                    area = math.nan  # rejected just below
+                # The chained comparison fails for negatives, NaN and inf.
+                if not 0 <= area < math.inf:
                     raise ParseError(
                         f"bad module area {fields[2]!r}", line=lineno
-                    ) from None
+                    )
             if builder.has_module(fields[1]):
                 raise ParseError(
                     f"module {fields[1]!r} declared twice", line=lineno

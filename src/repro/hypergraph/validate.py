@@ -14,58 +14,7 @@ from typing import List
 from ..errors import ValidationError
 from .hypergraph import Hypergraph
 
-__all__ = [
-    "Issue",
-    "ValidationReport",
-    "validate",
-    "check",
-    "find_incidence_mismatch",
-]
-
-
-def find_incidence_mismatch(
-    net_indptr, net_indices, module_indptr, module_indices
-):
-    """Cross-check the two CSR incidence directions of a hypergraph.
-
-    A pin is a (module, net) pair; it must appear in *both* the
-    net→modules direction (``net_indptr``/``net_indices``) and the
-    module→nets transpose (``module_indptr``/``module_indices``).
-    Returns ``None`` when the directions agree, else the lowest
-    offending ``(module, net, missing_from)`` triple where
-    ``missing_from`` names the direction the pin is absent from
-    (``"net→modules"`` or ``"module→nets"``).  O(pins log pins).
-    """
-    import numpy as np
-
-    net_indptr = np.asarray(net_indptr, dtype=np.int64)
-    module_indptr = np.asarray(module_indptr, dtype=np.int64)
-    net_indices = np.asarray(net_indices, dtype=np.int64)
-    module_indices = np.asarray(module_indices, dtype=np.int64)
-    num_nets = net_indptr.size - 1
-    num_modules = module_indptr.size - 1
-    stride = max(num_nets, 1)
-    # Encode each pin as module * stride + net — unique, and ordered so
-    # the reported mismatch is the lowest (module, net) offender.
-    pin_nets = np.repeat(
-        np.arange(num_nets, dtype=np.int64), np.diff(net_indptr)
-    )
-    keys_net_dir = net_indices * stride + pin_nets
-    pin_modules = np.repeat(
-        np.arange(num_modules, dtype=np.int64), np.diff(module_indptr)
-    )
-    keys_module_dir = pin_modules * stride + module_indices
-    missing_in_module_dir = np.setdiff1d(keys_net_dir, keys_module_dir)
-    missing_in_net_dir = np.setdiff1d(keys_module_dir, keys_net_dir)
-    if not missing_in_module_dir.size and not missing_in_net_dir.size:
-        return None
-    candidates = []
-    if missing_in_module_dir.size:
-        candidates.append((int(missing_in_module_dir[0]), "module→nets"))
-    if missing_in_net_dir.size:
-        candidates.append((int(missing_in_net_dir[0]), "net→modules"))
-    key, missing_from = min(candidates)
-    return key // stride, key % stride, missing_from
+__all__ = ["Issue", "ValidationReport", "validate", "check"]
 
 
 @dataclass(frozen=True)

@@ -158,40 +158,8 @@ class FMEngine:
         )
         self.gains = gains.astype(np.int64).tolist()
 
-    @classmethod
-    def from_state(
-        cls,
-        h: Hypergraph,
-        sides: Sequence[int],
-        pin_count: Sequence[Sequence[int]],
-        cut: int,
-        gains: Sequence[int],
-        recompute_gains: Sequence[int] = (),
-    ) -> "FMEngine":
-        """Build an engine from previously computed gain structures.
-
-        The ECO warm-start constructor: ``pin_count``/``cut``/``gains``
-        are pure functions of ``(h, sides)``, so a caller holding them
-        from an earlier engine (remapped through a netlist delta) can
-        skip the O(pins) cold initialisation and recompute only the
-        ``recompute_gains`` modules whose neighbourhoods the delta
-        touched.  The caller is trusted on the untouched entries — the
-        differential tests assert the patched state equals a cold
-        ``FMEngine(h, sides)`` build.
-        """
-        engine = cls.__new__(cls)
-        engine._bind(h, sides)
-        if len(pin_count) != h.num_nets or len(gains) != h.num_modules:
-            raise PartitionError("warm FM state does not match hypergraph")
-        engine.pin_count = [list(counts) for counts in pin_count]
-        engine.cut = int(cut)
-        engine.gains = [int(g) for g in gains]
-        for v in recompute_gains:
-            engine.gains[v] = engine._compute_gain(v)
-        return engine
-
     def _bind(self, h: Hypergraph, sides: Sequence[int]) -> None:
-        """Set the fields every engine has, whichever constructor ran:
+        """Set every field but the gain state (pin counts, cut, gains):
         the sides with their counts and areas, and the hypergraph's
         pin, incidence and area tuples, read once here."""
         if len(sides) != h.num_modules:
@@ -577,10 +545,9 @@ def fm_refine_engine(
 ) -> Tuple[List[int], int, int]:
     """Run the multi-pass FM loop on an already-initialised engine.
 
-    Returns ``(final_sides, cut, passes)``.  Factored out of
-    :func:`_optimise_start` so the ECO warm path can refine an engine
-    built via :meth:`FMEngine.from_state` without paying a cold
-    initialisation; behaviour is identical for a freshly built engine.
+    Returns ``(final_sides, cut, passes)``.  Shared by
+    :func:`_optimise_start` and the ECO warm path, which builds its
+    engine on the edited hypergraph from the previous answer's sides.
     A start outside the balance window is first moved into it
     (:func:`_enter_window`).
     """

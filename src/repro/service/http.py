@@ -142,6 +142,19 @@ def _parse_body(doc: Dict[str, Any]) -> Tuple[Hypergraph, PartitionRequest]:
     return h, request
 
 
+def _job_options(doc: Dict[str, Any]) -> Dict[str, Any]:
+    """The async-job knobs of a ``POST /partition`` body, validated."""
+    deadline = doc.get("deadline_s")
+    try:
+        return {
+            "priority": int(doc.get("priority", 0)),
+            "max_retries": int(doc.get("max_retries", 0)),
+            "deadline_s": None if deadline is None else float(deadline),
+        }
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ReproError(f"bad async job option: {exc}") from None
+
+
 #: Known literal routes for the ``route`` histogram label; ``/jobs/<id>``
 #: collapses to one label value so per-job ids cannot explode the series
 #: cardinality, and unknown paths share a single ``other`` bucket.
@@ -513,20 +526,18 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             h, request = _parse_body(doc)
+            options = _job_options(doc) if doc.get("async") else None
         except ReproError as exc:
             self._send_error_json(400, str(exc))
             return
         use_cache = bool(doc.get("cache", True))
-        if doc.get("async"):
-            deadline = doc.get("deadline_s")
+        if options is not None:
             job = engine.submit(
                 h,
                 request,
-                priority=int(doc.get("priority", 0)),
-                max_retries=int(doc.get("max_retries", 0)),
-                deadline_s=float(deadline) if deadline is not None else None,
                 use_cache=use_cache,
                 trace_id=self._trace_id,
+                **options,
             )
             self._send_json(
                 202,

@@ -34,7 +34,7 @@ import scipy.sparse as sp
 
 from repro.errors import PartitionError
 from repro.graph import Graph
-from repro.hypergraph import CsrHypergraph, Hypergraph
+from repro.hypergraph import Hypergraph
 from repro.intersection import get_weighting, intersection_graph
 from repro.matching.incremental import IncrementalMatching, VertexClass
 from repro.obs import incr, span
@@ -524,11 +524,6 @@ def reference_fm_init(engine, h: Hypergraph, sides) -> None:
     engine.gains = [engine._compute_gain(v) for v in range(h.num_modules)]
 
 
-def _cold_csr(base, application) -> CsrHypergraph:
-    """The edited hypergraph's CSR twin built from its tuples."""
-    return CsrHypergraph.from_hypergraph(application.hypergraph)
-
-
 #: Test ids for the two implementations of the steps above: ``"dict"``
 #: runs code under :func:`pipeline` with the references swapped in
 #: (dict-of-dict graphs and per-pin loops), ``"csr"`` runs the shipped
@@ -542,15 +537,13 @@ def pipeline(implementation: str):
 
     ``"dict"`` patches the references in where the pipeline calls the
     steps: the intersection build in IG-Match and IG-Vote, adjacency
-    assembly under every Laplacian, FM engine initialisation, and the
-    CSR twin a netlist delta installs (built cold, not patched).
+    assembly under every Laplacian, and FM engine initialisation.
     """
     if implementation not in IMPLEMENTATIONS:
         raise ValueError(f"unknown implementation {implementation!r}")
     if implementation == "csr":
         yield
         return
-    import repro.delta.model as delta_model
     import repro.graph.laplacian as laplacian
     import repro.partitioning.igmatch as igmatch
     import repro.partitioning.igvote as igvote
@@ -567,7 +560,6 @@ def pipeline(implementation: str):
             laplacian, "adjacency_matrix", reference_adjacency_matrix
         )
         patch.setattr(FMEngine, "__init__", reference_fm_init)
-        patch.setattr(delta_model, "patched_csr", _cold_csr)
         yield
 
 

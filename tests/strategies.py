@@ -113,16 +113,16 @@ def hypergraphs(
 
 @st.composite
 def adversarial_csr_hypergraphs(draw):
-    """Hypergraphs shaped to stress flat CSR incidence round-trips.
+    """Hypergraphs shaped to stress the flat CSR incidence arrays.
 
-    Every degenerate row shape the CSR conversion must preserve
-    exactly, mixed freely: empty nets (zero-length rows), singleton
-    modules (trailing empty transpose rows), duplicate raw pins
-    (collapsed by the constructor before conversion), isolated modules
+    Every degenerate row shape the arrays must hold exactly, mixed
+    freely: empty nets (zero-length rows), singleton modules (trailing
+    empty transpose rows), duplicate raw pins (collapsed by the
+    constructor before the arrays are built), isolated modules
     mid-range, and optionally one hub module on *every* net (a dense
     transpose row, the worst case for per-degree batching).  Named,
-    weighted, and area-carrying variants are mixed in so the metadata
-    side of the round trip is exercised too.
+    weighted, and area-carrying variants are mixed in so code that
+    carries the metadata through (the delta algebra) is exercised too.
     """
     h = draw(
         hypergraphs(

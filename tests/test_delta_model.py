@@ -3,9 +3,7 @@
 The algebraic properties (``apply(invert(d))`` is the identity;
 compose-then-apply equals apply-then-apply) are checked with hypothesis
 over :func:`tests.strategies.adversarial_csr_hypergraphs` — the same
-degenerate-shape generator the CSR arrays are fuzzed with — with the
-CSR twin ``apply`` installs both patched (``csr``) and built cold
-(``dict``, :func:`tests.oracles.pipeline`).
+degenerate-shape generator the CSR arrays are fuzzed with.
 """
 
 import json
@@ -27,7 +25,7 @@ from repro.delta import (
     save_delta,
 )
 from repro.errors import DeltaError
-from repro.hypergraph import CsrHypergraph, Hypergraph
+from repro.hypergraph import Hypergraph
 from repro.service import exact_fingerprint
 from tests.oracles import IMPLEMENTATIONS, pipeline
 from tests.strategies import adversarial_csr_hypergraphs
@@ -126,30 +124,6 @@ class TestAlgebra:
         assert exact_fingerprint(composed) == exact_fingerprint(
             sequential
         )
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        h=adversarial_csr_hypergraphs(),
-        seed=st.integers(min_value=0, max_value=2**16),
-        module_churn=st.booleans(),
-        removed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_apply_identical_across_cores(
-        self, h, seed, module_churn, removed
-    ):
-        """The CSR twin ``apply`` patches in equals, array for array, a
-        cold build from the edited hypergraph's tuples — also when a
-        module removal renumbers the survivors."""
-        for delta in (
-            random_delta(h, random.Random(seed), module_churn=module_churn),
-            NetlistDelta(remove_modules=(removed % h.num_modules,)),
-        ):
-            with pipeline("dict"):
-                cold = delta.apply(h)
-            patched = delta.apply(h)
-            assert exact_fingerprint(cold) == exact_fingerprint(patched)
-            assert patched._csr == CsrHypergraph.from_hypergraph(patched)
-            assert patched._csr == cold._csr
 
     def test_noop_apply_preserves_fingerprint(self, base):
         assert exact_fingerprint(

@@ -6,7 +6,6 @@ and ``csr``, see :func:`tests.oracles.pipeline`).
 * every warm sweep evaluation equals the cold sweep's at the same rank,
   and the warm partition equals cold's when the best rank stays inside
   the window;
-* the patched FM engine state equals a cold rebuild on the same sides;
 * ``warm_partition`` reproduces what the serving delta path returns;
 * a served no-op delta is *byte-identical* (canonical result bytes) to
   the base serve.
@@ -27,7 +26,7 @@ from repro.delta import (
     warm_partition,
 )
 from repro.intersection import intersection_edge_state
-from repro.partitioning import FMEngine, IGMatchConfig, ig_match_sweep
+from repro.partitioning import IGMatchConfig, ig_match_sweep
 from repro.partitioning.igmatch import SweepWarmStart
 from repro.service import (
     PartitionEngine,
@@ -151,30 +150,6 @@ class TestWarmSweep:
         ] == [
             (e.rank, e.ratio_cut, e.matching_size) for e in unseeded
         ]
-
-
-class TestWarmFM:
-    @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
-    def test_patched_engine_state_equals_cold_rebuild(self, implementation):
-        h = _base(seed=3)
-        request = _request("fm")
-        rng = random.Random(21)
-        with pipeline(implementation):
-            _result, artifacts = _direct_artifacts(h, request)
-            for _ in range(3):
-                delta = random_delta(h, rng)
-                application = delta.apply_detailed(h)
-                result, fresh, warm = warm_partition(
-                    h, artifacts, application, request
-                )
-                assert warm
-                h2 = application.hypergraph
-                cold_engine = FMEngine(h2, result.partition.sides)
-                assert fresh.fm_pin_count == cold_engine.pin_count
-                assert fresh.fm_cut == cold_engine.cut
-                assert fresh.fm_gains == cold_engine.gains
-                fresh.payload = result_to_payload(result)
-                h, artifacts = h2, fresh
 
 
 class TestWarmPartition:

@@ -211,3 +211,21 @@ class TestDeltaErrors:
             {"base": base["fingerprint"], "delta": bad},
         )
         assert status == 400
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"set_module_areas": {"0": float("nan")}},
+            {"set_net_weights": {"0": float("inf")}},
+        ],
+        ids=["nan-area", "inf-weight"],
+    )
+    def test_non_finite_value_400(self, server, h, edit):
+        base = _serve_base(server, h)
+        status, doc = call(
+            server,
+            "/partition/delta",
+            {"base": base["fingerprint"], "delta": dict(NOOP, **edit)},
+        )
+        assert status == 400
+        assert "finite" in doc["error"]

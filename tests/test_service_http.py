@@ -55,6 +55,17 @@ def h():
     return random_hypergraph(3, num_modules=12, num_nets=16)
 
 
+def _netlist(**fields):
+    """A small valid JSON netlist document with ``fields`` replaced."""
+    doc = {
+        "format": "repro-hypergraph-v1",
+        "num_modules": 3,
+        "nets": [[0, 1], [1, 2]],
+    }
+    doc.update(fields)
+    return doc
+
+
 class TestHealthAndMetrics:
     def test_healthz(self, server):
         status, doc = call(server, "/healthz")
@@ -188,6 +199,31 @@ class TestPartitionEndpoint:
         # spelled "max_retries") — must be called out, not ignored.
         assert status == 400
         assert "retries" in doc["error"]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"netlist": 5},
+            {"netlist": {"format": "repro-hypergraph-v1",
+                         "num_modules": 3}},
+            {"netlist": _netlist(nets=[[0, "a"]])},
+            {"netlist": _netlist(nets=7)},
+            {"netlist": _netlist(num_modules="x")},
+            {"netlist": _netlist(module_areas=["big", 1, 1])},
+            {"netlist": _netlist(), "async": True, "priority": "x"},
+            {"netlist": _netlist(module_areas=[float("nan"), 1, 1])},
+            {"netlist": _netlist(net_weights=[float("inf"), 1])},
+        ],
+        ids=[
+            "netlist-not-object", "no-nets", "pin-not-int",
+            "nets-not-list", "num-modules-not-int", "area-not-number",
+            "priority-not-int", "nan-area", "inf-weight",
+        ],
+    )
+    def test_malformed_body_is_400(self, server, body):
+        status, doc = call(server, "/partition", dict(body, algorithm="fm"))
+        assert status == 400
+        assert doc["error"] and "\n" not in doc["error"]
 
     def test_degenerate_netlist_is_400_not_500(self, server):
         status, doc = call(
