@@ -78,7 +78,7 @@ from .partitioning import (
     refine,
 )
 from .placement import MincutPlacement, hpwl, mincut_placement
-from .spectral import fiedler_vector, lanczos_extreme, spectral_ordering
+from .spectral import fiedler_vector, spectral_ordering
 from . import service
 
 __all__ = [
@@ -126,7 +126,6 @@ __all__ = [
     "intersection_graph",
     "intersection_nonzeros",
     "kl_bisection",
-    "lanczos_extreme",
     "laplacian_matrix",
     "load_json",
     "load_net",

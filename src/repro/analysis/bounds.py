@@ -36,19 +36,15 @@ class RatioCutBound:
         return self.lambda_2 / self.num_vertices
 
 
-def ratio_cut_lower_bound(
-    g: Graph, backend: str = "scipy", seed: int = 0
-) -> RatioCutBound:
+def ratio_cut_lower_bound(g: Graph, seed: int = 0) -> RatioCutBound:
     """Compute ``lambda_2 / n`` for a connected graph ``g``."""
-    result = fiedler_vector(g, backend=backend, seed=seed)
+    result = fiedler_vector(g, seed=seed)
     return RatioCutBound(
         lambda_2=result.eigenvalue, num_vertices=g.num_vertices
     )
 
 
-def bisection_width_lower_bound(
-    g: Graph, backend: str = "scipy", seed: int = 0
-) -> float:
+def bisection_width_lower_bound(g: Graph, seed: int = 0) -> float:
     """The classical spectral bound on the bisection width.
 
     For an exact bisection ``|U| = |W| = n/2`` the cut weight satisfies
@@ -56,13 +52,11 @@ def bisection_width_lower_bound(
     (paper refs [5], [6]; it is Theorem 1 specialised to the bisection
     denominator ``(n/2)^2 = n^2/4``).
     """
-    result = fiedler_vector(g, backend=backend, seed=seed)
+    result = fiedler_vector(g, seed=seed)
     return g.num_vertices * result.eigenvalue / 4.0
 
 
-def check_bound(
-    g: Graph, sides, backend: str = "scipy", tolerance: float = 1e-8
-) -> bool:
+def check_bound(g: Graph, sides, tolerance: float = 1e-8) -> bool:
     """Verify a partition's (graph) ratio cut respects Theorem 1.
 
     The ratio cut here is the *edge-weighted* cut over ``|U|*|W|`` — the
@@ -74,5 +68,5 @@ def check_bound(
     if u == 0 or w == 0:
         raise SpectralError("both sides must be non-empty")
     cost = graph_edge_cut(g, sides) / (u * w)
-    bound = ratio_cut_lower_bound(g, backend=backend).bound
+    bound = ratio_cut_lower_bound(g).bound
     return cost >= bound - tolerance

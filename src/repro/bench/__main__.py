@@ -55,7 +55,7 @@ from typing import Any, Callable, Dict, Optional, Sequence
 from ..errors import ReproError
 from ..obs.diff import DiffThresholds, load_payload
 from ..obs.render import publish
-from ..parallel import BACKENDS, resolve_parallel
+from ..parallel import resolve_parallel
 from .specs import BENCHMARKS, spec_names
 from .suite import run_observed_suite
 
@@ -121,7 +121,7 @@ def _suite(args) -> Producer:
         seed=args.seed,
         scale=args.scale,
         algorithm=args.algorithm,
-        parallel=resolve_parallel(args.workers, args.backend),
+        parallel=resolve_parallel(args.workers),
         memprof=args.memprof,
     )
 
@@ -216,14 +216,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="run circuits in parallel on N workers (0 = auto-detect "
-        "CPUs; default: $REPRO_WORKERS or 1).  Exact metrics are "
-        "identical for any worker count",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="parallel backend (default: $REPRO_BACKEND, or process "
-        "when --workers > 1)",
+        help="run circuits in parallel on a pool of N worker processes "
+        "(0 = auto-detect CPUs; default: $REPRO_WORKERS or 1).  Exact "
+        "metrics are identical for any worker count",
     )
     parser.add_argument(
         "--memprof", action="store_true",

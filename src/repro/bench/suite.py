@@ -190,15 +190,14 @@ def run_observed_suite(
     (label ``phase``), and noisy ``seconds`` and ``phase.seconds``.
     The payload's ``traces`` keep each circuit's span events (so
     reports can rebuild the phase tree) and its convergence curves
-    (ratio-cut sweeps, residual decay, FM gains), downsampled to a
-    rendering-friendly size.  Returns a schema-3 bench payload of kind
-    ``obs`` (:mod:`repro.obs.diff`).
+    (ratio-cut sweeps, FM gains), downsampled to a rendering-friendly
+    size.  Returns a schema-3 bench payload of kind ``obs``
+    (:mod:`repro.obs.diff`).
 
     ``parallel`` fans the per-circuit runs out over a worker pool
-    (``None`` resolves from the ``REPRO_WORKERS`` / ``REPRO_BACKEND``
-    environment).  Exact metrics, their order and the traces' span and
-    curve structure are identical to a serial run's; only wall clocks
-    vary.
+    (``None`` resolves from the ``REPRO_WORKERS`` environment).  Exact
+    metrics, their order and the traces' span and curve structure are
+    identical to a serial run's; only wall clocks vary.
 
     ``memprof`` turns on per-span memory attribution: each phase gains
     noisy ``phase.mem_alloc_bytes`` / ``phase.mem_peak_bytes`` and

@@ -26,7 +26,7 @@ from .bench import build_circuit, spec_names
 from .errors import ReproError
 from .hypergraph import Hypergraph, describe, load_json, load_net, save_net
 from .partitioning import PartitionResult
-from .parallel import BACKENDS, ParallelConfig, resolve_parallel
+from .parallel import ParallelConfig, resolve_parallel
 
 __all__ = ["main"]
 
@@ -122,7 +122,7 @@ def _run_multiway(h: Hypergraph, args) -> int:
             return _run_algorithm(
                 sub, args.algorithm, args.seed, args.restarts,
                 args.stride, args.starts,
-                resolve_parallel(args.workers, args.backend),
+                resolve_parallel(args.workers),
             )
 
         result = recursive_partition(
@@ -197,14 +197,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="worker pool size for parallel fan-outs (RCut restarts, "
-        "FM multi-starts); 0 = auto-detect CPUs; "
-        "default: $REPRO_WORKERS or 1.  Results are identical for "
-        "any worker count",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="parallel backend (default: $REPRO_BACKEND, or process "
-        "when --workers > 1)",
+        "FM multi-starts): 1 runs inline, 2 or more on a process pool, "
+        "0 = auto-detect CPUs; default: $REPRO_WORKERS or 1.  Results "
+        "are identical for any worker count",
     )
     parser.add_argument(
         "--generate", metavar="BENCHMARK", choices=spec_names(),
@@ -390,7 +385,7 @@ def _run_delta_path(h: Hypergraph, args):
     request = _request(
         args.algorithm, args.seed, args.restarts, args.stride, args.starts
     )
-    parallel = resolve_parallel(args.workers, args.backend)
+    parallel = resolve_parallel(args.workers)
     capture: dict = {}
     base_result = run_partitioner(
         h, request, parallel=parallel, capture=capture
@@ -484,7 +479,7 @@ def _execute(args, parser: argparse.ArgumentParser) -> int:
 
             engine = PartitionEngine(
                 cache=ResultCache(disk_dir=args.cache_dir),
-                parallel=resolve_parallel(args.workers, args.backend),
+                parallel=resolve_parallel(args.workers),
             )
             served = engine.partition(
                 h,
@@ -502,7 +497,7 @@ def _execute(args, parser: argparse.ArgumentParser) -> int:
         else:
             result = _run_algorithm(
                 h, args.algorithm, args.seed, args.restarts, args.stride,
-                args.starts, resolve_parallel(args.workers, args.backend),
+                args.starts, resolve_parallel(args.workers),
             )
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,8 @@ hypergraph's partition while reusing what the delta did not touch:
 * **FM** — the previous sides map through the delta (new modules join
   the lighter side), and a fresh :class:`~repro.partitioning.FMEngine`
   on the edited hypergraph refines from them with the normal pass loop.
+  A session with no FM answer (served by another algorithm) has no
+  sides to map, so it runs cold.
 * anything else falls back to a cold
   :func:`~repro.service.run_partitioner` run on the edited hypergraph.
 
@@ -184,9 +186,7 @@ def _warm_ig_match(
         else:
             state = intersection_edge_state(h2, config.weighting)
         graph = graph_from_edge_state(h2.num_nets, state)
-        order = spectral_ordering(
-            graph, backend=config.backend, seed=config.seed
-        )
+        order = spectral_ordering(graph, seed=config.seed)
 
         warm: Optional[SweepWarmStart] = None
         if artifacts.best_rank is not None:
@@ -226,7 +226,7 @@ def _warm_ig_match(
             "matching_bound": best.matching_size,
             "splits_evaluated": len(evaluations),
             "weighting": config.weighting,
-            "backend": config.backend,
+            "backend": "scipy",  # eigsh; part of canonical_result_bytes
             "recursive_depth": 0,
             "orderings_tried": 1,
             "best_ordering": 0,
@@ -300,7 +300,9 @@ def warm_partition(
             seed=request.seed, split_stride=request.split_stride,
         )
         return result, fresh, True
-    if viable and request.algorithm == "fm":
+    # A session served by another algorithm holds no FM sides to map.
+    has_sides = "sides" in artifacts.payload
+    if viable and request.algorithm == "fm" and has_sides:
         result, fresh = _warm_fm(artifacts, application, seed=request.seed)
         return result, fresh, True
 

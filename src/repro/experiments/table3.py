@@ -42,9 +42,7 @@ def run_table3(
     for name in names:
         spec = get_spec(name)
         h = build_circuit(name, seed=seed, scale=scale)
-        order = spectral_ordering(
-            intersection_graph(h, "paper"), backend="scipy", seed=seed
-        )
+        order = spectral_ordering(intersection_graph(h, "paper"), seed=seed)
         vote_result = ig_vote(h, IGVoteConfig(seed=seed), order=order)
         igm_result = ig_match(
             h,

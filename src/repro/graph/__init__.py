@@ -7,12 +7,7 @@ hypergraph and by the intersection graph, together with matrix assembly
 
 from .convert import from_networkx, from_scipy_sparse, to_networkx
 from .graph import Graph
-from .laplacian import (
-    adjacency_matrix,
-    degree_matrix,
-    laplacian_matrix,
-    negated_laplacian,
-)
+from .laplacian import adjacency_matrix, degree_matrix, laplacian_matrix
 from .traversal import (
     approximate_diameter,
     bfs_distances,
@@ -35,6 +30,5 @@ __all__ = [
     "from_scipy_sparse",
     "is_connected",
     "laplacian_matrix",
-    "negated_laplacian",
     "to_networkx",
 ]

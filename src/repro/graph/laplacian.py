@@ -1,7 +1,7 @@
 """Matrix assembly: adjacency ``A``, degree ``D`` and Laplacian ``Q = D - A``.
 
 These are the matrices of Section 1.1 of the paper.  All are returned as
-scipy sparse matrices suitable for the Lanczos / eigsh solvers in
+scipy sparse matrices suitable for the ``eigsh`` solves in
 :mod:`repro.spectral`.
 """
 
@@ -19,7 +19,6 @@ __all__ = [
     "adjacency_matrix",
     "degree_matrix",
     "laplacian_matrix",
-    "negated_laplacian",
 ]
 
 
@@ -51,14 +50,3 @@ def laplacian_matrix(g: "Graph") -> sp.csr_matrix:
     eigenvalue bounds the optimal ratio cut from below (Theorem 1).
     """
     return (degree_matrix(g) - adjacency_matrix(g)).tocsr()
-
-
-def negated_laplacian(g: "Graph") -> sp.csr_matrix:
-    """``-Q = A - D``, whose *largest* eigenvalues the Lanczos code targets.
-
-    The paper computes the second-largest eigenpair of ``A - D`` because
-    Kaniel–Paige–Saad theory shows Lanczos converges faster to extreme
-    (largest) eigenvalues; negating gives the second-smallest pair of
-    ``Q``.
-    """
-    return (adjacency_matrix(g) - degree_matrix(g)).tocsr()

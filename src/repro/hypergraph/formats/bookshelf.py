@@ -26,6 +26,7 @@ with zero-area terminals normalised to area 0.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import List, Tuple, Union
 
@@ -86,15 +87,23 @@ def _parse_nodes(text: str) -> List[Tuple[str, float, bool]]:
             width = float(fields[1])
             height = float(fields[2])
         except ValueError:
+            width = height = math.nan  # rejected just below
+        area = width * height
+        # The chained comparisons fail for negatives, NaN and inf.
+        if not (
+            0 <= width < math.inf
+            and 0 <= height < math.inf
+            and area < math.inf
+        ):
             raise ParseError(
                 f"bad node dimensions in {line!r}", line=lineno
-            ) from None
+            )
         is_terminal = len(fields) == 4
         if is_terminal and fields[3] != "terminal":
             raise ParseError(
                 f"unexpected trailing token {fields[3]!r}", line=lineno
             )
-        nodes.append((name, width * height, is_terminal))
+        nodes.append((name, area, is_terminal))
     if len(nodes) != num_nodes:
         raise ParseError(
             f"NumNodes says {num_nodes}, found {len(nodes)} node lines"

@@ -17,6 +17,7 @@ round-trips preserve them); vertex weights map to module areas.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -83,6 +84,10 @@ def loads_hgr(text: str, name: str = "") -> Hypergraph:
                     "weighted net line needs a weight and >= 1 pin",
                     line=lineno,
                 )
+            if numbers[0] < 0:
+                raise ParseError(
+                    f"negative net weight {numbers[0]}", line=lineno
+                )
             net_weights.append(float(numbers[0]))
             numbers = numbers[1:]
         pins = []
@@ -100,11 +105,15 @@ def loads_hgr(text: str, name: str = "") -> Hypergraph:
         areas = []
         for lineno, line in body[num_nets:]:
             try:
-                areas.append(float(line.split()[0]))
+                weight = float(line.split()[0])
             except (ValueError, IndexError):
+                weight = math.nan  # rejected just below
+            # The chained comparison fails for negatives, NaN and inf.
+            if not 0 <= weight < math.inf:
                 raise ParseError(
                     f"bad vertex weight line {line!r}", line=lineno
-                ) from None
+                )
+            areas.append(weight)
 
     return Hypergraph(
         nets,

@@ -417,7 +417,7 @@ class Hypergraph:
 
     def __getstate__(self):
         # Exclude the cached arrays: keeps task pickles for the process
-        # backend small, at the cost of one O(pins) rebuild per worker.
+        # pool small, at the cost of one O(pins) rebuild per worker.
         return {
             slot: getattr(self, slot)
             for slot in self.__slots__

@@ -115,22 +115,21 @@ def _tree_from_nodes(nodes: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
 # ----------------------------------------------------------------------
 # Inline SVG charts
 
-#: Known convergence curves: name -> (x field, y field, log-scale y).
-_CURVE_FIELDS: Dict[str, Tuple[str, str, bool]] = {
-    "spectral.lanczos.convergence": ("steps", "residuals", True),
-    "splits.curve": ("ranks", "ratio_cuts", False),
-    "igmatch.curve": ("ranks", "ratio_cuts", False),
-    "fm.curve": ("passes", "cuts", False),
+#: Known convergence curves: name -> (x field, y field).
+_CURVE_FIELDS: Dict[str, Tuple[str, str]] = {
+    "splits.curve": ("ranks", "ratio_cuts"),
+    "igmatch.curve": ("ranks", "ratio_cuts"),
+    "fm.curve": ("passes", "cuts"),
 }
 
 
 def _curve_series(
     event: Dict[str, Any],
-) -> Optional[Tuple[List[float], List[float], bool]]:
-    """Extract (xs, ys, log_y) from a curve point event, if it is one."""
+) -> Optional[Tuple[List[float], List[float]]]:
+    """Extract (xs, ys) from a curve point event, if it is one."""
     name = event.get("name", "")
     if name in _CURVE_FIELDS:
-        x_field, y_field, log_y = _CURVE_FIELDS[name]
+        x_field, y_field = _CURVE_FIELDS[name]
     else:
         lists = [
             k
@@ -140,7 +139,7 @@ def _curve_series(
         ]
         if len(lists) < 2:
             return None
-        x_field, y_field, log_y = lists[0], lists[1], False
+        x_field, y_field = lists[0], lists[1]
     xs = event.get(x_field)
     ys = event.get(y_field)
     if not isinstance(xs, list) or not isinstance(ys, list):
@@ -148,11 +147,7 @@ def _curve_series(
     n = min(len(xs), len(ys))
     if n < 2:
         return None
-    return (
-        [float(x) for x in xs[:n]],
-        [float(y) for y in ys[:n]],
-        log_y,
-    )
+    return [float(x) for x in xs[:n]], [float(y) for y in ys[:n]]
 
 
 def _num(value: float) -> str:
@@ -181,22 +176,21 @@ def _svg_chart(
     title: str,
     xs: Sequence[float],
     ys: Sequence[float],
-    log_x: bool = False,
-    log_y: bool = False,
     fit: Optional[Tuple[float, float]] = None,
 ) -> str:
     """One inline SVG chart (340x180, no external assets).
 
     The series is a polyline with its lowest point marked.  ``fit`` =
-    ``(exponent, coeff)`` (log-log axes) overlays the power law
-    ``coeff * x**exponent`` as a dashed line and dots every measured
+    ``(exponent, coeff)`` switches to log-log axes, overlays the power
+    law ``coeff * x**exponent`` as a dashed line and dots every measured
     point, so curvature away from the fit is visible at a glance.
     """
     width, height = 340, 180
     left, right, top, bottom = 52, 10, 22, 22
     plot_w = width - left - right
     plot_h = height - top - bottom
-    xt, yt = _axis(xs, log_x), _axis(ys, log_y)
+    log = fit is not None
+    xt, yt = _axis(xs, log), _axis(ys, log)
     x_min, x_max = min(xt), max(xt)
     y_min, y_max = min(yt), max(yt)
     fit_ends: List[float] = []
@@ -216,10 +210,10 @@ def _svg_chart(
     def py(y: float) -> float:
         return top + (y_max - y) / (y_max - y_min) * plot_h
 
-    def label(value: float, log: bool) -> str:
+    def label(value: float) -> str:
         return _fmt(10 ** value if log else value)
 
-    scale = " (log-log)" if log_x and log_y else " (log y)" if log_y else ""
+    scale = " (log-log)" if log else ""
     points = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in zip(xt, yt))
     best = min(range(len(yt)), key=yt.__getitem__)
     parts = [
@@ -248,13 +242,13 @@ def _svg_chart(
         )
     parts.append(
         f'<text x="{left - 4}" y="{top + 8}" class="al" text-anchor="end">'
-        f"{label(y_max, log_y)}</text>"
+        f"{label(y_max)}</text>"
         f'<text x="{left - 4}" y="{top + plot_h}" class="al" '
-        f'text-anchor="end">{label(y_min, log_y)}</text>'
+        f'text-anchor="end">{label(y_min)}</text>'
         f'<text x="{left}" y="{height - 6}" class="al">'
-        f"{label(x_min, log_x)}</text>"
+        f"{label(x_min)}</text>"
         f'<text x="{width - right}" y="{height - 6}" class="al" '
-        f'text-anchor="end">{label(x_max, log_x)}</text></svg>'
+        f'text-anchor="end">{label(x_max)}</text></svg>'
     )
     return "".join(parts)
 
@@ -265,8 +259,7 @@ def _curves_html(point_events: Sequence[Dict[str, Any]]) -> str:
         series = _curve_series(event)
         if series is None:
             continue
-        xs, ys, log_y = series
-        charts.append(_svg_chart(event.get("name", "?"), xs, ys, log_y=log_y))
+        charts.append(_svg_chart(event.get("name", "?"), *series))
     if not charts:
         return ""
     return '<div class="curves">' + "".join(charts) + "</div>"
@@ -629,8 +622,6 @@ def _fit_charts(metrics: Sequence[Dict[str, Any]]) -> str:
                     title,
                     [x for x, _ in points],
                     [y for _, y in points],
-                    log_x=True,
-                    log_y=True,
                     fit=(fit["value"], fit["coeff"]),
                 )
             )

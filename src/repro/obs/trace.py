@@ -21,7 +21,7 @@ Parallel fan-outs inside a captured request need no extra plumbing: the
 executor captures per-worker fragments whenever the *submitting*
 context is enabled (which a :class:`TraceCapture` scope always is) and
 merges them in submission order, so worker spans land in the request's
-capture regardless of thread/process backend.
+capture whether the fan-out ran inline or on the process pool.
 
 :func:`merge_into_current` is the one shared implementation of
 fragment folding — :mod:`repro.parallel.tracing` delegates here.

@@ -1,19 +1,16 @@
-"""repro.parallel — deterministic fan-out over threads or processes.
+"""repro.parallel — deterministic fan-out over a process pool.
 
 The executor layer behind the pipeline's embarrassingly parallel loops:
 RCut random restarts, FM multi-start refinement, and the benchmark
 suite's per-circuit runs.  The contract is strict determinism: for a
-fixed master seed, results are bit-identical across the ``serial``,
-``thread``, and ``process`` backends and any worker count, because
-per-task seeds are spawned up front
+fixed master seed, results are bit-identical inline and on a pool of
+any size, because per-task seeds are spawned up front
 (:func:`spawn_seeds`), reductions happen in submission order, and each
 worker's observability trace is captured privately and merged
-deterministically.  See ``docs/parallel.md`` for the full contract and
-backend trade-offs.
+deterministically.  See ``docs/parallel.md`` for the full contract.
 """
 
 from .executor import (
-    BACKENDS,
     ParallelConfig,
     ParallelError,
     pmap,
@@ -25,7 +22,6 @@ from .executor import (
 from .tracing import capture_fragment, merge_fragment
 
 __all__ = [
-    "BACKENDS",
     "ParallelConfig",
     "ParallelError",
     "capture_fragment",

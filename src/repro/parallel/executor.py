@@ -1,11 +1,10 @@
 """Deterministic parallel mapping for embarrassingly parallel fan-outs.
 
 :func:`pmap` / :func:`pstarmap` run a module-level function over a task
-list on one of three backends — ``serial`` (inline), ``thread``
-(:class:`~concurrent.futures.ThreadPoolExecutor`), or ``process``
-(:class:`~concurrent.futures.ProcessPoolExecutor`) — with results that
-are **bit-identical to a serial run** regardless of backend, worker
-count, or pool scheduling order.  Three rules make that hold:
+list — inline for one worker, on a
+:class:`~concurrent.futures.ProcessPoolExecutor` for two or more — with
+results that are **bit-identical to a serial run** regardless of worker
+count or pool scheduling order.  Three rules make that hold:
 
 1. *No shared randomness.*  Tasks never draw from a shared RNG stream;
    callers derive one independent seed per task up front with
@@ -25,16 +24,15 @@ object (first failing task in submission order), with the task context
 attached as a ``__notes__`` entry on Python 3.11+ and the remote
 traceback preserved on the ``worker_traceback`` attribute.
 
-Pools are cached per ``(backend, workers)`` and reused across calls, so
-repeated small fan-outs (e.g. one per hypothesis example) amortise pool
-start-up.  Nested fan-outs are suppressed: a ``pmap`` issued from inside
-a worker runs serially inline, so configuring both an outer and an
-inner loop for parallelism cannot oversubscribe or deadlock the pools.
+Pools are cached per worker count and reused across calls, so repeated
+small fan-outs (e.g. one per hypothesis example) amortise pool start-up.
+Nested fan-outs are suppressed: a ``pmap`` issued from inside a worker
+runs serially inline, so configuring both an outer and an inner loop for
+parallelism cannot oversubscribe or deadlock the pools.
 
-``REPRO_WORKERS`` / ``REPRO_BACKEND`` provide process-wide defaults for
-call sites that do not pass an explicit :class:`ParallelConfig` — the
-hook the CI parallel job and the CLI ``--workers`` / ``--backend``
-flags build on.
+``REPRO_WORKERS`` provides the process-wide default for call sites that
+do not pass an explicit :class:`ParallelConfig` — the hook the CI
+parallel job and the CLI ``--workers`` flag build on.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import os
 import pickle
 import threading
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -52,7 +50,6 @@ from ..errors import ReproError
 from .tracing import capture_fragment, merge_fragment
 
 __all__ = [
-    "BACKENDS",
     "ParallelConfig",
     "ParallelError",
     "pmap",
@@ -61,8 +58,6 @@ __all__ = [
     "shutdown_executors",
     "spawn_seeds",
 ]
-
-BACKENDS = ("serial", "thread", "process")
 
 
 class ParallelError(ReproError):
@@ -74,24 +69,15 @@ class ParallelError(ReproError):
 class ParallelConfig:
     """How to run a deterministic fan-out.
 
-    ``workers`` is the pool size; ``0`` means auto-detect
-    (``os.cpu_count()``), and any value below 2 degrades to inline
-    serial execution.  ``backend`` is one of :data:`BACKENDS`:
-    ``thread`` suits tasks that release the GIL (NumPy/SciPy solves),
-    ``process`` suits pure-Python tasks (FM passes, restarts) at the
-    price of pickling the task arguments.  Results are identical across
-    all three — the backend only changes wall-clock time.
+    ``workers`` is the pool size: 1 runs inline, 2 or more runs on a
+    process pool, and ``0`` means auto-detect (``os.cpu_count()``).
+    Results are identical for every worker count — it only changes
+    wall-clock time.
     """
 
     workers: int = 1
-    backend: str = "serial"
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ReproError(
-                f"unknown parallel backend {self.backend!r} "
-                f"(choose from {', '.join(BACKENDS)})"
-            )
         if self.workers < 0:
             raise ReproError(
                 f"workers must be >= 0 (0 = auto), got {self.workers}"
@@ -99,24 +85,23 @@ class ParallelConfig:
 
     def effective_workers(self) -> int:
         """The concrete pool size (resolving ``workers=0`` to the CPU
-        count, and the serial backend to 1)."""
-        if self.backend == "serial":
-            return 1
+        count)."""
         if self.workers == 0:
             return os.cpu_count() or 1
         return self.workers
 
+    @property
+    def backend(self) -> str:
+        """``"process"`` when tasks run on a pool, else ``"serial"``."""
+        return "process" if self.effective_workers() > 1 else "serial"
 
-def resolve_parallel(
-    workers: Optional[int] = None, backend: Optional[str] = None
-) -> ParallelConfig:
-    """Build a :class:`ParallelConfig` from explicit values and the
-    ``REPRO_WORKERS`` / ``REPRO_BACKEND`` environment defaults.
 
-    Precedence per field: explicit argument, then environment variable,
-    then default (1 worker; ``process`` when more than one worker is
-    requested, else ``serial``).  Malformed ``REPRO_WORKERS`` values
-    raise :class:`ReproError` rather than silently running serial.
+def resolve_parallel(workers: Optional[int] = None) -> ParallelConfig:
+    """Build a :class:`ParallelConfig` from an explicit worker count or
+    the ``REPRO_WORKERS`` environment default (else 1 worker).
+
+    Malformed ``REPRO_WORKERS`` values raise :class:`ReproError` rather
+    than silently running serial.
     """
     if workers is None:
         raw = os.environ.get("REPRO_WORKERS", "").strip()
@@ -129,11 +114,7 @@ def resolve_parallel(
                 ) from None
         else:
             workers = 1
-    if backend is None:
-        backend = os.environ.get("REPRO_BACKEND", "").strip() or None
-    if backend is None:
-        backend = "process" if workers != 1 else "serial"
-    return ParallelConfig(workers=workers, backend=backend)
+    return ParallelConfig(workers=workers)
 
 
 def spawn_seeds(seed: int, count: int) -> List[int]:
@@ -159,45 +140,28 @@ def _spawn_seed(seed: int, index: int) -> int:
 
 # ----------------------------------------------------------------------
 # Worker bookkeeping: nested fan-outs degrade to inline serial runs.
-_IS_PROCESS_WORKER = False
-_thread_worker = threading.local()
+_IN_WORKER = False
 
 
-def _mark_process_worker() -> None:
-    global _IS_PROCESS_WORKER
-    _IS_PROCESS_WORKER = True
+def _mark_worker() -> None:
+    global _IN_WORKER
+    _IN_WORKER = True
 
 
-def _mark_thread_worker() -> None:
-    _thread_worker.active = True
-
-
-def _in_worker() -> bool:
-    return _IS_PROCESS_WORKER or getattr(_thread_worker, "active", False)
-
-
-# Pools are cached per (backend, workers) and reused; ProcessPool
-# workers are long-lived, which also amortises module imports.
-_EXECUTORS: Dict[Tuple[str, int], Any] = {}
+# Pools are cached per worker count and reused; pool workers are
+# long-lived, which also amortises module imports.
+_EXECUTORS: Dict[int, ProcessPoolExecutor] = {}
 _EXECUTORS_LOCK = threading.Lock()
 
 
-def _get_executor(backend: str, workers: int):
-    key = (backend, workers)
+def _get_executor(workers: int) -> ProcessPoolExecutor:
     with _EXECUTORS_LOCK:
-        executor = _EXECUTORS.get(key)
+        executor = _EXECUTORS.get(workers)
         if executor is None:
-            if backend == "thread":
-                executor = ThreadPoolExecutor(
-                    max_workers=workers,
-                    thread_name_prefix="repro-parallel",
-                    initializer=_mark_thread_worker,
-                )
-            else:
-                executor = ProcessPoolExecutor(
-                    max_workers=workers, initializer=_mark_process_worker
-                )
-            _EXECUTORS[key] = executor
+            executor = ProcessPoolExecutor(
+                max_workers=workers, initializer=_mark_worker
+            )
+            _EXECUTORS[workers] = executor
     return executor
 
 
@@ -214,12 +178,12 @@ def shutdown_executors() -> None:
 def _invoke(payload: Tuple[Any, ...]) -> Tuple[Any, ...]:
     """Run one task in a worker; never raises.
 
-    Returns ``("ok", result, fragment)`` or ``("error", exc, tb_text)``.
-    ``needs_pickle`` marks process-backend tasks, whose outcome must
-    survive pickling back to the parent.  ``memprof`` carries the
+    Returns ``("ok", result, fragment)`` or ``("error", exc, tb_text)``;
+    an exception that cannot survive pickling back to the parent is
+    replaced by a :class:`ParallelError`.  ``memprof`` carries the
     submitting context's memory-attribution flag into the worker.
     """
-    fn, args, capture, needs_pickle, memprof = payload
+    fn, args, capture, memprof = payload
     try:
         if capture:
             result, fragment = capture_fragment(fn, *args, memprof=memprof)
@@ -228,14 +192,13 @@ def _invoke(payload: Tuple[Any, ...]) -> Tuple[Any, ...]:
         return ("ok", result, fragment)
     except Exception as exc:  # noqa: BLE001 — reported to the parent
         tb_text = traceback.format_exc()
-        if needs_pickle:
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                exc = ParallelError(
-                    f"worker task raised an unpicklable "
-                    f"{type(exc).__name__}: {exc}"
-                )
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = ParallelError(
+                f"worker task raised an unpicklable "
+                f"{type(exc).__name__}: {exc}"
+            )
         return ("error", exc, tb_text)
 
 
@@ -263,7 +226,7 @@ def _run(
     if total == 0:
         return []
     workers = min(config.effective_workers(), total)
-    if workers <= 1 or _in_worker():
+    if workers <= 1 or _IN_WORKER:
         # Inline in the caller's context: tracing needs no capture
         # dance, and nested fan-outs cannot oversubscribe the pools.
         results = []
@@ -280,10 +243,9 @@ def _run(
 
     capture = obs.is_enabled()
     memprof = capture and obs.STATE.memprof
-    needs_pickle = config.backend == "process"
-    executor = _get_executor(config.backend, config.effective_workers())
+    executor = _get_executor(config.effective_workers())
     futures = [
-        executor.submit(_invoke, (fn, args, capture, needs_pickle, memprof))
+        executor.submit(_invoke, (fn, args, capture, memprof))
         for args in tasks
     ]
     # Reduce strictly in submission order — both results and trace
@@ -312,10 +274,10 @@ def pmap(
 ) -> List[Any]:
     """``[fn(item) for item in items]``, fanned out deterministically.
 
-    ``fn`` must be a module-level callable and ``items`` picklable when
-    the process backend is in play.  ``config=None`` resolves from the
-    ``REPRO_WORKERS`` / ``REPRO_BACKEND`` environment.  ``label`` names
-    the fan-out in propagated error context.
+    ``fn`` must be a module-level callable and ``items`` picklable
+    whenever a pool runs them.  ``config=None`` resolves from the
+    ``REPRO_WORKERS`` environment.  ``label`` names the fan-out in
+    propagated error context.
     """
     return _run(fn, [(item,) for item in items], config, label)
 

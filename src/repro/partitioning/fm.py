@@ -474,8 +474,8 @@ class FMConfig:
     from ``seed``) and keeps the lowest cut — classic multi-start
     refinement.  The starts fan out through :mod:`repro.parallel`
     according to ``parallel`` (``None`` resolves from the
-    ``REPRO_WORKERS`` / ``REPRO_BACKEND`` environment); results are
-    identical on every backend.  ``starts=1`` preserves the historical
+    ``REPRO_WORKERS`` environment); results are identical for every
+    worker count.  ``starts=1`` preserves the historical
     single-start behaviour (initial partition drawn directly from
     ``random.Random(seed)``).
     """
@@ -631,7 +631,7 @@ def fm_bipartition(
     With ``config.starts > 1`` (and no ``initial_sides``) the
     optimisation is repeated from independent random starts and the
     lowest final cut wins; ties go to the lowest start index, so the
-    result is deterministic and backend-independent.
+    result is deterministic and independent of the worker count.
     """
     if h.num_modules < 2:
         raise PartitionError("FM needs at least 2 modules")

@@ -59,15 +59,14 @@ class IGMatchConfig:
     """Tuning knobs for :func:`ig_match`.
 
     ``weighting`` selects the intersection-graph edge weighting
-    (``"paper"`` by default).  ``backend``/``seed`` control the
-    eigensolver.  ``split_stride`` evaluates every k-th split (1 = all
+    (``"paper"`` by default).  ``seed`` fixes the eigensolver's start
+    vector.  ``split_stride`` evaluates every k-th split (1 = all
     splits, the paper's algorithm; larger values trade quality for
     speed on very large netlists).  ``recursive_depth`` > 0 enables
     the recursive completion extension.
     """
 
     weighting: str = "paper"
-    backend: str = "scipy"
     seed: int = 0
     split_stride: int = 1
     recursive_depth: int = 0
@@ -282,9 +281,7 @@ def ig_match_sweep(
     if graph is None:
         graph = intersection_graph(h, config.weighting)
     if order is None:
-        order = spectral_ordering(
-            graph, backend=config.backend, seed=config.seed
-        )
+        order = spectral_ordering(graph, seed=config.seed)
     elif sorted(order) != list(range(h.num_nets)):
         raise PartitionError("order must be a permutation of net indices")
 
@@ -496,9 +493,7 @@ def ig_match(
         graph = intersection_graph(h, config.weighting)
         if order is None:
             with span("igmatch.ordering"):
-                order = spectral_ordering(
-                    graph, backend=config.backend, seed=config.seed
-                )
+                order = spectral_ordering(graph, seed=config.seed)
         evaluations, partition = ig_match_sweep(
             h, config, order=order, graph=graph, capture=capture
         )
@@ -520,7 +515,7 @@ def ig_match(
             "matching_bound": best.matching_size,
             "splits_evaluated": len(evaluations),
             "weighting": config.weighting,
-            "backend": config.backend,
+            "backend": "scipy",  # eigsh; part of canonical_result_bytes
             "recursive_depth": config.recursive_depth,
             "orderings_tried": 1,
             "best_ordering": 0,

@@ -32,10 +32,10 @@ _EPS = 1e-12
 
 @dataclass(frozen=True)
 class IGVoteConfig:
-    """Eigensolver and weighting options (matching IG-Match's stage 1)."""
+    """Weighting, eigensolver seed and vote threshold (stage 1 matches
+    IG-Match's)."""
 
     weighting: str = "paper"
-    backend: str = "scipy"
     seed: int = 0
     threshold: float = 0.5
 
@@ -126,9 +126,7 @@ def ig_vote(
     start = time.perf_counter()
     if order is None:
         graph = intersection_graph(h, config.weighting)
-        order = spectral_ordering(
-            graph, backend=config.backend, seed=config.seed
-        )
+        order = spectral_ordering(graph, seed=config.seed)
     elif sorted(order) != list(range(h.num_nets)):
         raise PartitionError("order must be a permutation of net indices")
 

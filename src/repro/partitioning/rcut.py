@@ -22,8 +22,8 @@ Restarts are independent, so they fan out through
 :mod:`repro.parallel`: each restart gets its own seed spawned up front
 from ``config.seed`` (never drawn from a shared stream, so adding a
 restart leaves every earlier start unchanged), and the best-of
-reduction happens in restart order — results are bit-identical across
-the serial, thread, and process backends.
+reduction happens in restart order — results are bit-identical inline
+and on a process pool of any size.
 """
 
 from __future__ import annotations
@@ -51,9 +51,8 @@ class RCutConfig:
     ``restarts`` random starting partitions are optimised independently
     (Wei–Cheng report best-of-10).  ``max_rounds`` bounds the
     shift/swap rounds per restart.  ``parallel`` fans the restarts out
-    over a worker pool (``None`` resolves from the ``REPRO_WORKERS`` /
-    ``REPRO_BACKEND`` environment); the result never depends on the
-    backend or worker count.
+    over a worker pool (``None`` resolves from the ``REPRO_WORKERS``
+    environment); the result never depends on the worker count.
     """
 
     restarts: int = 10
@@ -118,7 +117,7 @@ def _restart_task(
 ) -> Tuple[List[int], float, int]:
     """One restart: its own RNG from a spawned seed, then optimise.
 
-    Module-level (picklable) so the process backend can run it; the
+    Module-level (picklable) so a pool worker can run it; the
     per-restart RNG makes the outcome a pure function of
     ``(h, config, restart_seed)`` regardless of scheduling.
     """

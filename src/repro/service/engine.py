@@ -124,7 +124,7 @@ class PartitionRequest:
     """One frozen partitioning problem configuration.
 
     Only fields that can change the *answer* belong here; execution
-    details (worker counts, backends, tracing) live outside the request
+    details (worker counts, tracing) live outside the request
     because :mod:`repro.parallel` guarantees they cannot change results.
     """
 

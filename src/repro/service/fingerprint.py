@@ -25,7 +25,7 @@ request configuration (algorithm, seed, every quality-affecting knob)
 and the result-payload schema version — the full cache key under which
 :mod:`repro.service.cache` stores results.  Parallel execution settings
 are deliberately **not** part of the key: :mod:`repro.parallel`
-guarantees bit-identical results for any worker count and backend.
+guarantees bit-identical results for any worker count.
 """
 
 from __future__ import annotations

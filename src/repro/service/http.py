@@ -83,7 +83,7 @@ from ..errors import ReproError
 from ..hypergraph import Hypergraph, from_json, loads_net
 from ..obs import render_prometheus, render_slow_html
 from ..obs.trace import new_trace_id
-from ..parallel import BACKENDS, ParallelConfig, resolve_parallel
+from ..parallel import ParallelConfig, resolve_parallel
 from .cache import ResultCache
 from .engine import PartitionEngine, PartitionRequest
 from .sessions import SessionMissError
@@ -813,12 +813,9 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker pool size for the partitioners' parallel fan-outs "
+        help="worker pool size for the partitioners' parallel fan-outs: "
+        "1 runs inline, 2 or more on a process pool "
         "(default: $REPRO_WORKERS or 1)",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="parallel backend (default: $REPRO_BACKEND)",
     )
     parser.add_argument(
         "--access-log", metavar="PATH", default=None,
@@ -864,7 +861,7 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         engine = PartitionEngine(
             cache=ResultCache(**cache_kwargs),
-            parallel=resolve_parallel(args.workers, args.backend),
+            parallel=resolve_parallel(args.workers),
             slow_threshold_s=args.slow_threshold,
             memprof=args.memprof,
         )

@@ -6,14 +6,12 @@ eigenvalue is 0 (constant eigenvector) and the second-smallest eigenpair
 net ordering.  Theorem 1 (Hagen–Kahng) guarantees
 ``lambda_2 / n <= c_opt`` for the optimal ratio cut cost ``c_opt``.
 
-Two interchangeable backends are provided:
-
-* ``"lanczos"`` — our own solver (:mod:`repro.spectral.lanczos`), run on
-  the shifted operator ``c·I - Q`` so the wanted pair is *largest*, the
-  regime where Lanczos converges fastest (exactly the paper's trick of
-  feeding ``A - D`` to its Lanczos code).
-* ``"scipy"`` — ``scipy.sparse.linalg.eigsh`` on the same shifted
-  operator, used for cross-validation and as a robust default.
+The eigenpair comes from ARPACK's ``scipy.sparse.linalg.eigsh`` (an
+implicitly restarted Lanczos method, standing in for the paper's
+block-Lanczos library code) run on the shifted operator ``c·I - Q``, so
+the wanted pair is *largest* — the regime where Lanczos converges
+fastest, and the paper's trick of feeding ``A - D`` to its Lanczos code.
+Graphs of at most 16 vertices use a dense ``numpy.linalg.eigh`` solve.
 
 Disconnected graphs have ``lambda_2 = 0`` with a component-indicator
 eigenvector, which carries no ordering information *within* components;
@@ -34,15 +32,12 @@ import scipy.sparse.linalg as spla
 from ..errors import SpectralError
 from ..graph import Graph, connected_components, laplacian_matrix
 from ..obs import emit, incr, is_enabled, span
-from .lanczos import lanczos_extreme
 
 __all__ = [
     "FiedlerResult",
     "component_spectral_values",
     "fiedler_vector",
 ]
-
-_BACKENDS = ("scipy", "lanczos")
 
 
 @dataclass(frozen=True)
@@ -51,7 +46,6 @@ class FiedlerResult:
 
     eigenvalue: float
     vector: np.ndarray
-    backend: str
 
     def ratio_cut_lower_bound(self) -> float:
         """Theorem 1's bound: ``lambda_2 / n <= optimal ratio cut``."""
@@ -77,9 +71,9 @@ def _counting_operator(matrix: sp.csr_matrix):
 
     scipy's ``eigsh`` is an implicitly restarted Lanczos method; one
     matvec is one Lanczos step, so the call count is the natural
-    iteration statistic when profiling the ``"scipy"`` backend.  Only
-    used while instrumentation is on — the wrapper costs one Python
-    call per matvec.
+    iteration statistic when profiling.  Only used while
+    instrumentation is on — the wrapper costs one Python call per
+    matvec.
     """
     calls = [0]
 
@@ -105,17 +99,17 @@ def _canonical_sign(vector: np.ndarray) -> np.ndarray:
 
 
 def fiedler_vector(
-    g: Graph, backend: str = "scipy", seed: int = 0, tol: float = 1e-9
+    g: Graph, seed: int = 0, tol: float = 0.0
 ) -> FiedlerResult:
     """Compute ``(lambda_2, x)`` of the Laplacian of a connected graph.
 
-    Raises :class:`SpectralError` for graphs with fewer than 2 vertices or
-    more than one connected component.
+    ``tol`` is ``eigsh``'s relative accuracy target; ``0`` asks for
+    machine precision, and looser values trade accuracy for fewer
+    Lanczos steps (the relaxation the paper's conclusion proposes).
+    ``seed`` fixes the starting vector.  Raises :class:`SpectralError`
+    for graphs with fewer than 2 vertices or more than one connected
+    component.
     """
-    if backend not in _BACKENDS:
-        raise SpectralError(
-            f"unknown backend {backend!r}; available: {_BACKENDS}"
-        )
     n = g.num_vertices
     if n < 2:
         raise SpectralError(
@@ -128,52 +122,34 @@ def fiedler_vector(
             "use component_spectral_values or partition components first"
         )
 
-    with span("spectral.fiedler", backend=backend, n=n) as sp:
+    with span("spectral.fiedler", n=n) as sp:
         shifted, shift = _shifted_laplacian(g)
-        if backend == "lanczos":
-            res = lanczos_extreme(
-                shifted, k=2, which="LA", tol=tol, seed=seed
-            )
-            # Shifted-largest come back ascending; the largest is the
-            # trivial pair (lambda=0 of Q), second-largest is Fiedler.
-            mu_fiedler = res.eigenvalues[0]
-            vector = res.eigenvectors[:, 0]
+        if n <= 16:
+            # eigsh needs k < n and behaves poorly on tiny systems;
+            # a dense solve is exact and cheap here.
+            sp.set(method="dense")
+            mu, vecs = np.linalg.eigh(shifted.toarray())
+            mu_fiedler = mu[-2]
+            vector = vecs[:, -2]
         else:
-            if n <= 16:
-                # eigsh needs k < n and behaves poorly on tiny systems;
-                # a dense solve is exact and cheap here.
-                sp.set(method="dense")
-                dense = shifted.toarray()
-                mu, vecs = np.linalg.eigh(dense)
-                mu_fiedler = mu[-2]
-                vector = vecs[:, -2]
-            else:
-                rng = np.random.default_rng(seed)
-                v0 = rng.standard_normal(n)
-                with span(
-                    "spectral.lanczos", backend="scipy-eigsh", n=n, k=2
-                ) as lsp:
-                    if is_enabled():
-                        operator, calls = _counting_operator(shifted)
-                    else:
-                        operator, calls = shifted, [0]
-                    mu, vecs = spla.eigsh(
-                        operator, k=2, which="LA", tol=0, v0=v0
-                    )
-                    if is_enabled():
-                        lsp.set(iterations=calls[0])
-                        incr("lanczos.solves")
-                        incr("lanczos.iterations", calls[0])
-                        emit(
-                            "spectral.lanczos",
-                            backend="scipy-eigsh",
-                            n=n,
-                            k=2,
-                            iterations=calls[0],
-                        )
-                order = np.argsort(mu)
-                mu_fiedler = mu[order[0]]
-                vector = vecs[:, order[0]]
+            rng = np.random.default_rng(seed)
+            v0 = rng.standard_normal(n)
+            with span("spectral.lanczos", n=n, k=2) as lsp:
+                if is_enabled():
+                    operator, calls = _counting_operator(shifted)
+                else:
+                    operator, calls = shifted, [0]
+                mu, vecs = spla.eigsh(
+                    operator, k=2, which="LA", tol=tol, v0=v0
+                )
+                if is_enabled():
+                    lsp.set(iterations=calls[0])
+                    incr("lanczos.solves")
+                    incr("lanczos.iterations", calls[0])
+                    emit("spectral.lanczos", n=n, k=2, iterations=calls[0])
+            order = np.argsort(mu)
+            mu_fiedler = mu[order[0]]
+            vector = vecs[:, order[0]]
 
         eigenvalue = float(shift - mu_fiedler)
         sp.set(eigenvalue=round(eigenvalue, 9))
@@ -182,13 +158,10 @@ def fiedler_vector(
     return FiedlerResult(
         eigenvalue=eigenvalue,
         vector=_canonical_sign(np.asarray(vector, dtype=float)),
-        backend=backend,
     )
 
 
-def component_spectral_values(
-    g: Graph, backend: str = "scipy", seed: int = 0
-) -> np.ndarray:
+def component_spectral_values(g: Graph, seed: int = 0) -> np.ndarray:
     """A spectral coordinate for every vertex of a possibly-disconnected
     graph.
 
@@ -218,7 +191,7 @@ def component_spectral_values(
             span = 2.0
         else:
             sub, vertex_map = g.induced_subgraph(comp)
-            res = fiedler_vector(sub, backend=backend, seed=seed)
+            res = fiedler_vector(sub, seed=seed)
             local = res.vector
             span = float(local.max() - local.min()) + 1.0
             local = local - local.min()

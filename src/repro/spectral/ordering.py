@@ -31,7 +31,7 @@ def ordering_from_values(values: Union[np.ndarray, List[float]]) -> List[int]:
 
 
 def spectral_ordering(
-    g: Graph, backend: str = "scipy", seed: int = 0, tol: float = 1e-9
+    g: Graph, seed: int = 0, tol: float = 0.0
 ) -> List[int]:
     """Fiedler ordering of the vertices of ``g``.
 
@@ -39,18 +39,14 @@ def spectral_ordering(
     fall back to per-component spectral coordinates (see
     :func:`repro.spectral.fiedler.component_spectral_values`), which keep
     components contiguous in the ordering.  ``tol`` is forwarded to the
-    eigensolver (the ``lanczos`` backend honours relaxed tolerances —
-    the speed/quality knob the paper's conclusion mentions).
+    eigensolver of a connected graph: relaxing it is the speed/quality
+    knob the paper's conclusion mentions.
     """
     if g.num_vertices <= 2:
         return list(range(g.num_vertices))
-    with span("spectral.ordering", n=g.num_vertices, backend=backend):
+    with span("spectral.ordering", n=g.num_vertices):
         try:
-            values = fiedler_vector(
-                g, backend=backend, seed=seed, tol=tol
-            ).vector
+            values = fiedler_vector(g, seed=seed, tol=tol).vector
         except SpectralError:
-            values = component_spectral_values(
-                g, backend=backend, seed=seed
-            )
+            values = component_spectral_values(g, seed=seed)
         return ordering_from_values(values)

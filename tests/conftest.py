@@ -22,7 +22,7 @@ from tests.strategies import (  # noqa: F401  (re-exported)
 )
 
 # Profiles: "ci" trades example count for wall time so the matrix jobs
-# (and the parallel-backend job, where every example forks workers)
+# (and the parallel job, where every example forks workers)
 # stay fast; "default" is the local run.  Select with
 # ``pytest --hypothesis-profile ci``.  Note tests that hardcode
 # ``@settings(max_examples=...)`` override the profile's count.
@@ -34,6 +34,11 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+#: Run a test inline (one worker) and on a process pool (two).
+WORKERS = pytest.mark.parametrize(
+    "workers", [1, 2], ids=["serial", "process"]
+)
 
 
 # ----------------------------------------------------------------------

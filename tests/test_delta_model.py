@@ -27,7 +27,6 @@ from repro.delta import (
 from repro.errors import DeltaError
 from repro.hypergraph import Hypergraph
 from repro.service import exact_fingerprint
-from tests.oracles import IMPLEMENTATIONS, pipeline
 from tests.strategies import adversarial_csr_hypergraphs
 
 
@@ -94,33 +93,29 @@ class TestValidation:
 
 
 class TestAlgebra:
-    @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
     @settings(max_examples=40, deadline=None)
     @given(
         h=adversarial_csr_hypergraphs(),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_apply_invert_is_identity(self, implementation, h, seed):
+    def test_apply_invert_is_identity(self, h, seed):
         delta = random_delta(h, random.Random(seed))
-        with pipeline(implementation):
-            edited = delta.apply(h)
-            restored = delta.invert(h).apply(edited)
+        edited = delta.apply(h)
+        restored = delta.invert(h).apply(edited)
         assert exact_fingerprint(restored) == exact_fingerprint(h)
 
-    @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
     @settings(max_examples=40, deadline=None)
     @given(
         h=adversarial_csr_hypergraphs(),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_compose_equals_sequential_apply(self, implementation, h, seed):
+    def test_compose_equals_sequential_apply(self, h, seed):
         rng = random.Random(seed)
         first = random_delta(h, rng)
         middle = first.apply(h)
         second = random_delta(middle, rng)
-        with pipeline(implementation):
-            composed = first.compose(second, h).apply(h)
-            sequential = second.apply(first.apply(h))
+        composed = first.compose(second, h).apply(h)
+        sequential = second.apply(first.apply(h))
         assert exact_fingerprint(composed) == exact_fingerprint(
             sequential
         )

@@ -17,6 +17,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.bench import build_circuit
 from repro.delta import (
     NetlistDelta,
     dumps_delta,
@@ -211,6 +212,23 @@ class TestWarmPartition:
         )
         assert not warm
         assert result.partition is not None
+
+    def test_fm_delta_on_ig_match_session_serves_cold(self):
+        # The session holds only ig-match artifacts, so FM has no sides
+        # to warm-start from and must fall back to a cold run.
+        h = build_circuit("Test02", seed=0, scale=0.05)
+        delta = random_delta(h, random.Random(1), module_churn=False)
+        engine = PartitionEngine()
+        base_served = engine.partition(h, _request("ig-match"))
+        served = engine.partition_delta(
+            base_served.fingerprint, delta, _request("fm")
+        )
+        assert served.source == "delta-cold"
+        assert canonical_result_bytes(
+            served.result
+        ) == canonical_result_bytes(
+            run_partitioner(delta.apply(h), _request("fm"))
+        )
 
     @pytest.mark.parametrize("algorithm", ["ig-match", "fm"])
     def test_quality_no_worse_over_a_chain(self, algorithm):

@@ -81,6 +81,20 @@ class TestHgrParsing:
         with pytest.raises(ParseError):
             loads_hgr("1 2\n1 x\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("1 1 1 \n -3 1", 2),  # negative net weight
+            ("1 2 10\n1 2\n-1\n1\n", 3),  # vertex weights
+            ("1 2 10\n1 2\nnan\n1\n", 3),
+            ("1 2 10\n1 2\ninf\n1\n", 3),
+        ],
+    )
+    def test_bad_weight_names_its_line(self, text, line):
+        with pytest.raises(ParseError) as info:
+            loads_hgr(text)
+        assert info.value.line == line
+
 
 class TestHgrRoundtrip:
     def test_file_roundtrip(self, tmp_path, small_circuit):
@@ -170,6 +184,15 @@ class TestBookshelfParsing:
         bad = NODES.replace("NumNodes : 3", "NumNodes : 5")
         with pytest.raises(ParseError):
             loads_bookshelf(bad, NETS)
+
+    @pytest.mark.parametrize(
+        "node", ["a -1 1", "a nan 1", "a inf 1", "a 1e200 1e200"]
+    )
+    def test_bad_node_area_names_its_line(self, node):
+        bad = NODES.replace("    a 2 3", "    " + node)
+        with pytest.raises(ParseError) as info:
+            loads_bookshelf(bad, NETS)
+        assert info.value.line == 5
 
 
 class TestBookshelfRoundtrip:

@@ -10,7 +10,6 @@ import pytest
 from repro import (
     EIG1Config,
     FMConfig,
-    IGMatchConfig,
     RCutConfig,
     build_circuit,
     eig1,
@@ -110,14 +109,3 @@ class TestFullPipeline:
         result = ig_match(weighted)
         u, w = result.areas.split(":")
         assert float(u) + float(w) == pytest.approx(weighted.total_area)
-
-    def test_spectral_backends_end_to_end(self, small_circuit):
-        scipy_result = ig_match(
-            small_circuit, IGMatchConfig(backend="scipy")
-        )
-        lanczos_result = ig_match(
-            small_circuit, IGMatchConfig(backend="lanczos")
-        )
-        # Same eigenvector up to sign/ties: allow tiny quality wiggle.
-        assert lanczos_result.ratio_cut <= scipy_result.ratio_cut * 1.5
-        assert scipy_result.ratio_cut <= lanczos_result.ratio_cut * 1.5

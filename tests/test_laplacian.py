@@ -8,7 +8,6 @@ from repro.graph import (
     adjacency_matrix,
     degree_matrix,
     laplacian_matrix,
-    negated_laplacian,
 )
 
 
@@ -68,8 +67,3 @@ class TestLaplacian:
         x = np.array([1.0, -1.0, 2.0])
         expected = 2.0 * (1 - -1) ** 2 + 3.0 * (-1 - 2) ** 2
         assert np.isclose(x @ q @ x, expected)
-
-    def test_negated_laplacian(self, path_graph):
-        q = laplacian_matrix(path_graph).toarray()
-        nq = negated_laplacian(path_graph).toarray()
-        assert np.allclose(nq, -q)

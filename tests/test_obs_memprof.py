@@ -17,6 +17,7 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.parallel import ParallelConfig, capture_fragment, pmap
+from tests.conftest import WORKERS
 
 
 @pytest.fixture(autouse=True)
@@ -191,16 +192,16 @@ class TestFragments:
         _, fragment = capture_fragment(_worker, 100_000)
         assert "mem_alloc_bytes" not in fragment["spans"][0]["attrs"]
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_mem_attrs_survive_every_backend(self, backend):
-        """pmap under memprof: every backend's merged tree carries the
-        worker-side memory attribution."""
+    @WORKERS
+    def test_mem_attrs_survive_every_backend(self, workers):
+        """pmap under memprof: the merged tree carries the worker-side
+        memory attribution, inline or pooled."""
         obs.enable()
         with obs.memprof_enabled():
             results = pmap(
                 _worker,
                 [50_000, 60_000],
-                ParallelConfig(workers=2, backend=backend),
+                ParallelConfig(workers),
             )
         assert results == [50_000, 60_000]
         fanouts = [

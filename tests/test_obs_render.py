@@ -92,19 +92,6 @@ class TestTraceHtml:
     def test_empty_trace(self):
         assert "(no events)" in render_trace_html([])
 
-    def test_log_scale_for_residual_curves(self):
-        events = [
-            {
-                "type": "point",
-                "name": "spectral.lanczos.convergence",
-                "steps": [10, 20, 30],
-                "residuals": [1e-1, 1e-5, 1e-11],
-                "seq": 1,
-            }
-        ]
-        html = render_trace_html(events)
-        assert "log y" in html
-
 
 class TestBenchHtml:
     def test_renders_real_suite_payload(self):

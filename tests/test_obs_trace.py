@@ -15,7 +15,7 @@ from repro.obs.trace import (
 )
 from repro.parallel import ParallelConfig
 from repro.service.engine import PartitionRequest, run_partitioner
-from tests.conftest import random_hypergraph
+from tests.conftest import WORKERS, random_hypergraph
 
 
 @pytest.fixture(autouse=True)
@@ -131,12 +131,12 @@ class TestFragmentHelpers:
 
 
 class TestParallelPropagation:
-    """Worker spans land in the request capture on both backends."""
+    """Worker spans land in the request capture, inline or pooled."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_worker_spans_captured(self, backend):
+    @WORKERS
+    def test_worker_spans_captured(self, workers):
         h = random_hypergraph(11, num_modules=14, num_nets=18)
-        parallel = ParallelConfig(workers=2, backend=backend)
+        parallel = ParallelConfig(workers)
         assert not obs.is_enabled()
         with obs.TraceCapture() as capture:
             run_partitioner(
@@ -145,13 +145,13 @@ class TestParallelPropagation:
                 parallel=parallel,
             )
         names = capture.span_names()
-        # The restart spans ran in worker threads/processes, yet appear
-        # in this request's capture, stamped with its trace id.
+        # The restart spans may have run in worker processes, yet
+        # appear in this request's capture, stamped with its trace id.
         assert "rcut.restart" in names
         assert capture.spans[0]["attrs"]["trace_id"] == capture.trace_id
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_capture_matches_serial_span_set(self, backend):
+    @WORKERS
+    def test_capture_matches_serial_span_set(self, workers):
         h = random_hypergraph(12, num_modules=14, num_nets=18)
         request = PartitionRequest("rcut", seed=0, restarts=3)
         with obs.TraceCapture() as serial:
@@ -160,7 +160,7 @@ class TestParallelPropagation:
             run_partitioner(
                 h,
                 request,
-                parallel=ParallelConfig(workers=2, backend=backend),
+                parallel=ParallelConfig(workers),
             )
         assert sorted(set(serial.span_names())) == sorted(
             set(fanned.span_names())

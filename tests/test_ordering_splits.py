@@ -1,7 +1,9 @@
 """Tests for spectral orderings and the module split sweep."""
 
+import numpy as np
 import pytest
 
+from repro import obs
 from repro.errors import PartitionError, SpectralError
 from repro.graph import Graph
 from repro.hypergraph import Hypergraph
@@ -12,6 +14,7 @@ from repro.spectral import (
     spectral_ordering,
     sweep_module_splits,
 )
+from tests.conftest import connected_random_graph
 
 
 class TestOrderingFromValues:
@@ -22,8 +25,6 @@ class TestOrderingFromValues:
         assert ordering_from_values([1.0, 0.0, 0.0]) == [1, 2, 0]
 
     def test_rejects_matrix(self):
-        import numpy as np
-
         with pytest.raises(SpectralError):
             ordering_from_values(np.zeros((2, 2)))
 
@@ -61,6 +62,35 @@ class TestSpectralOrdering:
     def test_deterministic(self, small_circuit):
         g = get_model("clique").to_graph(small_circuit)
         assert spectral_ordering(g, seed=3) == spectral_ordering(g, seed=3)
+
+
+def _lanczos_iterations(g, tol):
+    with obs.isolated() as state:
+        obs.enable()
+        try:
+            spectral_ordering(g, tol=tol)
+        finally:
+            obs.disable()
+    return state.counters["lanczos.iterations"]
+
+
+class TestRelaxedTolerance:
+    def test_ordering_tolerance_plumbed(self):
+        g = connected_random_graph(4, num_vertices=40, extra_edges=40)
+        tight = spectral_ordering(g, tol=1e-10)
+        loose = spectral_ordering(g, tol=1e-2)
+        assert sorted(tight) == sorted(loose)
+        # A loose ordering may differ in detail but must still separate
+        # the graph like the tight one (the sign may flip).
+        position_tight = {v: i for i, v in enumerate(tight)}
+        position_loose = {v: i for i, v in enumerate(loose)}
+        xs = [position_tight[v] for v in range(40)]
+        ys = [position_loose[v] for v in range(40)]
+        assert abs(np.corrcoef(xs, ys)[0, 1]) > 0.5
+
+    def test_loose_tolerance_takes_fewer_iterations(self):
+        g = connected_random_graph(4, num_vertices=40, extra_edges=40)
+        assert _lanczos_iterations(g, 1e-2) < _lanczos_iterations(g, 0.0)
 
 
 class TestSweep:

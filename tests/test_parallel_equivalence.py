@@ -2,9 +2,9 @@
 
 Three families of guarantees:
 
-1. **Backend equivalence** — for every fanned-out algorithm (RCut
-   restarts, FM multi-start, the bench suite) the serial, thread, and
-   process backends produce bit-identical results: same partition,
+1. **Worker-count equivalence** — for every fanned-out algorithm (RCut
+   restarts, FM multi-start, the bench suite) an inline run and a
+   process-pool run produce bit-identical results: same partition,
    same ``nets_cut``/``ratio_cut``, same details.
 2. **Seed determinism** — every top-level partitioner run twice with
    the same seed returns an identical :class:`PartitionResult`.
@@ -13,11 +13,12 @@ Three families of guarantees:
    nested-fan-out suppression, and env-var resolution.
 
 Process-pool workers unpickle tasks by module path, so every task
-function used with the process backend lives at module level here.
+function used with a pool lives at module level here.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
 
@@ -29,7 +30,6 @@ from repro import obs
 from repro.clustering import MultilevelConfig, multilevel_partition
 from repro.errors import ReproError
 from repro.parallel import (
-    BACKENDS,
     ParallelConfig,
     ParallelError,
     capture_fragment,
@@ -55,10 +55,10 @@ from repro.partitioning import (
     kl_bisection,
     rcut,
 )
-from tests.conftest import random_hypergraph
+from tests.conftest import WORKERS, random_hypergraph
 from tests.strategies import partitionable_hypergraphs
 
-POOL_BACKENDS = ("thread", "process")
+POOL = ParallelConfig(2)
 
 
 def fingerprint(result):
@@ -73,7 +73,7 @@ def fingerprint(result):
 
 
 # ----------------------------------------------------------------------
-# Module-level task functions (picklable for the process backend)
+# Module-level task functions (picklable for the process pool)
 # ----------------------------------------------------------------------
 def _square(x):
     return x * x
@@ -81,6 +81,10 @@ def _square(x):
 
 def _add(x, y):
     return x + y
+
+
+def _pid(_):
+    return os.getpid()
 
 
 def _sleep_inverse(index, total):
@@ -105,9 +109,9 @@ def _raise_unpicklable(x):
     raise _Unpicklable()
 
 
-def _nested_pmap(x):
+def _nested_pids(_):
     """A task that itself fans out: must run inline, not deadlock."""
-    return sum(pmap(_square, range(x), ParallelConfig(2, "thread")))
+    return os.getpid(), pmap(_pid, range(3), POOL)
 
 
 def _count_with_obs(x):
@@ -155,41 +159,29 @@ class TestParallelConfig:
         assert (config.workers, config.backend) == (1, "serial")
         assert config.effective_workers() == 1
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ReproError):
-            ParallelConfig(workers=2, backend="mpi")
-
     def test_negative_workers_rejected(self):
         with pytest.raises(ReproError):
             ParallelConfig(workers=-1)
 
     def test_auto_workers_detects_cpus(self):
-        config = ParallelConfig(workers=0, backend="thread")
-        assert config.effective_workers() >= 1
-
-    def test_serial_backend_uses_one_worker(self):
-        assert ParallelConfig(8, "serial").effective_workers() == 1
+        config = ParallelConfig(workers=0)
+        assert config.effective_workers() == (os.cpu_count() or 1)
 
     def test_resolve_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         config = resolve_parallel()
         assert (config.workers, config.backend) == (1, "serial")
 
     def test_resolve_reads_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
         config = resolve_parallel()
-        assert (config.workers, config.backend) == (3, "thread")
+        assert (config.workers, config.backend) == (3, "process")
 
     def test_explicit_args_beat_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
-        config = resolve_parallel(workers=2, backend="process")
-        assert (config.workers, config.backend) == (2, "process")
+        assert resolve_parallel(workers=2).workers == 2
 
-    def test_workers_imply_process_backend(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_workers_imply_process_backend(self):
         assert resolve_parallel(workers=4).backend == "process"
 
     def test_malformed_env_workers_raises(self, monkeypatch):
@@ -202,116 +194,109 @@ class TestParallelConfig:
 # pmap / pstarmap semantics
 # ----------------------------------------------------------------------
 class TestExecutorSemantics:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pmap_maps_in_order(self, backend):
-        config = ParallelConfig(2, backend)
+    @WORKERS
+    def test_pmap_maps_in_order(self, workers):
+        config = ParallelConfig(workers)
         assert pmap(_square, range(10), config) == [
             x * x for x in range(10)
         ]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pstarmap_unpacks_tuples(self, backend):
-        config = ParallelConfig(2, backend)
+    @WORKERS
+    def test_pstarmap_unpacks_tuples(self, workers):
+        config = ParallelConfig(workers)
         args = [(i, 10 * i) for i in range(6)]
         assert pstarmap(_add, args, config) == [11 * i for i in range(6)]
 
     def test_results_follow_submission_order_not_finish_order(self):
         total = 6
-        out = pmap(
-            lambda i: _sleep_inverse(i, total),
-            range(total),
-            ParallelConfig(total, "thread"),
+        out = pstarmap(
+            _sleep_inverse,
+            [(i, total) for i in range(total)],
+            POOL,
         )
         assert out == list(range(total))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_items(self, backend):
-        assert pmap(_square, [], ParallelConfig(2, backend)) == []
+    @WORKERS
+    def test_empty_items(self, workers):
+        assert pmap(_square, [], ParallelConfig(workers)) == []
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_single_item(self, backend):
-        assert pmap(_square, [7], ParallelConfig(2, backend)) == [49]
+    @WORKERS
+    def test_single_item(self, workers):
+        assert pmap(_square, [7], ParallelConfig(workers)) == [49]
 
     def test_one_worker_runs_inline(self):
-        # workers=1 never touches a pool, whatever the backend says.
-        assert pmap(_square, range(4), ParallelConfig(1, "process")) == [
-            0, 1, 4, 9,
-        ]
+        assert pmap(_pid, range(4), ParallelConfig(1)) == [os.getpid()] * 4
+
+    def test_two_workers_run_on_a_pool(self):
+        config = ParallelConfig(workers=2)
+        assert config.effective_workers() == 2
+        assert config.backend == "process"
+        assert os.getpid() not in pmap(_pid, range(4), config)
 
     def test_zero_workers_auto_detect(self):
-        config = ParallelConfig(0, "thread")
+        config = ParallelConfig(0)
         assert pmap(_square, range(5), config) == [0, 1, 4, 9, 16]
 
     def test_none_config_is_serial(self):
         assert pmap(_square, range(3), None) == [0, 1, 4]
 
-    @pytest.mark.parametrize("backend", POOL_BACKENDS)
-    def test_nested_fan_out_runs_inline(self, backend):
-        out = pmap(_nested_pmap, [3, 4], ParallelConfig(2, backend))
-        assert out == [sum(x * x for x in range(3)),
-                       sum(x * x for x in range(4))]
+    def test_nested_fan_out_runs_inline(self):
+        for outer, inner in pmap(_nested_pids, range(2), POOL):
+            assert outer != os.getpid()
+            assert inner == [outer] * 3
 
 
 class TestExceptionPropagation:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_original_type_and_message_survive(self, backend):
-        config = ParallelConfig(2, backend)
+    @WORKERS
+    def test_original_type_and_message_survive(self, workers):
+        config = ParallelConfig(workers)
         with pytest.raises(ValueError, match="boom on 2"):
             pmap(_raise_value_error, range(5), config)
 
-    @pytest.mark.parametrize("backend", POOL_BACKENDS)
-    def test_worker_traceback_attached(self, backend):
-        config = ParallelConfig(2, backend)
+    @WORKERS
+    def test_worker_traceback_attached(self, workers):
+        config = ParallelConfig(workers)
         with pytest.raises(ValueError) as info:
             pmap(_raise_value_error, range(5), config)
         assert "boom on 2" in getattr(info.value, "worker_traceback", "")
 
-    @pytest.mark.parametrize("backend", POOL_BACKENDS)
-    def test_task_context_noted(self, backend):
-        config = ParallelConfig(2, backend)
+    @WORKERS
+    def test_task_context_noted(self, workers):
+        config = ParallelConfig(workers)
         with pytest.raises(ValueError) as info:
             pmap(_raise_value_error, range(5), config, label="mylabel")
         notes = "".join(getattr(info.value, "__notes__", []))
         assert "3/5" in notes and "mylabel" in notes
 
     def test_unpicklable_exception_becomes_parallel_error(self):
-        config = ParallelConfig(2, "process")
         with pytest.raises((ParallelError, _Unpicklable)) as info:
-            pmap(_raise_unpicklable, range(3), config)
+            pmap(_raise_unpicklable, range(3), POOL)
         assert "unpicklable" in str(info.value)
 
-    def test_thread_backend_keeps_unpicklable_exception(self):
-        config = ParallelConfig(2, "thread")
-        with pytest.raises(_Unpicklable):
-            pmap(_raise_unpicklable, range(3), config)
-
 
 # ----------------------------------------------------------------------
-# Backend equivalence on the real algorithms (satellite 1)
+# Worker-count equivalence on the real algorithms
 # ----------------------------------------------------------------------
-def _pool(backend):
-    return ParallelConfig(3, backend)
-
-
 class TestRCutEquivalence:
     @given(partitionable_hypergraphs(), st.integers(0, 1000))
     @settings(max_examples=12, deadline=None)
     def test_all_backends_identical(self, h, seed):
         config = RCutConfig(restarts=4, seed=seed)
         serial = rcut(h, config)
-        for backend in POOL_BACKENDS:
-            parallel = rcut(
-                h,
-                RCutConfig(restarts=4, seed=seed, parallel=_pool(backend)),
-            )
-            assert fingerprint(parallel) == fingerprint(serial)
+        parallel = rcut(
+            h, RCutConfig(restarts=4, seed=seed, parallel=POOL)
+        )
+        assert fingerprint(parallel) == fingerprint(serial)
 
-    @pytest.mark.parametrize("backend", POOL_BACKENDS)
-    def test_fixed_circuit(self, backend, two_cluster_hypergraph):
+    @WORKERS
+    def test_fixed_circuit(self, workers, two_cluster_hypergraph):
         h = two_cluster_hypergraph
         serial = rcut(h, RCutConfig(restarts=6, seed=3))
         parallel = rcut(
-            h, RCutConfig(restarts=6, seed=3, parallel=_pool(backend))
+            h,
+            RCutConfig(
+                restarts=6, seed=3, parallel=ParallelConfig(workers)
+            ),
         )
         assert fingerprint(parallel) == fingerprint(serial)
         assert parallel.details["restarts"] == 6
@@ -338,18 +323,17 @@ class TestFMEquivalence:
     def test_all_backends_identical(self, h, seed):
         config = FMConfig(seed=seed, starts=3)
         serial = fm_bipartition(h, config)
-        for backend in POOL_BACKENDS:
-            parallel = fm_bipartition(
-                h, FMConfig(seed=seed, starts=3, parallel=_pool(backend))
-            )
-            assert fingerprint(parallel) == fingerprint(serial)
+        parallel = fm_bipartition(
+            h, FMConfig(seed=seed, starts=3, parallel=POOL)
+        )
+        assert fingerprint(parallel) == fingerprint(serial)
 
-    @pytest.mark.parametrize("backend", POOL_BACKENDS)
-    def test_fixed_circuit(self, backend, two_cluster_hypergraph):
+    @WORKERS
+    def test_fixed_circuit(self, workers, two_cluster_hypergraph):
         h = two_cluster_hypergraph
         serial = fm_bipartition(h, FMConfig(seed=1, starts=4))
         parallel = fm_bipartition(
-            h, FMConfig(seed=1, starts=4, parallel=_pool(backend))
+            h, FMConfig(seed=1, starts=4, parallel=ParallelConfig(workers))
         )
         assert fingerprint(parallel) == fingerprint(serial)
         assert parallel.details["starts"] == 4
@@ -358,8 +342,7 @@ class TestFMEquivalence:
         """starts=1 must take the exact pre-parallelism code path."""
         h = random_hypergraph(2, num_modules=14, num_nets=18)
         a = fm_bipartition(h, FMConfig(seed=4))
-        b = fm_bipartition(h, FMConfig(seed=4, starts=1,
-                                       parallel=_pool("thread")))
+        b = fm_bipartition(h, FMConfig(seed=4, starts=1, parallel=POOL))
         assert fingerprint(a) == fingerprint(b)
 
 
@@ -392,22 +375,22 @@ class TestSeedDeterminism:
 # Observability under parallelism
 # ----------------------------------------------------------------------
 class TestObsUnderParallelism:
-    def _counters_and_spans(self, backend, workers):
+    def _counters_and_spans(self, workers):
         with obs.isolated():
             with obs.enabled():
                 rcut(
                     random_hypergraph(4, num_modules=14, num_nets=18),
                     RCutConfig(
                         restarts=5, seed=2,
-                        parallel=ParallelConfig(workers, backend),
+                        parallel=ParallelConfig(workers),
                     ),
                 )
                 return dict(obs.counters()), obs.flatten_totals()
 
-    @pytest.mark.parametrize("backend", POOL_BACKENDS)
-    def test_counters_and_span_counts_match_serial(self, backend):
-        counters, totals = self._counters_and_spans("serial", 1)
-        pcounters, ptotals = self._counters_and_spans(backend, 3)
+    @WORKERS
+    def test_counters_and_span_counts_match_serial(self, workers):
+        counters, totals = self._counters_and_spans(1)
+        pcounters, ptotals = self._counters_and_spans(workers)
         assert pcounters == counters
         assert {k: count for k, (_, count) in ptotals.items()} == {
             k: count for k, (_, count) in totals.items()
@@ -417,11 +400,7 @@ class TestObsUnderParallelism:
     def test_worker_counters_merge_into_parent(self):
         with obs.isolated():
             with obs.enabled():
-                pmap(
-                    _count_with_obs,
-                    range(6),
-                    ParallelConfig(3, "thread"),
-                )
+                pmap(_count_with_obs, range(6), POOL)
                 assert obs.counters()["worker.calls"] == 6
 
     def test_capture_fragment_returns_result_and_counters(self):
@@ -437,5 +416,5 @@ class TestObsUnderParallelism:
     def test_disabled_obs_adds_no_capture_overhead(self):
         # With obs off, workers must not ship fragments at all; the
         # visible contract is simply that results are unchanged.
-        out = pmap(_square, range(8), ParallelConfig(2, "thread"))
+        out = pmap(_square, range(8), POOL)
         assert out == [x * x for x in range(8)]

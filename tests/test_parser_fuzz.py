@@ -6,7 +6,7 @@ IndexError/KeyError/ValueError escapes.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.errors import ParseError, ReproError
 from repro.hypergraph import (
@@ -31,6 +31,7 @@ def test_net_parser_total(text):
 
 @settings(max_examples=150, deadline=None)
 @given(_any_text)
+@example("1 1 1 \n -3 1")
 def test_hgr_parser_total(text):
     try:
         loads_hgr(text)

@@ -7,13 +7,16 @@ import threading
 
 import pytest
 
+from repro.bench import build_circuit
 from repro.delta import NetlistDelta, dumps_delta, random_delta
 from repro.hypergraph import to_json
 from repro.service import (
     PartitionEngine,
+    PartitionRequest,
     canonical_result_bytes,
     create_server,
     payload_to_result,
+    run_partitioner,
 )
 from tests.conftest import random_hypergraph
 from tests.test_service_http import call
@@ -144,6 +147,28 @@ class TestDeltaServing:
             <= cold_doc["result"]["ratio_cut"]
         )
         assert warm_doc["fingerprint"] == cold_doc["fingerprint"]
+
+    def test_fm_delta_on_ig_match_session_serves_cold(self, server):
+        h = build_circuit("Test02", seed=0, scale=0.05)
+        base = _serve_base(server, h, "ig-match")
+        delta = random_delta(h, random.Random(1), module_churn=False)
+        status, doc = call(
+            server,
+            "/partition/delta",
+            {
+                "base": base["fingerprint"],
+                "delta": json.loads(dumps_delta(delta)),
+                "algorithm": "fm",
+            },
+        )
+        assert status == 200, doc
+        assert doc["source"] == "delta-cold"
+        edited = delta.apply(h)
+        assert canonical_result_bytes(
+            payload_to_result(edited, doc["result"])
+        ) == canonical_result_bytes(
+            run_partitioner(edited, PartitionRequest(algorithm="fm"))
+        )
 
 
 class TestDeltaErrors:
