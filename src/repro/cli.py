@@ -390,13 +390,11 @@ def _run_delta_path(h: Hypergraph, args):
     base_result = run_partitioner(
         h, request, parallel=parallel, capture=capture
     )
-    artifacts = seed_artifacts(
-        h, result_to_payload(base_result), request.algorithm, capture
-    )
+    artifacts = seed_artifacts(result_to_payload(base_result), capture)
     delta = load_delta(args.delta)
     application = delta.apply_detailed(h)
     result, _fresh, warm = warm_partition(
-        h, artifacts, application, request, parallel=parallel
+        artifacts, application, request, parallel=parallel
     )
     edited = application.hypergraph
     print(

@@ -5,19 +5,15 @@ value object describing module/net additions, removals, and edits
 against a base hypergraph, with a canonical JSON wire format
 (:data:`DELTA_FORMAT`).  Applying a delta yields the edited hypergraph
 plus the index maps (:class:`DeltaApplication`) that let the warm paths
-reuse what the delta did not touch:
-
-* the intersection graph's edge state is patched
-  (:mod:`repro.delta.igraph`);
-* the IG-Match sweep restarts from the previous best split and
-  matching, and FM from the previous sides (:mod:`repro.delta.warm`).
+reuse what the delta did not touch: the IG-Match sweep restarts from the
+previous best split and matching on a cold-built intersection graph,
+and FM from the previous sides (:mod:`repro.delta.warm`).
 
 The serving integration (``POST /partition/delta``) lives in
 :mod:`repro.service`; the measurement harness in ``repro.bench
 --eco-scenario``.
 """
 
-from .igraph import affected_nets, updated_edge_state
 from .model import (
     DELTA_FORMAT,
     DeltaApplication,
@@ -46,7 +42,6 @@ __all__ = [
     "NetlistDelta",
     "SessionArtifacts",
     "WARM_WINDOW",
-    "affected_nets",
     "delta_from_maps",
     "dumps_delta",
     "load_delta",
@@ -54,6 +49,5 @@ __all__ = [
     "random_delta",
     "save_delta",
     "seed_artifacts",
-    "updated_edge_state",
     "warm_partition",
 ]

@@ -137,19 +137,15 @@ class DeltaApplication:
     """Everything :meth:`NetlistDelta.apply_detailed` learned.
 
     ``module_map`` / ``net_map`` map base indices to final indices
-    (``None`` for removed entities).  ``changed_nets`` are the *base*
-    indices of surviving nets whose pin membership changed (rewired via
-    ``set_pins`` or stripped of removed-module pins); ``added_nets`` and
-    ``added_modules`` are **final** positions.  The warm-start machinery
-    consumes these to bound its rebuild work.
+    (``None`` for removed entities); ``added_modules`` are **final**
+    positions.  The warm-start machinery maps the previous sides and
+    matching through these.
     """
 
     hypergraph: Hypergraph
     module_map: Tuple[Optional[int], ...]
     net_map: Tuple[Optional[int], ...]
     added_modules: Tuple[int, ...]
-    added_nets: Tuple[int, ...]
-    changed_nets: Tuple[int, ...]
 
 
 def _arrange(survivors: List[int], adds: Sequence, kind: str):
@@ -382,8 +378,6 @@ class NetlistDelta:
         )
         final_m = len(net_slots)
         net_map: List[Optional[int]] = [None] * base.num_nets
-        added_nets: List[int] = [0] * len(self.add_nets)
-        changed: set = set()
         nets: List[Sequence[int]] = [()] * final_m
         want_weights = (
             base.has_net_weights
@@ -404,17 +398,12 @@ class NetlistDelta:
                 net_map[ref] = final_idx
                 if ref in self.set_pins:
                     nets[final_idx] = self.set_pins[ref]
-                    changed.add(ref)
                 else:
-                    base_pins = base.pins(ref)
-                    pins = [
+                    nets[final_idx] = [
                         module_map[p]
-                        for p in base_pins
+                        for p in base.pins(ref)
                         if module_map[p] is not None
                     ]
-                    if len(pins) != len(base_pins):
-                        changed.add(ref)
-                    nets[final_idx] = pins
                 if weights is not None:
                     weights[final_idx] = self.set_net_weights.get(
                         ref, base.net_weight(ref)
@@ -423,7 +412,6 @@ class NetlistDelta:
                     net_names[final_idx] = base.net_name(ref)
             else:
                 entry = self.add_nets[ref]
-                added_nets[ref] = final_idx
                 nets[final_idx] = entry.pins
                 if weights is not None and entry.weight is not None:
                     weights[final_idx] = entry.weight
@@ -448,8 +436,6 @@ class NetlistDelta:
             module_map=tuple(module_map),
             net_map=tuple(net_map),
             added_modules=tuple(added_modules),
-            added_nets=tuple(added_nets),
-            changed_nets=tuple(sorted(changed)),
         )
 
     def apply(self, base: Hypergraph) -> Hypergraph:

@@ -1,19 +1,21 @@
 """Warm-started partitioning across a netlist delta.
 
-The ECO serving core: given a base hypergraph, the artifacts saved when
-the base was partitioned (its intersection edge state, and the best
-split rank and matching for IG-Match), and a validated
+The ECO serving core: given the artifacts saved when a base hypergraph
+was partitioned (the served payload, and the best split rank and
+matching for IG-Match) and a validated
 :class:`~repro.delta.model.DeltaApplication`, produce the edited
 hypergraph's partition while reusing what the delta did not touch:
 
-* **IG-Match** — the intersection graph is patched, not rebuilt
-  (:func:`~repro.delta.igraph.updated_edge_state`); the eigen ordering
-  is re-solved on the patched graph (cheap relative to the sweep, and
-  bitwise what a cold build would order); the split sweep is restricted
-  to a window around the previous best rank, jump-starting the
-  incremental matcher from the previous matching
+* **IG-Match** — the intersection graph of the edited hypergraph is
+  built cold (the vectorised build is cheaper than patching the base
+  graph's) and re-ordered; the split sweep is restricted to a window
+  around the previous best rank, jump-starting the incremental matcher
+  from the previous matching
   (:class:`~repro.partitioning.SweepWarmStart`).  Every evaluation
   inside the window is identical to the cold sweep's at the same rank.
+  A session with no best rank (served by another algorithm, or seeded
+  from a result-cache hit) runs cold, and the cold run seeds the next
+  delta's window.
 * **FM** — the previous sides map through the delta (new modules join
   the lighter side), and a fresh :class:`~repro.partitioning.FMEngine`
   on the edited hypergraph refines from them with the normal pass loop.
@@ -34,12 +36,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import PartitionError
-from ..hypergraph import Hypergraph
-from ..intersection import (
-    EdgeState,
-    graph_from_edge_state,
-    intersection_edge_state,
-)
+from ..intersection import graph_from_edge_state
+# perfbench/layers.py times the warm path's edge-state build under
+# this name (its ``delta.igraph_update_s``).
+from ..intersection import intersection_edge_state as updated_edge_state
 from ..obs import incr, span
 from ..parallel import ParallelConfig
 from ..partitioning import (
@@ -53,7 +53,6 @@ from ..partitioning import (
 )
 from ..partitioning.fm import fm_refine_engine
 from ..spectral import spectral_ordering
-from .igraph import updated_edge_state
 from .model import DeltaApplication
 
 __all__ = [
@@ -74,16 +73,13 @@ class SessionArtifacts:
     """Everything a serving session stores to warm-start the next delta.
 
     ``payload`` is the served result payload (the session's prior
-    answer, returned verbatim on a no-op delta).  The remaining fields
-    are algorithm-specific warm state; any of them may be ``None`` when
-    the session was seeded from a cache hit (payload only) — the warm
-    path then degrades gracefully to partial reuse.
+    answer, returned verbatim on a no-op delta; FM maps its sides).
+    ``best_rank`` and ``matching`` are IG-Match's warm state.  A
+    session seeded from a result-cache hit holds the payload alone, so
+    an IG-Match delta on it runs cold.
     """
 
     payload: Dict[str, Any]
-    #: Canonical intersection edge state of the session's hypergraph
-    #: (IG-Match; lets the next delta patch instead of rebuild).
-    edge_state: Optional[EdgeState] = None
     #: Best split rank of the previous sweep (window centre).
     best_rank: Optional[int] = None
     #: Matching pairs ``(net, net)`` at the previous best split.
@@ -95,38 +91,26 @@ class SessionArtifacts:
         sides = self.payload.get("sides")
         if sides is not None:
             total += 8 * len(sides)
-        if self.edge_state is not None:
-            total += sum(
-                a.nbytes
-                for a in (
-                    self.edge_state.edge_a,
-                    self.edge_state.edge_b,
-                    self.edge_state.weights,
-                    self.edge_state.first_mod,
-                )
-            )
         total += 16 * len(self.matching)
         return total
 
 
 def seed_artifacts(
-    h: Hypergraph,
     payload: Dict[str, Any],
-    algorithm: str,
     capture: Optional[Dict[str, Any]] = None,
 ) -> SessionArtifacts:
     """Build full session artifacts after a cold compute.
 
-    ``capture`` is the dict filled by ``ig_match(..., capture=...)``
-    (best rank and matching pairs).  FM needs only the payload's sides.
+    ``capture`` is the dict ``run_partitioner(..., capture=...)``
+    filled: IG-Match's best rank and matching pairs, nothing for the
+    other algorithms.  FM needs only the payload's sides.
     """
-    artifacts = SessionArtifacts(payload=payload)
-    if algorithm == "ig-match":
-        artifacts.edge_state = intersection_edge_state(h)
-        if capture:
-            artifacts.best_rank = capture.get("best_rank")
-            artifacts.matching = tuple(capture.get("matching", ()))
-    return artifacts
+    capture = capture or {}
+    return SessionArtifacts(
+        payload=payload,
+        best_rank=capture.get("best_rank"),
+        matching=tuple(capture.get("matching", ())),
+    )
 
 
 def _map_matching(
@@ -166,7 +150,6 @@ def _map_sides(
 
 
 def _warm_ig_match(
-    base: Hypergraph,
     artifacts: SessionArtifacts,
     application: DeltaApplication,
     seed: int,
@@ -178,28 +161,16 @@ def _warm_ig_match(
     with span(
         "delta.warm.igmatch", modules=h2.num_modules, nets=h2.num_nets
     ) as sp:
-        if artifacts.edge_state is not None:
-            state = updated_edge_state(
-                base, artifacts.edge_state, application,
-                weighting=config.weighting,
-            )
-        else:
-            state = intersection_edge_state(h2, config.weighting)
+        state = updated_edge_state(h2, config.weighting)
         graph = graph_from_edge_state(h2.num_nets, state)
         order = spectral_ordering(graph, seed=config.seed)
 
-        warm: Optional[SweepWarmStart] = None
-        if artifacts.best_rank is not None:
-            centre = min(artifacts.best_rank, h2.num_nets - 1)
-            lo = max(1, centre - WARM_WINDOW)
-            hi = min(h2.num_nets - 1, centre + WARM_WINDOW)
-            warm = SweepWarmStart(
-                lo=lo,
-                hi=hi,
-                matching_seed=_map_matching(
-                    artifacts.matching, application
-                ),
-            )
+        centre = min(artifacts.best_rank, h2.num_nets - 1)
+        warm = SweepWarmStart(
+            lo=max(1, centre - WARM_WINDOW),
+            hi=min(h2.num_nets - 1, centre + WARM_WINDOW),
+            matching_seed=_map_matching(artifacts.matching, application),
+        )
         capture: Dict[str, Any] = {}
         evaluations, partition = ig_match_sweep(
             h2, config, order=order, graph=graph,
@@ -211,11 +182,7 @@ def _warm_ig_match(
                 "sweep window"
             )
         best = min(evaluations, key=lambda e: (e.ratio_cut, e.rank))
-        sp.set(
-            window_lo=warm.lo if warm else None,
-            window_hi=warm.hi if warm else None,
-            best_rank=best.rank,
-        )
+        sp.set(window_lo=warm.lo, window_hi=warm.hi, best_rank=best.rank)
     elapsed = time.perf_counter() - start
     result = PartitionResult(
         algorithm="IG-Match",
@@ -231,18 +198,13 @@ def _warm_ig_match(
             "orderings_tried": 1,
             "best_ordering": 0,
             "warm": True,
-            "window_lo": warm.lo if warm else 0,
-            "window_hi": warm.hi if warm else 0,
+            "window_lo": warm.lo,
+            "window_hi": warm.hi,
         },
     )
     incr("delta.warm.igmatch")
-    fresh = SessionArtifacts(
-        payload={},  # caller installs the served payload
-        edge_state=state,
-        best_rank=capture.get("best_rank"),
-        matching=tuple(capture.get("matching", ())),
-    )
-    return result, fresh
+    # The caller installs the served payload.
+    return result, seed_artifacts({}, capture)
 
 
 def _warm_fm(
@@ -277,7 +239,6 @@ def _warm_fm(
 
 
 def warm_partition(
-    base: Hypergraph,
     artifacts: SessionArtifacts,
     application: DeltaApplication,
     request: Any,
@@ -294,13 +255,15 @@ def warm_partition(
     """
     h2 = application.hypergraph
     viable = h2.num_modules >= 2 and h2.num_nets >= 2
-    if viable and request.algorithm == "ig-match":
+    # A session holds no artifacts for an algorithm that did not serve
+    # it, and no IG-Match window centre when it came from a cache hit.
+    has_rank = artifacts.best_rank is not None
+    if viable and request.algorithm == "ig-match" and has_rank:
         result, fresh = _warm_ig_match(
-            base, artifacts, application,
+            artifacts, application,
             seed=request.seed, split_stride=request.split_stride,
         )
         return result, fresh, True
-    # A session served by another algorithm holds no FM sides to map.
     has_sides = "sides" in artifacts.payload
     if viable and request.algorithm == "fm" and has_sides:
         result, fresh = _warm_fm(artifacts, application, seed=request.seed)
@@ -308,5 +271,8 @@ def warm_partition(
 
     from ..service.engine import run_partitioner
 
-    result = run_partitioner(h2, request, parallel=parallel)
-    return result, SessionArtifacts(payload={}), False
+    capture: Dict[str, Any] = {}
+    result = run_partitioner(
+        h2, request, parallel=parallel, capture=capture
+    )
+    return result, seed_artifacts({}, capture), False

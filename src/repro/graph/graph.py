@@ -46,24 +46,73 @@ class Graph:
         self._total_weight = 0.0
         # Optional (indptr, indices, data) numpy triple describing the
         # symmetric adjacency in canonical CSR form (rows complete,
-        # columns sorted).  Installed by the intersection build or
-        # built on first use by csr_arrays(); invalidated by any
-        # mutation.
+        # columns sorted).  Installed by from_edges() or built on first
+        # use by csr_arrays(); invalidated by any mutation.
         self._csr_cache = None
+
+    @classmethod
+    def from_edges(cls, num_vertices: int, edge_a, edge_b, weights) -> "Graph":
+        """Build a graph from parallel edge arrays in bulk.
+
+        The result equals calling :meth:`add_edge` on each
+        ``(edge_a[i], edge_b[i], weights[i])`` in array order: every
+        vertex's neighbours iterate in that order, and
+        :attr:`total_weight` is the same left-to-right sum.  The inputs
+        are checked as :meth:`add_edge` checks them, and a repeated
+        pair raises :class:`GraphError` instead of accumulating.  The
+        canonical CSR adjacency is installed alongside, so
+        :meth:`csr_arrays` costs nothing.
+        """
+        import numpy as np
+
+        g = cls(num_vertices)
+        a = np.asarray(edge_a, dtype=np.int64)
+        b = np.asarray(edge_b, dtype=np.int64)
+        w = np.asarray(weights, dtype=np.float64)
+        n = num_vertices
+        bad = np.flatnonzero(
+            (a < 0) | (a >= n) | (b < 0) | (b >= n) | (a == b) | (w <= 0)
+        )
+        if bad.size:  # raise add_edge's error for the first bad edge
+            i = int(bad[0])
+            g._check_edge(int(a[i]), int(b[i]), float(w[i]))
+
+        rows = np.concatenate([a, b])
+        cols = np.concatenate([b, a])
+        # One int64 key per directed entry sorts rows complete and
+        # columns ascending; equal neighbouring keys are repeated pairs.
+        key = rows * n + cols
+        order = np.argsort(key)
+        key = key[order]
+        repeated = np.flatnonzero(key[1:] == key[:-1])
+        if repeated.size:
+            k = int(key[repeated[0]])
+            raise GraphError(
+                f"edge ({k // n},{k % n}) given more than once"
+            )
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        g._csr_cache = (
+            indptr, cols[order], np.concatenate([w, w])[order]
+        )
+
+        adj = g._adj
+        for u, v, x in zip(a.tolist(), b.tolist(), w.tolist()):
+            adj[u][v] = x
+            adj[v][u] = x
+        g._num_edges = int(a.size)
+        # cumsum adds left to right, as add_edge's running total does;
+        # np.sum (pairwise) and, from Python 3.12, builtin sum()
+        # (compensated) would round differently.
+        g._total_weight = float(np.cumsum(w)[-1]) if a.size else 0.0
+        return g
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:
         """Add ``weight`` to the edge ``{u, v}`` (creating it if absent)."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            raise GraphError(f"self-loop on vertex {u} rejected (A_ii = 0)")
-        if weight <= 0:
-            raise GraphError(
-                f"edge ({u},{v}) weight must be positive, got {weight}"
-            )
+        self._check_edge(u, v, weight)
         if v not in self._adj[u]:
             self._num_edges += 1
             self._adj[u][v] = 0.0
@@ -144,15 +193,6 @@ class Graph:
     # ------------------------------------------------------------------
     # CSR adjacency cache
     # ------------------------------------------------------------------
-    def set_csr_arrays(self, indptr, indices, data) -> None:
-        """Install canonical CSR adjacency arrays built elsewhere.
-
-        The caller guarantees the triple describes exactly this graph's
-        symmetric adjacency with sorted column indices per row.  Bulk
-        builders use this to hand Laplacian assembly zero-copy arrays.
-        """
-        self._csr_cache = (indptr, indices, data)
-
     def csr_arrays(self):
         """The cached ``(indptr, indices, data)`` triple, building it
         from the adjacency lists on first use.
@@ -213,6 +253,16 @@ class Graph:
         if not 0 <= u < len(self._adj):
             raise GraphError(
                 f"vertex {u} out of range (have {len(self._adj)} vertices)"
+            )
+
+    def _check_edge(self, u: int, v: int, weight: float) -> None:
+        self._check_vertex(u)
+        self._check_vertex(v)
+        if u == v:
+            raise GraphError(f"self-loop on vertex {u} rejected (A_ii = 0)")
+        if weight <= 0:
+            raise GraphError(
+                f"edge ({u},{v}) weight must be positive, got {weight}"
             )
 
     def __repr__(self) -> str:

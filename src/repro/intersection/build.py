@@ -30,22 +30,19 @@ __all__ = [
 
 
 class EdgeState(NamedTuple):
-    """The intersection graph as four parallel arrays.
+    """The intersection graph as three parallel arrays.
 
-    One entry per edge ``(edge_a[i], edge_b[i])`` with ``a < b``, weight
-    ``weights[i]``, and ``first_mod[i]`` the smallest shared module.
-    Entries are in canonical order — sorted by ``(first_mod, a, b)``,
-    the order a module-by-module scan first meets each pair — so
-    replaying them through :func:`graph_from_edge_state` reproduces a
-    cold build's adjacency byte for byte.  This is the representation
-    the incremental ECO machinery (:mod:`repro.delta`) stores and
-    patches.
+    One entry per edge ``(edge_a[i], edge_b[i])`` with ``a < b`` and
+    weight ``weights[i]``.  Entries are in canonical order — sorted by
+    the smallest shared module, then ``(a, b)``: the order a
+    module-by-module scan first meets each pair — so building a graph
+    from them with :func:`graph_from_edge_state` reproduces a cold
+    build's adjacency byte for byte.
     """
 
     edge_a: "object"  # np.ndarray[int64]
     edge_b: "object"  # np.ndarray[int64]
     weights: "object"  # np.ndarray[float64]
-    first_mod: "object"  # np.ndarray[int64]
 
     @property
     def num_edges(self) -> int:
@@ -120,9 +117,7 @@ def intersection_edge_state(
         pair_mod_parts.append(np.repeat(mods, iu.size))
     if not pair_a_parts:
         empty_i = np.empty(0, dtype=np.int64)
-        return EdgeState(
-            empty_i, empty_i, np.empty(0, dtype=np.float64), empty_i
-        )
+        return EdgeState(empty_i, empty_i, np.empty(0, dtype=np.float64))
 
     a = np.concatenate(pair_a_parts)
     b = np.concatenate(pair_b_parts)
@@ -168,36 +163,20 @@ def intersection_edge_state(
         weights = weights[keep]
 
     enc = np.lexsort((edge_b, edge_a, first_mod))
-    return EdgeState(
-        edge_a[enc], edge_b[enc], weights[enc], first_mod[enc]
-    )
+    return EdgeState(edge_a[enc], edge_b[enc], weights[enc])
 
 
 def graph_from_edge_state(num_nets: int, state: EdgeState) -> Graph:
     """Materialise a :class:`~repro.graph.Graph` from an edge state.
 
-    Edges are inserted in array order — canonical states reproduce a
-    cold build's adjacency iteration order exactly — and the symmetric
-    CSR adjacency is installed alongside, so Laplacian assembly reads
-    it without a pass over the adjacency dicts.
+    :meth:`Graph.from_edges <repro.graph.Graph.from_edges>` takes the
+    edges in array order, so a canonical state reproduces a cold
+    build's adjacency iteration order exactly, and installs the
+    symmetric CSR adjacency that Laplacian assembly reads.
     """
-    import numpy as np
-
-    g = Graph(num_nets)
-    edge_a, edge_b, weights = state.edge_a, state.edge_b, state.weights
-    for u, v, w in zip(
-        edge_a.tolist(), edge_b.tolist(), weights.tolist()
-    ):
-        g.add_edge(u, v, w)
-
-    row = np.concatenate([edge_a, edge_b])
-    col = np.concatenate([edge_b, edge_a])
-    val = np.concatenate([weights, weights])
-    sym = np.lexsort((col, row))
-    sym_indptr = np.zeros(num_nets + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=num_nets), out=sym_indptr[1:])
-    g.set_csr_arrays(sym_indptr, col[sym], val[sym])
-    return g
+    return Graph.from_edges(
+        num_nets, state.edge_a, state.edge_b, state.weights
+    )
 
 
 def intersection_nonzeros(h: Hypergraph) -> int:

@@ -577,8 +577,8 @@ class PartitionEngine:
         )
         if payload is not None:
             self._count("service.cache.hit")
-            # Result-only session (no warm engine state): delta serves
-            # on it still reuse the prior sides/rank where they can.
+            # Result-only session (no warm engine state): an FM delta
+            # on it still maps the prior sides; IG-Match runs cold.
             if key not in self.sessions:
                 self.sessions.put(
                     h=h,
@@ -662,9 +662,7 @@ class PartitionEngine:
         capture: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Install full warm-start artifacts after a cold compute."""
-        artifacts = seed_artifacts(
-            h, payload, request.algorithm, capture
-        )
+        artifacts = seed_artifacts(payload, capture)
         self.sessions.put(
             fingerprint=key,
             h=h,
@@ -769,7 +767,7 @@ class PartitionEngine:
         if artifacts is None:
             artifacts = SessionArtifacts(payload={})
         result, fresh, warm = warm_partition(
-            base, artifacts, application, request, parallel=self.parallel
+            artifacts, application, request, parallel=self.parallel
         )
         self._count("service.delta.warm" if warm else "service.delta.cold")
         payload = result_to_payload(result)

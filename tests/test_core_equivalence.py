@@ -32,9 +32,10 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro import obs
+from repro.bench import build_circuit
 from repro.delta import NetlistDelta
 from repro.errors import ReproError
 from repro.graph import Graph
@@ -160,6 +161,9 @@ class TestIntersectionLayer:
             allow_singleton_modules=True,
         )
     )
+    # eco-chain's circuit at its size (~1,100 nets, ~11.7k edges), where
+    # a wrong per-row insertion order would show.
+    @example(h=build_circuit("Test05", seed=0, scale=0.4))
     def test_graph_identical_including_order(self, weighting, h):
         gd = reference_intersection_graph(h, weighting)
         gc = intersection_graph(h, weighting)

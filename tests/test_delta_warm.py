@@ -2,19 +2,19 @@
 overlaps, on both implementations of the pipeline steps (ids ``dict``
 and ``csr``, see :func:`tests.oracles.pipeline`).
 
-* the patched intersection edge state is bitwise the cold rebuild;
 * every warm sweep evaluation equals the cold sweep's at the same rank,
   and the warm partition equals cold's when the best rank stays inside
   the window;
 * ``warm_partition`` reproduces what the serving delta path returns;
 * a served no-op delta is *byte-identical* (canonical result bytes) to
-  the base serve.
+  the base serve;
+* a delta with no warm state to start from is served cold, byte-equal
+  to a cold serve of the edited netlist, and seeds the next delta.
 """
 
 import json
 import random
 
-import numpy as np
 import pytest
 
 from repro.bench import build_circuit
@@ -23,10 +23,8 @@ from repro.delta import (
     dumps_delta,
     random_delta,
     seed_artifacts,
-    updated_edge_state,
     warm_partition,
 )
-from repro.intersection import intersection_edge_state
 from repro.partitioning import IGMatchConfig, ig_match_sweep
 from repro.partitioning.igmatch import SweepWarmStart
 from repro.service import (
@@ -52,37 +50,7 @@ def _direct_artifacts(h, request):
     """Seed artifacts exactly as a cold engine serve would."""
     capture = {}
     result = run_partitioner(h, request, capture=capture)
-    return result, seed_artifacts(
-        h, result_to_payload(result), request.algorithm, capture
-    )
-
-
-class TestEdgeStatePatch:
-    @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
-    def test_patched_state_bitwise_equals_cold(self, implementation):
-        h = _base()
-        rng = random.Random(11)
-        with pipeline(implementation):
-            state = intersection_edge_state(h)
-            for _ in range(5):
-                delta = random_delta(h, rng)
-                application = delta.apply_detailed(h)
-                h2 = application.hypergraph
-                patched = updated_edge_state(h, state, application)
-                cold = intersection_edge_state(h2)
-                np.testing.assert_array_equal(
-                    patched.edge_a, cold.edge_a
-                )
-                np.testing.assert_array_equal(
-                    patched.edge_b, cold.edge_b
-                )
-                np.testing.assert_array_equal(
-                    patched.weights, cold.weights
-                )
-                np.testing.assert_array_equal(
-                    patched.first_mod, cold.first_mod
-                )
-                h, state = h2, patched
+    return result, seed_artifacts(result_to_payload(result), capture)
 
 
 class TestWarmSweep:
@@ -172,7 +140,7 @@ class TestWarmPartition:
             _result, artifacts = _direct_artifacts(h, request)
             application = NetlistDelta.from_doc(doc).apply_detailed(h)
             direct, _fresh, warm = warm_partition(
-                h, artifacts, application, request
+                artifacts, application, request
             )
         assert warm
         assert served.source == "delta-warm"
@@ -208,7 +176,7 @@ class TestWarmPartition:
         delta = random_delta(h, random.Random(2))
         application = delta.apply_detailed(h)
         result, _fresh, warm = warm_partition(
-            h, artifacts, application, request
+            artifacts, application, request
         )
         assert not warm
         assert result.partition is not None
@@ -230,6 +198,32 @@ class TestWarmPartition:
             run_partitioner(delta.apply(h), _request("fm"))
         )
 
+    def test_ig_match_delta_on_fm_session_serves_cold_then_warm(self):
+        # The session holds no IG-Match sweep artifacts (no best rank to
+        # centre a window on), so the delta runs cold, answers as a cold
+        # serve would, and seeds the next delta's warm start.
+        h = build_circuit("Test02", seed=0, scale=0.05)
+        rng = random.Random(1)
+        delta = random_delta(h, rng, module_churn=False)
+        engine = PartitionEngine()
+        base_served = engine.partition(h, _request("fm"))
+        served = engine.partition_delta(
+            base_served.fingerprint, delta, _request("ig-match")
+        )
+        h2 = delta.apply(h)
+        assert served.source == "delta-cold"
+        assert canonical_result_bytes(
+            served.result
+        ) == canonical_result_bytes(
+            run_partitioner(h2, _request("ig-match"))
+        )
+        following = engine.partition_delta(
+            served.fingerprint,
+            random_delta(h2, rng, module_churn=False),
+            _request("ig-match"),
+        )
+        assert following.source == "delta-warm"
+
     @pytest.mark.parametrize("algorithm", ["ig-match", "fm"])
     def test_quality_no_worse_over_a_chain(self, algorithm):
         h = _base(seed=17)
@@ -240,7 +234,7 @@ class TestWarmPartition:
             delta = random_delta(h, rng, module_churn=False)
             application = delta.apply_detailed(h)
             result, fresh, warm = warm_partition(
-                h, artifacts, application, request
+                artifacts, application, request
             )
             assert warm
             cold = run_partitioner(application.hypergraph, request)

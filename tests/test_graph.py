@@ -37,6 +37,8 @@ class TestConstruction:
         g = Graph(2)
         with pytest.raises(GraphError):
             g.add_edge(1, 1)
+        with pytest.raises(GraphError, match="self-loop on vertex 1"):
+            Graph.from_edges(3, [0, 1], [2, 1], [1.0, 1.0])
 
     def test_nonpositive_weight_rejected(self):
         g = Graph(2)
@@ -44,11 +46,23 @@ class TestConstruction:
             g.add_edge(0, 1, 0.0)
         with pytest.raises(GraphError):
             g.add_edge(0, 1, -2.0)
+        for bad in (0.0, -2.0):
+            with pytest.raises(GraphError, match="must be positive"):
+                Graph.from_edges(3, [0, 1], [1, 2], [1.0, bad])
 
     def test_out_of_range_vertex(self):
         g = Graph(2)
         with pytest.raises(GraphError):
             g.add_edge(0, 5)
+        for a, b in ((0, 5), (-1, 1)):
+            with pytest.raises(GraphError, match="out of range"):
+                Graph.from_edges(2, [a], [b], [1.0])
+
+    def test_repeated_pair_rejected_in_bulk(self):
+        # from_edges does not accumulate weights as add_edge does.
+        for a, b in (([0, 0], [1, 1]), ([0, 1], [1, 0])):
+            with pytest.raises(GraphError, match="more than once"):
+                Graph.from_edges(3, a + [1], b + [2], [1.0, 2.0, 3.0])
 
 
 class TestAccessors:
