@@ -351,9 +351,13 @@ class IncrementalMatching:
     def classify(self) -> List[int]:
         """König classes of every vertex for the current split.
 
-        Returns a list of :class:`VertexClass` codes and records in
-        :attr:`reclassified` the vertices whose class changed since the
-        previous call, in no particular order.  The matching must be
+        Returns the matcher's own list of :class:`VertexClass` codes,
+        indexed by vertex, and records in :attr:`reclassified` the
+        vertices whose class changed since the previous call, in no
+        particular order.  The list is live: every call returns the
+        same object, and the next call after a move rewrites its
+        entries in place.  A caller that keeps codes across moves must
+        copy them.  The matching must be
         maximum, which :meth:`move_to_right` maintains; then no
         alternating path joins two unmatched vertices, so the reaches
         from the two sides are disjoint and the six classes partition
@@ -433,7 +437,7 @@ class IncrementalMatching:
                 reclassified.append(x)
         self.classify_visits += visits
         self.reclassified = reclassified
-        return list(codes)
+        return codes
 
     def _update_reach(
         self, s: int, changed: List[int], touched: Set[int]

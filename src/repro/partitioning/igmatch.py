@@ -31,6 +31,8 @@ import time
 from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import PartitionError
 from ..hypergraph import Hypergraph
 from ..intersection import intersection_graph
@@ -129,27 +131,44 @@ class _CompletionTally:
     resulting assignment (``assign``: ``_L_SIDE``/``_R_SIDE``/
     ``_UNASSIGNED``), per net its pin count on each of those three
     sides, and whether the net is cut when the core joins L or R.
-    :meth:`update` replays only the nets whose class changed.
+    The first state is counted in bulk over the incidence arrays;
+    :meth:`update` then replays only the nets whose class changed.
     """
 
     def __init__(self, h: Hypergraph, codes: List[int]):
         m = h.num_nets
-        self._num_modules = h.num_modules
-        self._pins = [h.pins(net) for net in range(m)]
-        self._nets_of = [h.nets_of(v) for v in range(h.num_modules)]
-        # Start from "no winners": every module in the core.
-        self._net_pins_to = [_UNASSIGNED] * m
-        self._pinned_l = [0] * h.num_modules
-        self._pinned_r = [0] * h.num_modules
-        self.assign = [_UNASSIGNED] * h.num_modules
-        self._side_count = [0, 0, h.num_modules]
-        self._pin_count = [0] * (3 * m)
-        for net, pins in enumerate(self._pins):
-            self._pin_count[3 * net + _UNASSIGNED] = len(pins)
-        self._cut_core_l = [False] * m
-        self._cut_core_r = [False] * m
-        self._cuts = [0, 0]
-        self.update(range(m), codes)
+        n = h.num_modules
+        self._pins = h.net_pins
+        self._nets_of = h.module_nets
+        net_indptr, net_indices, _, _ = h.csr
+        net_of_pin = np.repeat(np.arange(m), np.diff(net_indptr))
+        net_pins_to = np.asarray(_PINS_TO)[np.asarray(codes, dtype=int)]
+        pin_to = net_pins_to[net_of_pin]
+        pinned_l = np.bincount(net_indices[pin_to == _L_SIDE], minlength=n)
+        pinned_r = np.bincount(net_indices[pin_to == _R_SIDE], minlength=n)
+        # Winners are independent across the split, so no module is
+        # pinned to both sides; update() gives R the same precedence.
+        assign = np.where(
+            pinned_r > 0,
+            _R_SIDE,
+            np.where(pinned_l > 0, _L_SIDE, _UNASSIGNED),
+        )
+        pin_count = np.bincount(
+            3 * net_of_pin + assign[net_indices], minlength=3 * m
+        )
+        in_l, in_r, in_n = pin_count.reshape(m, 3).T
+        cut_core_l = (in_r > 0) & ((in_l > 0) | (in_n > 0))
+        cut_core_r = (in_l > 0) & ((in_r > 0) | (in_n > 0))
+
+        self._net_pins_to = net_pins_to.tolist()
+        self._pinned_l = pinned_l.tolist()
+        self._pinned_r = pinned_r.tolist()
+        self.assign = assign.tolist()
+        self._side_count = np.bincount(assign, minlength=3).tolist()
+        self._pin_count = pin_count.tolist()
+        self._cut_core_l = cut_core_l.tolist()
+        self._cut_core_r = cut_core_r.tolist()
+        self._cuts = [int(cut_core_l.sum()), int(cut_core_r.sum())]
 
     def update(self, nets: Iterable[int], codes: List[int]) -> None:
         """Account for the current ``codes`` of ``nets`` (every net

@@ -780,9 +780,12 @@ class PartitionEngine:
         )
         source = "delta-warm" if warm else "delta-cold"
         sp.set(source=source, warm=warm)
-        # Deliberately NOT written to the result cache: warm details
-        # (window, warm flag) differ from a cold compute's, and cache
-        # entries must stay byte-identical to cold serves.
+        # Cache entries must stay byte-identical to cold serves.  A
+        # delta-cold answer is a cold compute on the edited netlist, so
+        # a later POST /partition of it can hit; a warm answer's
+        # details (window, warm flag) differ, so it stays out.
+        if not warm and self.cache is not None:
+            self.cache.put(new_key, payload)
         return ServedResult(result, new_key, False, source)
 
     # ------------------------------------------------------------------

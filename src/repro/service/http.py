@@ -268,6 +268,9 @@ class _Handler(BaseHTTPRequestHandler):
     ) -> None:
         self._status = status
         self._bytes_sent = len(body)
+        # Log before any byte goes out, so a client that reads the log
+        # on receipt of its reply finds the line.
+        self._log_request()
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -297,22 +300,50 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     # ------------------------------------------------------------------
+    def _log_request(self) -> None:
+        """Observe the request's duration and write its access-log line,
+        once per request."""
+        if self._logged:
+            return
+        self._logged = True
+        duration = time.perf_counter() - self._start
+        self.server.engine.hists.observe(
+            "http.request.duration_seconds",
+            duration,
+            method=self._method,
+            route=_route_label(self._route_path),
+        )
+        entry: Dict[str, Any] = {
+            "trace_id": self._trace_id,
+            "method": self._method,
+            "path": self.path,
+            "status": self._status,
+            "bytes": self._bytes_sent,
+            "duration_s": round(duration, 6),
+        }
+        if self._provenance is not None:
+            entry["source"], entry["cached"] = self._provenance
+        if self._status == 429:
+            entry["rejected"] = True
+        self.server.access_log.access(**entry)
+
     def _handle(self, method: str, fn: Any) -> None:
         """One request: trace ingress, dispatch, access log, histogram."""
         header = (self.headers.get("X-Trace-Id") or "").strip()
         self._trace_id = (
             header if _TRACE_ID_RE.match(header) else new_trace_id()
         )
+        self._method = method
         self._status = 0
         self._bytes_sent = 0
         self._provenance: Optional[Tuple[str, bool]] = None
+        self._logged = False
         split = urlsplit(self.path)
         self._route_path = split.path
         self._query = {
             k: v[-1] for k, v in parse_qs(split.query).items()
         }
-        engine: PartitionEngine = self.server.engine
-        start = time.perf_counter()
+        self._start = time.perf_counter()
         self.server.request_started()
         try:
             if self.server.draining:
@@ -346,26 +377,9 @@ class _Handler(BaseHTTPRequestHandler):
             except OSError:  # pragma: no cover - response already dead
                 pass
         finally:
-            duration = time.perf_counter() - start
-            engine.hists.observe(
-                "http.request.duration_seconds",
-                duration,
-                method=method,
-                route=_route_label(self._route_path),
-            )
-            entry: Dict[str, Any] = {
-                "trace_id": self._trace_id,
-                "method": method,
-                "path": self.path,
-                "status": self._status,
-                "bytes": self._bytes_sent,
-                "duration_s": round(duration, 6),
-            }
-            if self._provenance is not None:
-                entry["source"], entry["cached"] = self._provenance
-            if self._status == 429:
-                entry["rejected"] = True
-            self.server.access_log.access(**entry)
+            # A request that sent a reply was logged before it; this
+            # logs the ones that sent nothing.
+            self._log_request()
             self.server.request_finished()
 
     def do_GET(self) -> None:

@@ -30,8 +30,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..errors import SpectralError
-from ..graph import Graph, connected_components, laplacian_matrix
-from ..obs import emit, incr, is_enabled, span
+from ..graph import Graph, adjacency_matrix, connected_components
+from ..obs import emit, incr, span
 
 __all__ = [
     "FiedlerResult",
@@ -57,34 +57,37 @@ def _shifted_laplacian(g: Graph) -> Tuple[sp.csr_matrix, float]:
 
     By Gershgorin, ``lambda_max(Q) <= 2 * max_degree``, so the shift makes
     the wanted (small) eigenvalues of ``Q`` the *large* eigenvalues of the
-    shifted operator.
+    shifted operator.  Assembled as ``A + diag(c - d)`` in one sparse add
+    of the graph's CSR adjacency, which gives bitwise the matrix
+    ``c·I - (D - A)``: each entry is rounded once either way.
     """
-    laplacian = laplacian_matrix(g)
     degrees = g.degrees()
     shift = 2.0 * max(degrees, default=0.0) + 1.0
-    n = g.num_vertices
-    return (sp.identity(n, format="csr") * shift - laplacian).tocsr(), shift
+    diagonal = sp.diags(shift - np.asarray(degrees, dtype=float), format="csr")
+    return adjacency_matrix(g) + diagonal, shift
 
 
-def _counting_operator(matrix: sp.csr_matrix):
-    """Wrap a sparse matrix so ARPACK matvecs can be counted.
+class _CountingOperator(spla.LinearOperator):
+    """``matrix @ x`` for ``eigsh``, counting the calls.
 
-    scipy's ``eigsh`` is an implicitly restarted Lanczos method; one
-    matvec is one Lanczos step, so the call count is the natural
-    iteration statistic when profiling.  Only used while
-    instrumentation is on — the wrapper costs one Python call per
-    matvec.
+    ``eigsh`` is an implicitly restarted Lanczos method; one matvec is
+    one Lanczos step, so :attr:`calls` is the iteration statistic
+    profiling reports.  ``matvec`` is bound straight to the product:
+    ``eigsh`` only hands it 1-D vectors of the right length, so
+    ``LinearOperator``'s generic shape checks would run at every step
+    for nothing.
     """
-    calls = [0]
 
-    def matvec(x: np.ndarray) -> np.ndarray:
-        calls[0] += 1
-        return matrix @ x
+    def __init__(self, matrix: sp.csr_matrix):
+        super().__init__(matrix.dtype, matrix.shape)
+        self.matrix = matrix
+        self.calls = 0
 
-    operator = spla.LinearOperator(
-        matrix.shape, matvec=matvec, dtype=matrix.dtype
-    )
-    return operator, calls
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        self.calls += 1
+        return self.matrix @ x
+
+    matvec = _matvec
 
 
 def _canonical_sign(vector: np.ndarray) -> np.ndarray:
@@ -135,18 +138,14 @@ def fiedler_vector(
             rng = np.random.default_rng(seed)
             v0 = rng.standard_normal(n)
             with span("spectral.lanczos", n=n, k=2) as lsp:
-                if is_enabled():
-                    operator, calls = _counting_operator(shifted)
-                else:
-                    operator, calls = shifted, [0]
+                operator = _CountingOperator(shifted)
                 mu, vecs = spla.eigsh(
                     operator, k=2, which="LA", tol=tol, v0=v0
                 )
-                if is_enabled():
-                    lsp.set(iterations=calls[0])
-                    incr("lanczos.solves")
-                    incr("lanczos.iterations", calls[0])
-                    emit("spectral.lanczos", n=n, k=2, iterations=calls[0])
+                lsp.set(iterations=operator.calls)
+                incr("lanczos.solves")
+                incr("lanczos.iterations", operator.calls)
+                emit("spectral.lanczos", n=n, k=2, iterations=operator.calls)
             order = np.argsort(mu)
             mu_fiedler = mu[order[0]]
             vector = vecs[:, order[0]]

@@ -1,0 +1,117 @@
+"""Digests of the answers the partitioners serve, for byte-identity checks.
+
+Run from the repository root::
+
+    PYTHONPATH=src python tests/answer_digests.py
+
+and compare the output of two commits: a refactor that keeps answers
+byte-identical prints the same lines.  Each line is a SHA-256 digest
+(first 16 hex digits) of :func:`repro.service.canonical_result_bytes`:
+
+* ``suite``: every algorithm in ``ALGORITHMS`` on
+  ``build_suite(seed=0, scale=0.1)``;
+* ``spectral``: IG-Match, IG-Vote and EIG1 on the same circuits at
+  scale 0.4;
+* ``chain``: a base serve and four ``partition_delta`` edits per
+  circuit at scale 0.1, for ``ig-match`` and ``fm``, with and without
+  module churn, each digest taken over the bytes plus the served
+  ``source``.
+
+The ``group`` lines digest each section and ``all`` the whole run.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+from typing import List
+
+from repro.bench.suite import build_suite
+from repro.delta import random_delta
+from repro.service.engine import (
+    ALGORITHMS,
+    PartitionEngine,
+    PartitionRequest,
+    canonical_result_bytes,
+    run_partitioner,
+)
+
+SUITE_SCALE = 0.1
+SPECTRAL_SCALE = 0.4
+SPECTRAL_ALGORITHMS = ("ig-match", "ig-vote", "eig1")
+CHAIN_ALGORITHMS = ("ig-match", "fm")
+CHAIN_DELTAS = 4
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _emit(lines: List[str], label: str, data: bytes) -> None:
+    line = f"{label} {_digest(data)}"
+    lines.append(line)
+    print(line, flush=True)
+
+
+def suite_lines(scale: float, algorithms) -> List[str]:
+    """One digest per algorithm and circuit, cold ``run_partitioner``."""
+    lines: List[str] = []
+    for name, h in build_suite(seed=0, scale=scale).items():
+        for algorithm in algorithms:
+            result = run_partitioner(h, PartitionRequest(algorithm=algorithm))
+            _emit(
+                lines,
+                f"x{scale} {algorithm} {name}",
+                canonical_result_bytes(result),
+            )
+    return lines
+
+
+def chain_lines() -> List[str]:
+    """One digest per serve of each delta chain (bytes plus source)."""
+    lines: List[str] = []
+    circuits = build_suite(seed=0, scale=SUITE_SCALE)
+    for index, (name, base) in enumerate(circuits.items()):
+        for algorithm in CHAIN_ALGORITHMS:
+            for churn in (False, True):
+                engine = PartitionEngine()
+                request = PartitionRequest(algorithm=algorithm)
+                rng = random.Random(index)
+                h = base
+                served = engine.partition(h, request)
+                label = f"chain {algorithm} churn={int(churn)} {name}"
+                for step in range(CHAIN_DELTAS + 1):
+                    if step:
+                        delta = random_delta(h, rng, module_churn=churn)
+                        served = engine.partition_delta(
+                            served.fingerprint, delta, request
+                        )
+                        h = delta.apply(h)
+                    _emit(
+                        lines,
+                        f"{label} #{step} {served.source}",
+                        canonical_result_bytes(served.result)
+                        + served.source.encode("utf-8"),
+                    )
+    return lines
+
+
+def main() -> int:
+    groups = [
+        ("suite", suite_lines(SUITE_SCALE, ALGORITHMS)),
+        ("spectral", suite_lines(SPECTRAL_SCALE, SPECTRAL_ALGORITHMS)),
+        ("chain", chain_lines()),
+    ]
+    everything = []
+    for label, lines in groups:
+        joined = "\n".join(lines).encode("utf-8")
+        everything.append(joined)
+        print(f"group {label} ({len(lines)}) {_digest(joined)}")
+    total = _digest(b"\n".join(everything))
+    print(f"all {total}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,9 +16,11 @@ and a recount of the moved cell's gain.
 The array-backed pipeline steps have their first, loop-based versions
 here: the per-pair intersection build (:func:`shared_module_map` plus
 one weighting call per pair, callables accepted), the COO adjacency
-assembly and the per-pin FM initialisation.  :func:`pipeline` runs code
-with them swapped in, so a whole partitioner run can be compared bit
-for bit against the shipped steps.  :class:`LinkedGainBuckets` is the
+assembly, the shifted Laplacian built as ``c·I - (D - A)``, the per-pin
+FM initialisation and the completion tally's first state replayed net
+by net.  :func:`pipeline` runs code with them swapped in, so a whole
+partitioner run can be compared bit for bit against the shipped
+steps.  :class:`LinkedGainBuckets` is the
 paper-era bucket list the FM bucket replay test checks against.
 """
 
@@ -32,6 +34,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.graph.laplacian as laplacian
 from repro.errors import PartitionError
 from repro.graph import Graph
 from repro.hypergraph import Hypergraph
@@ -57,6 +60,8 @@ __all__ = [
     "reference_adjacency_matrix",
     "reference_fm_init",
     "reference_intersection_graph",
+    "reference_shifted_laplacian",
+    "reference_tally_init",
     "replay",
     "shared_module_map",
 ]
@@ -188,6 +193,7 @@ def replay(h, order, stride=1, warm=None, repeat=()):
     previous = [VertexClass.EVEN_L] * n
     tally = None
     evaluations = []
+    best = best_sides = None
     for index in range(start, stop):
         matcher.move_to_right(order[index])
         rank = index + 1
@@ -199,10 +205,13 @@ def replay(h, order, stride=1, warm=None, repeat=()):
         assert sorted(reclassified) == [
             v for v in range(n) if codes[v] != previous[v]
         ], rank
+        # classify() returns its live list, so the codes are copied to
+        # compare the next split's against.
+        previous = list(codes)
         if rank in repeat:
-            assert matcher.classify() == codes, rank
+            assert matcher.classify() is codes, rank
+            assert codes == previous, rank
             assert matcher.reclassified == [], rank
-        previous = codes
         if tally is None:
             tally = _CompletionTally(h, codes)
         else:
@@ -216,10 +225,24 @@ def replay(h, order, stride=1, warm=None, repeat=()):
             assert tally.assign == assign, rank
         if evaluation is not None:
             evaluations.append(evaluation)
+            if best is None or (evaluation.ratio_cut, rank) < (
+                best.ratio_cut, best.rank
+            ):
+                best = evaluation
+                core = L if evaluation.assign_core_to_l else R
+                best_sides = [
+                    core if a == UNASSIGNED else a for a in assign
+                ]
 
     config = IGMatchConfig(split_stride=stride)
-    swept, _ = ig_match_sweep(h, config, order=order, graph=graph, warm=warm)
+    swept, partition = ig_match_sweep(
+        h, config, order=order, graph=graph, warm=warm
+    )
     assert [bits(e) for e in swept] == [bits(e) for e in evaluations]
+    # The partition is the best split's assignment, core placed.
+    assert (partition is None and best is None) or (
+        list(partition.sides) == best_sides
+    )
     return evaluations
 
 
@@ -524,6 +547,37 @@ def reference_fm_init(engine, h: Hypergraph, sides) -> None:
     engine.gains = [engine._compute_gain(v) for v in range(h.num_modules)]
 
 
+def reference_tally_init(tally, h: Hypergraph, codes: List[int]) -> None:
+    """``_CompletionTally.__init__`` as a replay: start from "no
+    winners", every module in the core, and run
+    :meth:`~repro.partitioning.igmatch._CompletionTally.update` over
+    every net."""
+    m = h.num_nets
+    tally._pins = [h.pins(net) for net in range(m)]
+    tally._nets_of = [h.nets_of(v) for v in range(h.num_modules)]
+    tally._net_pins_to = [UNASSIGNED] * m
+    tally._pinned_l = [0] * h.num_modules
+    tally._pinned_r = [0] * h.num_modules
+    tally.assign = [UNASSIGNED] * h.num_modules
+    tally._side_count = [0, 0, h.num_modules]
+    tally._pin_count = [0] * (3 * m)
+    for net, pins in enumerate(tally._pins):
+        tally._pin_count[3 * net + UNASSIGNED] = len(pins)
+    tally._cut_core_l = [False] * m
+    tally._cut_core_r = [False] * m
+    tally._cuts = [0, 0]
+    tally.update(range(m), codes)
+
+
+def reference_shifted_laplacian(g: Graph) -> Tuple[sp.csr_matrix, float]:
+    """``c·I - Q`` assembled as the scaled identity minus
+    :func:`~repro.graph.laplacian_matrix`, itself ``D - A``."""
+    degrees = g.degrees()
+    shift = 2.0 * max(degrees, default=0.0) + 1.0
+    identity = sp.identity(g.num_vertices, format="csr")
+    return (identity * shift - laplacian.laplacian_matrix(g)).tocsr(), shift
+
+
 #: Test ids for the two implementations of the steps above: ``"dict"``
 #: runs code under :func:`pipeline` with the references swapped in
 #: (dict-of-dict graphs and per-pin loops), ``"csr"`` runs the shipped
@@ -537,16 +591,18 @@ def pipeline(implementation: str):
 
     ``"dict"`` patches the references in where the pipeline calls the
     steps: the intersection build in IG-Match and IG-Vote, adjacency
-    assembly under every Laplacian, and FM engine initialisation.
+    assembly under every Laplacian, the Fiedler solver's shifted
+    Laplacian, FM engine initialisation and the IG-Match completion
+    tally's first state.
     """
     if implementation not in IMPLEMENTATIONS:
         raise ValueError(f"unknown implementation {implementation!r}")
     if implementation == "csr":
         yield
         return
-    import repro.graph.laplacian as laplacian
     import repro.partitioning.igmatch as igmatch
     import repro.partitioning.igvote as igvote
+    import repro.spectral.fiedler as fiedler
     from repro.partitioning.fm import FMEngine
 
     with pytest.MonkeyPatch.context() as patch:
@@ -559,7 +615,11 @@ def pipeline(implementation: str):
         patch.setattr(
             laplacian, "adjacency_matrix", reference_adjacency_matrix
         )
+        patch.setattr(
+            fiedler, "_shifted_laplacian", reference_shifted_laplacian
+        )
         patch.setattr(FMEngine, "__init__", reference_fm_init)
+        patch.setattr(_CompletionTally, "__init__", reference_tally_init)
         yield
 
 

@@ -1,12 +1,14 @@
 """Differential suite: the array-backed pipeline steps vs their
 loop-based references in :mod:`tests.oracles`.
 
-The intersection build, the adjacency assembly under every Laplacian
-and FM initialisation run vectorised over CSR arrays.  Their contract
-is not "close enough" — it is **bit identity** with the loop versions
-they replaced.  Test ids name the implementation: ``dict`` runs under
-:func:`tests.oracles.pipeline` with the references swapped in, ``csr``
-runs the shipped steps.  The suite checks three ways:
+The intersection build, the adjacency assembly under every Laplacian,
+the Fiedler solver's shifted Laplacian, FM initialisation and the
+IG-Match completion tally's first state run vectorised over CSR arrays.
+Their contract is not "close enough" — it is **bit identity** with the
+loop versions they replaced.  Test ids name the implementation:
+``dict`` runs under :func:`tests.oracles.pipeline` with the references
+swapped in, ``csr`` runs the shipped steps.  The suite checks three
+ways:
 
 1. End-to-end: all 8 algorithms through :func:`run_partitioner` on
    both, comparing canonical bytes *and* the full obs counter dict (so
@@ -16,8 +18,9 @@ runs the shipped steps.  The suite checks three ways:
 2. Layer-by-layer: intersection-graph construction (adjacency structure,
    bitwise edge weights, insertion order), the matcher's Dulmage–
    Mendelsohn ``classify`` under random sweeps over each graph (against
-   the from-scratch oracle), FM engine initialisation, and the
-   adjacency and Laplacian matrices.
+   the from-scratch oracle), the completion tally's first state, FM
+   engine initialisation, and the adjacency, Laplacian and shifted
+   Laplacian matrices.
 3. Service-level: fingerprints ignore the CSR twin, a served result
    equals a direct compute on either implementation, and a disk cache
    written by one is a hit — byte-identical — for the other.
@@ -33,6 +36,7 @@ import struct
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.bench import build_circuit
@@ -44,6 +48,7 @@ from repro.intersection import intersection_graph
 from repro.matching.incremental import IncrementalMatching
 from repro.netmodels import available_models, get_model
 from repro.partitioning.fm import FMEngine
+from repro.partitioning.igmatch import _CompletionTally
 from repro.service import (
     PartitionEngine,
     PartitionRequest,
@@ -53,6 +58,7 @@ from repro.service import (
 )
 from repro.service.engine import ALGORITHMS
 from repro.service.fingerprint import canonical_fingerprint, exact_fingerprint
+from repro.spectral.fiedler import _shifted_laplacian
 from tests.conftest import random_hypergraph
 from tests.oracles import (
     IMPLEMENTATIONS,
@@ -61,8 +67,14 @@ from tests.oracles import (
     reference_adjacency_matrix,
     reference_fm_init,
     reference_intersection_graph,
+    reference_shifted_laplacian,
+    reference_tally_init,
 )
-from tests.strategies import hypergraphs, partitionable_hypergraphs
+from tests.strategies import (
+    adversarial_csr_hypergraphs,
+    hypergraphs,
+    partitionable_hypergraphs,
+)
 
 WEIGHTINGS = ("unit", "overlap", "jaccard", "paper")
 
@@ -195,6 +207,44 @@ class TestSpectralLayer:
         assert matrix_bits(ad) == matrix_bits(ac)
         assert matrix_bits(ld) == matrix_bits(lc)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            *(
+                pytest.param(
+                    lambda h, w=w: intersection_graph(h, w), id=w
+                )
+                for w in WEIGHTINGS
+            ),
+            *(
+                pytest.param(lambda h, m=m: get_model(m).to_graph(h), id=m)
+                for m in ("clique", "star", "path")
+            ),
+        ],
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(
+        h=hypergraphs(
+            max_modules=14,
+            max_nets=18,
+            allow_empty_nets=True,
+            allow_singleton_modules=True,
+        )
+    )
+    def test_shifted_laplacian_identical(self, build, h):
+        """``A + diag(c - d)`` equals ``c·I - (D - A)`` bit for bit,
+        index dtypes included, on intersection graphs and on net-model
+        graphs whose weights add_edge accumulated."""
+        g = build(h)
+        bulk, shift = _shifted_laplacian(g)
+        reference, reference_shift = reference_shifted_laplacian(g)
+        assert struct.pack("<d", shift) == struct.pack("<d", reference_shift)
+        assert matrix_bits(bulk) == matrix_bits(reference)
+        assert (bulk.indptr.dtype, bulk.indices.dtype) == (
+            reference.indptr.dtype,
+            reference.indices.dtype,
+        )
+
     @pytest.mark.parametrize("model", available_models())
     @settings(max_examples=25, deadline=None)
     @given(
@@ -239,6 +289,38 @@ class TestMatchingLayer:
                     m.search_visits, m.classify_visits)
 
         assert work(md) == work(mc)
+
+
+class TestCompletionLayer:
+    @settings(max_examples=60, deadline=None)
+    @given(h=adversarial_csr_hypergraphs(), data=st.data())
+    def test_tally_init_identical(self, h, data):
+        """The completion tally's first state, counted in bulk over the
+        incidence arrays, equals the net-by-net replay field by field,
+        for any six-class code vector (pins on both sides included)."""
+        codes = data.draw(
+            st.lists(
+                st.integers(0, 5), min_size=h.num_nets, max_size=h.num_nets
+            )
+        )
+        bulk = _CompletionTally(h, codes)
+        replayed = _CompletionTally.__new__(_CompletionTally)
+        reference_tally_init(replayed, h, codes)
+        for field in (
+            "_net_pins_to",
+            "_pinned_l",
+            "_pinned_r",
+            "assign",
+            "_side_count",
+            "_pin_count",
+            "_cut_core_l",
+            "_cut_core_r",
+            "_cuts",
+        ):
+            got, want = getattr(bulk, field), getattr(replayed, field)
+            assert type(got) is list, field
+            assert [type(x) for x in got] == [type(x) for x in want], field
+            assert got == want, field
 
 
 class TestFMLayer:

@@ -9,7 +9,8 @@ and ``csr``, see :func:`tests.oracles.pipeline`).
 * a served no-op delta is *byte-identical* (canonical result bytes) to
   the base serve;
 * a delta with no warm state to start from is served cold, byte-equal
-  to a cold serve of the edited netlist, and seeds the next delta.
+  to a cold serve of the edited netlist, and seeds the next delta; the
+  result cache holds that cold answer, never a warm one.
 """
 
 import json
@@ -30,6 +31,7 @@ from repro.partitioning.igmatch import SweepWarmStart
 from repro.service import (
     PartitionEngine,
     PartitionRequest,
+    ResultCache,
     canonical_result_bytes,
     run_partitioner,
 )
@@ -223,6 +225,37 @@ class TestWarmPartition:
             _request("ig-match"),
         )
         assert following.source == "delta-warm"
+
+    def test_delta_cold_answer_is_cached_warm_answer_is_not(self):
+        # A delta-cold answer is a cold compute on the edited netlist,
+        # so a later cold request for that netlist hits the cache with
+        # the same bytes.  A warm answer's details differ from a cold
+        # compute's, so it is never cached.
+        h = build_circuit("Test02", seed=0, scale=0.05)
+        rng = random.Random(1)
+        delta = random_delta(h, rng, module_churn=False)
+        engine = PartitionEngine(cache=ResultCache(use_disk=False))
+        base_served = engine.partition(h, _request("fm"))
+        served = engine.partition_delta(
+            base_served.fingerprint, delta, _request("ig-match")
+        )
+        assert served.source == "delta-cold"
+        h2 = delta.apply(h)
+        again = engine.partition(h2, _request("ig-match"))
+        assert again.cached and again.source == "memory"
+        assert canonical_result_bytes(
+            again.result
+        ) == canonical_result_bytes(served.result)
+
+        following_delta = random_delta(h2, rng, module_churn=False)
+        following = engine.partition_delta(
+            served.fingerprint, following_delta, _request("ig-match")
+        )
+        assert following.source == "delta-warm"
+        cold = engine.partition(
+            following_delta.apply(h2), _request("ig-match")
+        )
+        assert not cold.cached and cold.source == "computed"
 
     @pytest.mark.parametrize("algorithm", ["ig-match", "fm"])
     def test_quality_no_worse_over_a_chain(self, algorithm):

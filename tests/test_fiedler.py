@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from repro.bench import build_circuit
 from repro.errors import SpectralError
 from repro.graph import Graph, laplacian_matrix
+from repro.intersection import intersection_graph
 from repro.spectral import component_spectral_values, fiedler_vector
+from repro.spectral.fiedler import _canonical_sign, _shifted_laplacian
 from tests.conftest import connected_random_graph
 
 
@@ -52,6 +56,27 @@ class TestFiedlerVector:
         assert result.eigenvalue == pytest.approx(values[1], abs=1e-10)
         dot = abs(np.dot(result.vector, vectors[:, 1]))
         assert dot == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            connected_random_graph(5, num_vertices=60, extra_edges=40),
+            intersection_graph(build_circuit("Prim2", scale=0.1), "paper"),
+        ],
+        ids=["random", "Prim2"],
+    )
+    def test_counting_operator_keeps_eigsh_bits(self, g):
+        """eigsh runs on an operator that counts its matvecs; the pair
+        must be, bit for bit, what eigsh gives on the bare matrix."""
+        shifted, shift = _shifted_laplacian(g)
+        v0 = np.random.default_rng(0).standard_normal(g.num_vertices)
+        mu, vecs = spla.eigsh(shifted, k=2, which="LA", tol=0.0, v0=v0)
+        i = int(np.argsort(mu)[0])
+        result = fiedler_vector(g, seed=0)
+        assert result.vector.tobytes() == _canonical_sign(
+            vecs[:, i]
+        ).tobytes()
+        assert result.eigenvalue == float(shift - mu[i])
 
     def test_deterministic(self):
         g = connected_random_graph(3, num_vertices=25)

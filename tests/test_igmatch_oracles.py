@@ -91,3 +91,17 @@ def test_source_that_kept_its_mark_reaches_new_neighbours():
         [[0, 4], [1, 5], [0, 1, 2], [2, 3], [3, 6]], num_modules=7
     )
     replay(h, [0, 1, 4, 2, 3])
+
+
+def test_path_netlist_partition_is_the_best_splits_assignment():
+    """Modules 0..20 chained by two-pin nets.  The ratio cut improves at
+    every split up to the middle, so the sweep keeps the assignment of
+    each of them, and the splits after the best one change assignments
+    the kept one must not follow; replay() checks the partition
+    against the oracle's assignment at the best split."""
+    h = Hypergraph([[v, v + 1] for v in range(20)], num_modules=21)
+    evaluations = replay(h, list(range(h.num_nets)))
+    ratios = [e.ratio_cut for e in evaluations]
+    best = ratios.index(min(ratios))
+    assert evaluations[best].rank == 9
+    assert all(a > b for a, b in zip(ratios, ratios[1:best + 1]))

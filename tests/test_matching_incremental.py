@@ -164,6 +164,17 @@ class TestClassify:
                     VertexClass.CORE_R,
                 )
 
+    def test_classify_returns_its_live_list(self):
+        """Every call returns the matcher's own code list, rewritten in
+        place: a split costs what its moves changed, not a copy."""
+        g = random_graph(5, num_vertices=12)
+        m = IncrementalMatching(g)
+        codes = m.classify()
+        for v in range(6):
+            m.move_to_right(v)
+            assert m.classify() is codes
+            assert codes == classify_from_scratch(m)
+
     def test_unmatched_are_even(self):
         g = random_graph(8, num_vertices=12)
         m = IncrementalMatching(g)
