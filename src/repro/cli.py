@@ -240,8 +240,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="apply a netlist delta (repro-netlist-delta-v1 JSON) to "
         "the base netlist and partition the edited netlist warm: the "
         "base is partitioned cold to seed warm-start artifacts, then "
-        "the delta path reuses the intersection graph, sweep window, "
-        "and matching (ig-match) or the previous sides (fm)",
+        "the delta path rebuilds the intersection graph cold and "
+        "re-sweeps a window around the previous best split from the "
+        "previous matching (ig-match), or refines from the previous "
+        "sides (fm)",
     )
     parser.add_argument(
         "--base", metavar="FILE",

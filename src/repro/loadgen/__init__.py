@@ -24,7 +24,8 @@ pieces plus one honest clock:
   validated with :func:`repro.obs.parse_prometheus_text`) before and
   after the run, and the server-side histogram ``_count`` deltas and
   cache hit/miss counters must account for exactly the requests the
-  client sent — 429 backpressure rejections accounted separately.
+  client sent — 503 draining rejections accounted separately from
+  errors.
 
 ``repro-loadgen`` (:mod:`repro.loadgen.__main__`) drives a run end to
 end and writes ``BENCH_serving.json`` plus markdown/HTML reports via

@@ -16,9 +16,9 @@ Outcome vocabulary (disjoint; every request gets exactly one):
 ``ok``
     HTTP 200 with a parsed result body.
 ``rejected``
-    HTTP 429 (ingress backpressure) or 503 (draining) — flow-control
-    shedding, **not** an error: the server answered honestly that it
-    would not take the work.  Excluded from the SLO error rate.
+    HTTP 503 (the server is draining) — flow control, **not** an
+    error: the server answered honestly that it would not take the
+    work.  Excluded from the SLO error rate.
 ``error``
     Any other HTTP status (a 400/404/500 means the client or server is
     actually wrong).
@@ -254,9 +254,7 @@ class LoadClient:
             except (ValueError, OSError):
                 detail = ""
             record.error = detail or f"HTTP {exc.code}"
-            record.outcome = (
-                "rejected" if exc.code in (429, 503) else "error"
-            )
+            record.outcome = "rejected" if exc.code == 503 else "error"
         except urllib.error.URLError as exc:
             reason = getattr(exc, "reason", exc)
             record.outcome = (

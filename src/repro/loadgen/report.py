@@ -16,9 +16,6 @@ sent:
   histogram ``_count`` grew by exactly the number of HTTP responses
   the client received (ok + rejected + error — refused/transport
   requests never produced a server-side response);
-* ``service.rejected`` grew by exactly the client's 429 count
-  (backpressure is accounted separately from errors, and 503 draining
-  rejections are not 429 backpressure);
 * ``service.requests`` grew by exactly the requests that reached the
   engine (the client's 200s; non-2xx errors may fail before or after
   engine dispatch, so with errors present the check becomes a range);
@@ -94,8 +91,8 @@ def _delta(
 ) -> Optional[int]:
     if before is None and after is None:
         return None
-    # A fresh server's before-scrape may predate a section (no jobs
-    # scheduler yet, no histogram series): treat absent-before as 0.
+    # A fresh server's before-scrape may predate a section (no
+    # histogram series yet): treat absent-before as 0.
     return (after or 0) - (before or 0)
 
 
@@ -115,7 +112,6 @@ def crosscheck(
 
     ok = result.count("ok")
     errors = result.count("error")
-    rejected_429 = sum(1 for r in result.records if r.status == 429)
     responses = result.responses
 
     def check(
@@ -168,19 +164,7 @@ def crosscheck(
         f"(ok={ok} rejected={result.count('rejected')} errors={errors})",
     )
 
-    # 2. Backpressure is accounted separately: the 429 counter moved by
-    #    exactly the client's 429s (503 draining is not backpressure).
-    rejected_delta = _delta(
-        _counter(before, "service", "service.rejected"),
-        _counter(after, "service", "service.rejected"),
-    )
-    check(
-        "service.rejected delta == client 429s",
-        rejected_429,
-        rejected_delta,
-    )
-
-    # 3. Requests that reached the engine.  Errors can fail either side
+    # 2. Requests that reached the engine.  Errors can fail either side
     #    of engine dispatch, so with errors present the exact count is
     #    undecidable and the check degrades to a range.
     requests_delta = _delta(
@@ -204,7 +188,7 @@ def crosscheck(
             requests_delta,
         )
 
-    # 4. Engine conservation: every engine request is a hit or a miss.
+    # 3. Engine conservation: every engine request is a hit or a miss.
     hit_delta = _delta(
         _counter(before, "service", "service.cache.hit"),
         _counter(after, "service", "service.cache.hit"),
@@ -226,7 +210,7 @@ def crosscheck(
             hit_delta + miss_delta,
         )
 
-    # 5. The engine's own request histogram agrees with its counter.
+    # 4. The engine's own request histogram agrees with its counter.
     engine_hist_delta = _delta(
         hist_count(before, "service.request.duration_seconds"),
         hist_count(after, "service.request.duration_seconds"),
@@ -238,7 +222,7 @@ def crosscheck(
         engine_hist_delta,
     )
 
-    # 6. Cache provenance: the client's response bodies tell the same
+    # 5. Cache provenance: the client's response bodies tell the same
     #    story as the server's counters, source by source.
     sources = result.by_source()
     computed_delta = _delta(
@@ -366,11 +350,6 @@ def build_payload(
         metric("requests", len(result.records), "count", NOISY),
         metric("elapsed_s", round(result.elapsed_s, 6), "s", NOISY),
         metric("behind_schedule", result.behind_schedule, "count", NOISY),
-        metric(
-            "requests",
-            sum(1 for r in result.records if r.status == 429),
-            "count", NOISY, {"status": 429},
-        ),
     ]
     metrics += [
         metric("requests", result.count(outcome), "count", NOISY, {"outcome": outcome})

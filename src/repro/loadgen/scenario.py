@@ -3,13 +3,11 @@
 :func:`run_serving_scenario` is the shared driver behind both the
 ``repro-loadgen`` CLI and ``python -m repro.bench --serving-scenario``:
 it scrapes ``/metrics`` before the run, drives the workload
-(closed-loop or open-loop), **settles** (the server observes its
-request histogram and writes its access-log line *after* the response
-bytes leave the socket, so the after-scrape polls until the server's
-POST ``/partition`` count stops moving rather than trusting the first
-read), scrapes again, cross-checks the deltas against the client's
-records, evaluates the SLO, and returns the ``serving`` bench payload
-(already validated).
+(closed-loop or open-loop), **settles** (the after-scrape polls until
+the server's POST ``/partition`` count reaches the client's responses
+and stops moving, rather than trusting the first read), scrapes again,
+cross-checks the deltas against the client's records, evaluates the
+SLO, and returns the ``serving`` bench payload (already validated).
 
 When no ``base_url`` is given the scenario boots a private in-process
 server on an ephemeral port (memory-only cache, quiet access log) and
@@ -49,11 +47,9 @@ def settle_metrics(
 
     Returns ``(json_doc, prometheus_samples)`` of the final scrape.
     Settled means the count reached ``expected_responses`` *and* two
-    consecutive scrapes agree (the server records its histogram
-    observation and access-log entry after the response is on the wire,
-    so an immediate scrape can under-count).  Times out to the last
-    scrape rather than raising — the cross-check will then report the
-    mismatch with real numbers instead of this helper guessing.
+    consecutive scrapes agree.  Times out to the last scrape rather
+    than raising — the cross-check will then report the mismatch with
+    real numbers instead of this helper guessing.
     """
     deadline = time.monotonic() + timeout_s
     doc, samples = scrape_metrics(base_url)
@@ -81,16 +77,11 @@ def settle_metrics(
 class _LocalServer:
     """A private in-process server for self-contained scenarios."""
 
-    def __init__(self, ready_queue_bound: int = 64):
+    def __init__(self) -> None:
         self.engine = PartitionEngine(
             cache=ResultCache(use_disk=False)
         )
-        self.server = create_server(
-            engine=self.engine,
-            port=0,
-            quiet=True,
-            ready_queue_bound=ready_queue_bound,
-        )
+        self.server = create_server(engine=self.engine, port=0, quiet=True)
         host, port = self.server.server_address[:2]
         self.base_url = f"http://{host}:{port}"
         self._thread = threading.Thread(

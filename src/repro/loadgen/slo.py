@@ -16,7 +16,7 @@ rerun on the same machine jitters by more than that.  A breach beyond
 the band is a hard ``fail``; error-rate ceilings are exact (dropped
 requests are not scheduler jitter).  ``rejected`` and ``refused``
 requests are flow control, not errors — they are excluded from the
-error rate (the ISSUE's contract for 429 backpressure).
+error rate.
 
 Verdict values: ``"pass"``, ``"pass-within-noise"``, ``"fail"``,
 ``"skipped"`` (objective had no observable data, e.g. a quantile with

@@ -31,9 +31,8 @@ __all__ = ["parse_prometheus_text", "render_prometheus"]
 _NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _SANITIZE_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
-#: Keys in the ``cache`` / ``jobs`` metric sections that are point-in-
-#: time observations (everything else in those sections is a lifetime
-#: counter).
+#: Keys in the flat metric sections that are point-in-time observations
+#: (everything else in those sections is a lifetime counter).
 _GAUGE_KEYS = {
     "cache": {
         "memory_entries",
@@ -47,7 +46,6 @@ _GAUGE_KEYS = {
         "service.session.entries",
         "service.session.bytes",
     },
-    "jobs": {"pending", "running", "cancelling"},
     # cpu_*_seconds are lifetime totals (counters); the RSS and
     # tracemalloc fields are point-in-time observations.
     "process": {
@@ -156,9 +154,8 @@ def render_prometheus(doc: Dict[str, Any]) -> str:
 
     Sections: ``info`` (constant ``repro_build_info`` gauge carrying
     the build identity as labels), ``service`` (dotted counters),
-    ``cache`` and ``jobs``
-    (counters with a few gauges, see ``_GAUGE_KEYS``), ``slow``
-    (gauges), and ``histograms``
+    ``cache`` and ``process`` (counters with a few gauges, see
+    ``_GAUGE_KEYS``), ``slow`` (gauges), and ``histograms``
     (:meth:`~repro.obs.hist.HistogramSet.snapshot` form).  Unknown or
     non-numeric entries are skipped, never fatal — an old scraper must
     keep working against a newer server.
@@ -183,9 +180,6 @@ def render_prometheus(doc: Dict[str, Any]) -> str:
     cache = doc.get("cache")
     if isinstance(cache, dict):
         _render_flat_section(writer, "cache", cache)
-    jobs = doc.get("jobs")
-    if isinstance(jobs, dict):
-        _render_flat_section(writer, "jobs", jobs)
     process = doc.get("process")
     if isinstance(process, dict):
         _render_flat_section(writer, "process", process)
@@ -209,9 +203,8 @@ def render_prometheus(doc: Dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 # Validation (the CI gate)
 
-#: Label bodies may contain ``}`` inside quoted values (a route label
-#: like ``/jobs/{id}``), so the group alternates between quoted strings
-#: and any other non-quote, non-brace characters.
+#: Quoted label values may contain ``}``, so the label group alternates
+#: between quoted strings and any other non-quote, non-brace characters.
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
     r"(?:\{(?P<labels>(?:[^\"}]|\"(?:[^\"\\]|\\.)*\")*)\})?"

@@ -1,11 +1,11 @@
-"""repro.service — job-oriented partitioning with result caching.
+"""repro.service — synchronous partitioning with result caching.
 
 The serving layer that turns the one-shot library/CLI pipeline into a
 long-lived engine: requests are fingerprinted
 (:mod:`~repro.service.fingerprint`), answered from a two-tier
 content-addressed cache when possible (:mod:`~repro.service.cache`),
-deduplicated against identical in-flight computations, and optionally
-queued as prioritised, retryable jobs (:mod:`~repro.service.jobs`).
+and deduplicated against identical in-flight computations; each
+request is served on the thread that received it.
 :mod:`~repro.service.http` exposes the whole thing over a stdlib-only
 JSON API (``repro-serve``).
 
@@ -51,7 +51,6 @@ from .fingerprint import (
     request_fingerprint,
 )
 from .http import AccessLog, create_server, serve_main
-from .jobs import JOB_STATES, Job, JobScheduler
 
 __all__ = [
     "ALGORITHMS",
@@ -59,9 +58,6 @@ __all__ = [
     "CACHE_ENTRY_SCHEMA",
     "DiskCache",
     "FINGERPRINT_SCHEMA",
-    "JOB_STATES",
-    "Job",
-    "JobScheduler",
     "MemoryCache",
     "PartitionEngine",
     "PartitionRequest",

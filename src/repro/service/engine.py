@@ -17,10 +17,6 @@ same code path — the base of the byte-identical serving contract).
 * **single-flight deduplication** — concurrent identical requests
   compute once; the N−1 waiters are served the first flight's payload
   and count as cache hits;
-* **async jobs** — :meth:`PartitionEngine.submit` queues requests on a
-  :class:`repro.service.jobs.JobScheduler` with priorities, deadlines
-  and bounded retries; :meth:`PartitionEngine.submit_batch` additionally
-  deduplicates identical requests *within* the batch;
 * **request-scoped telemetry** — every serve runs inside a
   :class:`repro.obs.TraceCapture`, so the full span tree it produces
   (down to ``spectral.lanczos`` and the matching sweeps) is stamped
@@ -33,8 +29,8 @@ same code path — the base of the byte-identical serving contract).
 Counters (mirrored into :mod:`repro.obs` and always tallied locally for
 ``/metrics``): ``service.requests``, ``service.cache.hit``,
 ``service.cache.miss``, ``service.cache.hit.inflight``,
-``service.computed``, ``service.rejected`` (ingress backpressure
-429s, tallied by the HTTP layer via :meth:`PartitionEngine.reject`).
+``service.computed``, and the ``service.delta.*`` outcomes of
+:meth:`PartitionEngine.partition_delta`.
 """
 
 from __future__ import annotations
@@ -43,10 +39,9 @@ import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .. import obs
-from ..obs.trace import new_trace_id
 from ..clustering import MultilevelConfig, multilevel_partition
 from ..errors import ReproError
 from ..hypergraph import Hypergraph
@@ -77,7 +72,6 @@ from ..delta import (
 )
 from .cache import ResultCache
 from .fingerprint import request_fingerprint
-from .jobs import Job, JobScheduler
 from .sessions import SessionMissError, SessionStore
 
 __all__ = [
@@ -391,7 +385,6 @@ class PartitionEngine:
         self,
         cache: Optional[ResultCache] = None,
         parallel: Optional[ParallelConfig] = None,
-        scheduler: Optional[JobScheduler] = None,
         hists: Optional[obs.HistogramSet] = None,
         slow_threshold_s: float = 1.0,
         slow_capacity: int = 32,
@@ -409,14 +402,12 @@ class PartitionEngine:
         #: context has, so a memory-profiled bench session still sees
         #: request memory.
         self.memprof = bool(memprof)
-        self._scheduler = scheduler
-        self._scheduler_lock = threading.Lock()
         self._inflight: Dict[str, _Flight] = {}
         self._inflight_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         #: Always-on latency distributions (request / cache lookup /
-        #: compute / job queue-wait) — recorded whether or not obs
-        #: tracing is enabled, like ``stats``.
+        #: compute) — recorded whether or not obs tracing is enabled,
+        #: like ``stats``.
         self.hists = hists if hists is not None else obs.HistogramSet()
         #: Full-trace exemplars of requests over the slow threshold.
         self.slow = SlowLog(
@@ -428,7 +419,6 @@ class PartitionEngine:
             "service.cache.miss": 0,
             "service.cache.hit.inflight": 0,
             "service.computed": 0,
-            "service.rejected": 0,
             "service.delta.requests": 0,
             "service.delta.warm": 0,
             "service.delta.cold": 0,
@@ -441,43 +431,6 @@ class PartitionEngine:
         with self._stats_lock:
             self.stats[name] = self.stats.get(name, 0) + value
         obs.incr(name, value)
-
-    def reject(self) -> None:
-        """Tally one backpressure rejection (an ingress 429)."""
-        self._count("service.rejected")
-
-    @property
-    def scheduler(self) -> JobScheduler:
-        """The job scheduler, created on first use."""
-        with self._scheduler_lock:
-            if self._scheduler is None:
-                self._scheduler = JobScheduler(hists=self.hists)
-            return self._scheduler
-
-    def queue_depth(self) -> int:
-        """Pending jobs right now (0 when no scheduler exists yet)."""
-        with self._scheduler_lock:
-            scheduler = self._scheduler
-        if scheduler is None:
-            return 0
-        return int(scheduler.snapshot().get("pending", 0))
-
-    def jobs_outstanding(self) -> int:
-        """Pending plus running jobs (0 when no scheduler exists yet).
-
-        The graceful-drain path polls this — unlike :attr:`scheduler`
-        it never creates a scheduler as a side effect.
-        """
-        with self._scheduler_lock:
-            scheduler = self._scheduler
-        if scheduler is None:
-            return 0
-        snapshot = scheduler.snapshot()
-        return (
-            int(snapshot.get("pending", 0))
-            + int(snapshot.get("running", 0))
-            + int(snapshot.get("cancelling", 0))
-        )
 
     # ------------------------------------------------------------------
     def partition(
@@ -789,80 +742,14 @@ class PartitionEngine:
         return ServedResult(result, new_key, False, source)
 
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        h: Hypergraph,
-        request: PartitionRequest,
-        priority: int = 0,
-        max_retries: int = 0,
-        deadline_s: Optional[float] = None,
-        use_cache: bool = True,
-        trace_id: Optional[str] = None,
-    ) -> Job:
-        """Queue a request as an async job; the job result is the
-        :meth:`ServedResult.response` document.
-
-        ``trace_id`` (from ingress) rides along on the job record and
-        is reused when the worker finally serves the request, so async
-        results stay attributable to the submitting HTTP request.
-        """
-        tid = trace_id or new_trace_id()
-
-        def work() -> Dict[str, Any]:
-            return self.partition(
-                h, request, use_cache=use_cache, trace_id=tid
-            ).response()
-
-        return self.scheduler.submit(
-            work,
-            priority=priority,
-            max_retries=max_retries,
-            deadline_s=deadline_s,
-            label=request.algorithm,
-            trace_id=tid,
-        )
-
-    def submit_batch(
-        self,
-        items: Sequence[Tuple[Hypergraph, PartitionRequest]],
-        priority: int = 0,
-        use_cache: bool = True,
-    ) -> List[Job]:
-        """Submit many requests, deduplicating identical ones.
-
-        Returns one :class:`Job` handle per input item, in order; items
-        whose fingerprint matches an earlier item in the batch share the
-        earlier item's job (so N identical submissions schedule exactly
-        one computation).
-        """
-        jobs: List[Job] = []
-        by_key: Dict[str, Job] = {}
-        for h, request in items:
-            key = request_fingerprint(h, request)
-            job = by_key.get(key)
-            if job is None:
-                job = self.submit(
-                    h, request, priority=priority, use_cache=use_cache
-                )
-                by_key[key] = job
-            else:
-                self._count("service.batch.dedup")
-            jobs.append(job)
-        return jobs
-
-    # ------------------------------------------------------------------
     def metrics(self) -> Dict[str, Any]:
         """Metrics snapshot for ``/metrics``: counters, histograms,
-        slow-log summary (engine, cache, jobs)."""
+        slow-log summary (engine and cache)."""
         with self._stats_lock:
             doc: Dict[str, Any] = {"service": dict(self.stats)}
         doc["service"].update(self.sessions.stats_dict())
         if self.cache is not None:
             doc["cache"] = self.cache.snapshot()
-        with self._scheduler_lock:
-            scheduler = self._scheduler
-        if scheduler is not None:
-            doc["jobs"] = scheduler.snapshot()
         doc["histograms"] = self.hists.snapshot()
         doc["slow"] = self.slow.snapshot()
         doc["process"] = obs.process_metrics()

@@ -9,20 +9,18 @@ dependencies beyond the standard library) exposing:
        "net": "...",                # OR: NET text format (one of the two)
        "algorithm": "ig-match",     # optional request fields ...
        "seed": 0,
-       "cache": true,               # false forces a fresh compute
-       "async": false,              # true -> 202 + job id
-       "priority": 0, "max_retries": 0, "deadline_s": null}
+       "cache": true}               # false forces a fresh compute
 
-  Synchronous requests return ``{"fingerprint", "cached", "source",
-  "trace_id", "duration_s", "result": {...}}``; ``"async": true``
-  returns ``{"job": "<id>", "trace_id": ...}`` with status 202.
-* ``GET /jobs/<id>`` — the job's status/result record (404 unknown).
-* ``DELETE /jobs/<id>`` — cancel a still-pending job.
+  and returns ``{"fingerprint", "cached", "source", "trace_id",
+  "duration_s", "result": {...}}``.  Every request is served on the
+  thread that received it.
+* ``POST /partition/delta`` — a netlist delta against a served base's
+  fingerprint, partitioned warm (see ``docs/eco.md``).
 * ``GET /healthz`` — liveness: version, uptime, worker config.  Always
   200 while the process can answer at all.
 * ``GET /readyz`` — readiness: 200 only when the disk cache directory
-  is writable (probed with a real write) and the job queue depth is
-  within ``--ready-queue-bound``; 503 with per-check details otherwise.
+  is writable (probed with a real write); 503 with the check's details
+  otherwise.
 * ``GET /metrics`` — content negotiated.  JSON by default; the
   Prometheus text exposition (0.0.4) when the client sends
   ``Accept: text/plain`` / ``application/openmetrics-text`` or asks
@@ -35,34 +33,28 @@ dependencies beyond the standard library) exposing:
 **Request-scoped tracing**: every request gets a ``trace_id`` at
 ingress (a client-supplied ``X-Trace-Id`` header is honoured, otherwise
 one is minted), echoed back in the ``X-Trace-Id`` response header and
-threaded through the engine so spans, jobs, and slow-log exemplars are
+threaded through the engine so spans and slow-log exemplars are
 attributable to it.
 
 **Structured access log**: one JSON line per handled request —
 ``{"type": "access", "time", "trace_id", "method", "path", "status",
 "bytes", "duration_s"}`` plus ``source``/``cached`` provenance on
-partition serves — written to stderr or ``--access-log PATH``.
-Handler errors produce ``{"type": "error", ...}`` lines which are
-**never** suppressed; ``--quiet`` silences only the access entries.
-
-**Backpressure**: ``POST /partition`` answers ``429`` with a
-``Retry-After`` header (and a ``service.rejected`` counter increment
-plus an access-log line with ``rejected: true``) whenever the job
-queue depth exceeds ``--ready-queue-bound`` — the same bound that
-flips ``/readyz`` to 503 — instead of accepting work unboundedly.
+partition serves — written to stderr or ``--access-log PATH`` before
+the reply's first byte.  Handler errors produce ``{"type": "error",
+...}`` lines which are **never** suppressed; ``--quiet`` silences only
+the access entries.
 
 **Graceful drain**: ``repro-serve`` handles SIGTERM/SIGINT by closing
 the listener, answering requests that race in on open connections
 with ``503 draining``, waiting (bounded by ``--drain-timeout``) for
-every in-flight request and queued job to finish, then flushing and
-closing the access log.  :meth:`_Server.drain` is the programmatic
-form.
+every in-flight request to finish, then flushing and closing the
+access log.  :meth:`_Server.drain` is the programmatic form.
 
 Errors are always JSON: ``{"error": "<one line>"}`` with 400 for bad
-requests, 404 for unknown routes/jobs, 405 for wrong methods, 429 for
-backpressure rejections, 500 (with the trace id) for handler crashes.
-The ``repro-serve`` console script (:func:`serve_main`) is the
-deployment entry point.
+requests, 404 for unknown paths, 405 (with an ``Allow`` header) for a
+known path asked with another method, 503 while draining, and 500
+(with the trace id) for handler crashes.  The ``repro-serve`` console
+script (:func:`serve_main`) is the deployment entry point.
 """
 
 from __future__ import annotations
@@ -75,7 +67,7 @@ import threading
 import time
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, IO, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, IO, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .. import __version__
@@ -99,10 +91,7 @@ _REQUEST_FIELDS = ("algorithm", "seed", "restarts", "split_stride", "starts")
 #: Every key a ``POST /partition`` body may carry.  Anything else is a
 #: 400 — silently ignoring a typo like ``retries`` would accept the
 #: request while quietly not doing what the caller asked.
-_BODY_FIELDS = frozenset(_REQUEST_FIELDS) | {
-    "netlist", "net", "cache", "async", "priority", "max_retries",
-    "deadline_s",
-}
+_BODY_FIELDS = frozenset(_REQUEST_FIELDS) | {"netlist", "net", "cache"}
 
 #: Every key a ``POST /partition/delta`` body may carry.
 _DELTA_BODY_FIELDS = frozenset(_REQUEST_FIELDS) | {"base", "delta"}
@@ -110,17 +99,46 @@ _DELTA_BODY_FIELDS = frozenset(_REQUEST_FIELDS) | {"base", "delta"}
 #: Inbound ``X-Trace-Id`` values must look like ids, not payloads.
 _TRACE_ID_RE = re.compile(r"[A-Za-z0-9_-]{1,64}$")
 
+#: Every path the server answers and, per method, the handler that
+#: serves it.  A known path asked with another method is a 405 whose
+#: ``Allow`` header lists the methods here; any other path is a 404.
+#: The paths are also the ``route`` label values of the HTTP latency
+#: histogram, where every unknown path shares the one value ``other``
+#: so stray paths cannot grow the series count.
+_ROUTES: Dict[str, Dict[str, str]] = {
+    "/partition": {"POST": "_partition"},
+    "/partition/delta": {"POST": "_partition_delta"},
+    "/healthz": {"GET": "_healthz"},
+    "/readyz": {"GET": "_readyz"},
+    "/metrics": {"GET": "_metrics"},
+    "/debug/slow": {"GET": "_debug_slow"},
+}
 
-def _parse_body(doc: Dict[str, Any]) -> Tuple[Hypergraph, PartitionRequest]:
-    """Extract the hypergraph and request from a ``POST /partition`` body."""
+
+def _checked_body(doc: Any, known: FrozenSet[str]) -> Dict[str, Any]:
+    """``doc`` as a request-body object carrying only ``known`` keys."""
     if not isinstance(doc, dict):
         raise ReproError("request body must be a JSON object")
-    unknown = sorted(set(doc) - _BODY_FIELDS)
+    unknown = sorted(set(doc) - known)
     if unknown:
         raise ReproError(
             f"unknown request field(s): {', '.join(unknown)} "
-            f"(known: {', '.join(sorted(_BODY_FIELDS))})"
+            f"(known: {', '.join(sorted(known))})"
         )
+    return doc
+
+
+def _request_config(doc: Dict[str, Any]) -> PartitionRequest:
+    config = {k: doc[k] for k in _REQUEST_FIELDS if k in doc}
+    try:
+        return PartitionRequest.from_mapping(config)
+    except TypeError as exc:
+        raise ReproError(f"bad request config: {exc}") from None
+
+
+def _parse_body(doc: Any) -> Tuple[Hypergraph, PartitionRequest]:
+    """Extract the hypergraph and request from a ``POST /partition`` body."""
+    doc = _checked_body(doc, _BODY_FIELDS)
     has_json = "netlist" in doc
     has_net = "net" in doc
     if has_json == has_net:
@@ -134,48 +152,25 @@ def _parse_body(doc: Dict[str, Any]) -> Tuple[Hypergraph, PartitionRequest]:
         if not isinstance(doc["net"], str):
             raise ReproError("'net' must be a string in NET text format")
         h = loads_net(doc["net"])
-    config = {k: doc[k] for k in _REQUEST_FIELDS if k in doc}
-    try:
-        request = PartitionRequest.from_mapping(config)
-    except TypeError as exc:
-        raise ReproError(f"bad request config: {exc}") from None
-    return h, request
+    return h, _request_config(doc)
 
 
-def _job_options(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """The async-job knobs of a ``POST /partition`` body, validated."""
-    deadline = doc.get("deadline_s")
-    try:
-        return {
-            "priority": int(doc.get("priority", 0)),
-            "max_retries": int(doc.get("max_retries", 0)),
-            "deadline_s": None if deadline is None else float(deadline),
-        }
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ReproError(f"bad async job option: {exc}") from None
-
-
-#: Known literal routes for the ``route`` histogram label; ``/jobs/<id>``
-#: collapses to one label value so per-job ids cannot explode the series
-#: cardinality, and unknown paths share a single ``other`` bucket.
-_LITERAL_ROUTES = frozenset(
-    {
-        "/partition",
-        "/partition/delta",
-        "/healthz",
-        "/readyz",
-        "/metrics",
-        "/debug/slow",
-    }
-)
-
-
-def _route_label(path: str) -> str:
-    if path in _LITERAL_ROUTES:
-        return path
-    if path.startswith("/jobs/"):
-        return "/jobs/{id}"
-    return "other"
+def _parse_delta_body(
+    doc: Any,
+) -> Tuple[str, Dict[str, Any], PartitionRequest]:
+    """Extract the base fingerprint, the delta document and the request
+    from a ``POST /partition/delta`` body."""
+    doc = _checked_body(doc, _DELTA_BODY_FIELDS)
+    base = doc.get("base")
+    if not isinstance(base, str) or not base:
+        raise ReproError(
+            "'base' must be a fingerprint string from a prior "
+            "POST /partition response"
+        )
+    delta = doc.get("delta")
+    if not isinstance(delta, dict):
+        raise ReproError("'delta' must be a netlist-delta JSON object")
+    return base, delta, _request_config(doc)
 
 
 class AccessLog:
@@ -310,12 +305,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.server.engine.hists.observe(
             "http.request.duration_seconds",
             duration,
-            method=self._method,
-            route=_route_label(self._route_path),
+            method=self.command,
+            route=self._route_path if self._route_path in _ROUTES else "other",
         )
         entry: Dict[str, Any] = {
             "trace_id": self._trace_id,
-            "method": self._method,
+            "method": self.command,
             "path": self.path,
             "status": self._status,
             "bytes": self._bytes_sent,
@@ -323,17 +318,14 @@ class _Handler(BaseHTTPRequestHandler):
         }
         if self._provenance is not None:
             entry["source"], entry["cached"] = self._provenance
-        if self._status == 429:
-            entry["rejected"] = True
         self.server.access_log.access(**entry)
 
-    def _handle(self, method: str, fn: Any) -> None:
+    def _handle(self) -> None:
         """One request: trace ingress, dispatch, access log, histogram."""
         header = (self.headers.get("X-Trace-Id") or "").strip()
         self._trace_id = (
             header if _TRACE_ID_RE.match(header) else new_trace_id()
         )
-        self._method = method
         self._status = 0
         self._bytes_sent = 0
         self._provenance: Optional[Tuple[str, bool]] = None
@@ -357,14 +349,14 @@ class _Handler(BaseHTTPRequestHandler):
                     extra_headers={"Retry-After": "1"},
                 )
             else:
-                fn()
+                self._dispatch()
         except (BrokenPipeError, ConnectionResetError):
             # Client went away mid-response; nothing left to send.
             self._status = self._status or 499
         except Exception as exc:  # noqa: BLE001 - last-resort 500
             self.server.access_log.error(
                 trace_id=self._trace_id,
-                method=method,
+                method=self.command,
                 path=self.path,
                 error=f"{type(exc).__name__}: {exc}",
             )
@@ -382,82 +374,102 @@ class _Handler(BaseHTTPRequestHandler):
             self._log_request()
             self.server.request_finished()
 
-    def do_GET(self) -> None:
-        self._handle("GET", self._get)
+    # http.server calls ``do_<METHOD>``; every method it is given goes
+    # through the route table, so a wrong one is a JSON 405, not an
+    # HTML 501.
+    do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = _handle
 
-    def do_POST(self) -> None:
-        self._handle("POST", self._post)
-
-    def do_DELETE(self) -> None:
-        self._handle("DELETE", self._delete)
-
-    # ------------------------------------------------------------------
-    def _get(self) -> None:
-        engine: PartitionEngine = self.server.engine
+    def _dispatch(self) -> None:
+        """Serve the route, or answer 404 (unknown path) or 405."""
         path = self._route_path
-        if path == "/healthz":
-            parallel = engine.parallel or ParallelConfig()
+        methods = _ROUTES.get(path)
+        if methods is not None and self.command in methods:
+            getattr(self, methods[self.command])()
+            return
+        # Any request body is left unread, so the connection cannot
+        # carry another request.
+        headers = {"Connection": "close"}
+        if methods is None:
             self._send_json(
-                200,
-                {
-                    "status": "ok",
-                    "version": __version__,
-                    "uptime_s": round(
-                        time.monotonic() - self.server.started_at, 3
-                    ),
-                    "workers": parallel.effective_workers(),
-                    "backend": parallel.backend,
-                    "cache": engine.cache is not None,
-                },
+                404, {"error": f"unknown path {path!r}"}, headers
             )
             return
-        if path == "/readyz":
-            self._readyz(engine)
-            return
-        if path == "/metrics":
-            self._metrics(engine)
-            return
-        if path == "/debug/slow":
-            self._debug_slow(engine)
-            return
-        if path.startswith("/jobs/"):
-            job_id = path[len("/jobs/"):]
-            job = engine.scheduler.get(job_id)
-            if job is None:
-                self._send_error_json(404, f"unknown job {job_id!r}")
-                return
-            self._send_json(200, job.record())
-            return
-        self._send_error_json(404, f"unknown path {path!r}")
+        headers["Allow"] = ", ".join(sorted(methods))
+        self._send_json(
+            405,
+            {
+                "error": f"method {self.command} not allowed on {path} "
+                f"(allowed: {headers['Allow']})"
+            },
+            headers,
+        )
 
-    def _readyz(self, engine: PartitionEngine) -> None:
+    def _read_json(self) -> Any:
+        """The request body, parsed; :class:`ReproError` when it is
+        missing, too large, or not JSON."""
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            raise self._body_refused("bad Content-Length header") from None
+        if length <= 0:
+            raise self._body_refused("empty request body")
+        if length > _MAX_BODY_BYTES:
+            raise self._body_refused(
+                f"request body exceeds {_MAX_BODY_BYTES} bytes"
+            )
+        raw = self.rfile.read(length)
+        try:
+            return json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, ValueError) as exc:
+            raise ReproError(f"invalid JSON body: {exc}") from None
+
+    def _body_refused(self, problem: str) -> ReproError:
+        # The body stays unread, so the connection must not carry
+        # another request: the body's bytes would be parsed as one.
+        self.close_connection = True
+        return ReproError(problem)
+
+    # ------------------------------------------------------------------
+    def _healthz(self) -> None:
+        engine: PartitionEngine = self.server.engine
+        parallel = engine.parallel or ParallelConfig()
+        self._send_json(
+            200,
+            {
+                "status": "ok",
+                "version": __version__,
+                "uptime_s": round(
+                    time.monotonic() - self.server.started_at, 3
+                ),
+                "workers": parallel.effective_workers(),
+                "backend": parallel.backend,
+                "cache": engine.cache is not None,
+            },
+        )
+
+    def _readyz(self) -> None:
         """Readiness: can this instance *usefully* take traffic now?
 
         Liveness (``/healthz``) answers "is the process up"; this
         answers "will a request actually succeed" — a read-only cache
-        directory or a backed-up job queue should pull the instance out
-        of rotation, not keep silently degrading.
+        directory should pull the instance out of rotation, not keep
+        silently degrading.
         """
-        checks: Dict[str, Dict[str, Any]] = {}
-        if engine.cache is not None:
-            ok, detail = engine.cache.check_disk_writable()
-            checks["cache"] = {"ok": ok, "detail": detail}
+        cache = self.server.engine.cache
+        if cache is not None:
+            ok, detail = cache.check_disk_writable()
         else:
-            checks["cache"] = {"ok": True, "detail": "no cache configured"}
-        depth = engine.queue_depth()
-        bound = self.server.ready_queue_bound
-        checks["jobs"] = {
-            "ok": depth <= bound,
-            "detail": f"{depth} pending (bound {bound})",
-        }
-        ready = all(check["ok"] for check in checks.values())
+            ok, detail = True, "no cache configured"
         self._send_json(
-            200 if ready else 503,
-            {"status": "ready" if ready else "unready", "checks": checks},
+            200 if ok else 503,
+            {
+                "status": "ready" if ok else "unready",
+                "checks": {"cache": {"ok": ok, "detail": detail}},
+            },
         )
 
-    def _metrics(self, engine: PartitionEngine) -> None:
-        doc = engine.metrics()
+    def _metrics(self) -> None:
+        doc = self.server.engine.metrics()
         fmt = self._query.get("format", "").lower()
         accept = self.headers.get("Accept", "")
         want_prometheus = fmt in ("prometheus", "prom", "text") or (
@@ -473,8 +485,9 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send_json(200, doc)
 
-    def _debug_slow(self, engine: PartitionEngine) -> None:
-        entries = engine.slow.entries()
+    def _debug_slow(self) -> None:
+        slow = self.server.engine.slow
+        entries = slow.entries()
         if self._query.get("format", "").lower() == "html":
             html = render_slow_html(entries)
             self._send_bytes(
@@ -484,87 +497,21 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(
             200,
             {
-                "threshold_s": engine.slow.threshold_s,
-                "capacity": engine.slow.capacity,
+                "threshold_s": slow.threshold_s,
+                "capacity": slow.capacity,
                 "entries": entries,
             },
         )
 
-    def _post(self) -> None:
-        engine: PartitionEngine = self.server.engine
-        if self._route_path not in ("/partition", "/partition/delta"):
-            self._send_error_json(
-                404, f"unknown path {self._route_path!r}"
-            )
-            return
+    def _partition(self) -> None:
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._send_error_json(400, "bad Content-Length header")
-            return
-        if length <= 0:
-            self._send_error_json(400, "empty request body")
-            return
-        if length > _MAX_BODY_BYTES:
-            self._send_error_json(
-                400, f"request body exceeds {_MAX_BODY_BYTES} bytes"
-            )
-            return
-        raw = self.rfile.read(length)
-        depth = engine.queue_depth()
-        if depth > self.server.ready_queue_bound:
-            # Backpressure: the job queue is past the same bound that
-            # already flips /readyz to 503 — shed the request now with
-            # an honest retry hint instead of accepting unboundedly.
-            # (The body was read above so the connection stays clean.)
-            engine.reject()
-            self._send_json(
-                429,
-                {
-                    "error": (
-                        f"job queue depth {depth} exceeds bound "
-                        f"{self.server.ready_queue_bound}; retry later"
-                    ),
-                    "queue_depth": depth,
-                },
-                extra_headers={"Retry-After": "1"},
-            )
-            return
-        try:
-            doc = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            self._send_error_json(400, f"invalid JSON body: {exc}")
-            return
-        if self._route_path == "/partition/delta":
-            self._post_delta(engine, doc)
-            return
-        try:
+            doc = self._read_json()
             h, request = _parse_body(doc)
-            options = _job_options(doc) if doc.get("async") else None
-        except ReproError as exc:
-            self._send_error_json(400, str(exc))
-            return
-        use_cache = bool(doc.get("cache", True))
-        if options is not None:
-            job = engine.submit(
+            served = self.server.engine.partition(
                 h,
                 request,
-                use_cache=use_cache,
+                use_cache=bool(doc.get("cache", True)),
                 trace_id=self._trace_id,
-                **options,
-            )
-            self._send_json(
-                202,
-                {
-                    "job": job.id,
-                    "status": job.status,
-                    "trace_id": self._trace_id,
-                },
-            )
-            return
-        try:
-            served = engine.partition(
-                h, request, use_cache=use_cache, trace_id=self._trace_id
             )
         except ReproError as exc:
             self._send_error_json(400, str(exc))
@@ -572,43 +519,13 @@ class _Handler(BaseHTTPRequestHandler):
         self._provenance = (served.source, served.cached)
         self._send_json(200, served.response())
 
-    def _post_delta(self, engine: PartitionEngine, doc: Any) -> None:
+    def _partition_delta(self) -> None:
         """``POST /partition/delta``: base fingerprint + delta → warm
         result and the edited netlist's new fingerprint."""
-        if not isinstance(doc, dict):
-            self._send_error_json(400, "request body must be a JSON object")
-            return
-        unknown = sorted(set(doc) - _DELTA_BODY_FIELDS)
-        if unknown:
-            self._send_error_json(
-                400,
-                f"unknown request field(s): {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(_DELTA_BODY_FIELDS))})",
-            )
-            return
-        base = doc.get("base")
-        if not isinstance(base, str) or not base:
-            self._send_error_json(
-                400,
-                "'base' must be a fingerprint string from a prior "
-                "POST /partition response",
-            )
-            return
-        delta_doc = doc.get("delta")
-        if not isinstance(delta_doc, dict):
-            self._send_error_json(
-                400, "'delta' must be a netlist-delta JSON object"
-            )
-            return
-        config = {k: doc[k] for k in _REQUEST_FIELDS if k in doc}
         try:
-            request = PartitionRequest.from_mapping(config)
-        except TypeError as exc:
-            self._send_error_json(400, f"bad request config: {exc}")
-            return
-        try:
-            served = engine.partition_delta(
-                base, delta_doc, request, trace_id=self._trace_id
+            base, delta, request = _parse_delta_body(self._read_json())
+            served = self.server.engine.partition_delta(
+                base, delta, request, trace_id=self._trace_id
             )
         except SessionMissError as exc:
             self._send_json(
@@ -626,26 +543,6 @@ class _Handler(BaseHTTPRequestHandler):
         self._provenance = (served.source, served.cached)
         self._send_json(200, served.response())
 
-    def _delete(self) -> None:
-        engine: PartitionEngine = self.server.engine
-        path = self._route_path
-        if not path.startswith("/jobs/"):
-            self._send_error_json(404, f"unknown path {path!r}")
-            return
-        job_id = path[len("/jobs/"):]
-        if engine.scheduler.get(job_id) is None:
-            self._send_error_json(404, f"unknown job {job_id!r}")
-            return
-        cancelled = engine.scheduler.cancel(job_id)
-        # Re-read after cancel: a pending job is CANCELLED outright, a
-        # running one only CANCELLING — report the honest state rather
-        # than implying the work already stopped.
-        job = engine.scheduler.get(job_id)
-        status = job.status if job is not None else "cancelled"
-        self._send_json(
-            200, {"job": job_id, "cancelled": cancelled, "status": status}
-        )
-
 
 class _Server(ThreadingHTTPServer):
     daemon_threads = True
@@ -659,14 +556,12 @@ class _Server(ThreadingHTTPServer):
         address,
         engine: PartitionEngine,
         access_log: Optional[AccessLog] = None,
-        ready_queue_bound: int = 64,
     ):
         super().__init__(address, _Handler)
         self.engine = engine
         self.access_log = (
             access_log if access_log is not None else AccessLog(quiet=True)
         )
-        self.ready_queue_bound = int(ready_queue_bound)
         self.started_at = time.monotonic()
         self.draining = False
         self._inflight = 0
@@ -694,9 +589,8 @@ class _Server(ThreadingHTTPServer):
 
         Stops the accept loop (new connections are refused; requests on
         already-open connections get 503), then waits — bounded by
-        ``timeout_s`` — for every in-flight HTTP request to complete
-        and the job scheduler to finish pending/running jobs.  Finally
-        closes the listener and flushes/closes the access log.
+        ``timeout_s`` — for every in-flight HTTP request to complete.
+        Finally closes the listener and flushes/closes the access log.
 
         Returns ``True`` when everything finished inside the budget,
         ``False`` when the timeout expired with work still running
@@ -714,11 +608,6 @@ class _Server(ThreadingHTTPServer):
                     clean = False
                     break
                 self._idle.wait(remaining)
-        while clean and self.engine.jobs_outstanding() > 0:
-            if time.monotonic() >= deadline:
-                clean = False
-                break
-            time.sleep(0.02)
         self.server_close()  # closes the socket and the access log
         return clean
 
@@ -775,7 +664,6 @@ def create_server(
     port: int = 0,
     quiet: bool = True,
     access_log: Optional[AccessLog] = None,
-    ready_queue_bound: int = 64,
 ) -> _Server:
     """Build a ready-to-run server (``port=0`` picks an ephemeral port).
 
@@ -792,12 +680,7 @@ def create_server(
         engine = PartitionEngine(cache=ResultCache())
     if access_log is None:
         access_log = AccessLog(quiet=quiet)
-    return _Server(
-        (host, port),
-        engine,
-        access_log=access_log,
-        ready_queue_bound=ready_queue_bound,
-    )
+    return _Server((host, port), engine, access_log=access_log)
 
 
 def serve_main(argv: Optional[Sequence[str]] = None) -> int:
@@ -853,16 +736,9 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         "slow-log exemplars and /metrics gain memory detail",
     )
     parser.add_argument(
-        "--ready-queue-bound", type=int, default=64, metavar="N",
-        help="GET /readyz reports unready — and POST /partition starts "
-        "returning 429 with Retry-After — when more than N jobs are "
-        "queued (default 64)",
-    )
-    parser.add_argument(
         "--drain-timeout", type=float, default=10.0, metavar="SECONDS",
         help="on SIGTERM/SIGINT: stop accepting, wait up to this long "
-        "for in-flight requests and queued jobs to finish, then close "
-        "(default 10.0)",
+        "for in-flight requests to finish, then close (default 10.0)",
     )
     args = parser.parse_args(argv)
 
@@ -885,7 +761,6 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
             host=args.host,
             port=args.port,
             access_log=access_log,
-            ready_queue_bound=args.ready_queue_bound,
         )
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -893,13 +768,13 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     host, port = server.server_address[:2]
     print(
         f"repro-serve {__version__} listening on http://{host}:{port} "
-        f"(POST /partition, GET /jobs/<id>, /healthz, /readyz, /metrics, "
-        f"/debug/slow)",
+        f"(POST /partition, /partition/delta; GET /healthz, /readyz, "
+        f"/metrics, /debug/slow)",
         file=sys.stderr,
     )
 
     # Graceful drain: SIGTERM/SIGINT stop the accept loop, let in-flight
-    # requests and queued jobs finish (bounded by --drain-timeout), then
+    # requests finish (bounded by --drain-timeout), then
     # flush and close the access log.  serve_forever runs in a worker
     # thread so the main thread stays free to receive signals.
     stop = threading.Event()

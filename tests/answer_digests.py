@@ -2,11 +2,15 @@
 
 Run from the repository root::
 
-    PYTHONPATH=src python tests/answer_digests.py
+    PYTHONPATH=src python tests/answer_digests.py          # print
+    PYTHONPATH=src python tests/answer_digests.py --write  # regenerate
 
-and compare the output of two commits: a refactor that keeps answers
-byte-identical prints the same lines.  Each line is a SHA-256 digest
-(first 16 hex digits) of :func:`repro.service.canonical_result_bytes`:
+``tests/test_answer_digests.py`` compares the printed lines with the
+checked-in table ``tests/data/answer_digests.txt``, so a change that
+moves an answer fails tier-1.  A change that moves answers on purpose
+regenerates the table with ``--write`` and says why.  Each line is a
+SHA-256 digest (first 16 hex digits) of
+:func:`repro.service.canonical_result_bytes`:
 
 * ``suite``: every algorithm in ``ALGORITHMS`` on
   ``build_suite(seed=0, scale=0.1)``;
@@ -25,7 +29,8 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
-from typing import List
+from pathlib import Path
+from typing import List, Optional, Sequence
 
 from repro.bench.suite import build_suite
 from repro.delta import random_delta
@@ -43,15 +48,16 @@ SPECTRAL_ALGORITHMS = ("ig-match", "ig-vote", "eig1")
 CHAIN_ALGORITHMS = ("ig-match", "fm")
 CHAIN_DELTAS = 4
 
+#: The checked-in table that ``tests/test_answer_digests.py`` compares.
+TABLE = Path(__file__).parent / "data" / "answer_digests.txt"
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
 def _emit(lines: List[str], label: str, data: bytes) -> None:
-    line = f"{label} {_digest(data)}"
-    lines.append(line)
-    print(line, flush=True)
+    lines.append(f"{label} {_digest(data)}")
 
 
 def suite_lines(scale: float, algorithms) -> List[str]:
@@ -97,19 +103,37 @@ def chain_lines() -> List[str]:
     return lines
 
 
-def main() -> int:
+def digest_lines() -> List[str]:
+    """Every digest line, then one ``group`` line per section and the
+    ``all`` line over the whole run."""
     groups = [
         ("suite", suite_lines(SUITE_SCALE, ALGORITHMS)),
         ("spectral", suite_lines(SPECTRAL_SCALE, SPECTRAL_ALGORITHMS)),
         ("chain", chain_lines()),
     ]
+    out: List[str] = []
+    summary: List[str] = []
     everything = []
     for label, lines in groups:
         joined = "\n".join(lines).encode("utf-8")
         everything.append(joined)
-        print(f"group {label} ({len(lines)}) {_digest(joined)}")
+        out.extend(lines)
+        summary.append(f"group {label} ({len(lines)}) {_digest(joined)}")
     total = _digest(b"\n".join(everything))
-    print(f"all {total}")
+    return out + summary + [f"all {total}"]
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = sys.argv[1:] if argv is None else list(argv)
+    if args not in ([], ["--write"]):
+        print("usage: answer_digests.py [--write]", file=sys.stderr)
+        return 2
+    text = "\n".join(digest_lines()) + "\n"
+    if args:
+        TABLE.write_text(text)
+        print(f"wrote {TABLE}")
+    else:
+        sys.stdout.write(text)
     return 0
 
 

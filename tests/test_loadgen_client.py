@@ -2,8 +2,8 @@
 
 Covers the tentpole contract end to end: deterministic workloads driven
 over HTTP, client-side histograms, the before/after ``/metrics``
-cross-check (every client request accounted in server deltas), 429
-backpressure recorded as ``rejected`` (not an error), graceful drain
+cross-check (every client request accounted in server deltas), 503
+draining replies recorded as ``rejected`` (not an error), graceful drain
 losing zero accepted requests, the ``serving`` bench payload and its
 rendering, and the CLI exit codes.
 """
@@ -69,10 +69,9 @@ def _workload(corpus, **kwargs):
 class _Server:
     """A served engine on an ephemeral port, with optional access log."""
 
-    def __init__(self, ready_queue_bound=64, access_log=None):
+    def __init__(self, access_log=None):
         self.server = create_server(
             engine=PartitionEngine(cache=ResultCache(use_disk=False)),
-            ready_queue_bound=ready_queue_bound,
             access_log=access_log,
         )
         host, port = self.server.server_address[:2]
@@ -167,30 +166,38 @@ class TestOpenLoopRun:
         assert all(c["status"] == "ok" for c in checks), checks
 
 
-class TestBackpressure:
-    def test_429s_recorded_as_rejected_not_errors(self, corpus):
-        # bound = -1: any queue depth (even 0) exceeds it, so every
-        # POST /partition is shed at ingress with a 429.
-        with _Server(ready_queue_bound=-1) as srv:
+class TestFlowControl:
+    def test_503s_recorded_as_rejected_not_errors(self, corpus):
+        # A draining server answers every request 503, so the metrics
+        # are scraped with the flag down and the load runs with it up.
+        with _Server() as srv:
             client = LoadClient(srv.url, corpus, _workload(corpus))
             before, _ = scrape_metrics(srv.url)
-            result = client.run_closed(duration_s=0.5, concurrency=2)
+            srv.server.draining = True
+            try:
+                result = client.run_closed(duration_s=0.5, concurrency=2)
+            finally:
+                srv.server.draining = False
             after, _ = settle_metrics(srv.url, result.responses)
         assert result.count("ok") == 0
         assert result.count("error") == 0
         rejected = result.count("rejected")
         assert rejected > 0
-        assert all(r.status == 429 for r in result.records)
+        assert all(r.status == 503 for r in result.records)
         assert all(r.error for r in result.records)
 
         checks = crosscheck(before, after, result)
         assert all(c["status"] == "ok" for c in checks), checks
         by_name = {c["check"]: c for c in checks}
+        # Every 503 is one server-side response ...
         assert (
-            by_name["service.rejected delta == client 429s"]["observed"]
+            by_name[
+                "http.request.duration_seconds count delta == "
+                "client responses"
+            ]["observed"]
             == rejected
         )
-        # None of the shed requests reached the engine.
+        # ... and none of them reached the engine.
         assert (
             by_name["service.requests delta == client 200s"]["observed"]
             == 0
@@ -205,7 +212,7 @@ class TestBackpressure:
         )
         validate_payload(payload, "serving")
         # With zero non-rejected requests the error rate is unobservable
-        # — skipped, not failed: shedding is flow control, not an error.
+        # — skipped, not failed: a drain is flow control, not an error.
         assert _values(payload, "error_rate") == {}
         assert _statuses(payload, "slo.") == {"slo.error_rate": "skipped"}
         assert payload["ok"] is True

@@ -350,7 +350,6 @@ class TestPrometheusRoundTrip:
             "cache": {"memory_hits": 1, "misses": 1, "memory_entries": 1,
                       "memory_used_bytes": 512,
                       "memory_budget_bytes": 1024, "disk_enabled": False},
-            "jobs": {"submitted": 3, "pending": 1, "running": 0},
             "slow": {"threshold_s": 1.0, "capacity": 32, "held": 0,
                      "recorded": 0},
             "histograms": hists.snapshot(),

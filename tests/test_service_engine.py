@@ -179,6 +179,15 @@ class TestCacheBehaviour:
         with pytest.raises(ReproError):
             engine.partition(h, request)
 
+    def test_metrics_shape(self, h):
+        engine = memory_engine()
+        engine.partition(h, PartitionRequest("fm", seed=0))
+        doc = engine.metrics()
+        assert doc["service"]["service.requests"] == 1
+        assert doc["cache"]["stores"] == 1
+        assert "jobs" not in doc
+        assert "service.rejected" not in doc["service"]
+
 
 class TestThreadedSoak:
     """N workers hammering one request: exactly one compute, N-1 hits."""
@@ -250,38 +259,3 @@ class TestThreadedSoak:
             == 12
         )
         assert engine.stats["service.cache.hit"] == 10
-
-
-class TestJobsIntegration:
-    def test_submit_returns_response_document(self, h):
-        engine = memory_engine()
-        job = engine.submit(h, PartitionRequest("fm", seed=0))
-        done = engine.scheduler.wait(job.id, timeout=30)
-        assert done.status == "succeeded"
-        assert done.result["result"]["nets_cut"] >= 0
-        assert done.result["cached"] is False
-
-    def test_submit_batch_dedupes(self, h):
-        engine = memory_engine()
-        items = [(h, PartitionRequest("fm", seed=0))] * 5 + [
-            (h, PartitionRequest("fm", seed=1))
-        ]
-        jobs = engine.submit_batch(items)
-        assert len(jobs) == 6
-        # Five duplicates share one job object.
-        assert len({id(j) for j in jobs[:5]}) == 1
-        assert jobs[5] is not jobs[0]
-        for job in jobs:
-            assert engine.scheduler.wait(job.id, timeout=30).status == (
-                "succeeded"
-            )
-        assert engine.stats["service.batch.dedup"] == 4
-        assert engine.stats["service.computed"] == 2
-
-    def test_metrics_shape(self, h):
-        engine = memory_engine()
-        engine.partition(h, PartitionRequest("fm", seed=0))
-        doc = engine.metrics()
-        assert doc["service"]["service.requests"] == 1
-        assert doc["cache"]["stores"] == 1
-        assert "jobs" not in doc  # scheduler never started

@@ -1,5 +1,6 @@
 """HTTP API tests: a real server on an ephemeral port, stdlib client."""
 
+import io
 import json
 import threading
 import urllib.error
@@ -17,6 +18,7 @@ from repro.service import (
     payload_to_result,
     run_partitioner,
 )
+from repro.service.http import AccessLog
 from tests.conftest import random_hypergraph
 
 
@@ -86,24 +88,48 @@ class TestHealthAndMetrics:
         assert doc["service"]["service.computed"] == 1
         assert doc["cache"]["stores"] == 1
 
+    def test_metrics_carry_no_job_queue_series(self, server, h):
+        from repro.obs import parse_prometheus_text
+
+        call(server, "/partition", {"netlist": to_json(h), "algorithm": "fm"})
+        _, doc = call(server, "/metrics")
+        assert "jobs" not in doc
+        assert "service.rejected" not in doc["service"]
+        assert "service.job.queue_wait_seconds" not in doc["histograms"]
+        host, port = server.server_address[:2]
+        with urllib.request.urlopen(
+            f"http://{host}:{port}/metrics?format=prometheus", timeout=30
+        ) as response:
+            samples = parse_prometheus_text(response.read().decode("utf-8"))
+        assert not [
+            name
+            for name in samples
+            if name.startswith(("repro_jobs_", "repro_service_job_"))
+            or name.startswith("repro_service_rejected")
+        ]
+
     def test_unknown_path_404(self, server):
         status, doc = call(server, "/nope")
         assert status == 404
         assert "unknown path" in doc["error"]
 
     def test_post_to_unknown_path_404(self, server):
-        status, doc = call(server, "/healthz", {"x": 1})
+        status, doc = call(server, "/nope", {"x": 1})
         assert status == 404
+        assert "unknown path" in doc["error"]
 
     def test_readyz_ready(self, server):
         status, doc = call(server, "/readyz")
         assert status == 200
         assert doc["status"] == "ready"
-        assert set(doc["checks"]) == {"cache", "jobs"}
-        assert all(check["ok"] for check in doc["checks"].values())
+        assert set(doc["checks"]) == {"cache"}
+        assert doc["checks"]["cache"]["ok"] is True
 
     def test_readyz_unready_is_503(self, server):
-        server.ready_queue_bound = -1  # any queued work exceeds it
+        server.engine.cache.check_disk_writable = lambda: (
+            False,
+            "cache dir not writable",
+        )
         status, doc = call(server, "/readyz")
         assert status == 503
         assert doc["status"] == "unready"
@@ -180,6 +206,29 @@ class TestPartitionEndpoint:
         assert status == 400
         assert "empty" in doc["error"]
 
+    def test_body_refused_unread_closes_the_connection(self, server):
+        # A body refused before it is read (here: declared too large)
+        # must never reach the request parser as the next request.
+        import http.client
+
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.putrequest("POST", "/partition")
+            conn.putheader("Content-Length", str(70 * 1024 * 1024))
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "exceeds" in json.loads(response.read())["error"]
+            conn.sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            try:
+                reply = conn.sock.recv(1024)
+            except ConnectionResetError:
+                reply = b""
+            assert reply == b""  # closed, not answered
+        finally:
+            conn.close()
+
     def test_unknown_algorithm_rejected(self, server, h):
         status, doc = call(
             server,
@@ -195,8 +244,8 @@ class TestPartitionEndpoint:
             "/partition",
             {"netlist": to_json(h), "algorithm": "fm", "retries": 3},
         )
-        # "retries" is not a request field (it's an async-job knob
-        # spelled "max_retries") — must be called out, not ignored.
+        # "retries" is not a request field — it must be called out,
+        # not ignored.
         assert status == 400
         assert "retries" in doc["error"]
 
@@ -210,20 +259,36 @@ class TestPartitionEndpoint:
             {"netlist": _netlist(nets=7)},
             {"netlist": _netlist(num_modules="x")},
             {"netlist": _netlist(module_areas=["big", 1, 1])},
-            {"netlist": _netlist(), "async": True, "priority": "x"},
             {"netlist": _netlist(module_areas=[float("nan"), 1, 1])},
             {"netlist": _netlist(net_weights=[float("inf"), 1])},
         ],
         ids=[
             "netlist-not-object", "no-nets", "pin-not-int",
             "nets-not-list", "num-modules-not-int", "area-not-number",
-            "priority-not-int", "nan-area", "inf-weight",
+            "nan-area", "inf-weight",
         ],
     )
     def test_malformed_body_is_400(self, server, body):
         status, doc = call(server, "/partition", dict(body, algorithm="fm"))
         assert status == 400
         assert doc["error"] and "\n" not in doc["error"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("async", True),
+            ("priority", 1),
+            ("max_retries", 2),
+            ("deadline_s", 5.0),
+        ],
+    )
+    def test_job_queue_fields_are_unknown(self, server, field, value):
+        # Every request is served synchronously; the old async-job
+        # knobs get the unknown-field 400 like any other stray key.
+        body = {"netlist": _netlist(), "algorithm": "fm", field: value}
+        status, doc = call(server, "/partition", body)
+        assert status == 400
+        assert f"unknown request field(s): {field} (" in doc["error"]
 
     def test_degenerate_netlist_is_400_not_500(self, server):
         status, doc = call(
@@ -233,73 +298,6 @@ class TestPartitionEndpoint:
         )
         assert status == 400
         assert "error" in doc
-
-
-class TestAsyncJobs:
-    def test_async_job_lifecycle(self, server, h):
-        body = {
-            "netlist": to_json(h),
-            "algorithm": "fm",
-            "async": True,
-        }
-        status, doc = call(server, "/partition", body)
-        assert status == 202
-        job_id = doc["job"]
-        engine = server.engine
-        engine.scheduler.wait(job_id, timeout=30)
-        status, record = call(server, f"/jobs/{job_id}")
-        assert status == 200
-        assert record["status"] == "succeeded"
-        assert record["result"]["result"]["nets_cut"] >= 0
-
-    def test_unknown_job_404(self, server):
-        status, doc = call(server, "/jobs/ghost")
-        assert status == 404
-        assert "unknown job" in doc["error"]
-
-    def test_delete_unknown_job_404(self, server):
-        status, doc = call(server, "/jobs/ghost", method="DELETE")
-        assert status == 404
-
-    def test_delete_finished_job_reports_not_cancelled(self, server, h):
-        _, doc = call(
-            server,
-            "/partition",
-            {"netlist": to_json(h), "algorithm": "fm", "async": True},
-        )
-        job_id = doc["job"]
-        server.engine.scheduler.wait(job_id, timeout=30)
-        status, outcome = call(server, f"/jobs/{job_id}", method="DELETE")
-        assert status == 200
-        assert outcome["cancelled"] is False
-        assert outcome["status"] == "succeeded"
-
-    def test_delete_running_job_reports_cancelling(self, server):
-        import threading
-
-        release = threading.Event()
-        started = threading.Event()
-
-        def work():
-            started.set()
-            release.wait(10)
-            return "discarded"
-
-        job = server.engine.scheduler.submit(work)
-        try:
-            assert started.wait(5)
-            status, outcome = call(
-                server, f"/jobs/{job.id}", method="DELETE"
-            )
-            assert status == 200
-            assert outcome["cancelled"] is True
-            # Honest state: the work is still draining, not yet dead.
-            assert outcome["status"] == "cancelling"
-        finally:
-            release.set()
-        done = server.engine.scheduler.wait(job.id, timeout=5)
-        assert done.status == "cancelled"
-        assert done.result is None
 
 
 def _call_with_headers(srv, path, body=None, method=None):
@@ -321,76 +319,83 @@ def _call_with_headers(srv, path, body=None, method=None):
         return exc.code, json.loads(exc.read()), dict(exc.headers)
 
 
-class TestBackpressure429:
-    @pytest.fixture
-    def shed_server(self, tmp_path):
-        from repro.service.http import AccessLog
+class TestRouting:
+    """One route table: a known path asked with another method is a
+    JSON 405 whose ``Allow`` header names the path's methods, and an
+    unknown path is a JSON 404.  Either reply carries a trace id, and
+    the request leaves an access line and a latency observation."""
 
-        log_path = tmp_path / "access.jsonl"
+    @pytest.fixture
+    def logged_server(self):
+        stream = io.StringIO()
         srv = create_server(
             engine=PartitionEngine(cache=ResultCache(use_disk=False)),
-            ready_queue_bound=-1,  # any queue depth exceeds it
-            access_log=AccessLog(path=str(log_path)),
+            access_log=AccessLog(stream=stream),
         )
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
-        yield srv, log_path
+        yield srv, stream
         srv.shutdown()
         srv.server_close()
         thread.join(5)
 
-    def test_429_retry_after_counter_and_access_log(self, shed_server, h):
-        srv, log_path = shed_server
-        body = {"netlist": to_json(h), "algorithm": "fm", "seed": 0}
-        status, doc, headers = _call_with_headers(srv, "/partition", body)
-        assert status == 429
-        assert headers.get("Retry-After") == "1"
-        assert "queue depth" in doc["error"]
-        assert doc["queue_depth"] >= 0
+    @pytest.mark.parametrize(
+        "method, path, status, allow",
+        [
+            ("GET", "/partition", 405, "POST"),
+            ("PUT", "/partition", 405, "POST"),
+            ("PATCH", "/partition", 405, "POST"),
+            ("DELETE", "/partition", 405, "POST"),
+            ("GET", "/partition/delta", 405, "POST"),
+            ("POST", "/metrics", 405, "GET"),
+            ("POST", "/healthz", 405, "GET"),
+            ("PUT", "/readyz", 405, "GET"),
+            ("DELETE", "/debug/slow", 405, "GET"),
+            ("GET", "/jobs/ghost", 404, None),
+            ("DELETE", "/jobs/ghost", 404, None),
+            ("PUT", "/nope", 404, None),
+            ("PATCH", "/nope", 404, None),
+        ],
+    )
+    def test_wrong_method_or_path(
+        self, logged_server, method, path, status, allow
+    ):
+        srv, stream = logged_server
+        body = {"x": 1} if method in ("POST", "PUT", "PATCH") else None
+        got, doc, headers = _call_with_headers(srv, path, body, method)
+        assert got == status
+        assert doc["error"] and "\n" not in doc["error"]
+        assert headers.get("Allow") == allow
+        trace_id = headers["X-Trace-Id"]
+        # The access line is written before the reply: no waiting.
+        entries = [json.loads(l) for l in stream.getvalue().splitlines()]
+        assert [
+            (e["type"], e["method"], e["path"], e["status"])
+            for e in entries
+            if e.get("trace_id") == trace_id
+        ] == [("access", method, path, status)]
+        route = path if status == 405 else "other"
+        observed = srv.engine.hists.get(
+            "http.request.duration_seconds", method=method, route=route
+        )
+        assert observed is not None and observed.count == 1
 
-        status, metrics = call(srv, "/metrics")
-        assert metrics["service"]["service.rejected"] == 1
-        # The shed request never became accepted work.
-        assert metrics["service"].get("service.requests", 0) == 0
+    def test_keepalive_connection_closed_after_405(self, logged_server):
+        # The rejected request's body is never read, so the server must
+        # not parse it as the connection's next request.
+        import http.client
 
-        entries = [
-            json.loads(line)
-            for line in log_path.read_text().splitlines()
-        ]
-        shed = [e for e in entries if e.get("status") == 429]
-        assert len(shed) == 1
-        assert shed[0]["rejected"] is True
-        assert shed[0]["path"] == "/partition"
-
-    def test_rejected_counter_in_prometheus(self, shed_server, h):
-        from repro.obs import parse_prometheus_text
-
-        srv, _ = shed_server
-        body = {"netlist": to_json(h), "algorithm": "fm", "seed": 0}
-        call(srv, "/partition", body)
+        srv, _ = logged_server
         host, port = srv.server_address[:2]
-        with urllib.request.urlopen(
-            f"http://{host}:{port}/metrics?format=prometheus", timeout=30
-        ) as response:
-            text = response.read().decode("utf-8")
-        samples = parse_prometheus_text(text)
-        values = [v for _, v in samples["repro_service_rejected_total"]]
-        assert values == [1.0]
-        assert "# TYPE repro_service_rejected_total counter" in text
-
-    def test_health_paths_not_shed(self, shed_server):
-        # Backpressure sheds work submissions, not health/metrics reads.
-        srv, _ = shed_server
-        assert call(srv, "/healthz")[0] == 200
-        assert call(srv, "/metrics")[0] == 200
-        assert call(srv, "/readyz")[0] == 503  # honest: queue over bound
-
-    def test_normal_bound_accepts(self, server, h):
-        body = {"netlist": to_json(h), "algorithm": "fm", "seed": 0}
-        status, _ = call(server, "/partition", body)
-        assert status == 200
-        _, metrics = call(server, "/metrics")
-        assert metrics["service"].get("service.rejected", 0) == 0
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("PUT", "/partition", json.dumps({"x": 1}))
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 405
+            assert response.headers.get("Connection") == "close"
+        finally:
+            conn.close()
 
 
 class TestGracefulDrain:
