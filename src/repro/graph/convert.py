@@ -25,13 +25,15 @@ def from_scipy_sparse(matrix: sp.spmatrix) -> Graph:
     if matrix.shape[0] != matrix.shape[1]:
         raise GraphError(f"adjacency matrix must be square, got {matrix.shape}")
     asymmetry = abs(matrix - matrix.T)
-    if asymmetry.nnz and asymmetry.max() > 1e-12:
+    if asymmetry.nnz and not asymmetry.max() <= 1e-12:  # NaN fails too
         raise GraphError("adjacency matrix must be symmetric")
-    g = Graph(matrix.shape[0])
-    for u, v, w in zip(matrix.row, matrix.col, matrix.data):
-        if u < v and w != 0:
-            g.add_edge(int(u), int(v), float(w))
-    return g
+    upper = (matrix.row < matrix.col) & (matrix.data != 0)
+    return Graph.from_edges(
+        matrix.shape[0],
+        matrix.row[upper],
+        matrix.col[upper],
+        matrix.data[upper],
+    )
 
 
 def to_networkx(g: Graph):
@@ -55,7 +57,6 @@ def from_networkx(nxg) -> Graph:
             "networkx graph must be labelled with integers 0..n-1; "
             "relabel with networkx.convert_node_labels_to_integers first"
         )
-    g = Graph(len(nodes))
-    for u, v, data in nxg.edges(data=True):
-        g.add_edge(int(u), int(v), float(data.get("weight", 1.0)))
-    return g
+    edges = nxg.edges(data="weight", default=1.0)
+    u, v, w = list(zip(*edges)) or [(), (), ()]
+    return Graph.from_edges(len(nodes), u, v, w)

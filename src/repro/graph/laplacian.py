@@ -25,14 +25,14 @@ __all__ = [
 def adjacency_matrix(g: "Graph") -> sp.csr_matrix:
     """The symmetric weighted adjacency matrix ``A`` of ``g`` (CSR).
 
-    Assembled directly from the graph's canonical CSR arrays
-    (:meth:`~repro.graph.Graph.csr_arrays`: rows complete, columns
-    sorted), which the intersection build installs and any other
-    graph builds on first use.
+    Assembled from the graph's own arrays with each row's columns
+    sorted, so a product with ``A`` sums every row in column order
+    whatever order the graph lists the neighbours in.
     """
     n = g.num_vertices
-    indptr, indices, data = g.csr_arrays()
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False)
+    return sp.csr_matrix(
+        (g.data, g.indices, g.indptr), shape=(n, n)
+    ).sorted_indices()
 
 
 def degree_matrix(g: "Graph") -> sp.csr_matrix:

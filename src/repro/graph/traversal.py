@@ -11,8 +11,9 @@ Section 2.2.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, List, Optional
+
+from ..errors import GraphError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .graph import Graph
@@ -27,35 +28,43 @@ __all__ = [
 ]
 
 
+def _search(
+    indptr: List[int], indices: List[int], start: int,
+    dist: List[Optional[int]],
+) -> List[int]:
+    """Vertices reachable from ``start`` in BFS order, setting their hop
+    distances in ``dist`` (``None`` marks a vertex not yet reached)."""
+    dist[start] = 0
+    order = [start]
+    for u in order:  # the order list doubles as the BFS queue
+        base = dist[u]
+        assert base is not None
+        for v in indices[indptr[u]:indptr[u + 1]]:
+            if dist[v] is None:
+                dist[v] = base + 1
+                order.append(v)
+    return order
+
+
+def _bfs(g: "Graph", start: int, dist: List[Optional[int]]) -> List[int]:
+    """:func:`_search` from a checked ``start`` over ``g``'s rows."""
+    if not 0 <= start < g.num_vertices:
+        raise GraphError(
+            f"start vertex {start} out of range "
+            f"(have {g.num_vertices} vertices)"
+        )
+    return _search(g.indptr.tolist(), g.indices.tolist(), start, dist)
+
+
 def bfs_order(g: "Graph", start: int) -> List[int]:
     """Vertices reachable from ``start`` in BFS visitation order."""
-    seen = [False] * g.num_vertices
-    seen[start] = True
-    order = [start]
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if not seen[v]:
-                seen[v] = True
-                order.append(v)
-                queue.append(v)
-    return order
+    return _bfs(g, start, [None] * g.num_vertices)
 
 
 def bfs_distances(g: "Graph", start: int) -> List[Optional[int]]:
     """Hop distances from ``start``; ``None`` for unreachable vertices."""
     dist: List[Optional[int]] = [None] * g.num_vertices
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        base = dist[u]
-        assert base is not None
-        for v in g.neighbors(u):
-            if dist[v] is None:
-                dist[v] = base + 1
-                queue.append(v)
+    _bfs(g, start, dist)
     return dist
 
 
@@ -65,16 +74,14 @@ def connected_components(g: "Graph") -> List[List[int]]:
     Components are ordered by their smallest vertex.  Isolated vertices
     form singleton components.
     """
-    seen = [False] * g.num_vertices
-    components: List[List[int]] = []
-    for start in range(g.num_vertices):
-        if seen[start]:
-            continue
-        component = bfs_order(g, start)
-        for v in component:
-            seen[v] = True
-        components.append(sorted(component))
-    return components
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    dist: List[Optional[int]] = [None] * g.num_vertices
+    # Each search marks its component, so the next start is unreached.
+    return [
+        sorted(_search(indptr, indices, start, dist))
+        for start in range(g.num_vertices)
+        if dist[start] is None
+    ]
 
 
 def is_connected(g: "Graph") -> bool:

@@ -171,8 +171,7 @@ def graph_from_edge_state(num_nets: int, state: EdgeState) -> Graph:
 
     :meth:`Graph.from_edges <repro.graph.Graph.from_edges>` takes the
     edges in array order, so a canonical state reproduces a cold
-    build's adjacency iteration order exactly, and installs the
-    symmetric CSR adjacency that Laplacian assembly reads.
+    build's rows, in the same order, exactly.
     """
     return Graph.from_edges(
         num_nets, state.edge_a, state.edge_b, state.weights

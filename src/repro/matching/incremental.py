@@ -84,10 +84,12 @@ class IncrementalMatching:
         self._match: List[int] = [-1] * n
         self._left_count = n
         self._matching_size = 0
-        # Flat adjacency cache: augmenting searches and classification
-        # scan neighbour lists in their inner loops, where the Graph
-        # method-call overhead would dominate the sweep.
-        self._adjacency = [list(graph.neighbors(v)) for v in range(n)]
+        # The graph's rows as lists: augmenting searches and
+        # classification scan neighbour lists in their inner loops,
+        # where array indexing would dominate the sweep.
+        indptr = graph.indptr.tolist()
+        indices = graph.indices.tolist()
+        self._adjacency = [indices[indptr[v]:indptr[v + 1]] for v in range(n)]
         # Classification state, brought up to date by classify(): the
         # code array and, per side, the reach marks with their ranks and
         # supports (see classify()).  Every vertex starts as an
@@ -267,7 +269,7 @@ class IncrementalMatching:
                     continue
                 if match[u] != -1 or match[v] != -1:
                     continue
-                if not self._graph.has_edge(u, v):
+                if v not in self._adjacency[u]:
                     continue
                 before.setdefault(u, (side[u], -1))
                 before.setdefault(v, (side[v], -1))

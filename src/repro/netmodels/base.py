@@ -43,14 +43,16 @@ class NetModel(ABC):
         """
 
     def to_graph(self, h: Hypergraph) -> Graph:
-        """Expand every net of ``h`` and accumulate into a module graph."""
-        g = Graph(h.num_modules)
-        for _, pins in h.iter_nets():
-            if len(pins) < 2:
-                continue
-            for u, v, w in self.expand_net(pins):
-                g.add_edge(u, v, w)
-        return g
+        """Expand every net of ``h`` and accumulate into a module graph
+        (a pair repeated across nets sums its weights in net order)."""
+        edges = [
+            edge
+            for _, pins in h.iter_nets()
+            if len(pins) >= 2
+            for edge in self.expand_net(pins)
+        ]
+        u, v, w = list(zip(*edges)) or [(), (), ()]
+        return Graph.from_edges(h.num_modules, u, v, w)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<NetModel {self.name!r}>"

@@ -70,6 +70,8 @@ def kl_bisection_graph(
         sides = [int(s) for s in initial_sides]
         if len(sides) != n:
             raise PartitionError("initial_sides length mismatch")
+    # Each vertex's neighbour weights, in row order, for the pair scan.
+    weight_of = [dict(g.neighbor_weights(v)) for v in range(n)]
 
     for _ in range(max_passes):
         d = _d_values(g, sides)
@@ -100,7 +102,7 @@ def kl_bisection_graph(
             side1.sort(key=lambda v: -d[v])
             for a in side0[:64]:
                 for b in side1[:64]:
-                    gain = d[a] + d[b] - 2 * g.weight(a, b)
+                    gain = d[a] + d[b] - 2 * weight_of[a].get(b, 0.0)
                     if best_gain is None or gain > best_gain:
                         best_gain = gain
                         best_pair = (a, b)
@@ -115,10 +117,10 @@ def kl_bisection_graph(
             # Update D for unlocked vertices (Kernighan–Lin rule, relative
             # to the vertices' sides before the swap).  Only neighbours
             # of a or b change.
-            for x, w in g.neighbor_weights(a):
+            for x, w in weight_of[a].items():
                 if not locked[x]:
                     d[x] += 2 * w if work_sides[x] == a_side_before else -2 * w
-            for x, w in g.neighbor_weights(b):
+            for x, w in weight_of[b].items():
                 if not locked[x]:
                     d[x] += -2 * w if work_sides[x] == a_side_before else 2 * w
 

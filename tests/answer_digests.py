@@ -19,7 +19,11 @@ SHA-256 digest (first 16 hex digits) of
 * ``chain``: a base serve and four ``partition_delta`` edits per
   circuit at scale 0.1, for ``ig-match`` and ``fm``, with and without
   module churn, each digest taken over the bytes plus the served
-  ``source``.
+  ``source``;
+* ``netmodel``: EIG1 under every net model the other sections leave
+  out (``NET_MODELS``), and ``spectral_kway(h, 4)``'s ``block_of`` (its
+  JSON digested), on the circuits at scale 0.1, so every net-model
+  graph and the Hall placement's Laplacian are pinned.
 
 The ``group`` lines digest each section and ``all`` the whole run.
 """
@@ -27,6 +31,7 @@ The ``group`` lines digest each section and ``all`` the whole run.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import sys
 from pathlib import Path
@@ -34,6 +39,7 @@ from typing import List, Optional, Sequence
 
 from repro.bench.suite import build_suite
 from repro.delta import random_delta
+from repro.partitioning import EIG1Config, eig1, spectral_kway
 from repro.service.engine import (
     ALGORITHMS,
     PartitionEngine,
@@ -47,6 +53,9 @@ SPECTRAL_SCALE = 0.4
 SPECTRAL_ALGORITHMS = ("ig-match", "ig-vote", "eig1")
 CHAIN_ALGORITHMS = ("ig-match", "fm")
 CHAIN_DELTAS = 4
+#: EIG1's default ``clique`` model is already in the other sections.
+NET_MODELS = ("unit-clique", "star", "path", "cycle")
+KWAY_BLOCKS = 4
 
 #: The checked-in table that ``tests/test_answer_digests.py`` compares.
 TABLE = Path(__file__).parent / "data" / "answer_digests.txt"
@@ -103,6 +112,27 @@ def chain_lines() -> List[str]:
     return lines
 
 
+def netmodel_lines() -> List[str]:
+    """One digest per net model and circuit for EIG1, and one of the
+    4-way spectral blocks (clique graph, Hall placement)."""
+    lines: List[str] = []
+    for name, h in build_suite(seed=0, scale=SUITE_SCALE).items():
+        for model in NET_MODELS:
+            result = eig1(h, EIG1Config(net_model=model))
+            _emit(
+                lines,
+                f"x{SUITE_SCALE} eig1 {model} {name}",
+                canonical_result_bytes(result),
+            )
+        blocks = spectral_kway(h, KWAY_BLOCKS).block_of
+        _emit(
+            lines,
+            f"x{SUITE_SCALE} kway{KWAY_BLOCKS} {name}",
+            json.dumps(blocks).encode("utf-8"),
+        )
+    return lines
+
+
 def digest_lines() -> List[str]:
     """Every digest line, then one ``group`` line per section and the
     ``all`` line over the whole run."""
@@ -110,6 +140,7 @@ def digest_lines() -> List[str]:
         ("suite", suite_lines(SUITE_SCALE, ALGORITHMS)),
         ("spectral", suite_lines(SPECTRAL_SCALE, SPECTRAL_ALGORITHMS)),
         ("chain", chain_lines()),
+        ("netmodel", netmodel_lines()),
     ]
     out: List[str] = []
     summary: List[str] = []

@@ -121,17 +121,25 @@ def random_hypergraph(
     return Hypergraph(nets, num_modules=num_modules)
 
 
+def graph_of(num_vertices: int, edges) -> Graph:
+    """:meth:`Graph.from_edges` over ``(u, v)`` or ``(u, v, weight)``
+    tuples in the given order; a left-out weight is 1.0."""
+    full = [(e[0], e[1], e[2] if len(e) > 2 else 1.0) for e in edges]
+    u, v, w = list(zip(*full)) or [(), (), ()]
+    return Graph.from_edges(num_vertices, u, v, w)
+
+
 def random_graph(
     seed: int, num_vertices: int = 10, edge_probability: float = 0.3
 ) -> Graph:
     """A random weighted graph."""
     rng = random.Random(seed)
-    g = Graph(num_vertices)
-    for u in range(num_vertices):
-        for v in range(u + 1, num_vertices):
-            if rng.random() < edge_probability:
-                g.add_edge(u, v, rng.choice([0.5, 1.0, 2.0]))
-    return g
+    return graph_of(num_vertices, [
+        (u, v, rng.choice([0.5, 1.0, 2.0]))
+        for u in range(num_vertices)
+        for v in range(u + 1, num_vertices)
+        if rng.random() < edge_probability
+    ])
 
 
 def connected_random_graph(
@@ -139,13 +147,16 @@ def connected_random_graph(
 ) -> Graph:
     """A random connected graph: a random spanning tree plus extras."""
     rng = random.Random(seed)
-    g = Graph(num_vertices)
     order = list(range(num_vertices))
     rng.shuffle(order)
-    for i in range(1, num_vertices):
-        g.add_edge(order[i], order[rng.randrange(i)], rng.choice([1.0, 2.0]))
+    edges = [
+        (order[i], order[rng.randrange(i)], rng.choice([1.0, 2.0]))
+        for i in range(1, num_vertices)
+    ]
+    pairs = {frozenset(edge[:2]) for edge in edges}
     for _ in range(extra_edges):
         u, v = rng.sample(range(num_vertices), 2)
-        if not g.has_edge(u, v):
-            g.add_edge(u, v, 1.0)
-    return g
+        if frozenset((u, v)) not in pairs:
+            pairs.add(frozenset((u, v)))
+            edges.append((u, v))
+    return graph_of(num_vertices, edges)

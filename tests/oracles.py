@@ -13,9 +13,14 @@ balance rule's ``(side, area)`` verdicts: a cell predicate checked over
 sorted gain keys and copied buckets, per-net gain adjustment helpers,
 and a recount of the moved cell's gain.
 
+:class:`DictGraph` is the graph as first written, one dict per vertex
+with weights added in call order; :meth:`repro.graph.Graph.from_edges`
+must build the same rows, bit for bit.
+
 The array-backed pipeline steps have their first, loop-based versions
 here: the per-pair intersection build (:func:`shared_module_map` plus
-one weighting call per pair, callables accepted), the COO adjacency
+one weighting call per pair, callables accepted, on a
+:class:`DictGraph`), the COO adjacency
 assembly, the shifted Laplacian built as ``c·I - (D - A)``, the per-pin
 FM initialisation and the completion tally's first state replayed net
 by net.  :func:`pipeline` runs code with them swapped in, so a whole
@@ -47,6 +52,7 @@ from repro.partitioning.metrics import ratio_cut_cost
 from tests.bipartite import decompose
 
 __all__ = [
+    "DictGraph",
     "IMPLEMENTATIONS",
     "L",
     "LinkedGainBuckets",
@@ -484,6 +490,61 @@ class ReferenceFMPass:
 
 
 # ----------------------------------------------------------------------
+# The dict graph
+# ----------------------------------------------------------------------
+class DictGraph:
+    """A weighted graph as one ``{neighbour: weight}`` dict per vertex.
+
+    :meth:`add_edge` adds ``weight`` to the pair, creating it at the end
+    of both rows when new, so each row keeps first-insertion order and
+    each weight sums left to right in call order.  It reads like a
+    :class:`~repro.graph.Graph` (:meth:`neighbor_weights`,
+    :meth:`edges`), and :meth:`to_graph` hands the same rows over as one.
+    """
+
+    def __init__(self, num_vertices: int) -> None:
+        self.adj: List[Dict[int, float]] = [{} for _ in range(num_vertices)]
+        self.total_weight = 0.0
+        self._pairs: List[Tuple[int, int]] = []  # in first-insertion order
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.adj)
+
+    @property
+    def num_edges(self) -> int:
+        return len(self._pairs)
+
+    def add_edge(self, u: int, v: int, weight: float) -> None:
+        if v not in self.adj[u]:
+            self._pairs.append((u, v))
+            self.adj[u][v] = 0.0
+            self.adj[v][u] = 0.0
+        self.adj[u][v] += weight
+        self.adj[v][u] += weight
+        self.total_weight += weight
+
+    def neighbor_weights(self, u: int):
+        return iter(self.adj[u].items())
+
+    def edges(self):
+        for u, nbrs in enumerate(self.adj):
+            for v, w in nbrs.items():
+                if u < v:
+                    yield (u, v, w)
+
+    def to_graph(self) -> Graph:
+        """The shipped graph of the same rows: each pair once, in
+        first-insertion order, with its summed weight."""
+        return Graph.from_edges(
+            self.num_vertices,
+            [u for u, _ in self._pairs],
+            [v for _, v in self._pairs],
+            [self.adj[u][v] for u, v in self._pairs],
+        )
+
+
+# ----------------------------------------------------------------------
 # Intersection graph, adjacency matrix and FM initialisation
 # ----------------------------------------------------------------------
 def shared_module_map(h: Hypergraph) -> Dict[Tuple[int, int], List[int]]:
@@ -497,16 +558,19 @@ def shared_module_map(h: Hypergraph) -> Dict[Tuple[int, int], List[int]]:
     return shared
 
 
-def reference_intersection_graph(h: Hypergraph, weighting="paper") -> Graph:
-    """``G'`` built pair by pair: one weighting call per shared-module
-    list, edges added in first-encounter order.  ``weighting`` is a
-    scheme name or a ``(h, net_a, net_b, shared) -> float`` callable."""
+def reference_intersection_graph(
+    h: Hypergraph, weighting="paper"
+) -> DictGraph:
+    """``G'`` built pair by pair on a :class:`DictGraph`: one weighting
+    call per shared-module list, edges added in first-encounter order.
+    ``weighting`` is a scheme name or a ``(h, net_a, net_b, shared) ->
+    float`` callable."""
     if isinstance(weighting, str):
         weighting = get_weighting(weighting)
     with span(
         "intersection.build", nets=h.num_nets, modules=h.num_modules
     ) as sp_:
-        g = Graph(h.num_nets)
+        g = DictGraph(h.num_nets)
         for (net_a, net_b), shared in shared_module_map(h).items():
             weight = weighting(h, net_a, net_b, shared)
             if weight > 0:
@@ -605,13 +669,12 @@ def pipeline(implementation: str):
     import repro.spectral.fiedler as fiedler
     from repro.partitioning.fm import FMEngine
 
+    def dict_intersection_graph(h, weighting="paper"):
+        return reference_intersection_graph(h, weighting).to_graph()
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            igmatch, "intersection_graph", reference_intersection_graph
-        )
-        patch.setattr(
-            igvote, "intersection_graph", reference_intersection_graph
-        )
+        patch.setattr(igmatch, "intersection_graph", dict_intersection_graph)
+        patch.setattr(igvote, "intersection_graph", dict_intersection_graph)
         patch.setattr(
             laplacian, "adjacency_matrix", reference_adjacency_matrix
         )

@@ -3,7 +3,8 @@
 ``tests/data/answer_digests.txt`` holds the lines
 :mod:`tests.answer_digests` prints: one digest of
 ``canonical_result_bytes`` per algorithm, circuit and delta-chain
-step.  A change that moves any answer fails here, and the failure names
+step, and per circuit for EIG1 under each other net model and for the
+4-way spectral blocks.  A change that moves any answer fails here, and the failure names
 every line that moved.  A change that moves answers on purpose
 regenerates the table with ``PYTHONPATH=src python
 tests/answer_digests.py --write`` and says why.

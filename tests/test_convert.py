@@ -6,19 +6,17 @@ import scipy.sparse as sp
 
 from repro.errors import GraphError
 from repro.graph import (
-    Graph,
     adjacency_matrix,
     from_networkx,
     from_scipy_sparse,
     to_networkx,
 )
+from tests.conftest import graph_of
 
 
 class TestScipy:
     def test_roundtrip(self):
-        g = Graph(3)
-        g.add_edge(0, 1, 2.0)
-        g.add_edge(1, 2, 0.5)
+        g = graph_of(3, [(0, 1, 2.0), (1, 2, 0.5)])
         back = from_scipy_sparse(adjacency_matrix(g))
         assert back.num_edges == 2
         assert back.weight(0, 1) == 2.0
@@ -43,9 +41,7 @@ class TestScipy:
 
 class TestNetworkx:
     def test_roundtrip(self):
-        g = Graph(4)
-        g.add_edge(0, 1, 1.5)
-        g.add_edge(2, 3, 1.0)
+        g = graph_of(4, [(0, 1, 1.5), (2, 3, 1.0)])
         nxg = to_networkx(g)
         assert nxg.number_of_nodes() == 4
         assert nxg[0][1]["weight"] == 1.5

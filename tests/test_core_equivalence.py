@@ -42,7 +42,6 @@ from repro import obs
 from repro.bench import build_circuit
 from repro.delta import NetlistDelta
 from repro.errors import ReproError
-from repro.graph import Graph
 from repro.graph.laplacian import adjacency_matrix, laplacian_matrix
 from repro.intersection import intersection_graph
 from repro.matching.incremental import IncrementalMatching
@@ -100,11 +99,12 @@ def run_one(implementation, h, request):
         return outcome, dict(state.counters)
 
 
-def graph_signature(g: Graph) -> list:
-    """Insertion-ordered adjacency with bitwise-exact weights."""
+def graph_signature(g) -> list:
+    """Rows in stored order with bitwise-exact weights, of a
+    :class:`~repro.graph.Graph` or its dict twin."""
     return [
-        (v, [(u, struct.pack("<d", w)) for u, w in nbrs.items()])
-        for v, nbrs in enumerate(g._adj)
+        (v, [(u, struct.pack("<d", w)) for u, w in g.neighbor_weights(v)])
+        for v in range(g.num_vertices)
     ]
 
 
@@ -183,15 +183,7 @@ class TestIntersectionLayer:
         assert struct.pack("<d", gd.total_weight) == struct.pack(
             "<d", gc.total_weight
         )
-
-    def test_csr_build_installs_matching_adjacency_cache(self):
-        h = random_hypergraph(5, num_modules=12, num_nets=16)
-        g = intersection_graph(h, "paper")
-        assert g._csr_cache is not None
-        cached = tuple(arr.tolist() for arr in g._csr_cache)
-        g._csr_cache = None
-        rebuilt = tuple(arr.tolist() for arr in g.csr_arrays())
-        assert cached == rebuilt
+        assert gd.num_edges == gc.num_edges
 
 
 class TestSpectralLayer:
@@ -200,7 +192,7 @@ class TestSpectralLayer:
         g = reference_intersection_graph(h, "paper")
         ad = reference_adjacency_matrix(g)
         with pipeline("dict"):
-            ld = laplacian_matrix(g)
+            ld = laplacian_matrix(g.to_graph())
         g2 = intersection_graph(h, "paper")
         ac = adjacency_matrix(g2)
         lc = laplacian_matrix(g2)
@@ -234,7 +226,7 @@ class TestSpectralLayer:
     def test_shifted_laplacian_identical(self, build, h):
         """``A + diag(c - d)`` equals ``c·I - (D - A)`` bit for bit,
         index dtypes included, on intersection graphs and on net-model
-        graphs whose weights add_edge accumulated."""
+        graphs whose repeated pairs from_edges accumulated."""
         g = build(h)
         bulk, shift = _shifted_laplacian(g)
         reference, reference_shift = reference_shifted_laplacian(g)
@@ -256,8 +248,9 @@ class TestSpectralLayer:
         )
     )
     def test_lazy_csr_arrays_identical_on_net_model_graphs(self, model, h):
-        """Graphs built edge by edge (the net models) get their CSR
-        arrays on first use; they must equal the COO assembly."""
+        """Net-model graphs, whose repeated pairs from_edges
+        accumulates and whose rows are in first-insertion order,
+        assemble the same adjacency as the COO assembly."""
         g = get_model(model).to_graph(h)
         assert matrix_bits(adjacency_matrix(g)) == matrix_bits(
             reference_adjacency_matrix(g)
@@ -276,7 +269,7 @@ class TestMatchingLayer:
         n = gd.num_vertices
         order = list(range(n))
         random.Random(7).shuffle(order)
-        md = IncrementalMatching(gd)
+        md = IncrementalMatching(gd.to_graph())
         mc = IncrementalMatching(gc)
         for v in order:
             md.move_to_right(v)

@@ -2,9 +2,8 @@
 
 Covers the hypergraph's incidence arrays — row for row what its pin
 tuples hold over adversarial shapes, frozen, cached, and dropped from
-pickles — plus the Graph CSR adjacency cache the Laplacian assembly
-rests on and the bulk-build entry point of the reference linked bucket
-list.  Result equivalence with the loop-based reference steps lives in
+pickles — plus the Graph's CSR rows the Laplacian assembly rests on
+and the bulk-build entry point of the reference linked bucket list.  Result equivalence with the loop-based reference steps lives in
 ``tests/test_core_equivalence.py``.
 """
 
@@ -16,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.graph import Graph
 from repro.hypergraph import Hypergraph
+from tests.conftest import graph_of
 from tests.oracles import LinkedGainBuckets, reference_adjacency_matrix
 from tests.strategies import adversarial_csr_hypergraphs
 
@@ -77,35 +76,24 @@ class TestRoundTrip:
 # ----------------------------------------------------------------------
 class TestGraphCsrCache:
     def test_lazy_build_matches_adjacency(self):
-        g = Graph(4)
-        g.add_edge(2, 0, 0.5)
-        g.add_edge(0, 1, 1.25)
-        g.add_edge(3, 1, 2.0)
-        indptr, indices, data = g.csr_arrays()
-        assert indptr.tolist() == [0, 2, 4, 5, 6]
-        assert indices.tolist() == [1, 2, 0, 3, 0, 1]
-        assert data.tolist() == [1.25, 0.5, 1.25, 2.0, 0.5, 2.0]
-
-    def test_mutation_invalidates_cache(self):
-        g = Graph(3)
-        g.add_edge(0, 1, 1.0)
-        first = g.csr_arrays()
-        g.add_edge(1, 2, 1.0)
-        assert g._csr_cache is None
-        indptr, indices, _ = g.csr_arrays()
-        assert indices.size == 4
-        assert first[1].size == 2  # old triple untouched
+        """Rows list neighbours in first-insertion order, frozen."""
+        g = graph_of(4, [(2, 0, 0.5), (0, 1, 1.25), (3, 1, 2.0)])
+        assert g.indptr.tolist() == [0, 2, 4, 5, 6]
+        assert g.indices.tolist() == [2, 1, 0, 3, 0, 1]
+        assert g.data.tolist() == [0.5, 1.25, 1.25, 2.0, 0.5, 2.0]
+        for array in (g.indptr, g.indices, g.data):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
     def test_adjacency_matrix_identical_with_and_without_cache(self):
+        """The adjacency matrix sorts each row's columns, as the COO
+        assembly does."""
         from repro.graph.laplacian import adjacency_matrix
 
-        g = Graph(5)
-        g.add_edge(0, 3, 0.75)
-        g.add_edge(3, 1, 1.5)
-        g.add_edge(2, 4, 0.25)
+        g = graph_of(5, [(3, 1, 1.5), (0, 3, 0.75), (2, 4, 0.25)])
         fresh = reference_adjacency_matrix(g)
         cached = adjacency_matrix(g)
-        assert g._csr_cache is not None
+        assert g.indices.tolist() != cached.indices.tolist()
         assert (fresh != cached).nnz == 0
         assert fresh.dtype == cached.dtype == np.float64
         assert cached.indptr.tolist() == fresh.indptr.tolist()

@@ -6,18 +6,15 @@ import scipy.sparse.linalg as spla
 
 from repro.bench import build_circuit
 from repro.errors import SpectralError
-from repro.graph import Graph, laplacian_matrix
+from repro.graph import laplacian_matrix
 from repro.intersection import intersection_graph
 from repro.spectral import component_spectral_values, fiedler_vector
 from repro.spectral.fiedler import _canonical_sign, _shifted_laplacian
-from tests.conftest import connected_random_graph
+from tests.conftest import connected_random_graph, graph_of
 
 
 def path_graph(n):
-    g = Graph(n)
-    for i in range(n - 1):
-        g.add_edge(i, i + 1)
-    return g
+    return graph_of(n, [(i, i + 1) for i in range(n - 1)])
 
 
 class TestFiedlerVector:
@@ -86,10 +83,7 @@ class TestFiedlerVector:
 
     def test_complete_graph_eigenvalue(self):
         n = 7
-        g = Graph(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                g.add_edge(i, j)
+        g = graph_of(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
         result = fiedler_vector(g)
         assert result.eigenvalue == pytest.approx(n, abs=1e-8)
 
@@ -104,12 +98,10 @@ class TestFiedlerVector:
 class TestFiedlerValidation:
     def test_too_small(self):
         with pytest.raises(SpectralError):
-            fiedler_vector(Graph(1))
+            fiedler_vector(graph_of(1, []))
 
     def test_disconnected_rejected(self):
-        g = Graph(4)
-        g.add_edge(0, 1)
-        g.add_edge(2, 3)
+        g = graph_of(4, [(0, 1), (2, 3)])
         with pytest.raises(SpectralError):
             fiedler_vector(g)
 
@@ -123,26 +115,23 @@ class TestComponentValues:
         assert list(order) in ([*range(10)], [*reversed(range(10))])
 
     def test_components_get_disjoint_ranges(self):
-        g = Graph(8)
-        for base in (0, 4):
-            for i in range(3):
-                g.add_edge(base + i, base + i + 1)
+        g = graph_of(
+            8, [(base + i, base + i + 1) for base in (0, 4) for i in range(3)]
+        )
         values = component_spectral_values(g)
         first = values[:4]
         second = values[4:]
         assert max(first) < min(second) or max(second) < min(first)
 
     def test_singleton_components(self):
-        g = Graph(3)
-        g.add_edge(0, 1)
+        g = graph_of(3, [(0, 1)])
         values = component_spectral_values(g)
         assert len(set(values)) == 3
 
     def test_empty_graph(self):
-        assert component_spectral_values(Graph(0)).size == 0
+        assert component_spectral_values(graph_of(0, [])).size == 0
 
     def test_two_vertex_component(self):
-        g = Graph(2)
-        g.add_edge(0, 1)
+        g = graph_of(2, [(0, 1)])
         values = component_spectral_values(g)
         assert values[0] != values[1]

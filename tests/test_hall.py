@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import SpectralError
-from repro.graph import Graph
 from repro.spectral import hall_placement, quadratic_wirelength
-from tests.conftest import connected_random_graph
+from tests.conftest import connected_random_graph, graph_of
 
 
 class TestWirelength:
     def test_hand_computed(self):
-        g = Graph(3)
-        g.add_edge(0, 1, 2.0)
-        g.add_edge(1, 2, 1.0)
+        g = graph_of(3, [(0, 1, 2.0), (1, 2, 1.0)])
         x = np.array([0.0, 1.0, 3.0])
         assert quadratic_wirelength(g, x) == pytest.approx(2 * 1 + 1 * 4)
 
@@ -22,7 +19,7 @@ class TestWirelength:
         assert quadratic_wirelength(g, np.ones(10)) == pytest.approx(0.0)
 
     def test_shape_mismatch(self):
-        g = Graph(3)
+        g = graph_of(3, [])
         with pytest.raises(SpectralError):
             quadratic_wirelength(g, np.zeros(5))
 
@@ -75,17 +72,12 @@ class TestPlacement:
         assert max(group_a) < min(group_b) or max(group_b) < min(group_a)
 
     def test_disconnected_rejected(self):
-        g = Graph(6)
-        g.add_edge(0, 1)
-        g.add_edge(2, 3)
-        g.add_edge(4, 5)
+        g = graph_of(6, [(0, 1), (2, 3), (4, 5)])
         with pytest.raises(SpectralError):
             hall_placement(g, dimensions=1)
 
     def test_too_few_vertices(self):
-        g = Graph(3)
-        g.add_edge(0, 1)
-        g.add_edge(1, 2)
+        g = graph_of(3, [(0, 1), (1, 2)])
         with pytest.raises(SpectralError):
             hall_placement(g, dimensions=2)
 

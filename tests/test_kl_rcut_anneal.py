@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import PartitionError
-from repro.graph import Graph
 from repro.hypergraph import Hypergraph
 from repro.partitioning import (
     AnnealingConfig,
@@ -15,24 +14,23 @@ from repro.partitioning import (
     rcut,
 )
 from repro.partitioning.metrics import graph_edge_cut, is_bisection
+from tests.conftest import graph_of
 
 
 class TestKL:
     def test_two_cliques_graph(self):
-        g = Graph(8)
-        for base in (0, 4):
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    g.add_edge(base + i, base + j)
-        g.add_edge(3, 4)
+        g = graph_of(8, [
+            (base + i, base + j)
+            for base in (0, 4)
+            for i in range(4)
+            for j in range(i + 1, 4)
+        ] + [(3, 4)])
         sides = kl_bisection_graph(g, seed=0)
         assert graph_edge_cut(g, sides) == 1.0
         assert is_bisection(sides)
 
     def test_respects_initial_sides(self):
-        g = Graph(4)
-        g.add_edge(0, 1)
-        g.add_edge(2, 3)
+        g = graph_of(4, [(0, 1), (2, 3)])
         sides = kl_bisection_graph(g, initial_sides=[0, 0, 1, 1])
         assert graph_edge_cut(g, sides) == 0.0
 
@@ -46,10 +44,10 @@ class TestKL:
 
     def test_too_small(self):
         with pytest.raises(PartitionError):
-            kl_bisection_graph(Graph(1))
+            kl_bisection_graph(graph_of(1, []))
 
     def test_initial_sides_length_checked(self):
-        g = Graph(3)
+        g = graph_of(3, [])
         with pytest.raises(PartitionError):
             kl_bisection_graph(g, initial_sides=[0, 1])
 

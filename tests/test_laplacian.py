@@ -3,20 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.graph import (
-    Graph,
-    adjacency_matrix,
-    degree_matrix,
-    laplacian_matrix,
-)
+from repro.graph import adjacency_matrix, degree_matrix, laplacian_matrix
+from tests.conftest import graph_of
 
 
 @pytest.fixture
 def path_graph():
-    g = Graph(3)
-    g.add_edge(0, 1, 2.0)
-    g.add_edge(1, 2, 3.0)
-    return g
+    return graph_of(3, [(0, 1, 2.0), (1, 2, 3.0)])
 
 
 class TestAdjacency:

@@ -10,7 +10,6 @@ import random
 import pytest
 
 from repro.errors import MatchingError
-from repro.graph import Graph
 from repro.matching import IncrementalMatching
 from repro.matching.incremental import VertexClass
 from tests.bipartite import (
@@ -20,14 +19,13 @@ from tests.bipartite import (
     hopcroft_karp,
     matching_size,
 )
-from tests.conftest import random_graph
+from tests.conftest import graph_of, random_graph
 from tests.oracles import classify_from_scratch
 
 
 class TestBasics:
     def test_initial_state(self):
-        g = Graph(4)
-        g.add_edge(0, 1)
+        g = graph_of(4, [(0, 1)])
         m = IncrementalMatching(g)
         assert m.left_count == 4
         assert m.right_count == 0
@@ -35,9 +33,7 @@ class TestBasics:
         assert m.crossing_edge_count() == 0
 
     def test_single_move_creates_crossing(self):
-        g = Graph(3)
-        g.add_edge(0, 1)
-        g.add_edge(0, 2)
+        g = graph_of(3, [(0, 1), (0, 2)])
         m = IncrementalMatching(g)
         m.move_to_right(0)
         assert m.side_of(0) == "R"
@@ -46,8 +42,7 @@ class TestBasics:
         assert m.partner(0) in (1, 2)
 
     def test_move_twice_rejected(self):
-        g = Graph(2)
-        g.add_edge(0, 1)
+        g = graph_of(2, [(0, 1)])
         m = IncrementalMatching(g)
         m.move_to_right(0)
         with pytest.raises(MatchingError):
@@ -61,9 +56,7 @@ class TestBasics:
         negative id as reclassified; an id >= n raised a bare
         IndexError.  Both methods reject the id before any state
         changes."""
-        g = Graph(4)
-        for v in range(3):
-            g.add_edge(v, v + 1)
+        g = graph_of(4, [(v, v + 1) for v in range(3)])
         m = IncrementalMatching(g)
         with pytest.raises(MatchingError):
             m.move_to_right(bad)
@@ -77,8 +70,7 @@ class TestBasics:
         assert m.classify() == classify_from_scratch(m)
 
     def test_full_sweep_empties_left(self):
-        g = Graph(3)
-        g.add_edge(0, 1)
+        g = graph_of(3, [(0, 1)])
         m = IncrementalMatching(g)
         for v in range(3):
             m.move_to_right(v)
@@ -86,10 +78,7 @@ class TestBasics:
         assert m.matching_size == 0  # no crossing edges remain
 
     def test_snapshot_structure(self):
-        g = Graph(4)
-        g.add_edge(0, 2)
-        g.add_edge(1, 3)
-        g.add_edge(0, 1)
+        g = graph_of(4, [(0, 2), (1, 3), (0, 1)])
         m = IncrementalMatching(g)
         m.move_to_right(0)
         snap = crossing_graph(m)
@@ -100,10 +89,7 @@ class TestBasics:
         assert snap.num_edges == 2
 
     def test_snapshot_edge_count_exact(self):
-        g = Graph(4)
-        g.add_edge(0, 2)
-        g.add_edge(1, 3)
-        g.add_edge(0, 1)
+        g = graph_of(4, [(0, 2), (1, 3), (0, 1)])
         m = IncrementalMatching(g)
         m.move_to_right(0)
         assert crossing_graph(m).num_edges == 2
@@ -123,10 +109,7 @@ class TestMaximalityInvariant:
             assert m.matching_size == expected
 
     def test_dense_graph_sweep(self):
-        g = Graph(10)
-        for u in range(10):
-            for v in range(u + 1, 10):
-                g.add_edge(u, v)
+        g = graph_of(10, [(u, v) for u in range(10) for v in range(u + 1, 10)])
         m = IncrementalMatching(g)
         for v in range(9):
             m.move_to_right(v)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import PartitionError
-from repro.graph import Graph
 from repro.hypergraph import Hypergraph
 from repro.partitioning import (
     balance_ratio,
@@ -14,6 +13,7 @@ from repro.partitioning import (
     ratio_cut_cost,
     ratio_cut_of_sides,
 )
+from tests.conftest import graph_of
 
 
 class TestNetCut:
@@ -59,15 +59,12 @@ class TestRatioCut:
 
 class TestGraphCut:
     def test_weighted_cut(self):
-        g = Graph(4)
-        g.add_edge(0, 1, 2.0)
-        g.add_edge(1, 2, 3.0)
-        g.add_edge(2, 3, 5.0)
+        g = graph_of(4, [(0, 1, 2.0), (1, 2, 3.0), (2, 3, 5.0)])
         assert graph_edge_cut(g, [0, 0, 1, 1]) == 3.0
         assert graph_edge_cut(g, [0, 1, 0, 1]) == 10.0
 
     def test_length_mismatch(self):
-        g = Graph(2)
+        g = graph_of(2, [])
         with pytest.raises(PartitionError):
             graph_edge_cut(g, [0])
 

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.analysis import bisection_width_lower_bound
-from repro.graph import Graph
-from tests.conftest import connected_random_graph
+from tests.conftest import connected_random_graph, graph_of
 
 
 class TestBisectionBound:
@@ -26,8 +25,6 @@ class TestBisectionBound:
         import itertools
 
         n = 6
-        g = Graph(n)
-        for i, j in itertools.combinations(range(n), 2):
-            g.add_edge(i, j)
+        g = graph_of(n, itertools.combinations(range(n), 2))
         # K_n: lambda_2 = n, bound = n^2/4 = 9 = actual bisection cut.
         assert bisection_width_lower_bound(g) == pytest.approx(9.0)

@@ -5,7 +5,6 @@ import pytest
 
 from repro import obs
 from repro.errors import PartitionError, SpectralError
-from repro.graph import Graph
 from repro.hypergraph import Hypergraph
 from repro.netmodels import get_model
 from repro.partitioning.metrics import net_cut_count
@@ -14,7 +13,7 @@ from repro.spectral import (
     spectral_ordering,
     sweep_module_splits,
 )
-from tests.conftest import connected_random_graph
+from tests.conftest import connected_random_graph, graph_of
 
 
 class TestOrderingFromValues:
@@ -42,16 +41,12 @@ class TestSpectralOrdering:
         assert first_half in ({0, 1, 2, 3}, {4, 5, 6, 7})
 
     def test_tiny_graphs(self):
-        assert spectral_ordering(Graph(0)) == []
-        assert spectral_ordering(Graph(1)) == [0]
-        assert spectral_ordering(Graph(2)) == [0, 1]
+        assert spectral_ordering(graph_of(0, [])) == []
+        assert spectral_ordering(graph_of(1, [])) == [0]
+        assert spectral_ordering(graph_of(2, [])) == [0, 1]
 
     def test_disconnected_handled(self):
-        g = Graph(6)
-        g.add_edge(0, 1)
-        g.add_edge(1, 2)
-        g.add_edge(3, 4)
-        g.add_edge(4, 5)
+        g = graph_of(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         order = spectral_ordering(g)
         assert sorted(order) == list(range(6))
         # components stay contiguous

@@ -13,15 +13,19 @@ from repro.analysis import (
     normalized_laplacian,
     sweep_conductance,
 )
-from repro.graph import Graph
-from tests.conftest import connected_random_graph
+from tests.conftest import connected_random_graph, graph_of
 
 
 def complete_graph(n):
-    g = Graph(n)
-    for i, j in itertools.combinations(range(n), 2):
-        g.add_edge(i, j)
-    return g
+    return graph_of(n, itertools.combinations(range(n), 2))
+
+
+def two_joined_triangles():
+    return graph_of(6, [
+        edge
+        for base in (0, 3)
+        for edge in ((base, base + 1), (base + 1, base + 2), (base, base + 2))
+    ] + [(2, 3)])
 
 
 def true_conductance(g):
@@ -42,12 +46,7 @@ class TestConductance:
     def test_hand_computed(self):
         # Two triangles joined by one edge: cutting between them:
         # cut=1, vol per side=7 -> h = 1/7.
-        g = Graph(6)
-        for base in (0, 3):
-            g.add_edge(base, base + 1)
-            g.add_edge(base + 1, base + 2)
-            g.add_edge(base, base + 2)
-        g.add_edge(2, 3)
+        g = two_joined_triangles()
         assert conductance(g, [0, 1, 2]) == pytest.approx(1 / 7)
 
     def test_symmetric_in_complement(self):
@@ -82,9 +81,7 @@ class TestNormalizedLaplacian:
         )
 
     def test_disconnected_rejected(self):
-        g = Graph(4)
-        g.add_edge(0, 1)
-        g.add_edge(2, 3)
+        g = graph_of(4, [(0, 1), (2, 3)])
         with pytest.raises(SpectralError):
             normalized_fiedler_value(g)
 
@@ -102,11 +99,11 @@ class TestCheeger:
     def test_barbell_small_gap(self):
         # A graph with an obvious bottleneck has tiny lambda_2 and tiny
         # conductance; a complete graph has both large.
-        g = Graph(8)
-        for base in (0, 4):
-            for i, j in itertools.combinations(range(4), 2):
-                g.add_edge(base + i, base + j)
-        g.add_edge(3, 4)
+        g = graph_of(8, [
+            (base + i, base + j)
+            for base in (0, 4)
+            for i, j in itertools.combinations(range(4), 2)
+        ] + [(3, 4)])
         assert cheeger_bounds(g).lambda_2 < (
             cheeger_bounds(complete_graph(8)).lambda_2 / 4
         )
@@ -132,12 +129,7 @@ class TestSweep:
             assert best >= bounds.lower - 1e-9
 
     def test_sweep_finds_bottleneck(self):
-        g = Graph(6)
-        for base in (0, 3):
-            g.add_edge(base, base + 1)
-            g.add_edge(base + 1, base + 2)
-            g.add_edge(base, base + 2)
-        g.add_edge(2, 3)
+        g = two_joined_triangles()
         best = sweep_conductance(g, [0, 1, 2, 3, 4, 5])
         assert best == pytest.approx(1 / 7)
 

@@ -21,7 +21,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.graph import Graph, connected_components
 from repro.intersection import intersection_graph
 from repro.matching import IncrementalMatching
 from repro.matching.incremental import VertexClass
@@ -31,6 +30,7 @@ from repro.partitioning.metrics import graph_edge_cut
 from repro.spectral import fiedler_vector
 from tests.conftest import (
     connected_random_graph,
+    graph_of,
     hypergraph_strategy,
     random_hypergraph,
 )
@@ -70,9 +70,7 @@ class TestTheorem1:
         # K_n: lambda_2 = n; every partition has ratio cut exactly
         # u*w/(u*w) = 1 = lambda_2/n.
         n = 6
-        g = Graph(n)
-        for i, j in itertools.combinations(range(n), 2):
-            g.add_edge(i, j)
+        g = graph_of(n, itertools.combinations(range(n), 2))
         bound = fiedler_vector(g).eigenvalue / n
         sides = [0, 0, 0, 1, 1, 1]
         cost = graph_edge_cut(g, sides) / 9

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.errors import GraphError
 from repro.graph import (
-    Graph,
     approximate_diameter,
     bfs_distances,
     bfs_order,
@@ -11,18 +11,19 @@ from repro.graph import (
     eccentricity,
     is_connected,
 )
-from tests.conftest import connected_random_graph
+from tests.conftest import connected_random_graph, graph_of
+
+PATH4 = [(0, 1), (1, 2), (2, 3)]
 
 
 @pytest.fixture
 def two_triangles():
     """Vertices 0-2 and 3-5 form two disjoint triangles."""
-    g = Graph(6)
-    for base in (0, 3):
-        g.add_edge(base, base + 1)
-        g.add_edge(base + 1, base + 2)
-        g.add_edge(base, base + 2)
-    return g
+    return graph_of(6, [
+        edge
+        for base in (0, 3)
+        for edge in ((base, base + 1), (base + 1, base + 2), (base, base + 2))
+    ])
 
 
 class TestBfs:
@@ -32,11 +33,7 @@ class TestBfs:
         assert sorted(order) == [0, 1, 2]
 
     def test_distances(self):
-        g = Graph(4)
-        g.add_edge(0, 1)
-        g.add_edge(1, 2)
-        g.add_edge(2, 3)
-        assert bfs_distances(g, 0) == [0, 1, 2, 3]
+        assert bfs_distances(graph_of(4, PATH4), 0) == [0, 1, 2, 3]
 
     def test_unreachable_is_none(self, two_triangles):
         dist = bfs_distances(two_triangles, 0)
@@ -49,16 +46,13 @@ class TestComponents:
         assert comps == [[0, 1, 2], [3, 4, 5]]
 
     def test_isolated_vertices_are_singletons(self):
-        g = Graph(3)
-        g.add_edge(0, 1)
+        g = graph_of(3, [(0, 1)])
         assert connected_components(g) == [[0, 1], [2]]
 
     def test_is_connected(self, two_triangles):
         assert not is_connected(two_triangles)
-        assert is_connected(Graph(0))
-        g = Graph(2)
-        g.add_edge(0, 1)
-        assert is_connected(g)
+        assert is_connected(graph_of(0, []))
+        assert is_connected(graph_of(2, [(0, 1)]))
 
     def test_random_connected_graphs(self):
         for seed in range(5):
@@ -68,25 +62,27 @@ class TestComponents:
 
 class TestDiameter:
     def test_path_eccentricity(self):
-        g = Graph(4)
-        g.add_edge(0, 1)
-        g.add_edge(1, 2)
-        g.add_edge(2, 3)
+        g = graph_of(4, PATH4)
         assert eccentricity(g, 0) == 3
         assert eccentricity(g, 1) == 2
 
     def test_path_diameter_exact(self):
-        g = Graph(5)
-        for i in range(4):
-            g.add_edge(i, i + 1)
+        g = graph_of(5, [(i, i + 1) for i in range(4)])
         assert approximate_diameter(g) == 4
 
     def test_cycle_diameter(self):
-        g = Graph(6)
-        for i in range(6):
-            g.add_edge(i, (i + 1) % 6)
+        g = graph_of(6, [(i, (i + 1) % 6) for i in range(6)])
         # true diameter 3; double sweep gives >= 2 and <= 3
         assert 2 <= approximate_diameter(g) <= 3
 
     def test_empty_graph(self):
-        assert approximate_diameter(Graph(0)) == 0
+        assert approximate_diameter(graph_of(0, [])) == 0
+
+
+class TestStartVertex:
+    @pytest.mark.parametrize("search", [bfs_order, bfs_distances, eccentricity])
+    @pytest.mark.parametrize("start", [-1, 4])
+    def test_out_of_range_start_rejected(self, search, start):
+        # -1 would otherwise search from the last vertex.
+        with pytest.raises(GraphError, match="out of range"):
+            search(graph_of(4, PATH4), start)
