@@ -21,6 +21,8 @@ cut exists).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import List, Sequence
 
 import numpy as np
@@ -43,7 +45,9 @@ def conductance(g: Graph, subset: Sequence[int]) -> float:
     """Conductance of a vertex subset S.
 
     ``h(S) = cut(S, V-S) / min(vol(S), vol(V-S))`` with volumes the sums
-    of weighted degrees.  Raises for empty or full subsets.
+    of weighted degrees, each summed left to right (builtin ``sum()``
+    compensates its rounding from Python 3.12, so its totals depend on
+    the interpreter).  Raises for empty or full subsets.
     """
     members = set(int(v) for v in subset)
     if not members or len(members) >= g.num_vertices:
@@ -55,8 +59,8 @@ def conductance(g: Graph, subset: Sequence[int]) -> float:
         if (u in members) != (v in members):
             cut += w
     degrees = g.degrees()
-    vol_s = sum(degrees[v] for v in members)
-    vol_rest = sum(degrees) - vol_s
+    vol_s = reduce(add, (degrees[v] for v in members), 0)
+    vol_rest = reduce(add, degrees, 0) - vol_s
     denominator = min(vol_s, vol_rest)
     if denominator == 0:
         return float("inf")
@@ -118,7 +122,8 @@ def sweep_conductance(g: Graph, order: Sequence[int]) -> float:
     The classical *sweep cut*: with ``order`` the sorted normalised
     Fiedler vector, the best prefix is guaranteed to satisfy the Cheeger
     upper bound — which makes this the constructive half of the theorem
-    and a cheap conductance partitioner in its own right.
+    and a cheap conductance partitioner in its own right.  The total
+    volume sums the degrees left to right, as :func:`conductance` does.
     """
     n = g.num_vertices
     if sorted(order) != list(range(n)):
@@ -127,7 +132,7 @@ def sweep_conductance(g: Graph, order: Sequence[int]) -> float:
         raise SpectralError("need at least 2 vertices")
     members = set()
     degrees = g.degrees()
-    total_volume = sum(degrees)
+    total_volume = reduce(add, degrees, 0)
     cut = 0.0
     vol = 0.0
     best = float("inf")

@@ -20,7 +20,10 @@ import random
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..errors import PartitionError
 from ..hypergraph import Hypergraph
@@ -82,12 +85,35 @@ class GainBuckets:
                 self._max_gain = max(self._buckets, default=None)
 
     def update(self, cell: int, old_gain: int, delta: int) -> int:
-        """Move a cell between buckets; returns the new gain."""
+        """Move a cell between buckets; returns the new gain.
+
+        The same set operations, in the same order, as :meth:`remove` at
+        ``old_gain`` then :meth:`insert` at the new gain, in one call.
+        """
         if delta == 0:
             return old_gain
+        buckets = self._buckets
+        try:
+            bucket = buckets[old_gain]
+            bucket.remove(cell)
+        except KeyError:
+            raise PartitionError(
+                f"cell {cell} not in gain bucket {old_gain}"
+            ) from None
+        if not bucket:
+            del buckets[old_gain]
         new_gain = old_gain + delta
-        self.remove(cell, old_gain)
-        self.insert(cell, new_gain)
+        target = buckets.get(new_gain)
+        if target is None:
+            buckets[new_gain] = {cell}
+        else:
+            target.add(cell)
+        if new_gain > self._max_gain:
+            self._max_gain = new_gain
+        elif not bucket and old_gain == self._max_gain:
+            self._max_gain = max(buckets)
+        if new_gain < self._floor:
+            self._floor = new_gain
         return new_gain
 
     def iter_best_first(self):
@@ -106,6 +132,49 @@ class GainBuckets:
                 for cell in bucket:
                     yield gain, cell
 
+    def best(
+        self,
+        allowed: Callable[[float], bool],
+        areas: Sequence[float],
+        num_areas: int,
+        limit: int,
+    ) -> Tuple[int, List[int]]:
+        """``(gain, cells)``: up to ``limit`` cells of the highest gain
+        whose area ``allowed`` accepts, in bucket order.
+
+        ``cells`` is empty when ``allowed`` accepts none.  The walk is
+        :meth:`iter_best_first`'s, written out so that a pass step
+        creates no generator.  ``allowed`` is asked once per distinct
+        area, and the walk stops as soon as it has rejected
+        ``num_areas`` areas, every distinct one there is.
+        """
+        cells: List[int] = []
+        if self._max_gain is None:
+            return 0, cells
+        buckets = self._buckets
+        verdicts: Dict[float, bool] = {}
+        rejected = 0
+        for gain in range(self._max_gain, self._floor - 1, -1):
+            bucket = buckets.get(gain)
+            if bucket is None:
+                continue
+            for cell in bucket:
+                area = areas[cell]
+                verdict = verdicts.get(area)
+                if verdict is None:
+                    verdict = verdicts[area] = bool(allowed(area))
+                    if not verdict:
+                        rejected += 1
+                        if rejected == num_areas:
+                            return 0, cells
+                if verdict:
+                    cells.append(cell)
+                    if len(cells) == limit:
+                        return gain, cells
+            if cells:
+                return gain, cells
+        return 0, cells
+
 
 class FMEngine:
     """Mutable FM state over a hypergraph bipartition.
@@ -123,16 +192,41 @@ class FMEngine:
     """
 
     def __init__(self, h: Hypergraph, sides: Sequence[int]):
-        """Count pins per net and side, the cut and every cell's gain.
+        """Bind ``sides`` of ``h`` and count the gain state
+        (:meth:`_count_gain_state`)."""
+        if len(sides) != h.num_modules:
+            raise PartitionError(
+                f"{len(sides)} sides for {h.num_modules} modules"
+            )
+        self.h = h
+        self.sides: List[int] = [int(s) for s in sides]
+        if any(s not in (0, 1) for s in self.sides):
+            raise PartitionError("sides must be 0/1")
+        self.side_count = [
+            self.sides.count(0),
+            h.num_modules - self.sides.count(0),
+        ]
+        self._pins = h.net_pins
+        self._nets_of = h.module_nets
+        self._areas = h.module_areas
+        self._num_areas = len(set(self._areas))
+        self.side_area = [0.0, 0.0]
+        for v, s in enumerate(self.sides):
+            self.side_area[s] += self._areas[v]
+        # Stats of the most recent run_pass (moved/kept/best_value).
+        self.last_pass = {"moved": 0, "kept": 0, "best_value": 0.0}
+        self._count_gain_state()
+
+    def _count_gain_state(self) -> None:
+        """Count pins per net and side, the cut and every cell's gain
+        from the sides alone, in O(pins).
 
         Pure integer arithmetic over the flat CSR pin arrays: bincount
         the pins by side for per-net counts, then sum each pin's FS/TE
         critical-net contribution per module (the rules of
         :meth:`_compute_gain`).
         """
-        import numpy as np
-
-        self._bind(h, sides)
+        h = self.h
         m = h.num_nets
         csr = h.csr
         sizes = np.diff(csr.net_indptr)
@@ -157,32 +251,6 @@ class FMEngine:
             pin_modules, weights=contribution, minlength=h.num_modules
         )
         self.gains = gains.astype(np.int64).tolist()
-
-    def _bind(self, h: Hypergraph, sides: Sequence[int]) -> None:
-        """Set every field but the gain state (pin counts, cut, gains):
-        the sides with their counts and areas, and the hypergraph's
-        pin, incidence and area tuples, read once here."""
-        if len(sides) != h.num_modules:
-            raise PartitionError(
-                f"{len(sides)} sides for {h.num_modules} modules"
-            )
-        self.h = h
-        self.sides: List[int] = [int(s) for s in sides]
-        if any(s not in (0, 1) for s in self.sides):
-            raise PartitionError("sides must be 0/1")
-        self.side_count = [
-            self.sides.count(0),
-            h.num_modules - self.sides.count(0),
-        ]
-        self._pins = h.net_pins
-        self._nets_of = h.module_nets
-        self._areas = h.module_areas
-        self._num_areas = len(set(self._areas))
-        self.side_area = [0.0, 0.0]
-        for v, s in enumerate(self.sides):
-            self.side_area[s] += self._areas[v]
-        # Stats of the most recent run_pass (moved/kept/best_value).
-        self.last_pass = {"moved": 0, "kept": 0, "best_value": 0.0}
 
     # ------------------------------------------------------------------
     def _compute_gain(self, cell: int) -> int:
@@ -342,39 +410,6 @@ class FMEngine:
             u, w = self.side_count[0] + 1, self.side_count[1] - 1
         return ratio_cut_cost(new_cut, u, w)
 
-    def _best_movable(
-        self, buckets: GainBuckets, side: int, feasible, limit: int
-    ) -> Tuple[int, List[int]]:
-        """``(gain, cells)``: up to ``limit`` cells of the best gain on
-        ``side`` that the rule lets move, in bucket order.
-
-        ``cells`` is empty when the rule blocks the side.  The rule's
-        verdict is kept per area for this call, and the walk stops as
-        soon as every distinct module area has been rejected.
-        """
-        areas = self._areas
-        verdicts: Dict[float, bool] = {}
-        rejected = 0
-        best_gain = 0
-        cells: List[int] = []
-        for gain, cell in buckets.iter_best_first():
-            if cells and gain < best_gain:
-                break
-            area = areas[cell]
-            allowed = verdicts.get(area)
-            if allowed is None:
-                allowed = verdicts[area] = bool(feasible(side, area))
-                if not allowed:
-                    rejected += 1
-                    if rejected == self._num_areas:
-                        break
-            if allowed:
-                best_gain = gain
-                cells.append(cell)
-                if len(cells) == limit:
-                    break
-        return best_gain, cells
-
     def run_pass(
         self, feasible, objective="cut", lookahead: int = 1
     ) -> Tuple[int, float]:
@@ -390,15 +425,24 @@ class FMEngine:
 
         Every cell moves at most once.  At each step each side's
         best-gain cell the rule lets move is found by walking that
-        side's buckets down from the max-gain pointer, and the move
-        minimising the post-move ``objective`` is applied (for ``"cut"``
-        this is classic FM best-gain selection; for ``"ratio"`` it is
+        side's buckets down from the max-gain pointer
+        (:meth:`GainBuckets.best`), and the move minimising the
+        post-move ``objective`` is applied (for ``"cut"`` this is
+        classic FM best-gain selection; for ``"ratio"`` it is
         Wei–Cheng's myopic ratio-gain selection, where the denominator
         term makes moves from the large side more attractive).  With
         ``lookahead >= 2``, first-level gain ties (up to eight cells
         per side) are broken by the Krishnamurthy second-level gain
-        (:meth:`lookahead_gain`).  The pass tracks the prefix with the
-        best objective value and reverts the rest.
+        (:meth:`lookahead_gain`).  A step costs that walk plus the
+        moved cell's pins (:meth:`move`).
+
+        The pass tracks the prefix with the best objective value and
+        reverts the rest without replaying it: the reverted cells'
+        sides, side counts and side areas go back in reverse move order
+        (so the area sums are the ones reverse moves would give), then
+        pin counts, cut and gains, which depend on the sides alone, are
+        recounted in one O(pins) pass.  A pass that keeps every move
+        skips the recount.
 
         Returns ``(moves_kept, best_objective_value)``.
         """
@@ -410,6 +454,9 @@ class FMEngine:
         for v, gain in enumerate(self.gains):
             groups[sides[v]][gain].append(v)
         buckets = (GainBuckets(groups[0]), GainBuckets(groups[1]))
+        rules = (partial(feasible, 0), partial(feasible, 1))
+        areas = self._areas
+        num_areas = self._num_areas
         limit = 8 if lookahead >= 2 else 1
 
         move_sequence: List[int] = []
@@ -419,8 +466,8 @@ class FMEngine:
         while True:
             candidates = []
             for side in (0, 1):
-                gain, tied = self._best_movable(
-                    buckets[side], side, feasible, limit
+                gain, tied = buckets[side].best(
+                    rules[side], areas, num_areas, limit
                 )
                 if not tied:
                     continue
@@ -443,9 +490,20 @@ class FMEngine:
                 best_value = value
                 best_prefix = len(move_sequence)
 
-        # Revert moves beyond the best prefix.
-        for cell in reversed(move_sequence[best_prefix:]):
-            self.move(cell)
+        reverted = move_sequence[best_prefix:]
+        if reverted:
+            side_count = self.side_count
+            side_area = self.side_area
+            for cell in reversed(reverted):
+                from_side = sides[cell]
+                to_side = 1 - from_side
+                sides[cell] = to_side
+                side_count[from_side] -= 1
+                side_count[to_side] += 1
+                area = areas[cell]
+                side_area[from_side] -= area
+                side_area[to_side] += area
+            self._count_gain_state()
         # Telemetry for callers/obs: what the pass actually did.
         self.last_pass = {
             "moved": len(move_sequence),

@@ -11,6 +11,8 @@ The formulations of Section 1.1 of the paper:
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import List, Sequence
 
 from ..errors import PartitionError
@@ -75,24 +77,29 @@ def ratio_cut_of_sides(h: Hypergraph, side_of: Sequence[int]) -> float:
 
 
 def weighted_net_cut(h: Hypergraph, side_of: Sequence[int]) -> float:
-    """Total *weight* of cut nets (Section 1.1's weighted-edge view).
+    """Total *weight* of cut nets (Section 1.1's weighted-edge view),
+    summed left to right in net order.
 
-    Equals :func:`net_cut_count` on unweighted netlists.
+    Equals :func:`net_cut_count` on unweighted netlists.  Not builtin
+    ``sum()``: from Python 3.12 it compensates its rounding, so the
+    total would depend on the interpreter.
     """
-    return sum(
-        h.net_weight(net) for net in cut_net_indices(h, side_of)
+    return reduce(
+        add, (h.net_weight(net) for net in cut_net_indices(h, side_of)), 0
     )
 
 
 def graph_edge_cut(g: Graph, side_of: Sequence[int]) -> float:
-    """Total weight of graph edges crossing the partition."""
+    """Total weight of graph edges crossing the partition, summed left
+    to right in :meth:`Graph.edges` order (not builtin ``sum()``, as in
+    :func:`weighted_net_cut`)."""
     if len(side_of) != g.num_vertices:
         raise PartitionError(
             f"side assignment has {len(side_of)} entries for "
             f"{g.num_vertices} vertices"
         )
-    return sum(
-        w for u, v, w in g.edges() if side_of[u] != side_of[v]
+    return reduce(
+        add, (w for u, v, w in g.edges() if side_of[u] != side_of[v]), 0
     )
 
 

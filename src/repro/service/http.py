@@ -48,7 +48,9 @@ the access entries.
 the listener, answering requests that race in on open connections
 with ``503 draining``, waiting (bounded by ``--drain-timeout``) for
 every in-flight request to finish, then flushing and closing the
-access log.  :meth:`_Server.drain` is the programmatic form.
+access log.  A request that reaches its handler after that gets no
+reply, only a closed connection, since its access line could no
+longer be written.  :meth:`_Server.drain` is the programmatic form.
 
 Errors are always JSON: ``{"error": "<one line>"}`` with 400 for bad
 requests, 404 for unknown paths, 405 (with an ``Allow`` header) for a
@@ -336,7 +338,11 @@ class _Handler(BaseHTTPRequestHandler):
             k: v[-1] for k, v in parse_qs(split.query).items()
         }
         self._start = time.perf_counter()
-        self.server.request_started()
+        if not self.server.request_started():
+            # Drain has closed the access log: a reply now would go out
+            # without its line, so the connection closes unanswered.
+            self.close_connection = True
+            return
         try:
             if self.server.draining:
                 # The listener is closed; this request arrived on an
@@ -564,14 +570,20 @@ class _Server(ThreadingHTTPServer):
         )
         self.started_at = time.monotonic()
         self.draining = False
+        self._closed = False
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self._idle = threading.Condition(self._inflight_lock)
 
     # -- in-flight request accounting (drives graceful drain) ----------
-    def request_started(self) -> None:
+    def request_started(self) -> bool:
+        """Count a request in flight; ``False`` (counting nothing) once
+        :meth:`drain` has closed the server."""
         with self._inflight_lock:
+            if self._closed:
+                return False
             self._inflight += 1
+            return True
 
     def request_finished(self) -> None:
         with self._inflight_lock:
@@ -590,7 +602,9 @@ class _Server(ThreadingHTTPServer):
         Stops the accept loop (new connections are refused; requests on
         already-open connections get 503), then waits — bounded by
         ``timeout_s`` — for every in-flight HTTP request to complete.
-        Finally closes the listener and flushes/closes the access log.
+        Finally closes the listener and flushes/closes the access log;
+        a request that starts after that gets no reply
+        (:meth:`request_started` returns ``False``).
 
         Returns ``True`` when everything finished inside the budget,
         ``False`` when the timeout expired with work still running
@@ -608,6 +622,7 @@ class _Server(ThreadingHTTPServer):
                     clean = False
                     break
                 self._idle.wait(remaining)
+            self._closed = True
         self.server_close()  # closes the socket and the access log
         return clean
 

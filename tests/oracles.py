@@ -22,8 +22,9 @@ here: the per-pair intersection build (:func:`shared_module_map` plus
 one weighting call per pair, callables accepted, on a
 :class:`DictGraph`), the COO adjacency
 assembly, the shifted Laplacian built as ``c·I - (D - A)``, the per-pin
-FM initialisation and the completion tally's first state replayed net
-by net.  :func:`pipeline` runs code with them swapped in, so a whole
+count of the FM gain state (at engine set-up and after each pass's
+revert) and the completion tally's first state replayed net by net.
+:func:`pipeline` runs code with them swapped in, so a whole
 partitioner run can be compared bit for bit against the shipped
 steps.  :class:`LinkedGainBuckets` is the
 paper-era bucket list the FM bucket replay test checks against.
@@ -64,7 +65,7 @@ __all__ = [
     "evaluate_split",
     "pipeline",
     "reference_adjacency_matrix",
-    "reference_fm_init",
+    "reference_fm_gain_state",
     "reference_intersection_graph",
     "reference_shifted_laplacian",
     "reference_tally_init",
@@ -597,10 +598,11 @@ def reference_adjacency_matrix(g: Graph) -> sp.csr_matrix:
     )
 
 
-def reference_fm_init(engine, h: Hypergraph, sides) -> None:
-    """``FMEngine.__init__`` with a Python loop over every pin and one
-    :meth:`~repro.partitioning.FMEngine._compute_gain` per cell."""
-    engine._bind(h, sides)
+def reference_fm_gain_state(engine) -> None:
+    """``FMEngine._count_gain_state`` with a Python loop over every pin
+    and one :meth:`~repro.partitioning.FMEngine._compute_gain` per
+    cell."""
+    h = engine.h
     engine.pin_count = [[0, 0] for _ in range(h.num_nets)]
     for net, pins in h.iter_nets():
         for pin in pins:
@@ -656,8 +658,8 @@ def pipeline(implementation: str):
     ``"dict"`` patches the references in where the pipeline calls the
     steps: the intersection build in IG-Match and IG-Vote, adjacency
     assembly under every Laplacian, the Fiedler solver's shifted
-    Laplacian, FM engine initialisation and the IG-Match completion
-    tally's first state.
+    Laplacian, the FM engine's gain-state count (set-up and revert)
+    and the IG-Match completion tally's first state.
     """
     if implementation not in IMPLEMENTATIONS:
         raise ValueError(f"unknown implementation {implementation!r}")
@@ -681,7 +683,9 @@ def pipeline(implementation: str):
         patch.setattr(
             fiedler, "_shifted_laplacian", reference_shifted_laplacian
         )
-        patch.setattr(FMEngine, "__init__", reference_fm_init)
+        patch.setattr(
+            FMEngine, "_count_gain_state", reference_fm_gain_state
+        )
         patch.setattr(_CompletionTally, "__init__", reference_tally_init)
         yield
 

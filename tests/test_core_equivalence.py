@@ -64,7 +64,6 @@ from tests.oracles import (
     classify_from_scratch,
     pipeline,
     reference_adjacency_matrix,
-    reference_fm_init,
     reference_intersection_graph,
     reference_shifted_laplacian,
     reference_tally_init,
@@ -328,8 +327,8 @@ class TestFMLayer:
     )
     def test_engine_init_identical(self, h):
         sides = [v % 2 for v in range(h.num_modules)]
-        ed = FMEngine.__new__(FMEngine)
-        reference_fm_init(ed, h, sides)
+        with pipeline("dict"):
+            ed = FMEngine(h, sides)
         ec = FMEngine(h, sides)
         assert ed.pin_count == ec.pin_count
         assert ed.cut == ec.cut

@@ -45,6 +45,15 @@ class TestGainBuckets:
         assert new == 4
         assert [c for _, c in b.iter_best_first()] == [0]
 
+    def test_update_of_absent_cell_raises(self):
+        b = GainBuckets()
+        b.insert(0, 1)
+        with pytest.raises(PartitionError):
+            b.update(0, 2, 1)  # no bucket at gain 2
+        with pytest.raises(PartitionError):
+            b.update(1, 1, 1)  # the gain-1 bucket lacks cell 1
+        assert list(b.iter_best_first()) == [(1, 0)]
+
     def test_update_zero_delta_noop(self):
         b = GainBuckets()
         b.insert(0, 1)

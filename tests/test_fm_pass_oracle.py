@@ -3,9 +3,11 @@
 :meth:`FMEngine.run_pass` asks the balance rule for ``(side, area)``
 verdicts and walks its gain buckets in place;
 :class:`tests.oracles.ReferenceFMPass` is the pass as first written,
-with a cell predicate over sorted, copied buckets.  Gain ties go by set
-iteration order, so equal move sequences also mean every bucket saw the
-same history of inserts and removes.
+with a cell predicate over sorted, copied buckets, and a revert that
+moves each cell back.  Gain ties go by set iteration order, so equal
+move sequences also mean every bucket saw the same history of inserts
+and removes; equal state after the pass means the engine's recount
+matches the reference's reverse moves.
 """
 
 from __future__ import annotations
@@ -93,7 +95,10 @@ def check_passes(h, sides, kind, side_arg, objective, lookahead,
         outcome = engine.run_pass(counted_rule, objective, lookahead)
         expected = reference.run_pass(cell_rule, objective, lookahead)
         assert outcome == expected
-        assert moves == reference.moves
+        # The pass moves each cell once and reverts the tail without a
+        # move call; the reference logs its move-by-move revert after.
+        assert len(moves) == engine.last_pass["moved"]
+        assert moves == reference.moves[: engine.last_pass["moved"]]
         assert engine.sides == reference.sides
         assert engine.cut == reference.cut
         assert engine.pin_count == reference.pin_count
@@ -143,11 +148,23 @@ class TestPassEqualsReference:
     @pytest.mark.parametrize("kind", RULES)
     @pytest.mark.parametrize("lookahead", (1, 2))
     def test_mixed_areas(self, kind, lookahead):
-        rng = random.Random(1)
-        base = generate_from_spec(get_spec("bm1"), seed=2, scale=0.2)
-        areas = [rng.choice((0.0, 1.0, 1.0, 3.0, 10.0))
-                 for _ in range(base.num_modules)]
-        h = Hypergraph([base.pins(e) for e in range(base.num_nets)],
-                       num_modules=base.num_modules, module_areas=areas)
-        sides = [rng.randint(0, 1) for _ in range(h.num_modules)]
+        h, sides = mixed_area_circuit((0.0, 1.0, 1.0, 3.0, 10.0))
         check_passes(h, sides, kind, 1, "cut", lookahead)
+
+    @pytest.mark.parametrize("kind", RULES)
+    def test_fractional_areas(self, kind):
+        # Sums of these areas depend on their order, so bit-equal side
+        # areas mean the revert undid the moves in reverse order.
+        h, sides = mixed_area_circuit((0.0, 0.1, 0.7, 1.3, 2.9))
+        check_passes(h, sides, kind, 1, "cut", 1)
+
+
+def mixed_area_circuit(choices):
+    """bm1 at scale 0.2 with module areas drawn from ``choices``, and
+    random sides."""
+    rng = random.Random(1)
+    base = generate_from_spec(get_spec("bm1"), seed=2, scale=0.2)
+    areas = [rng.choice(choices) for _ in range(base.num_modules)]
+    h = Hypergraph([base.pins(e) for e in range(base.num_nets)],
+                   num_modules=base.num_modules, module_areas=areas)
+    return h, [rng.randint(0, 1) for _ in range(h.num_modules)]

@@ -12,6 +12,7 @@ from repro.partitioning import (
     net_cut_count,
     ratio_cut_cost,
     ratio_cut_of_sides,
+    weighted_net_cut,
 )
 from tests.conftest import graph_of
 
@@ -67,6 +68,22 @@ class TestGraphCut:
         g = graph_of(2, [])
         with pytest.raises(PartitionError):
             graph_edge_cut(g, [0])
+
+
+class TestSumsLeftToRight:
+    """Cut weights add up left to right, the same on every interpreter;
+    builtin ``sum()`` compensates its rounding from Python 3.12 and
+    would give 1.0000000000000002 for 1.0 + 1e-16 + 1e-16."""
+
+    def test_graph_edge_cut(self):
+        g = graph_of(4, [(0, 1, 1.0), (0, 2, 1e-16), (0, 3, 1e-16)])
+        assert graph_edge_cut(g, [0, 1, 1, 1]) == 1.0
+
+    def test_weighted_net_cut(self):
+        h = Hypergraph(
+            [[0, 1], [0, 2], [0, 3]], net_weights=[1.0, 1e-16, 1e-16]
+        )
+        assert weighted_net_cut(h, [0, 1, 1, 1]) == 1.0
 
 
 class TestBalance:

@@ -465,6 +465,35 @@ class TestGracefulDrain:
             srv.server_close()
             thread.join(5)
 
+    def test_request_after_drain_closed_the_log_gets_no_reply(
+        self, tmp_path
+    ):
+        import http.client
+
+        srv, thread, log_path = self._server(tmp_path)
+        host, port = srv.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read()
+            # The connection's handler waits for its next request with
+            # nothing in flight, so drain closes the access log first.
+            assert srv.drain(timeout_s=5.0) is True
+            conn.request("GET", "/healthz")
+            with pytest.raises(ConnectionError):
+                conn.getresponse()
+        finally:
+            conn.close()
+            thread.join(5)
+        # One reply, one access line.
+        entries = [
+            json.loads(line)
+            for line in log_path.read_text().splitlines()
+        ]
+        assert [e["path"] for e in entries if e["type"] == "access"] == [
+            "/healthz"
+        ]
+
     def test_drain_timeout_reports_unclean(self, tmp_path):
         srv, thread, _ = self._server(tmp_path)
         # Fake a stuck in-flight request: drain must give up at the

@@ -28,6 +28,13 @@ def two_joined_triangles():
     ] + [(2, 3)])
 
 
+def three_tiny_weight_edges():
+    """Edges 0-3, 1-4, 2-5 of weights 1.0, 1e-16, 1e-16: each side's
+    volume adds up 1.0 + 1e-16 + 1e-16, which is 1.0 left to right and
+    1.0000000000000002 by builtin ``sum()`` from Python 3.12."""
+    return graph_of(6, [(0, 3, 1.0), (1, 4, 1e-16), (2, 5, 1e-16)])
+
+
 def true_conductance(g):
     """Exhaustive minimum conductance (tiny graphs only)."""
     n = g.num_vertices
@@ -56,6 +63,11 @@ class TestConductance:
         assert conductance(g, subset) == pytest.approx(
             conductance(g, complement)
         )
+
+    def test_volumes_sum_left_to_right(self):
+        # cut 1.0 over volumes 1.0 and 2.0 - 1.0 (compensated sums
+        # would give 1.0 / 1.0000000000000002).
+        assert conductance(three_tiny_weight_edges(), [0, 1, 2]) == 1.0
 
     def test_improper_subsets_rejected(self):
         g = complete_graph(4)
@@ -132,6 +144,13 @@ class TestSweep:
         g = two_joined_triangles()
         best = sweep_conductance(g, [0, 1, 2, 3, 4, 5])
         assert best == pytest.approx(1 / 7)
+
+    def test_total_volume_sums_left_to_right(self):
+        # Left to right the total volume is 2.0, so the prefix {0..3}
+        # (volume 2.0, cut 0.0) has an empty complement and is skipped;
+        # a compensated total, 2.0000000000000004, would score it 0.0.
+        order = [0, 1, 2, 3, 4, 5]
+        assert sweep_conductance(three_tiny_weight_edges(), order) == 1.0
 
     def test_bad_order_rejected(self):
         g = complete_graph(4)
