@@ -27,20 +27,11 @@ from .errors import ReproError
 from .hypergraph import Hypergraph, describe, load_json, load_net, save_net
 from .partitioning import PartitionResult
 from .parallel import ParallelConfig, resolve_parallel
+from .service.engine import ALGORITHMS
 
 __all__ = ["main"]
 
-_ALGORITHMS = (
-    "ig-match",
-    "ig-vote",
-    "eig1",
-    "rcut",
-    "fm",
-    "kl",
-    "anneal",
-    "multilevel",
-    "spectral-kway",
-)
+_ALGORITHMS = ALGORITHMS + ("spectral-kway",)
 
 
 _SUPPORTED_SUFFIXES = (".net", ".json", ".hgr", ".v")
@@ -239,11 +230,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--delta", metavar="FILE",
         help="apply a netlist delta (repro-netlist-delta-v1 JSON) to "
         "the base netlist and partition the edited netlist warm: the "
-        "base is partitioned cold to seed warm-start artifacts, then "
-        "the delta path rebuilds the intersection graph cold and "
-        "re-sweeps a window around the previous best split from the "
-        "previous matching (ig-match), or refines from the previous "
-        "sides (fm)",
+        "base is partitioned cold, then the delta path rebuilds the "
+        "intersection graph cold and re-sweeps a window around the "
+        "base answer's best split (ig-match), or refines from the "
+        "base answer's sides (fm)",
     )
     parser.add_argument(
         "--base", metavar="FILE",
@@ -374,39 +364,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _run_delta_path(h: Hypergraph, args):
-    """Cold-partition the base, then serve ``--delta`` warm against it.
+    """Serve the base, then serve ``--delta`` against its session,
+    through the same :class:`~repro.service.PartitionEngine` calls as
+    ``POST /partition`` and ``POST /partition/delta``.
 
-    Returns ``(edited_hypergraph, warm_result)``; the caller's normal
+    Returns ``(edited_hypergraph, result)``; the caller's normal
     output paths (--json/--report/--sides-out) then apply to the edited
     netlist's result.
     """
-    from .delta import load_delta, seed_artifacts, warm_partition
-    from .service import run_partitioner
-    from .service.engine import result_to_payload
+    from .delta import load_delta
+    from .service import PartitionEngine
 
     request = _request(
         args.algorithm, args.seed, args.restarts, args.stride, args.starts
     )
-    parallel = resolve_parallel(args.workers)
-    capture: dict = {}
-    base_result = run_partitioner(
-        h, request, parallel=parallel, capture=capture
-    )
-    artifacts = seed_artifacts(result_to_payload(base_result), capture)
     delta = load_delta(args.delta)
-    application = delta.apply_detailed(h)
-    result, _fresh, warm = warm_partition(
-        artifacts, application, request, parallel=parallel
-    )
-    edited = application.hypergraph
+    engine = PartitionEngine(parallel=resolve_parallel(args.workers))
+    base = engine.partition(h, request)
+    served = engine.partition_delta(base.fingerprint, delta, request)
+    edited = served.result.partition.hypergraph
     print(
         f"base {h.num_modules}m/{h.num_nets}n ratio "
-        f"{base_result.ratio_cut:.6g} -> delta "
-        f"{edited.num_modules}m/{edited.num_nets}n "
-        f"({'warm' if warm else 'cold fallback'})",
+        f"{base.result.ratio_cut:.6g} -> delta "
+        f"{edited.num_modules}m/{edited.num_nets}n ({served.source})",
         file=sys.stderr,
     )
-    return edited, result
+    return edited, served.result
 
 
 def _execute(args, parser: argparse.ArgumentParser) -> int:

@@ -5,9 +5,10 @@ value object describing module/net additions, removals, and edits
 against a base hypergraph, with a canonical JSON wire format
 (:data:`DELTA_FORMAT`).  Applying a delta yields the edited hypergraph
 plus the index maps (:class:`DeltaApplication`) that let the warm paths
-reuse what the delta did not touch: the IG-Match sweep restarts from the
-previous best split and matching on a cold-built intersection graph,
-and FM from the previous sides (:mod:`repro.delta.warm`).
+reuse what the delta did not touch: the IG-Match sweep re-runs a window
+around the previous answer's best split on a cold-built intersection
+graph, and FM refines from the previous answer's sides
+(:mod:`repro.delta.warm`).
 
 The serving integration (``POST /partition/delta``) lives in
 :mod:`repro.service`; the measurement harness in ``repro.bench
@@ -27,12 +28,7 @@ from .model import (
     random_delta,
     save_delta,
 )
-from .warm import (
-    WARM_WINDOW,
-    SessionArtifacts,
-    seed_artifacts,
-    warm_partition,
-)
+from .warm import WARM_WINDOW, warm_partition
 
 __all__ = [
     "DELTA_FORMAT",
@@ -40,7 +36,6 @@ __all__ = [
     "ModuleAdd",
     "NetAdd",
     "NetlistDelta",
-    "SessionArtifacts",
     "WARM_WINDOW",
     "delta_from_maps",
     "dumps_delta",
@@ -48,6 +43,5 @@ __all__ = [
     "loads_delta",
     "random_delta",
     "save_delta",
-    "seed_artifacts",
     "warm_partition",
 ]

@@ -224,21 +224,16 @@ class IncrementalMatching:
     # ------------------------------------------------------------------
     # Warm starts (ECO / delta serving)
     # ------------------------------------------------------------------
-    def jump_start(self, right_vertices, seed=None) -> int:
+    def jump_start(self, right_vertices) -> None:
         """Jump a fresh matcher straight to a mid-sweep split.
 
-        Flips every vertex in ``right_vertices`` to R in one pass, seeds
-        the matching from ``seed`` — ``(u, v)`` pairs from a previous
-        sweep's matching, silently skipping any pair the new graph or
-        split no longer supports — then restores maximality with
-        :meth:`repair_to_maximum`.  With a good seed the repair does
-        O(changed) work instead of replaying the whole sweep prefix.
-
-        Returns the number of seed pairs actually installed.  Must be
-        called before any :meth:`move_to_right`; König classification
+        Flips every vertex in ``right_vertices`` to R in one pass, then
+        grows a maximum matching with :meth:`repair_to_maximum`, instead
+        of replaying the sweep prefix move by move.  Must be called
+        before any :meth:`move_to_right`; König classification
         afterwards is exactly what the replayed sweep would produce,
-        because the classes depend only on *which* matching is maximum,
-        not how it was found (Dulmage–Mendelsohn canonicity).
+        because the classes are the same for every maximum matching
+        (Dulmage–Mendelsohn canonicity).
         """
         if self._left_count != self.num_vertices or self._matching_size:
             raise MatchingError(
@@ -257,28 +252,7 @@ class IncrementalMatching:
             before.setdefault(v, (_LEFT, -1))
             self._side[v] = _RIGHT
             self._left_count -= 1
-        installed = 0
-        if seed:
-            match = self._match
-            side = self._side
-            n = self.num_vertices
-            for u, v in seed:
-                if not (0 <= u < n and 0 <= v < n):
-                    continue
-                if side[u] == side[v]:
-                    continue
-                if match[u] != -1 or match[v] != -1:
-                    continue
-                if v not in self._adjacency[u]:
-                    continue
-                before.setdefault(u, (side[u], -1))
-                before.setdefault(v, (side[v], -1))
-                match[u] = v
-                match[v] = u
-                installed += 1
-        self._matching_size += installed
         self.repair_to_maximum()
-        return installed
 
     def repair_to_maximum(self) -> int:
         """Grow the current (valid) matching to maximum.

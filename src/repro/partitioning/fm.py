@@ -33,7 +33,7 @@ from .metrics import ratio_cut_cost
 from .partition import Partition, PartitionResult
 
 __all__ = ["GainBuckets", "FMEngine", "FMConfig", "fm_bipartition",
-           "fm_refine_engine", "random_balanced_sides"]
+           "random_balanced_sides"]
 
 
 class GainBuckets:
@@ -558,17 +558,6 @@ def random_balanced_sides(
     return sides
 
 
-def _optimise_start(
-    h: Hypergraph, sides: List[int], config: FMConfig
-) -> Tuple[List[int], int, int]:
-    """The multi-pass FM loop from one initial partition.
-
-    Returns ``(final_sides, cut, passes)``.  Module-level and driven by
-    plain data so multi-start refinement can run it in process workers.
-    """
-    return fm_refine_engine(FMEngine(h, sides), config)
-
-
 def _enter_window(engine: FMEngine, high: float) -> None:
     """Move modules off the heavier side until its area is at most
     ``high``, the top of the balance window.
@@ -598,18 +587,17 @@ def _enter_window(engine: FMEngine, high: float) -> None:
         engine.move(max(movable, key=engine.gains.__getitem__))
 
 
-def fm_refine_engine(
-    engine: FMEngine, config: FMConfig
+def _optimise_start(
+    h: Hypergraph, sides: List[int], config: FMConfig
 ) -> Tuple[List[int], int, int]:
-    """Run the multi-pass FM loop on an already-initialised engine.
+    """The multi-pass FM loop from one initial partition.
 
-    Returns ``(final_sides, cut, passes)``.  Shared by
-    :func:`_optimise_start` and the ECO warm path, which builds its
-    engine on the edited hypergraph from the previous answer's sides.
+    Returns ``(final_sides, cut, passes)``.  Module-level and driven by
+    plain data so multi-start refinement can run it in process workers.
     A start outside the balance window is first moved into it
     (:func:`_enter_window`).
     """
-    h = engine.h
+    engine = FMEngine(h, sides)
     total_area = h.total_area
     max_cell_area = max(h.module_areas, default=0.0)
     slack = config.balance_tolerance * total_area + max_cell_area

@@ -96,18 +96,16 @@ class SweepWarmStart:
     Restricts the sweep to split ranks ``lo..hi`` (inclusive, both in
     ``1..num_nets-1``).  The matcher reaches the rank ``lo`` state via
     :meth:`~repro.matching.IncrementalMatching.jump_start` — flipping
-    the first ``lo - 1`` ordered nets in one shot, installing
-    ``matching_seed`` pairs that are still valid crossing edges, and
-    repairing to maximum with a single augmentation pass — instead of
-    replaying ``lo - 1`` incremental moves.  König classes depend only
-    on *which* matching is maximum, never on how it was found, so every
-    evaluation inside the window is identical to the cold sweep's
-    evaluation at the same rank.
+    the first ``lo - 1`` ordered nets in one shot and growing a maximum
+    matching with a single augmentation pass — instead of replaying
+    ``lo - 1`` incremental moves.  König classes are the same for every
+    maximum matching (the Dulmage–Mendelsohn decomposition is unique),
+    so every evaluation inside the window is identical to the cold
+    sweep's evaluation at the same rank.
     """
 
     lo: int
     hi: int
-    matching_seed: Tuple[Tuple[int, int], ...] = ()
 
 
 #: The side a net's König class pins its modules to, indexed by
@@ -275,7 +273,6 @@ def ig_match_sweep(
     order: Optional[Sequence[int]] = None,
     graph=None,
     warm: Optional[SweepWarmStart] = None,
-    capture: Optional[dict] = None,
 ) -> Tuple[List[SplitEvaluation], Optional[Partition]]:
     """Run the full IG-Match sweep; return all evaluations and the best
     completed partition.
@@ -284,9 +281,7 @@ def ig_match_sweep(
     feed the same ordering to several completion strategies); ``graph``
     supplies a prebuilt intersection graph to avoid rebuilding it across
     multiple sweeps.  ``warm`` restricts the sweep to a rank window,
-    jump-starting the matcher (see :class:`SweepWarmStart`); ``capture``,
-    when a dict, receives the best split's rank and matching pairs —
-    observation only, the sweep outcome is unchanged.
+    jump-starting the matcher (see :class:`SweepWarmStart`).
     """
     if h.num_modules < 2:
         raise PartitionError("IG-Match needs at least 2 modules")
@@ -320,9 +315,7 @@ def ig_match_sweep(
             )
         # Reach the rank ``lo - 1`` state in one shot; the loop below
         # then performs the rank ``lo`` move exactly like a cold sweep.
-        matcher.jump_start(
-            [order[i] for i in range(warm.lo - 1)], warm.matching_seed
-        )
+        matcher.jump_start([order[i] for i in range(warm.lo - 1)])
         start_index = warm.lo - 1
         stop_index = warm.hi
     # The per-split loop is the pipeline's hot path, so it is profiled
@@ -367,14 +360,6 @@ def ig_match_sweep(
             ):
                 best_eval = evaluation
                 best_assign = list(tally.assign)
-                if capture is not None:
-                    md = matcher.matching_dict()
-                    capture["best_rank"] = rank
-                    capture["matching"] = tuple(
-                        sorted(
-                            (v, p) for v, p in md.items() if v < p
-                        )
-                    )
 
         if profiling:
             splits = len(evaluations)
@@ -489,16 +474,12 @@ def ig_match(
     h: Hypergraph,
     config: IGMatchConfig = IGMatchConfig(),
     order: Optional[Sequence[int]] = None,
-    capture: Optional[dict] = None,
 ) -> PartitionResult:
     """Partition ``h`` with IG-Match; the paper's primary algorithm.
 
     Returns a :class:`PartitionResult` whose ``details`` include the best
     split rank, the matching-size bound at that split (Theorem 5), and
-    the number of splits evaluated.  When ``capture`` is a dict it
-    receives the sweep's best rank and matching pairs (the warm-start
-    seed the ECO serving path stores per session); passing it never
-    changes the result.
+    the number of splits evaluated.
     """
     start = time.perf_counter()
     if h.num_modules < 2:
@@ -514,7 +495,7 @@ def ig_match(
             with span("igmatch.ordering"):
                 order = spectral_ordering(graph, seed=config.seed)
         evaluations, partition = ig_match_sweep(
-            h, config, order=order, graph=graph, capture=capture
+            h, config, order=order, graph=graph
         )
         if partition is None:
             raise PartitionError(

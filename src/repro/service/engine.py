@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import obs
 from ..clustering import MultilevelConfig, multilevel_partition
@@ -64,12 +64,7 @@ from ..partitioning import (
     rcut,
 )
 from ..partitioning.partition import Partition
-from ..delta import (
-    NetlistDelta,
-    SessionArtifacts,
-    seed_artifacts,
-    warm_partition,
-)
+from ..delta import NetlistDelta, warm_partition
 from .cache import ResultCache
 from .fingerprint import request_fingerprint
 from .sessions import SessionMissError, SessionStore
@@ -134,11 +129,13 @@ class PartitionRequest:
                 f"unknown algorithm {self.algorithm!r} "
                 f"(choose from {', '.join(ALGORITHMS)})"
             )
-        for fname in ("seed", "restarts", "split_stride", "starts"):
-            value = getattr(self, fname)
-            if not isinstance(value, int) or isinstance(value, bool):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "algorithm" and (
+                not isinstance(value, int) or isinstance(value, bool)
+            ):
                 raise ReproError(
-                    f"{fname} must be an integer, got {value!r}"
+                    f"{f.name} must be an integer, got {value!r}"
                 )
         if self.restarts < 1 or self.split_stride < 1 or self.starts < 1:
             raise ReproError(
@@ -149,7 +146,7 @@ class PartitionRequest:
     def from_mapping(cls, doc: Dict[str, Any]) -> "PartitionRequest":
         """Build from an untrusted dict (HTTP body), rejecting unknown
         keys with a clear error instead of silently ignoring them."""
-        known = {"algorithm", "seed", "restarts", "split_stride", "starts"}
+        known = {f.name for f in fields(cls)}
         unknown = sorted(set(doc) - known)
         if unknown:
             raise ReproError(
@@ -173,23 +170,18 @@ def run_partitioner(
     h: Hypergraph,
     request: PartitionRequest,
     parallel: Optional[ParallelConfig] = None,
-    capture: Optional[Dict[str, Any]] = None,
 ) -> PartitionResult:
     """Run the requested algorithm directly (no cache involvement).
 
     ``parallel`` fans out RCut restarts and FM starts; it never
     affects results, only wall-clock time, so it does not enter any
-    cache fingerprint.  ``capture`` (ig-match only) receives the
-    warm-start seed the serving sessions store; it never changes the
-    result.
+    cache fingerprint.
     """
     algorithm = request.algorithm
     seed = request.seed
     if algorithm == "ig-match":
         return ig_match(
-            h,
-            IGMatchConfig(seed=seed, split_stride=request.split_stride),
-            capture=capture,
+            h, IGMatchConfig(seed=seed, split_stride=request.split_stride)
         )
     if algorithm == "ig-vote":
         return ig_vote(h, IGVoteConfig(seed=seed))
@@ -216,7 +208,7 @@ def run_partitioner(
 
 
 def _request_key(request: PartitionRequest) -> str:
-    """Canonical per-request artifact key within a serving session."""
+    """Canonical per-request payload key within a serving session."""
     import json
 
     return json.dumps(request.key_fields(), sort_keys=True)
@@ -446,17 +438,40 @@ class PartitionEngine:
         fields, see :func:`canonical_result_bytes`) to calling
         :func:`run_partitioner` directly — whether it was computed now,
         found in a cache tier, or joined onto an in-flight computation.
-
-        Every serve runs under a :class:`repro.obs.TraceCapture` keyed
-        by ``trace_id`` (minted here when the caller did not propagate
-        one from ingress): the request's spans and counters are
-        attributable to it, its latency is recorded in ``hists``, and a
-        request at or over ``slow.threshold_s`` leaves a full-trace
-        exemplar in the slow log — on errors too, with
-        ``source="error"``.
+        Either way the served payload becomes the session for the
+        returned fingerprint, which :meth:`partition_delta` edits.
         """
         key = request_fingerprint(h, request)
         self._count("service.requests")
+        return self._traced(
+            "service.request",
+            request,
+            key,
+            trace_id,
+            lambda: self._serve(h, request, key, use_cache),
+            fingerprint=key[:12],
+        )
+
+    def _traced(
+        self,
+        name: str,
+        request: PartitionRequest,
+        key: str,
+        trace_id: Optional[str],
+        serve: Callable[[], ServedResult],
+        **attrs: Any,
+    ) -> ServedResult:
+        """Run one serve as a traced request.
+
+        Every serve runs under a :class:`repro.obs.TraceCapture` keyed
+        by ``trace_id`` (minted here when the caller did not propagate
+        one from ingress), inside a span ``name``: the request's spans
+        and counters are attributable to it, its latency is recorded in
+        ``hists`` as ``<name>.duration_seconds``, and a request at or
+        over ``slow.threshold_s`` leaves a full-trace exemplar in the
+        slow log — on errors too, with ``source="error"`` and ``key``
+        (the fingerprint the request named) as its fingerprint.
+        """
         capture = obs.TraceCapture(
             trace_id, memprof=True if self.memprof else None
         )
@@ -464,16 +479,15 @@ class PartitionEngine:
         try:
             with capture:
                 with obs.span(
-                    "service.request",
-                    algorithm=request.algorithm,
-                    fingerprint=key[:12],
+                    name, algorithm=request.algorithm, **attrs
                 ) as sp:
-                    served = self._serve(h, request, key, use_cache, sp)
+                    served = serve()
+                    sp.set(source=served.source, cached=served.cached)
         finally:
             duration = capture.duration_s
             source = served.source if served is not None else "error"
             self.hists.observe(
-                "service.request.duration_seconds",
+                f"{name}.duration_seconds",
                 duration,
                 algorithm=request.algorithm,
                 source=source,
@@ -486,7 +500,7 @@ class PartitionEngine:
                             timespec="milliseconds"
                         ),
                         "algorithm": request.algorithm,
-                        "fingerprint": key,
+                        "fingerprint": served.fingerprint if served else key,
                         "duration_s": round(duration, 6),
                         "source": source,
                         "cached": served.cached if served else False,
@@ -509,73 +523,57 @@ class PartitionEngine:
         request: PartitionRequest,
         key: str,
         use_cache: bool,
-        sp: Any,
     ) -> ServedResult:
         """The cache → single-flight → compute body of one serve."""
-        if not use_cache or self.cache is None:
-            capture: Dict[str, Any] = {}
-            result = self._compute(h, request, capture=capture)
-            self._seed_session(
-                h, request, key, result_to_payload(result), capture
+        # Set exactly when the serve goes through the cache.
+        flight: Optional[_Flight] = None
+        if use_cache and self.cache is not None:
+            lookup_start = time.perf_counter()
+            payload, source = self.cache.lookup(key)
+            self.hists.observe(
+                "service.cache.lookup.duration_seconds",
+                time.perf_counter() - lookup_start,
+                outcome="miss" if payload is None else "hit",
             )
-            sp.set(source="computed", cached=False)
-            return ServedResult(result, key, False, "computed")
-
-        lookup_start = time.perf_counter()
-        payload, source = self.cache.lookup(key)
-        self.hists.observe(
-            "service.cache.lookup.duration_seconds",
-            time.perf_counter() - lookup_start,
-            outcome="miss" if payload is None else "hit",
-        )
-        if payload is not None:
-            self._count("service.cache.hit")
-            # Result-only session (no warm engine state): an FM delta
-            # on it still maps the prior sides; IG-Match runs cold.
-            if key not in self.sessions:
-                self.sessions.put(
-                    h=h,
-                    fingerprint=key,
-                    request_key=_request_key(request),
-                    artifacts=SessionArtifacts(payload=dict(payload)),
+            if payload is not None:
+                self._count("service.cache.hit")
+                self._seed_session(h, request, key, payload)
+                return ServedResult(
+                    payload_to_result(h, payload), key, True, source
                 )
-            sp.set(source=source, cached=True)
-            return ServedResult(
-                payload_to_result(h, payload), key, True, source
-            )
 
-        flight, owner = self._join_flight(key)
-        if not owner:
-            flight.event.wait()
-            if flight.error is not None:
-                raise flight.error
-            self._count("service.cache.hit")
-            self._count("service.cache.hit.inflight")
-            sp.set(source="inflight", cached=True)
-            assert flight.payload is not None
-            return ServedResult(
-                payload_to_result(h, flight.payload),
-                key,
-                True,
-                "inflight",
-            )
+            flight, owner = self._join_flight(key)
+            if not owner:
+                flight.event.wait()
+                if flight.error is not None:
+                    raise flight.error
+                self._count("service.cache.hit")
+                self._count("service.cache.hit.inflight")
+                assert flight.payload is not None
+                return ServedResult(
+                    payload_to_result(h, flight.payload),
+                    key,
+                    True,
+                    "inflight",
+                )
+            self._count("service.cache.miss")
 
         try:
-            self._count("service.cache.miss")
-            capture = {}
-            result = self._compute(h, request, capture=capture)
+            result = self._compute(h, request)
             payload = result_to_payload(result)
-            self.cache.put(key, payload)
-            self._seed_session(h, request, key, payload, capture)
-            flight.payload = payload
+            if flight is not None:
+                self.cache.put(key, payload)
+                flight.payload = payload
+            self._seed_session(h, request, key, payload)
         except BaseException as exc:
-            flight.error = exc
+            if flight is not None:
+                flight.error = exc
             raise
         finally:
-            with self._inflight_lock:
-                self._inflight.pop(key, None)
-            flight.event.set()
-        sp.set(source="computed", cached=False)
+            if flight is not None:
+                with self._inflight_lock:
+                    self._inflight.pop(key, None)
+                flight.event.set()
         return ServedResult(result, key, False, "computed")
 
     def _join_flight(self, key: str) -> Tuple[_Flight, bool]:
@@ -589,16 +587,11 @@ class PartitionEngine:
             return flight, True
 
     def _compute(
-        self,
-        h: Hypergraph,
-        request: PartitionRequest,
-        capture: Optional[Dict[str, Any]] = None,
+        self, h: Hypergraph, request: PartitionRequest
     ) -> PartitionResult:
         self._count("service.computed")
         start = time.perf_counter()
-        result = run_partitioner(
-            h, request, parallel=self.parallel, capture=capture,
-        )
+        result = run_partitioner(h, request, parallel=self.parallel)
         self.hists.observe(
             "service.compute.duration_seconds",
             time.perf_counter() - start,
@@ -612,15 +605,13 @@ class PartitionEngine:
         request: PartitionRequest,
         key: str,
         payload: Dict[str, Any],
-        capture: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Install full warm-start artifacts after a cold compute."""
-        artifacts = seed_artifacts(payload, capture)
+        """Install the served payload as the session for ``key``."""
         self.sessions.put(
             fingerprint=key,
             h=h,
             request_key=_request_key(request),
-            artifacts=artifacts,
+            payload=payload,
         )
 
     # ------------------------------------------------------------------
@@ -643,42 +634,25 @@ class PartitionEngine:
         hypergraph and warm-partitioning directly would produce; a
         no-op delta returns the session's prior answer verbatim.  The
         edited hypergraph becomes a new session under the returned
-        fingerprint, so clients chain deltas indefinitely.
+        fingerprint, so clients chain deltas indefinitely.  The serve
+        is traced like :meth:`partition`, under a ``service.delta``
+        span.
         """
         self._count("service.delta.requests")
-        capture = obs.TraceCapture(
-            trace_id, memprof=True if self.memprof else None
+        return self._traced(
+            "service.delta",
+            request,
+            base_fingerprint,
+            trace_id,
+            lambda: self._serve_delta(base_fingerprint, delta, request),
+            base=base_fingerprint[:12],
         )
-        served: Optional[ServedResult] = None
-        try:
-            with capture:
-                with obs.span(
-                    "service.delta",
-                    algorithm=request.algorithm,
-                    base=base_fingerprint[:12],
-                ) as sp:
-                    served = self._serve_delta(
-                        base_fingerprint, delta, request, sp
-                    )
-        finally:
-            duration = capture.duration_s
-            source = served.source if served is not None else "error"
-            self.hists.observe(
-                "service.delta.duration_seconds",
-                duration,
-                algorithm=request.algorithm,
-                source=source,
-            )
-        served.trace_id = capture.trace_id
-        served.duration_s = duration
-        return served
 
     def _serve_delta(
         self,
         base_fingerprint: str,
         delta: Any,
         request: PartitionRequest,
-        sp: Any,
     ) -> ServedResult:
         entry = self.sessions.get(base_fingerprint)
         if entry is None:
@@ -694,51 +668,37 @@ class PartitionEngine:
             d = delta
         else:
             d = NetlistDelta.from_doc(delta)
-        d.validate(base)
         application = d.apply_detailed(base)
         h2 = application.hypergraph
         new_key = request_fingerprint(h2, request)
         rkey = _request_key(request)
-        artifacts = entry.artifacts.get(rkey)
+        prior = entry.payloads.get(rkey)
 
-        if (
-            new_key == base_fingerprint
-            and artifacts is not None
-            and artifacts.payload
-        ):
+        if new_key == base_fingerprint and prior is not None:
             # No-op delta: the session's stored answer, verbatim.
             self._count("service.delta.noop")
             self._count("service.delta.warm")
-            sp.set(source="session", warm=True)
             return ServedResult(
-                payload_to_result(h2, artifacts.payload),
-                new_key,
-                True,
-                "session",
+                payload_to_result(h2, prior), new_key, True, "session"
             )
 
-        if artifacts is None:
-            artifacts = SessionArtifacts(payload={})
-        result, fresh, warm = warm_partition(
-            artifacts, application, request, parallel=self.parallel
+        result, payload, warm = warm_partition(
+            prior or {}, application, request, parallel=self.parallel
         )
         self._count("service.delta.warm" if warm else "service.delta.cold")
-        payload = result_to_payload(result)
-        fresh.payload = payload
         self.sessions.put(
             fingerprint=new_key,
             h=h2,
             request_key=rkey,
-            artifacts=fresh,
+            payload=payload,
         )
-        source = "delta-warm" if warm else "delta-cold"
-        sp.set(source=source, warm=warm)
         # Cache entries must stay byte-identical to cold serves.  A
         # delta-cold answer is a cold compute on the edited netlist, so
         # a later POST /partition of it can hit; a warm answer's
         # details (window, warm flag) differ, so it stays out.
         if not warm and self.cache is not None:
             self.cache.put(new_key, payload)
+        source = "delta-warm" if warm else "delta-cold"
         return ServedResult(result, new_key, False, source)
 
     # ------------------------------------------------------------------

@@ -67,6 +67,7 @@ import re
 import sys
 import threading
 import time
+from dataclasses import fields
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, FrozenSet, IO, Optional, Sequence, Tuple
@@ -88,7 +89,7 @@ __all__ = ["AccessLog", "create_server", "serve_main"]
 #: beyond any paper-scale netlist; it only guards the server's memory).
 _MAX_BODY_BYTES = 64 * 1024 * 1024
 
-_REQUEST_FIELDS = ("algorithm", "seed", "restarts", "split_stride", "starts")
+_REQUEST_FIELDS = tuple(f.name for f in fields(PartitionRequest))
 
 #: Every key a ``POST /partition`` body may carry.  Anything else is a
 #: 400 — silently ignoring a typo like ``retries`` would accept the

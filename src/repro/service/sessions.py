@@ -2,11 +2,12 @@
 
 A session is everything the engine needs to answer ``POST
 /partition/delta`` warm: the exact hypergraph a fingerprint names, and
-per-request warm-start artifacts
-(:class:`~repro.delta.warm.SessionArtifacts`) for each request shape
-already served on it.  Sessions are held in a :class:`SessionStore` —
-an LRU with TTL expiry and always-on memory accounting
-(``service.session.{entries,bytes,evictions}`` in ``/metrics``).
+the result payload served for each request shape on it (the warm paths
+read its ``sides`` and ``details.best_rank``, see
+:func:`~repro.delta.warm_partition`).  Sessions are held in a
+:class:`SessionStore` — an LRU with TTL expiry and always-on memory
+accounting (``service.session.{entries,bytes,evictions}`` in
+``/metrics``).
 
 Unlike the result cache (content-addressed, disk-spillable, shareable
 across processes), sessions hold live Python/numpy state and are
@@ -21,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
-from ..delta.warm import SessionArtifacts
 from ..errors import ReproError
 from ..hypergraph import Hypergraph
 
@@ -52,19 +52,20 @@ def _estimate_hypergraph_bytes(h: Hypergraph) -> int:
 
 @dataclass
 class SessionEntry:
-    """One live session: the hypergraph plus per-request artifacts."""
+    """One live session: the hypergraph plus per-request payloads."""
 
     hypergraph: Hypergraph
-    #: Warm-start artifacts keyed by the request's cache-key fields
-    #: (one session can serve ig-match and fm deltas independently).
-    artifacts: Dict[str, SessionArtifacts] = field(default_factory=dict)
+    #: Served payloads keyed by the request's cache-key fields (one
+    #: session can serve ig-match and fm deltas independently).
+    payloads: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     created_at: float = 0.0
     touched_at: float = 0.0
 
     def estimated_bytes(self) -> int:
         total = _estimate_hypergraph_bytes(self.hypergraph)
-        for art in self.artifacts.values():
-            total += art.estimated_bytes()
+        for payload in self.payloads.values():
+            # The sides list dominates a payload.
+            total += 256 + 8 * len(payload.get("sides", ()))
         return total
 
 
@@ -132,12 +133,12 @@ class SessionStore:
         fingerprint: str,
         h: Hypergraph,
         request_key: str,
-        artifacts: SessionArtifacts,
+        payload: Dict[str, Any],
     ) -> SessionEntry:
         """Install (or refresh) the session for ``fingerprint``.
 
         An existing session for the same fingerprint gains the new
-        request's artifacts; otherwise a new entry is created, evicting
+        request's payload; otherwise a new entry is created, evicting
         the least-recently-used session when over capacity.
         """
         now = self._clock()
@@ -152,7 +153,7 @@ class SessionStore:
                     hypergraph=h, created_at=now, touched_at=now
                 )
                 self._entries[fingerprint] = entry
-            entry.artifacts[request_key] = artifacts
+            entry.payloads[request_key] = payload
             self._bytes += entry.estimated_bytes()
             while len(self._entries) > self.capacity:
                 oldest_fp = next(iter(self._entries))

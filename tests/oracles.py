@@ -193,9 +193,7 @@ def replay(h, order, stride=1, warm=None, repeat=()):
     n = h.num_nets
     start, stop = 0, n - 1
     if warm is not None:
-        matcher.jump_start(
-            [order[i] for i in range(warm.lo - 1)], warm.matching_seed
-        )
+        matcher.jump_start([order[i] for i in range(warm.lo - 1)])
         start, stop = warm.lo - 1, warm.hi
     previous = [VertexClass.EVEN_L] * n
     tally = None

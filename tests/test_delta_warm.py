@@ -10,7 +10,9 @@ and ``csr``, see :func:`tests.oracles.pipeline`).
   the base serve;
 * a delta with no warm state to start from is served cold, byte-equal
   to a cold serve of the edited netlist, and seeds the next delta; the
-  result cache holds that cold answer, never a warm one.
+  result cache holds that cold answer, never a warm one;
+* a session seeded from a result-cache hit serves a delta exactly as a
+  session seeded by a compute does.
 """
 
 import json
@@ -23,7 +25,6 @@ from repro.delta import (
     NetlistDelta,
     dumps_delta,
     random_delta,
-    seed_artifacts,
     warm_partition,
 )
 from repro.partitioning import IGMatchConfig, ig_match_sweep
@@ -48,11 +49,9 @@ def _request(algorithm):
     return PartitionRequest(algorithm=algorithm, seed=0)
 
 
-def _direct_artifacts(h, request):
-    """Seed artifacts exactly as a cold engine serve would."""
-    capture = {}
-    result = run_partitioner(h, request, capture=capture)
-    return result, seed_artifacts(result_to_payload(result), capture)
+def _direct_payload(h, request):
+    """The payload a cold engine serve stores in its session."""
+    return result_to_payload(run_partitioner(h, request))
 
 
 class TestWarmSweep:
@@ -63,16 +62,13 @@ class TestWarmSweep:
         h = _base(seed=9)
         config = IGMatchConfig(seed=0)
         with pipeline(implementation):
-            cold_capture = {}
-            cold_evals, cold_part = ig_match_sweep(
-                h, config, capture=cold_capture
-            )
-            best_rank = cold_capture["best_rank"]
+            cold_evals, cold_part = ig_match_sweep(h, config)
+            best_rank = min(
+                cold_evals, key=lambda e: (e.ratio_cut, e.rank)
+            ).rank
             lo = max(1, best_rank - 8)
             hi = min(h.num_nets - 1, best_rank + 8)
-            warm = SweepWarmStart(
-                lo=lo, hi=hi, matching_seed=cold_capture["matching"]
-            )
+            warm = SweepWarmStart(lo=lo, hi=hi)
             warm_evals, warm_part = ig_match_sweep(h, config, warm=warm)
         cold_by_rank = {e.rank: e for e in cold_evals}
         assert warm_evals, "warm sweep evaluated nothing"
@@ -99,29 +95,6 @@ class TestWarmSweep:
                 warm=SweepWarmStart(lo=0, hi=5),
             )
 
-    def test_seedless_warm_start_equals_seeded(self):
-        h = _base(seed=9)
-        config = IGMatchConfig(seed=0)
-        capture = {}
-        ig_match_sweep(h, config, capture=capture)
-        rank = capture["best_rank"]
-        lo, hi = max(1, rank - 4), min(h.num_nets - 1, rank + 4)
-        seeded, _ = ig_match_sweep(
-            h,
-            config,
-            warm=SweepWarmStart(
-                lo=lo, hi=hi, matching_seed=capture["matching"]
-            ),
-        )
-        unseeded, _ = ig_match_sweep(
-            h, config, warm=SweepWarmStart(lo=lo, hi=hi)
-        )
-        assert [
-            (e.rank, e.ratio_cut, e.matching_size) for e in seeded
-        ] == [
-            (e.rank, e.ratio_cut, e.matching_size) for e in unseeded
-        ]
-
 
 class TestWarmPartition:
     @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
@@ -139,10 +112,10 @@ class TestWarmPartition:
             served = engine.partition_delta(
                 base_served.fingerprint, doc, request
             )
-            _result, artifacts = _direct_artifacts(h, request)
+            payload = _direct_payload(h, request)
             application = NetlistDelta.from_doc(doc).apply_detailed(h)
             direct, _fresh, warm = warm_partition(
-                artifacts, application, request
+                payload, application, request
             )
         assert warm
         assert served.source == "delta-warm"
@@ -174,17 +147,17 @@ class TestWarmPartition:
     def test_non_warm_algorithm_falls_back_cold(self):
         h = _base(seed=4)
         request = _request("eig1")
-        _result, artifacts = _direct_artifacts(h, request)
+        payload = _direct_payload(h, request)
         delta = random_delta(h, random.Random(2))
         application = delta.apply_detailed(h)
         result, _fresh, warm = warm_partition(
-            artifacts, application, request
+            payload, application, request
         )
         assert not warm
         assert result.partition is not None
 
     def test_fm_delta_on_ig_match_session_serves_cold(self):
-        # The session holds only ig-match artifacts, so FM has no sides
+        # The session holds only an ig-match payload, so FM has no sides
         # to warm-start from and must fall back to a cold run.
         h = build_circuit("Test02", seed=0, scale=0.05)
         delta = random_delta(h, random.Random(1), module_churn=False)
@@ -201,7 +174,7 @@ class TestWarmPartition:
         )
 
     def test_ig_match_delta_on_fm_session_serves_cold_then_warm(self):
-        # The session holds no IG-Match sweep artifacts (no best rank to
+        # The session holds no IG-Match payload (no best rank to
         # centre a window on), so the delta runs cold, answers as a cold
         # serve would, and seeds the next delta's warm start.
         h = build_circuit("Test02", seed=0, scale=0.05)
@@ -257,20 +230,42 @@ class TestWarmPartition:
         )
         assert not cold.cached and cold.source == "computed"
 
+    def test_cache_seeded_session_serves_a_delta_like_a_computed_one(self):
+        # The second engine's base serve is a result-cache hit, so its
+        # session holds the same payload bytes as the first engine's
+        # computed one, and the delta must warm-start the same way.
+        h = build_circuit("Test02", seed=0, scale=0.3)
+        delta = random_delta(h, random.Random(1), module_churn=False)
+        request = _request("ig-match")
+        cache = ResultCache(use_disk=False)
+        served = []
+        for expected_source in ("computed", "memory"):
+            engine = PartitionEngine(cache=cache)
+            base = engine.partition(h, request)
+            assert base.source == expected_source
+            served.append(
+                engine.partition_delta(base.fingerprint, delta, request)
+            )
+        computed, seeded = served
+        assert seeded.source == computed.source == "delta-warm"
+        assert canonical_result_bytes(
+            seeded.result
+        ) == canonical_result_bytes(computed.result)
+
     @pytest.mark.parametrize("algorithm", ["ig-match", "fm"])
     def test_quality_no_worse_over_a_chain(self, algorithm):
         h = _base(seed=17)
         request = _request(algorithm)
         rng = random.Random(5)
-        _result, artifacts = _direct_artifacts(h, request)
+        payload = _direct_payload(h, request)
         for _ in range(4):
             delta = random_delta(h, rng, module_churn=False)
             application = delta.apply_detailed(h)
-            result, fresh, warm = warm_partition(
-                artifacts, application, request
+            result, payload, warm = warm_partition(
+                payload, application, request
             )
             assert warm
+            assert payload == result_to_payload(result)
             cold = run_partitioner(application.hypergraph, request)
             assert result.ratio_cut <= cold.ratio_cut
-            fresh.payload = result_to_payload(result)
-            h, artifacts = application.hypergraph, fresh
+            h = application.hypergraph

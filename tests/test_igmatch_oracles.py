@@ -1,19 +1,15 @@
 """Differential tests: the IG-Match sweep's maintained state against
 from-scratch oracles at every evaluated split (see
 :func:`tests.oracles.replay`), over random move orders, split strides
-and mid-sweep jump starts with stale seeds.
+and mid-sweep jump starts.
 """
 
 from __future__ import annotations
-
-import random
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.hypergraph import Hypergraph
-from repro.intersection import intersection_graph
-from repro.matching import IncrementalMatching
 from repro.partitioning.igmatch import SweepWarmStart
 from tests.oracles import bits, replay
 from tests.strategies import adversarial_csr_hypergraphs, hypergraphs
@@ -57,25 +53,14 @@ def test_adversarial_hypergraphs_match_oracles(h, stride, data):
     h=hypergraphs(min_nets=3, max_modules=12, max_nets=16),
     data=st.data(),
 )
-def test_jump_start_with_stale_seed(h, data):
-    """A mid-sweep jump start seeded with the matching of a *different*
-    split (so some pairs no longer fit) plus pairs that never did."""
+def test_mid_sweep_jump_start(h, data):
+    """A jump start to any split ``lo``: the window's evaluations equal
+    the cold sweep's at the same ranks."""
     n = h.num_nets
     order = data.draw(st.permutations(range(n)))
     lo = data.draw(st.integers(1, n - 1))
     hi = data.draw(st.integers(lo, n - 1))
-    stale_rank = data.draw(st.integers(0, n - 1))
-    source = IncrementalMatching(intersection_graph(h, "paper"))
-    for net in order[:stale_rank]:
-        source.move_to_right(net)
-    seed = [(v, p) for v, p in source.matching_dict().items() if v < p]
-    seed += data.draw(
-        st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)),
-                 max_size=3)
-    )
-    random.Random(stale_rank).shuffle(seed)
-    warm = SweepWarmStart(lo=lo, hi=hi, matching_seed=tuple(seed))
-    warm_evaluations = replay(h, order, warm=warm)
+    warm_evaluations = replay(h, order, warm=SweepWarmStart(lo=lo, hi=hi))
     cold = {e.rank: bits(e) for e in replay(h, order)}
     assert [bits(e) for e in warm_evaluations] == [
         cold[e.rank] for e in warm_evaluations

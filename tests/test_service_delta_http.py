@@ -24,8 +24,7 @@ from tests.test_service_http import call
 
 @pytest.fixture
 def server():
-    # No result cache: every base serve computes, so sessions always
-    # carry full warm-start artifacts.
+    # No result cache, so every base serve computes.
     srv = create_server(engine=PartitionEngine())
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()

@@ -10,6 +10,7 @@ that trace id whose span tree names the compute phases that served it.
 import io
 import json
 import math
+import random
 import threading
 import time
 import urllib.error
@@ -18,6 +19,7 @@ import urllib.request
 import pytest
 
 from repro import obs
+from repro.delta import random_delta
 from repro.hypergraph import to_json
 from repro.service import (
     AccessLog,
@@ -349,6 +351,25 @@ class TestSlowLog:
         entry = engine.slow.entries()[0]
         assert entry["source"] == "error"
         merged = engine.hists.merged("service.request.duration_seconds")
+        assert merged.count == 1
+
+    def test_slow_delta_leaves_exemplar(self, h):
+        # partition and partition_delta share one traced serve, so a
+        # delta over the threshold is recorded like any other request.
+        engine = PartitionEngine(slow_threshold_s=0.0)
+        request = PartitionRequest("fm", seed=0)
+        base = engine.partition(h, request)
+        assert len(engine.slow) == 1
+        served = engine.partition_delta(
+            base.fingerprint, random_delta(h, random.Random(3)), request
+        )
+        assert len(engine.slow) == 2
+        entry = engine.slow.entries()[0]
+        assert entry["trace_id"] == served.trace_id
+        assert entry["source"] == served.source == "delta-warm"
+        assert entry["fingerprint"] == served.fingerprint
+        assert [node["name"] for node in entry["spans"]] == ["service.delta"]
+        merged = engine.hists.merged("service.delta.duration_seconds")
         assert merged.count == 1
 
     def test_exemplar_carries_memory_snapshot(self, h):

@@ -5,7 +5,6 @@ Every test injects a fake clock so expiry is deterministic.
 
 import pytest
 
-from repro.delta import SessionArtifacts
 from repro.hypergraph import Hypergraph
 from repro.service.sessions import SessionMissError, SessionStore
 
@@ -32,8 +31,8 @@ def _h(tag=0):
     )
 
 
-def _art(payload=None):
-    return SessionArtifacts(payload=payload or {"sides": [0, 1, 0]})
+def _payload(sides=(0, 1, 0)):
+    return {"sides": list(sides)}
 
 
 def _store(clock, capacity=3, ttl_s=100.0):
@@ -43,25 +42,25 @@ def _store(clock, capacity=3, ttl_s=100.0):
 class TestBasics:
     def test_put_get_round_trip(self, clock):
         store = _store(clock)
-        store.put("fp1", _h(), "req", _art())
+        store.put("fp1", _h(), "req", _payload())
         entry = store.get("fp1")
         assert entry is not None
-        assert entry.artifacts["req"].payload["sides"] == [0, 1, 0]
+        assert entry.payloads["req"]["sides"] == [0, 1, 0]
 
     def test_miss_returns_none(self, clock):
         assert _store(clock).get("ghost") is None
 
-    def test_put_same_fingerprint_merges_request_artifacts(self, clock):
+    def test_put_same_fingerprint_merges_request_payloads(self, clock):
         store = _store(clock)
-        store.put("fp1", _h(), "ig", _art())
-        store.put("fp1", _h(), "fm", _art({"sides": [1, 0, 1]}))
+        store.put("fp1", _h(), "ig", _payload())
+        store.put("fp1", _h(), "fm", _payload((1, 0, 1)))
         entry = store.get("fp1")
-        assert set(entry.artifacts) == {"ig", "fm"}
+        assert set(entry.payloads) == {"ig", "fm"}
         assert len(store) == 1
 
     def test_contains_has_no_stats_side_effects(self, clock):
         store = _store(clock)
-        store.put("fp1", _h(), "req", _art())
+        store.put("fp1", _h(), "req", _payload())
         assert "fp1" in store
         assert "ghost" not in store
         stats = store.stats_dict()
@@ -78,19 +77,19 @@ class TestBasics:
 class TestLRU:
     def test_capacity_evicts_least_recently_used(self, clock):
         store = _store(clock, capacity=2)
-        store.put("a", _h(), "r", _art())
-        store.put("b", _h(), "r", _art())
+        store.put("a", _h(), "r", _payload())
+        store.put("b", _h(), "r", _payload())
         store.get("a")  # "b" is now the LRU entry
-        store.put("c", _h(), "r", _art())
+        store.put("c", _h(), "r", _payload())
         assert "a" in store and "c" in store
         assert "b" not in store
         assert store.stats_dict()["service.session.evictions"] == 1
 
     def test_put_refresh_does_not_evict(self, clock):
         store = _store(clock, capacity=2)
-        store.put("a", _h(), "r", _art())
-        store.put("b", _h(), "r", _art())
-        store.put("a", _h(), "r2", _art())
+        store.put("a", _h(), "r", _payload())
+        store.put("b", _h(), "r", _payload())
+        store.put("a", _h(), "r2", _payload())
         assert len(store) == 2
         assert store.stats_dict()["service.session.evictions"] == 0
 
@@ -98,7 +97,7 @@ class TestLRU:
 class TestTTL:
     def test_expiry_on_get(self, clock):
         store = _store(clock, ttl_s=10.0)
-        store.put("a", _h(), "r", _art())
+        store.put("a", _h(), "r", _payload())
         clock.advance(10.1)
         assert store.get("a") is None
         stats = store.stats_dict()
@@ -107,7 +106,7 @@ class TestTTL:
 
     def test_touch_extends_lifetime(self, clock):
         store = _store(clock, ttl_s=10.0)
-        store.put("a", _h(), "r", _art())
+        store.put("a", _h(), "r", _payload())
         clock.advance(6.0)
         assert store.get("a") is not None
         clock.advance(6.0)  # 12s after put, 6s after touch
@@ -115,9 +114,9 @@ class TestTTL:
 
     def test_sweep_expires_and_reports_live_count(self, clock):
         store = _store(clock, ttl_s=10.0)
-        store.put("a", _h(), "r", _art())
+        store.put("a", _h(), "r", _payload())
         clock.advance(5.0)
-        store.put("b", _h(), "r", _art())
+        store.put("b", _h(), "r", _payload())
         clock.advance(6.0)  # "a" is 11s old, "b" 6s
         assert store.sweep() == 1
         assert "b" in store and "a" not in store
@@ -127,22 +126,22 @@ class TestAccounting:
     def test_bytes_track_entries(self, clock):
         store = _store(clock)
         assert store.stats_dict()["service.session.bytes"] == 0
-        store.put("a", _h(), "r", _art())
+        store.put("a", _h(), "r", _payload())
         grown = store.stats_dict()["service.session.bytes"]
         assert grown > 0
-        store.put("b", _h(), "r", _art())
+        store.put("b", _h(), "r", _payload())
         assert store.stats_dict()["service.session.bytes"] > grown
 
     def test_bytes_return_after_eviction(self, clock):
         store = _store(clock, capacity=1)
-        store.put("a", _h(), "r", _art())
+        store.put("a", _h(), "r", _payload())
         only_a = store.stats_dict()["service.session.bytes"]
-        store.put("b", _h(), "r", _art())
+        store.put("b", _h(), "r", _payload())
         assert store.stats_dict()["service.session.bytes"] == only_a
 
     def test_hit_miss_counters(self, clock):
         store = _store(clock)
-        store.put("a", _h(), "r", _art())
+        store.put("a", _h(), "r", _payload())
         store.get("a")
         store.get("a")
         store.get("ghost")

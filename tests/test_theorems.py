@@ -97,15 +97,14 @@ class TestTheorems4And5:
         data=st.data(),
     )
     def test_loser_bound_warm_window(self, h, data):
-        """A window around a cold run's best split, jump-started from
-        the matching that run captured there."""
-        capture = {}
-        _, partition = ig_match_sweep(h, IGMatchConfig(), capture=capture)
+        """A window around a cold run's best split, the matcher jumped
+        to the window's first split."""
+        evaluations, partition = ig_match_sweep(h, IGMatchConfig())
         assume(partition is not None)
-        best = capture["best_rank"]
+        best = min(evaluations, key=lambda e: (e.ratio_cut, e.rank)).rank
         lo = data.draw(st.integers(1, best))
         hi = data.draw(st.integers(best, h.num_nets - 1))
-        warm = SweepWarmStart(lo=lo, hi=hi, matching_seed=capture["matching"])
+        warm = SweepWarmStart(lo=lo, hi=hi)
         evaluations, _ = ig_match_sweep(h, IGMatchConfig(), warm=warm)
         assert best in [e.rank for e in evaluations]
         for e in evaluations:
