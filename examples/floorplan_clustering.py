@@ -63,23 +63,6 @@ def main() -> None:
           f"y-axis {placement.eigenvalues[1]:.4f} "
           "(the two smallest nontrivial Laplacian eigenvalues)")
 
-    # 4. For contrast: a full module-level min-cut placement with
-    #    terminal propagation, scored by HPWL.
-    from repro import hpwl, mincut_placement
-
-    detailed = mincut_placement(circuit, levels=3)
-    import random as _random
-
-    rng = _random.Random(0)
-    grid = detailed.grid
-    random_positions = [
-        ((rng.randrange(grid) + 0.5) / grid,
-         (rng.randrange(grid) + 0.5) / grid)
-        for _ in range(circuit.num_modules)
-    ]
-    print(f"\nmodule-level min-cut placement on an {grid}x{grid} grid: "
-          f"HPWL {detailed.wirelength:.1f} vs random {hpwl(circuit, random_positions):.1f}")
-
 
 if __name__ == "__main__":
     main()

@@ -77,7 +77,6 @@ from .partitioning import (
     recursive_partition,
     refine,
 )
-from .placement import MincutPlacement, hpwl, mincut_placement
 from .spectral import fiedler_vector, spectral_ordering
 from . import service
 
@@ -97,7 +96,6 @@ __all__ = [
     "IGVoteConfig",
     "KLConfig",
     "MatchingError",
-    "MincutPlacement",
     "MultilevelConfig",
     "MultiwayResult",
     "ParseError",
@@ -120,7 +118,6 @@ __all__ = [
     "generate_hierarchical",
     "get_model",
     "get_spec",
-    "hpwl",
     "ig_match",
     "ig_vote",
     "intersection_graph",
@@ -129,7 +126,6 @@ __all__ = [
     "laplacian_matrix",
     "load_json",
     "load_net",
-    "mincut_placement",
     "multilevel_partition",
     "obs",
     "rcut",

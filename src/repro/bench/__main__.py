@@ -19,9 +19,10 @@ kinds:
 * ``--eco-scenario`` (``eco``) — chained ECO deltas served warm and
   cold (:mod:`repro.bench.eco_scenario`, ``docs/eco.md``);
 * ``--cache-scenario`` (``cache``) — one circuit served cold, then from
-  the cache (:mod:`repro.bench.cache_scenario`);
-* ``--serving-scenario`` (``serving``) — a short gated load run against
-  a private server (:mod:`repro.loadgen`, ``docs/loadtest.md``).
+  the cache (:mod:`repro.bench.cache_scenario`).
+
+The fifth kind, ``serving``, comes from ``repro-loadgen``
+(:mod:`repro.loadgen`, ``docs/loadtest.md``).
 
 Exit codes: 0 ok; 1 a check failed, a gated metric regressed under
 ``--fail-on-regress``, or the run failed; 2 bad invocation, an
@@ -175,21 +176,6 @@ def _cache(args) -> Producer:
     )
 
 
-def _serving(args) -> Producer:
-    from ..loadgen import run_serving_scenario
-    from ..loadgen.slo import parse_slo
-
-    slo = parse_slo(args.slo) if args.slo else None
-    return lambda: run_serving_scenario(
-        duration_s=args.serving_duration,
-        concurrency=args.serving_concurrency,
-        mix=args.serving_mix,
-        seed=args.seed,
-        slo=slo,
-        scale=min(args.scale, 0.2),
-    )[0]
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -230,8 +216,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--out", metavar="PATH", default=None,
         help="output JSON path (default BENCH_<kind>.json: BENCH_obs.json "
-        "for the suite, BENCH_scale/eco/cache/serving.json for the "
-        "other modes)",
+        "for the suite, BENCH_scale/eco/cache.json for the other "
+        "modes)",
     )
     parser.add_argument(
         "--compare", metavar="BASELINE",
@@ -321,31 +307,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "the gate trips; widened automatically by the fits' standard "
         "errors (default 0.2)",
     )
-    parser.add_argument(
-        "--serving-scenario", action="store_true",
-        help="run a short gated load test instead of the suite: boot a "
-        "private in-process server, drive a mixed closed-loop workload "
-        "with repro.loadgen, cross-check client records against the "
-        "server's /metrics deltas, and evaluate --slo",
-    )
-    parser.add_argument(
-        "--serving-duration", type=float, default=3.0, metavar="SECONDS",
-        help="with --serving-scenario: load duration (default 3)",
-    )
-    parser.add_argument(
-        "--serving-concurrency", type=int, default=4, metavar="N",
-        help="with --serving-scenario: closed-loop workers (default 4)",
-    )
-    parser.add_argument(
-        "--serving-mix", default="igmatch=0.5,fm=0.3,eig1=0.2",
-        metavar="ALG=W,...",
-        help="with --serving-scenario: algorithm traffic mix",
-    )
-    parser.add_argument(
-        "--slo", default=None, metavar="OBJ=TARGET,...",
-        help="with --serving-scenario: SLO objectives, e.g. "
-        "p99=2.0,error_rate=0.01 (failing one exits nonzero)",
-    )
     args = parser.parse_args(argv)
 
     if args.list:
@@ -358,8 +319,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         kind, mode = "eco", _eco
     elif args.scale_curve:
         kind, mode = "scale", _scale_curve
-    elif args.serving_scenario:
-        kind, mode = "serving", _serving
     else:
         kind, mode = "obs", _suite
     try:

@@ -33,6 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import DeltaError
 from ..hypergraph import Hypergraph
+from ..hypergraph.io import json_int
 
 __all__ = [
     "DELTA_FORMAT",
@@ -51,6 +52,16 @@ __all__ = [
 PathLike = Union[str, Path]
 
 DELTA_FORMAT = "repro-netlist-delta-v1"
+
+
+def _json_index(value, what: str) -> Optional[int]:
+    """An optional wire-format index: ``None`` or a JSON integer."""
+    return None if value is None else json_int(value, what, DeltaError)
+
+
+def _json_indices(values, what: str) -> Tuple[int, ...]:
+    """A wire-format index list; every entry must be a JSON integer."""
+    return tuple(json_int(v, what, DeltaError) for v in values)
 
 
 @dataclass(frozen=True)
@@ -87,7 +98,7 @@ class ModuleAdd:
         return cls(
             name=doc.get("name"),
             area=float(doc.get("area", 1.0)),
-            index=None if doc.get("index") is None else int(doc["index"]),
+            index=_json_index(doc.get("index"), "add_modules index"),
         )
 
 
@@ -125,10 +136,10 @@ class NetAdd:
         if "pins" not in doc:
             raise DeltaError("add_nets entry missing 'pins'")
         return cls(
-            pins=tuple(int(p) for p in doc["pins"]),
+            pins=_json_indices(doc["pins"], "add_nets pin"),
             name=doc.get("name"),
             weight=None if doc.get("weight") is None else float(doc["weight"]),
-            index=None if doc.get("index") is None else int(doc["index"]),
+            index=_json_index(doc.get("index"), "add_nets index"),
         )
 
 
@@ -540,16 +551,23 @@ class NetlistDelta:
 
         try:
             return cls(
-                remove_modules=tuple(doc.get("remove_modules", ())),
+                remove_modules=_json_indices(
+                    doc.get("remove_modules", ()), "remove_modules entry"
+                ),
                 add_modules=tuple(
                     ModuleAdd.from_doc(e) for e in doc.get("add_modules", ())
                 ),
                 set_module_areas=_int_keyed("set_module_areas"),
-                remove_nets=tuple(doc.get("remove_nets", ())),
+                remove_nets=_json_indices(
+                    doc.get("remove_nets", ()), "remove_nets entry"
+                ),
                 add_nets=tuple(
                     NetAdd.from_doc(e) for e in doc.get("add_nets", ())
                 ),
-                set_pins=_int_keyed("set_pins"),
+                set_pins={
+                    k: _json_indices(v, f"set_pins[{k}] pin")
+                    for k, v in _int_keyed("set_pins").items()
+                },
                 set_net_weights=_int_keyed("set_net_weights"),
             )
         except (TypeError, ValueError) as exc:

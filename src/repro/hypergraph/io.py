@@ -18,14 +18,16 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from pathlib import Path
-from typing import List, Mapping, Union
+from typing import Any, List, Mapping, Type, Union
 
-from ..errors import ParseError
+from ..errors import ParseError, ReproError
 from .builder import HypergraphBuilder
 from .hypergraph import Hypergraph
 
 __all__ = [
+    "json_int",
     "to_json",
     "from_json",
     "save_json",
@@ -44,6 +46,21 @@ _JSON_FORMAT = "repro-hypergraph-v1"
 # ----------------------------------------------------------------------
 # JSON
 # ----------------------------------------------------------------------
+def json_int(
+    value: Any, what: str, error: Type[ReproError] = ParseError
+) -> int:
+    """``value``, read from a JSON document as an index or a count.
+
+    Only an integer passes.  ``json`` also yields bools, floats
+    (``2.5``, ``Infinity``) and strings, which ``int()`` would truncate,
+    coerce or fail on with ``OverflowError``; each raises ``error``
+    naming ``what`` instead.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
 def to_json(h: Hypergraph) -> dict:
     """Serialise ``h`` to a JSON-compatible dictionary."""
     doc = {
@@ -69,7 +86,8 @@ def from_json(doc: Mapping) -> Hypergraph:
     """Rebuild a hypergraph from :func:`to_json` output.
 
     A document that is not an object, lacks a required key, or holds
-    values of the wrong type raises :class:`ParseError`.
+    values of the wrong type raises :class:`ParseError`; pins and
+    ``num_modules`` must be JSON integers (:func:`json_int`).
     """
     if not isinstance(doc, Mapping):
         raise ParseError(
@@ -83,8 +101,11 @@ def from_json(doc: Mapping) -> Hypergraph:
         )
     try:
         return Hypergraph(
-            doc["nets"],
-            num_modules=doc["num_modules"],
+            [
+                [json_int(p, f"net {j} pin") for p in net]
+                for j, net in enumerate(doc["nets"])
+            ],
+            num_modules=json_int(doc["num_modules"], "num_modules"),
             module_names=doc.get("module_names"),
             net_names=doc.get("net_names"),
             module_areas=doc.get("module_areas"),

@@ -1,42 +1,38 @@
-"""repro.loadgen — workload-model load generation for the serving layer.
+"""repro.loadgen — closed-loop load generation for the serving layer.
 
-The measurement harness that makes the serving stack's throughput
-claims falsifiable.  A load run is built from four deterministic
-pieces plus one honest clock:
+The measurement harness behind CI's serving gate.  A load run is built
+from deterministic pieces plus one honest clock:
 
-* a **corpus** (:mod:`repro.loadgen.corpus`) of generated netlists —
-  distinct base circuits plus *relabeled isomorphic duplicates* (same
-  :func:`repro.service.canonical_fingerprint`, different exact
-  fingerprint), so runs quantify how much a canonical-fingerprint
-  cache tier would save;
-* a **workload model** (:mod:`repro.loadgen.workload`) — closed-loop
-  fixed-concurrency or open-loop Poisson arrivals — whose request
-  schedule (algorithm mix, zipf-repeated corpus draws, arrival times)
-  is a pure function of a seed via
-  :func:`repro.parallel.spawn_seeds`;
-* a threaded stdlib **HTTP client** (:mod:`repro.loadgen.client`)
-  recording per-request latency/status/trace-id/cache-provenance into
+* a **corpus** (:mod:`repro.loadgen.corpus`) of distinct generated
+  netlists, each serialised once;
+* a **workload** (:mod:`repro.loadgen.workload`) whose request schedule
+  (algorithm mix, zipf-repeated corpus draws) is a pure function of a
+  seed via :func:`repro.parallel.spawn_seeds`;
+* a threaded stdlib **HTTP client** (:mod:`repro.loadgen.client`) that
+  sends the schedule from ``concurrency`` closed-loop workers and
+  records per-request latency/status/trace-id/cache-provenance into
   client-side :class:`repro.obs.HistogramSet` histograms;
 * a declarative **SLO spec** (:mod:`repro.loadgen.slo`) evaluated
   with the noise-aware verdict thresholds from :mod:`repro.obs.diff`;
 * a **server cross-check** and the ``serving`` bench payload
-  (:mod:`repro.loadgen.report`): ``/metrics`` is scraped (and
-  validated with :func:`repro.obs.parse_prometheus_text`) before and
-  after the run, and the server-side histogram ``_count`` deltas and
-  cache hit/miss counters must account for exactly the requests the
-  client sent — 503 draining rejections accounted separately from
-  errors.
+  (:mod:`repro.loadgen.report`): ``/metrics`` is scraped (its
+  Prometheus form validated with :func:`repro.obs.parse_prometheus_text`)
+  before and after the run, and the server-side histogram ``_count``
+  deltas and cache hit/miss counters must account for exactly the
+  requests the client sent — 503 draining rejections accounted
+  separately from errors.
 
 ``repro-loadgen`` (:mod:`repro.loadgen.__main__`) drives a run end to
 end and writes ``BENCH_serving.json`` plus markdown/HTML reports via
-:func:`repro.obs.render.publish`.  See ``docs/loadtest.md``.
+:func:`repro.obs.render.publish`; it is the one producer of that
+payload.  See ``docs/loadtest.md``.
 """
 
 from .client import LoadClient, LoadResult, RequestRecord, scrape_metrics
 from .corpus import Corpus, CorpusEntry, build_corpus
 from .report import build_payload, crosscheck
 from .scenario import run_serving_scenario
-from .slo import SLOSpec, evaluate_slo, parse_slo, slo_ok
+from .slo import SLOSpec, evaluate_slo, parse_slo
 from .workload import (
     ALGORITHM_ALIASES,
     RequestSpec,
@@ -63,6 +59,5 @@ __all__ = [
     "parse_slo",
     "run_serving_scenario",
     "scrape_metrics",
-    "slo_ok",
     "zipf_weights",
 ]

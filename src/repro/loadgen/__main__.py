@@ -40,8 +40,8 @@ EXIT_USAGE = 2
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-loadgen",
-        description="Workload-model load generation against repro-serve: "
-        "deterministic schedules, SLO verdicts, and a client/server "
+        description="Closed-loop load generation against repro-serve: "
+        "a deterministic schedule, SLO verdicts, and a client/server "
         "metrics cross-check.",
     )
     parser.add_argument(
@@ -59,17 +59,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="how long to offer load (default 10)",
     )
     parser.add_argument(
-        "--model", choices=("closed", "open"), default="closed",
-        help="closed = fixed-concurrency loop, open = Poisson arrivals "
-        "(default closed)",
-    )
-    parser.add_argument(
         "--concurrency", type=int, default=8, metavar="N",
         help="closed-loop worker count (default 8)",
-    )
-    parser.add_argument(
-        "--rate", type=float, default=10.0, metavar="RPS",
-        help="open-loop Poisson arrival rate per second (default 10)",
     )
     parser.add_argument(
         "--mix", default=DEFAULT_MIX, metavar="ALG=W,...",
@@ -94,21 +85,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="distinct base netlists in the corpus (default 3)",
     )
     parser.add_argument(
-        "--isomorphs", type=int, default=2, metavar="N",
-        help="relabeled isomorphic duplicates in the corpus (default 2)",
-    )
-    parser.add_argument(
         "--scale", type=float, default=0.15,
         help="corpus circuit size scale factor (default 0.15)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=120.0, metavar="SECONDS",
-        help="per-request HTTP timeout (default 120)",
-    )
-    parser.add_argument(
-        "--settle-timeout", type=float, default=10.0, metavar="SECONDS",
-        help="how long to wait for server-side counts to settle before "
-        "the cross-check (default 10)",
     )
     parser.add_argument(
         "--output", "-o", default="BENCH_serving.json", metavar="PATH",
@@ -135,18 +113,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         payload, _result = run_serving_scenario(
             base_url=None if args.self_serve else args.url,
             duration_s=args.duration,
-            model=args.model,
             concurrency=args.concurrency,
-            rate=args.rate,
             mix=args.mix,
             zipf_s=args.zipf,
             seed=args.seed,
             slo=slo,
             distinct=args.distinct,
-            isomorphs=args.isomorphs,
             scale=args.scale,
-            timeout_s=args.timeout,
-            settle_timeout_s=args.settle_timeout,
         )
     except ReproError as exc:
         print(f"repro-loadgen: {exc}", file=sys.stderr)

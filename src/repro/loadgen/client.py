@@ -2,9 +2,9 @@
 
 :class:`LoadClient` drives a :class:`repro.loadgen.workload.Workload`
 against a running ``repro-serve`` instance using only
-``urllib.request`` and threads.  Every request records a
-:class:`RequestRecord` — latency, HTTP status, the server-echoed
-``X-Trace-Id``, and cache provenance (``source``/``cached`` from the
+``urllib.request`` and threads, in a closed loop.  Every request
+records a :class:`RequestRecord` — latency, HTTP status, the
+server-echoed ``X-Trace-Id``, and cache provenance (``source`` from the
 response body) — and lands in client-side
 :class:`repro.obs.HistogramSet` histograms
 (``loadgen.request.duration_seconds{algorithm,outcome}``), the same
@@ -36,7 +36,7 @@ Outcome vocabulary (disjoint; every request gets exactly one):
 
 :func:`scrape_metrics` fetches ``/metrics`` in both content types and
 **validates** the Prometheus exposition with
-:func:`repro.obs.parse_prometheus_text` before anyone trusts it.
+:func:`repro.obs.parse_prometheus_text` before trusting the JSON form.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ import time
 import urllib.error
 import urllib.request
 import uuid
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 from ..errors import ReproError
 from ..obs import HistogramSet, parse_prometheus_text
@@ -77,35 +77,12 @@ class RequestRecord:
 
     index: int
     algorithm: str
-    entry: str
-    kind: str  # corpus entry kind: "base" | "isomorph"
     outcome: str
     latency_s: float
     status: Optional[int] = None
     trace_id: str = ""
     source: str = ""  # computed | memory | disk | inflight ("" if n/a)
-    cached: Optional[bool] = None
     error: Optional[str] = None
-    sent_at_s: float = 0.0  # offset from run start
-
-    def row(self) -> Dict[str, Any]:
-        doc: Dict[str, Any] = {
-            "index": self.index,
-            "algorithm": self.algorithm,
-            "entry": self.entry,
-            "kind": self.kind,
-            "outcome": self.outcome,
-            "latency_s": round(self.latency_s, 6),
-        }
-        if self.status is not None:
-            doc["status"] = self.status
-        if self.trace_id:
-            doc["trace_id"] = self.trace_id
-        if self.source:
-            doc["source"] = self.source
-        if self.error:
-            doc["error"] = self.error
-        return doc
 
 
 @dataclass
@@ -115,14 +92,9 @@ class LoadResult:
     records: List[RequestRecord]
     hists: HistogramSet
     elapsed_s: float
-    model: str  # "closed" | "open"
-    concurrency: int = 0
-    rate: float = 0.0
-    behind_schedule: int = 0  # open loop: sends that missed their slot
+    concurrency: int
     metrics_before: Optional[Dict[str, Any]] = None
     metrics_after: Optional[Dict[str, Any]] = None
-    prom_before: Dict[str, List[Any]] = field(default_factory=dict)
-    prom_after: Dict[str, List[Any]] = field(default_factory=dict)
 
     def count(self, outcome: str) -> int:
         return sum(1 for r in self.records if r.outcome == outcome)
@@ -147,12 +119,10 @@ def _normalise_url(url: str) -> str:
     return url
 
 
-def scrape_metrics(
-    base_url: str, timeout_s: float = 30.0
-) -> Tuple[Dict[str, Any], Dict[str, List[Any]]]:
-    """``(json_doc, prometheus_samples)`` from one ``/metrics`` scrape.
+def scrape_metrics(base_url: str, timeout_s: float = 30.0) -> Dict[str, Any]:
+    """The JSON ``/metrics`` document of one scrape.
 
-    The Prometheus text form is validated with
+    The Prometheus text form is fetched too and validated with
     :func:`repro.obs.parse_prometheus_text` — a malformed exposition is
     a :class:`ReproError` here, not a silently skipped cross-check.
     """
@@ -169,13 +139,13 @@ def scrape_metrics(
     except (OSError, urllib.error.URLError, ValueError) as exc:
         raise ReproError(f"cannot scrape {base}/metrics: {exc}") from None
     try:
-        samples = parse_prometheus_text(text)
+        parse_prometheus_text(text)
     except ValueError as exc:
         raise ReproError(
             f"{base}/metrics?format=prometheus is not valid Prometheus "
             f"exposition: {exc}"
         ) from None
-    return doc, samples
+    return doc
 
 
 class LoadClient:
@@ -187,7 +157,6 @@ class LoadClient:
         corpus: Corpus,
         workload: Workload,
         timeout_s: float = 120.0,
-        hists: Optional[HistogramSet] = None,
     ):
         if len(corpus) != workload.corpus_size:
             raise ReproError(
@@ -198,17 +167,16 @@ class LoadClient:
         self.corpus = corpus
         self.workload = workload
         self.timeout_s = float(timeout_s)
-        self.hists = hists if hists is not None else HistogramSet()
+        self.hists = HistogramSet()
         self._run_nonce = uuid.uuid4().hex[:8]
         self._lock = threading.Lock()
         self._records: List[RequestRecord] = []
-        self._stop = threading.Event()
 
     # ------------------------------------------------------------------
     def _trace_id(self, index: int) -> str:
         return f"loadgen-{self._run_nonce}-{index:06d}"
 
-    def _send_one(self, spec: RequestSpec, run_start: float) -> RequestRecord:
+    def _send_one(self, spec: RequestSpec) -> RequestRecord:
         entry = self.corpus[spec.entry_index]
         body = json.dumps(
             {
@@ -229,12 +197,9 @@ class LoadClient:
         record = RequestRecord(
             index=spec.index,
             algorithm=spec.algorithm,
-            entry=entry.name,
-            kind=entry.kind,
             outcome="transport",
             latency_s=0.0,
             trace_id=trace_id,
-            sent_at_s=time.perf_counter() - run_start,
         )
         start = time.perf_counter()
         try:
@@ -245,8 +210,6 @@ class LoadClient:
             record.status = 200
             record.outcome = "ok"
             record.source = str(payload.get("source", ""))
-            cached = payload.get("cached")
-            record.cached = bool(cached) if cached is not None else None
         except urllib.error.HTTPError as exc:
             record.status = exc.code
             try:
@@ -307,21 +270,16 @@ class LoadClient:
             raise ReproError(
                 f"duration must be > 0 seconds, got {duration_s}"
             )
-        self._stop.clear()
         cursor = iter(range(1 << 62))
         cursor_lock = threading.Lock()
         run_start = time.perf_counter()
         deadline = run_start + duration_s
 
         def worker() -> None:
-            while not self._stop.is_set():
-                if time.perf_counter() >= deadline:
-                    return
+            while time.perf_counter() < deadline:
                 with cursor_lock:
                     index = next(cursor)
-                record = self._send_one(
-                    self.workload.spec(index), run_start
-                )
+                record = self._send_one(self.workload.spec(index))
                 if record.outcome == "refused":
                     return  # listener is gone; stop offering load
 
@@ -341,69 +299,5 @@ class LoadClient:
             records=records,
             hists=self.hists,
             elapsed_s=elapsed,
-            model="closed",
             concurrency=concurrency,
         )
-
-    def run_open(
-        self,
-        duration_s: float,
-        rate: float,
-        max_inflight: int = 64,
-    ) -> LoadResult:
-        """Open loop: requests launch at their scheduled Poisson arrival
-        times whether or not earlier ones have finished (bounded by
-        ``max_inflight`` worker threads; a send that cannot start by
-        its slot is counted in ``behind_schedule``)."""
-        schedule = self.workload.open_loop_schedule(duration_s, rate)
-        self._stop.clear()
-        behind = [0]
-        cursor = [0]
-        cursor_lock = threading.Lock()
-        run_start = time.perf_counter()
-
-        def worker() -> None:
-            while not self._stop.is_set():
-                with cursor_lock:
-                    position = cursor[0]
-                    if position >= len(schedule):
-                        return
-                    cursor[0] = position + 1
-                spec = schedule[position]
-                assert spec.arrival_s is not None
-                slot = run_start + spec.arrival_s
-                delay = slot - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
-                elif delay < -0.05:
-                    with cursor_lock:
-                        behind[0] += 1
-                record = self._send_one(spec, run_start)
-                if record.outcome == "refused":
-                    return
-
-        workers = min(max_inflight, max(1, len(schedule)))
-        threads = [
-            threading.Thread(target=worker, daemon=True, name=f"loadgen-{i}")
-            for i in range(workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(duration_s + self.timeout_s + 30.0)
-        elapsed = time.perf_counter() - run_start
-        with self._lock:
-            records = sorted(self._records, key=lambda r: r.index)
-            self._records = []
-        return LoadResult(
-            records=records,
-            hists=self.hists,
-            elapsed_s=elapsed,
-            model="open",
-            rate=rate,
-            behind_schedule=behind[0],
-        )
-
-    def stop(self) -> None:
-        """Ask workers to stop after their current request."""
-        self._stop.set()

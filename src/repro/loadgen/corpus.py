@@ -1,28 +1,15 @@
 """Zipf-ready corpora of generated netlists for load generation.
 
 :func:`build_corpus` realises ``distinct`` base circuits from the
-benchmark suite's synthetic specs (cycling through the smallest specs
+benchmark suite's synthetic specs, cycling through the smallest specs
 first and bumping the generator seed each cycle, so every entry is a
-genuinely different instance) plus ``isomorphs`` *relabeled isomorphic
-duplicates* — module-permuted copies built with
-:func:`repro.hypergraph.transform.relabel_modules`.  A duplicate has a
-**different exact fingerprint** (the cache key partitioners answer
-under, since results are label-sensitive) but the **same canonical
-Weisfeiler–Leman fingerprint** as its base, which is exactly the
-traffic shape that a canonical-fingerprint cache tier (ROADMAP item 2)
-would turn from misses into warm hits.  Load reports count those
-misses as the tier's measured opportunity.
-
-Entries carry their serialised ``repro-hypergraph-v1`` JSON body (built
-once, not per request) and both fingerprints; entry order is given a
-deterministic seed-derived shuffle so zipf rank popularity mixes base
-and isomorph entries rather than leaving all duplicates in the cold
-tail.
+genuinely different instance.  Entries carry their serialised
+``repro-hypergraph-v1`` JSON body, built once rather than per request;
+their order is the zipf rank order.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -30,23 +17,16 @@ from ..bench.specs import BENCHMARKS
 from ..bench.suite import build_circuit
 from ..errors import ReproError
 from ..hypergraph import Hypergraph, to_json
-from ..hypergraph.transform import relabel_modules
-from ..parallel import spawn_seeds
-from ..service import canonical_fingerprint, exact_fingerprint
 
 __all__ = ["Corpus", "CorpusEntry", "build_corpus"]
 
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """One submittable netlist with its provenance and fingerprints."""
+    """One submittable netlist with its provenance."""
 
     name: str
-    kind: str  # "base" | "isomorph"
-    base: str  # name of the base entry (== name for bases)
     netlist: Dict[str, Any]  # repro-hypergraph-v1 JSON document
-    exact: str
-    canonical: str
     num_modules: int
     num_nets: int
 
@@ -65,36 +45,14 @@ class Corpus:
     def __getitem__(self, index: int) -> CorpusEntry:
         return self.entries[index]
 
-    @property
-    def bases(self) -> List[CorpusEntry]:
-        return [e for e in self.entries if e.kind == "base"]
-
-    @property
-    def isomorphs(self) -> List[CorpusEntry]:
-        return [e for e in self.entries if e.kind == "isomorph"]
-
     def describe(self) -> Dict[str, Any]:
         """JSON-safe summary for ``BENCH_serving.json``."""
         return {
             "entries": len(self.entries),
-            "bases": len(self.bases),
-            "isomorphs": len(self.isomorphs),
             "names": [e.name for e in self.entries],
             "modules": sum(e.num_modules for e in self.entries),
             "nets": sum(e.num_nets for e in self.entries),
         }
-
-
-def _shuffled_permutation(
-    n: int, rng: random.Random
-) -> List[int]:
-    """A random permutation of ``range(n)`` that is never the identity
-    (for ``n >= 2``), so a relabeled duplicate truly differs."""
-    order = list(range(n))
-    rng.shuffle(order)
-    if order == list(range(n)) and n >= 2:
-        order[0], order[1] = order[1], order[0]
-    return order
 
 
 def _build_base(
@@ -122,23 +80,18 @@ def _build_base(
 
 def build_corpus(
     distinct: int = 4,
-    isomorphs: int = 2,
     seed: int = 0,
     scale: float = 0.2,
     names: Optional[Sequence[str]] = None,
 ) -> Corpus:
-    """Build a corpus of ``distinct`` bases + ``isomorphs`` duplicates.
+    """Build a corpus of ``distinct`` base circuits.
 
     Bases cycle through the benchmark specs smallest-first (or the
     given ``names``), bumping the generator seed every full cycle so
-    each entry is a distinct instance.  Isomorph *j* permutes base
-    ``j % distinct`` with a seed spawned from ``(seed, j)`` —
-    deterministic, and prefix-stable when the counts grow.
+    each entry is a distinct instance.
     """
     if distinct < 1:
         raise ReproError(f"need at least one distinct netlist, got {distinct}")
-    if isomorphs < 0:
-        raise ReproError(f"isomorphs must be >= 0, got {isomorphs}")
     if names is None:
         names = [
             spec.name
@@ -148,48 +101,17 @@ def build_corpus(
         raise ReproError("no circuit names to build the corpus from")
 
     entries: List[CorpusEntry] = []
-    base_hypergraphs: List[Hypergraph] = []
     for i in range(distinct):
         spec_name = names[i % len(names)]
-        gen_seed = seed + (i // len(names))
-        h, gen_seed = _build_base(spec_name, gen_seed, scale)
-        name = f"{spec_name}@s{gen_seed}"
-        base_hypergraphs.append(h)
+        h, gen_seed = _build_base(
+            spec_name, seed + (i // len(names)), scale
+        )
         entries.append(
             CorpusEntry(
-                name=name,
-                kind="base",
-                base=name,
+                name=f"{spec_name}@s{gen_seed}",
                 netlist=to_json(h),
-                exact=exact_fingerprint(h),
-                canonical=canonical_fingerprint(h),
                 num_modules=h.num_modules,
                 num_nets=h.num_nets,
             )
         )
-
-    iso_seeds = spawn_seeds(seed, isomorphs + 1)
-    for j in range(isomorphs):
-        base_entry = entries[j % distinct]
-        base_h = base_hypergraphs[j % distinct]
-        rng = random.Random(iso_seeds[j])
-        order = _shuffled_permutation(base_h.num_modules, rng)
-        relabeled, _ = relabel_modules(base_h, order)
-        entries.append(
-            CorpusEntry(
-                name=f"{base_entry.name}~iso{j}",
-                kind="isomorph",
-                base=base_entry.name,
-                netlist=to_json(relabeled),
-                exact=exact_fingerprint(relabeled),
-                canonical=canonical_fingerprint(relabeled),
-                num_modules=relabeled.num_modules,
-                num_nets=relabeled.num_nets,
-            )
-        )
-
-    # Mix duplicate entries into the zipf ranks instead of leaving them
-    # all in the cold tail.  Deterministic for a given
-    # (seed, distinct, isomorphs) configuration.
-    random.Random(iso_seeds[-1]).shuffle(entries)
     return Corpus(entries)

@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..obs.diff import NOISY, check, histogram_metrics, make_payload, metric
-from .client import LoadResult
+from .client import OUTCOMES, LoadResult
 from .corpus import Corpus
 from .slo import SLOSpec, evaluate_slo
 from .workload import Workload
@@ -349,11 +349,10 @@ def build_payload(
     metrics = [
         metric("requests", len(result.records), "count", NOISY),
         metric("elapsed_s", round(result.elapsed_s, 6), "s", NOISY),
-        metric("behind_schedule", result.behind_schedule, "count", NOISY),
     ]
     metrics += [
         metric("requests", result.count(outcome), "count", NOISY, {"outcome": outcome})
-        for outcome in ("ok", "rejected", "error", "refused", "transport")
+        for outcome in OUTCOMES
     ]
     metrics += [
         metric("requests", count, "count", NOISY, {"source": source})
@@ -363,18 +362,6 @@ def build_payload(
         metrics.append(metric("error_rate", error_rate, "", NOISY))
     if rps is not None:
         metrics.append(metric("rps", round(rps, 6), "1/s", NOISY))
-    # Isomorph traffic that missed the exact-fingerprint cache is the
-    # measured win a canonical-fingerprint tier would capture: same
-    # canonical fingerprint as a base, different exact key.
-    isomorphs = [r for r in result.records if r.kind == "isomorph"]
-    metrics += [
-        metric("isomorph_requests", len(isomorphs), "count", NOISY),
-        metric(
-            "isomorph_computed",
-            sum(1 for r in isomorphs if r.outcome == "ok" and r.source == "computed"),
-            "count", NOISY,
-        ),
-    ]
     metrics += _latency_metrics(result)
     # The server's footprint gauges around the run (process.rss_bytes,
     # process.cpu_seconds, ...), from the two /metrics scrapes.
@@ -413,12 +400,8 @@ def build_payload(
         for row in checks
     ]
     run = {
-        "workload": dict(workload.describe(), model=result.model),
+        "workload": dict(workload.describe(), concurrency=result.concurrency),
         "corpus": corpus.describe(),
         "slo": slo.describe() if slo is not None else None,
     }
-    if result.model == "closed":
-        run["workload"]["concurrency"] = result.concurrency
-    else:
-        run["workload"]["rate"] = result.rate
     return make_payload("serving", run, metrics, payload_checks)

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional
 from ..errors import ReproError
 from ..obs.diff import FASTER, SLOWER, DiffThresholds
 
-__all__ = ["SLOSpec", "evaluate_slo", "parse_slo", "slo_ok"]
+__all__ = ["SLOSpec", "evaluate_slo", "parse_slo"]
 
 PASS = "pass"
 PASS_WITHIN_NOISE = "pass-within-noise"
@@ -198,11 +198,3 @@ def evaluate_slo(
 
     return rows
 
-
-def slo_ok(verdicts: List[Dict[str, Any]]) -> bool:
-    """True when no objective hard-failed.
-
-    ``pass-within-noise`` and ``skipped`` do not fail the gate — but
-    the report renders them distinctly so a human sees the near-miss.
-    """
-    return all(v["verdict"] != FAIL for v in verdicts)

@@ -1,4 +1,4 @@
-"""Deterministic workload models: what to send, and when.
+"""The deterministic closed-loop workload: what to send.
 
 A :class:`Workload` turns ``(seed, mix, corpus size, zipf exponent)``
 into an infinite deterministic sequence of :class:`RequestSpec`\\ s.
@@ -6,21 +6,13 @@ Request *i* draws its algorithm and corpus entry from its own RNG
 seeded by :func:`repro.parallel.spawn_seeds` — child seed *i* depends
 only on ``(seed, i)``, so the schedule is identical across runs,
 platforms, and thread interleavings, and extending a run never
-perturbs the prefix already sent.  Two delivery models share the
-schedule:
-
-* **closed-loop** — ``concurrency`` workers each issue the next
-  request as soon as their previous one completes; offered load tracks
-  service capacity (classic fixed-concurrency benchmarking);
-* **open-loop** — requests arrive at Poisson times (exponential
-  interarrivals at ``rate`` per second, drawn from the same per-request
-  seeds), regardless of how fast the server answers — the model that
-  actually reveals queueing collapse under overload.
+perturbs the prefix already sent.  The client's ``concurrency``
+workers each send the next request as soon as their previous one
+completes, so offered load tracks service capacity.
 
 Corpus draws are **zipf-repeated**: entry ranks are weighted
 ``1/(rank+1)**s``, so a handful of hot netlists dominate (cache-hit
-traffic) while the tail stays cold — the shape real multi-user serving
-traffic takes.
+traffic) while the tail stays cold.
 """
 
 from __future__ import annotations
@@ -30,7 +22,7 @@ import random
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..errors import ReproError
 from ..parallel import spawn_seeds
@@ -118,13 +110,12 @@ def zipf_weights(count: int, s: float) -> List[float]:
 
 @dataclass(frozen=True)
 class RequestSpec:
-    """One scheduled request: what to ask for, and (open loop) when."""
+    """One scheduled request: what to ask for."""
 
     index: int
     algorithm: str
     entry_index: int
     seed: int  # the partitioner seed carried in the request body
-    arrival_s: Optional[float] = None  # offset from run start (open loop)
 
 
 class Workload:
@@ -196,49 +187,6 @@ class Workload:
             entry_index=min(entry, self.corpus_size - 1),
             seed=self.request_seed,
         )
-
-    def open_loop_schedule(
-        self, duration_s: float, rate: float
-    ) -> List[RequestSpec]:
-        """Poisson arrivals over ``[0, duration_s)`` at ``rate``/second.
-
-        Interarrival gap *i* is an exponential draw from request *i*'s
-        own spawned seed, so the arrival times are as deterministic and
-        prefix-stable as the rest of the schedule.
-        """
-        if rate <= 0 or not math.isfinite(rate):
-            raise ReproError(f"rate must be finite and > 0, got {rate}")
-        if duration_s <= 0:
-            raise ReproError(
-                f"duration must be > 0 seconds, got {duration_s}"
-            )
-        schedule: List[RequestSpec] = []
-        clock = 0.0
-        index = 0
-        while True:
-            rng = random.Random(self._seed_for(index))
-            # Consume the same two draws spec() makes, so the gap draw
-            # is independent of the algorithm/entry choice.
-            algorithm = self._algorithms[
-                bisect_left(self._alg_cumulative, rng.random())
-            ]
-            entry = min(
-                bisect_left(self._entry_cumulative, rng.random()),
-                self.corpus_size - 1,
-            )
-            clock += rng.expovariate(rate)
-            if clock >= duration_s:
-                return schedule
-            schedule.append(
-                RequestSpec(
-                    index=index,
-                    algorithm=algorithm,
-                    entry_index=entry,
-                    seed=self.request_seed,
-                    arrival_s=clock,
-                )
-            )
-            index += 1
 
     def describe(self) -> Dict[str, object]:
         """JSON-safe configuration record for ``BENCH_serving.json``."""

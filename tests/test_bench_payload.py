@@ -56,7 +56,6 @@ def _serving():
         mix="igmatch=0.5,fm=0.3,eig1=0.2",
         slo=parse_slo("p99=2.0,error_rate=0.01"),
         distinct=2,
-        isomorphs=1,
         scale=0.1,
     )
     return payload
@@ -216,8 +215,6 @@ class TestRendererLosesNothing:
             ("elapsed_s", {}),
             ("rps", {}),
             ("error_rate", {}),
-            ("isomorph_requests", {}),
-            ("isomorph_computed", {}),
             ("loadgen.request.duration_seconds.count", {}),
             ("loadgen.request.duration_seconds.count", {"outcome": "ok"}),
         ]
@@ -232,9 +229,8 @@ class TestRendererLosesNothing:
         ]
         markdown, _page = assert_rendered(payload, required)
         for key in (
-            "workload.model=closed", "workload.concurrency=2",
-            "workload.zipf_s=1.1", "workload.seed=0", "corpus.entries=3",
-            "corpus.bases=2", "corpus.isomorphs=1", "corpus.modules=",
+            "workload.concurrency=2", "workload.zipf_s=1.1",
+            "workload.seed=0", "corpus.entries=2", "corpus.modules=",
             "corpus.nets=", "slo.p99=2.0",
         ):
             assert key in markdown, key

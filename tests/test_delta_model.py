@@ -27,6 +27,7 @@ from repro.delta import (
 from repro.errors import DeltaError
 from repro.hypergraph import Hypergraph
 from repro.service import exact_fingerprint
+from tests.conftest import random_hypergraph
 from tests.strategies import adversarial_csr_hypergraphs
 
 
@@ -74,6 +75,38 @@ class TestWireFormat:
     def test_bad_json_rejected(self):
         with pytest.raises(DeltaError, match="invalid delta JSON"):
             loads_delta("{not json")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"add_nets": [{"pins": [1, True]}]},
+            {"add_nets": [{"pins": [1, float("inf")]}]},
+            {"add_nets": [{"pins": [1, 2.5]}]},
+            {"add_nets": [{"pins": [1, "2"]}]},
+            {"add_nets": [{"pins": [1, 2], "index": "0"}]},
+            {"add_modules": [{"index": 1.0}]},
+            {"remove_modules": [True]},
+            {"remove_nets": [0.5]},
+            {"set_pins": {"0": [1, 2.5]}},
+        ],
+        ids=[
+            "pin-bool", "pin-inf", "pin-float", "pin-string",
+            "net-index-string", "module-index-float",
+            "remove-module-bool", "remove-net-float", "set-pins-float",
+        ],
+    )
+    def test_indices_must_be_integers(self, edit):
+        with pytest.raises(DeltaError, match="must be an integer"):
+            NetlistDelta.from_doc(dict({"format": DELTA_FORMAT}, **edit))
+
+    @pytest.mark.parametrize("churn", [False, True])
+    def test_every_written_delta_reads_back(self, churn):
+        # The strict reader accepts whatever dumps_delta writes.
+        h = random_hypergraph(4, num_modules=30, num_nets=40)
+        rng = random.Random(5)
+        for _ in range(20):
+            delta = random_delta(h, rng, module_churn=churn)
+            assert loads_delta(dumps_delta(delta)) == delta
 
 
 class TestValidation:

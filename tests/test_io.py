@@ -1,5 +1,6 @@
 """Tests for netlist file I/O."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ParseError
@@ -42,6 +43,41 @@ class TestJson:
     def test_bad_format_tag(self):
         with pytest.raises(ParseError):
             from_json({"format": "something-else"})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nets", [[0, float("inf")]]),
+            ("nets", [[0, 2.5]]),
+            ("nets", [[0, True]]),
+            ("nets", [[0, "2"]]),
+            ("num_modules", 6.7),
+            ("num_modules", True),
+            ("num_modules", float("inf")),
+        ],
+        ids=[
+            "pin-inf", "pin-float", "pin-bool", "pin-string",
+            "count-float", "count-bool", "count-inf",
+        ],
+    )
+    def test_pins_and_count_must_be_integers(self, field, value):
+        # json.loads yields each of these; none may be truncated,
+        # coerced or escape as OverflowError.
+        doc = {
+            "format": "repro-hypergraph-v1",
+            "num_modules": 7,
+            "nets": [[0, 1], [1, 2]],
+        }
+        doc[field] = value
+        with pytest.raises(ParseError, match="must be an integer"):
+            from_json(doc)
+
+    def test_numpy_integers_accepted(self):
+        h = Hypergraph([[0, 1], [1, 2]], num_modules=4)
+        doc = to_json(h)
+        doc["nets"] = [np.array(p, dtype=np.int64) for p in doc["nets"]]
+        doc["num_modules"] = np.int64(4)
+        assert from_json(doc) == h
 
 
 class TestNetFormat:

@@ -35,7 +35,7 @@ from repro.service.http import AccessLog
 
 @pytest.fixture(scope="module")
 def corpus():
-    return build_corpus(distinct=2, isomorphs=1, seed=0, scale=0.1)
+    return build_corpus(distinct=2, seed=0, scale=0.1)
 
 
 def _values(payload, name):
@@ -98,9 +98,9 @@ class TestClosedLoopRun:
         with _Server() as srv:
             workload = _workload(corpus)
             client = LoadClient(srv.url, corpus, workload, timeout_s=60)
-            before, _ = scrape_metrics(srv.url)
+            before = scrape_metrics(srv.url)
             result = client.run_closed(duration_s=1.5, concurrency=3)
-            after, _ = settle_metrics(srv.url, result.responses)
+            after = settle_metrics(srv.url, result.responses)
         assert result.count("ok") > 0
         assert result.count("error") == 0
         assert result.count("transport") == 0
@@ -153,32 +153,19 @@ class TestClosedLoopRun:
             LoadClient("http://127.0.0.1:1", corpus, workload)
 
 
-class TestOpenLoopRun:
-    def test_poisson_run_crosschecks(self, corpus):
-        with _Server() as srv:
-            client = LoadClient(srv.url, corpus, _workload(corpus))
-            before, _ = scrape_metrics(srv.url)
-            result = client.run_open(duration_s=1.5, rate=20.0)
-            after, _ = settle_metrics(srv.url, result.responses)
-        assert result.model == "open"
-        assert result.count("ok") > 0
-        checks = crosscheck(before, after, result)
-        assert all(c["status"] == "ok" for c in checks), checks
-
-
 class TestFlowControl:
     def test_503s_recorded_as_rejected_not_errors(self, corpus):
         # A draining server answers every request 503, so the metrics
         # are scraped with the flag down and the load runs with it up.
         with _Server() as srv:
             client = LoadClient(srv.url, corpus, _workload(corpus))
-            before, _ = scrape_metrics(srv.url)
+            before = scrape_metrics(srv.url)
             srv.server.draining = True
             try:
                 result = client.run_closed(duration_s=0.5, concurrency=2)
             finally:
                 srv.server.draining = False
-            after, _ = settle_metrics(srv.url, result.responses)
+            after = settle_metrics(srv.url, result.responses)
         assert result.count("ok") == 0
         assert result.count("error") == 0
         rejected = result.count("rejected")
@@ -272,7 +259,6 @@ class TestScenarioAndCli:
             mix="igmatch=0.5,fm=0.3,eig1=0.2",
             slo=parse_slo("p99=2.0,error_rate=0.01"),
             distinct=2,
-            isomorphs=1,
             scale=0.1,
         )
         validate_payload(payload, "serving")
@@ -294,7 +280,6 @@ class TestScenarioAndCli:
                 "--zipf", "1.1",
                 "--slo", "p99=2.0,error_rate=0.01",
                 "--distinct", "2",
-                "--isomorphs", "1",
                 "--scale", "0.1",
                 "--output", str(out),
                 "--html", str(html),
@@ -305,6 +290,32 @@ class TestScenarioAndCli:
         payload = json.loads(out.read_text())
         validate_payload(payload, "serving")
         assert html.read_text().startswith("<!doctype html>")
+
+    def test_cli_against_a_running_server(self, tmp_path):
+        # The shape of CI's loadgen-smoke: a server that is already
+        # up, reached with --url rather than --self-serve.
+        out = tmp_path / "BENCH_serving.json"
+        with _Server() as srv:
+            code = main(
+                [
+                    "--url", srv.url,
+                    "--seed", "3",
+                    "--duration", "1",
+                    "--concurrency", "2",
+                    "--mix", "igmatch=0.5,fm=0.3,eig1=0.2",
+                    "--slo", "p99=2.0,error_rate=0.01",
+                    "--distinct", "2",
+                    "--scale", "0.1",
+                    "--output", str(out),
+                    "--quiet",
+                ]
+            )
+        assert code == EXIT_OK
+        payload = json.loads(out.read_text())
+        validate_payload(payload, "serving")
+        assert payload["run"]["workload"]["seed"] == 3
+        assert len(_statuses(payload, "slo.")) == 2
+        assert set(_statuses(payload).values()) == {"pass"}
 
     def test_cli_failing_slo_exits_nonzero(self, tmp_path):
         # An impossible throughput floor: the verdict machinery must
@@ -317,7 +328,6 @@ class TestScenarioAndCli:
                 "--mix", "fm=1",
                 "--slo", "rps=1000000",
                 "--distinct", "2",
-                "--isomorphs", "0",
                 "--scale", "0.1",
                 "--output", str(tmp_path / "out.json"),
                 "--quiet",

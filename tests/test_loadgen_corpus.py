@@ -1,4 +1,4 @@
-"""Corpus tests: isomorphic duplicates, fingerprints, determinism."""
+"""Corpus tests: distinct instances, JSON bodies, determinism."""
 
 import json
 
@@ -7,33 +7,26 @@ import pytest
 from repro.errors import ReproError
 from repro.hypergraph import from_json
 from repro.loadgen import Corpus, build_corpus
+from repro.service import exact_fingerprint
+
+
+def _exact(corpus):
+    return [exact_fingerprint(from_json(e.netlist)) for e in corpus.entries]
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    return build_corpus(distinct=3, isomorphs=3, seed=0, scale=0.1)
+    return build_corpus(distinct=3, seed=0, scale=0.1)
 
 
 class TestBuildCorpus:
     def test_counts(self, corpus):
-        assert len(corpus) == 6
-        assert len(corpus.bases) == 3
-        assert len(corpus.isomorphs) == 3
+        assert len(corpus) == 3
+        assert len(corpus.entries) == 3
 
     def test_bases_are_distinct_instances(self, corpus):
-        exact = [e.exact for e in corpus.bases]
-        canonical = [e.canonical for e in corpus.bases]
+        exact = _exact(corpus)
         assert len(set(exact)) == len(exact)
-        assert len(set(canonical)) == len(canonical)
-
-    def test_isomorph_shares_canonical_not_exact(self, corpus):
-        by_name = {e.name: e for e in corpus.entries}
-        for iso in corpus.isomorphs:
-            base = by_name[iso.base]
-            assert iso.exact != base.exact
-            assert iso.canonical == base.canonical
-            assert iso.num_modules == base.num_modules
-            assert iso.num_nets == base.num_nets
 
     def test_netlists_round_trip(self, corpus):
         for entry in corpus.entries:
@@ -42,39 +35,33 @@ class TestBuildCorpus:
             assert h.num_nets == entry.num_nets
 
     def test_deterministic_for_seed(self):
-        a = build_corpus(distinct=3, isomorphs=2, seed=5, scale=0.1)
-        b = build_corpus(distinct=3, isomorphs=2, seed=5, scale=0.1)
+        a = build_corpus(distinct=3, seed=5, scale=0.1)
+        b = build_corpus(distinct=3, seed=5, scale=0.1)
         assert [e.name for e in a.entries] == [e.name for e in b.entries]
-        assert [e.exact for e in a.entries] == [e.exact for e in b.entries]
+        assert _exact(a) == _exact(b)
 
     def test_seed_changes_corpus(self):
-        a = build_corpus(distinct=3, isomorphs=2, seed=0, scale=0.1)
-        b = build_corpus(distinct=3, isomorphs=2, seed=1, scale=0.1)
-        assert [e.exact for e in a.entries] != [e.exact for e in b.entries]
+        a = build_corpus(distinct=3, seed=0, scale=0.1)
+        b = build_corpus(distinct=3, seed=1, scale=0.1)
+        assert _exact(a) != _exact(b)
 
     def test_more_distinct_than_specs_bumps_generator_seed(self):
         # Asking for more bases than there are benchmark specs must
         # yield genuinely different instances, not repeats.
-        corpus = build_corpus(distinct=14, isomorphs=0, seed=0, scale=0.05)
-        exact = [e.exact for e in corpus.bases]
-        assert len(set(exact)) == 14
-
-    def test_zero_isomorphs_allowed(self):
-        corpus = build_corpus(distinct=2, isomorphs=0, seed=0, scale=0.1)
-        assert corpus.isomorphs == []
+        corpus = build_corpus(distinct=14, seed=0, scale=0.05)
+        assert len(set(_exact(corpus))) == 14
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ReproError):
             build_corpus(distinct=0)
         with pytest.raises(ReproError):
-            build_corpus(isomorphs=-1)
+            build_corpus(names=[])
         with pytest.raises(ReproError):
             Corpus([])
 
     def test_describe_is_json_safe(self, corpus):
         doc = corpus.describe()
         assert json.loads(json.dumps(doc)) == doc
-        assert doc["entries"] == 6
-        assert doc["bases"] == 3
-        assert doc["isomorphs"] == 3
-        assert len(doc["names"]) == 6
+        assert doc["entries"] == 3
+        assert len(doc["names"]) == 3
+        assert doc["modules"] == sum(e.num_modules for e in corpus.entries)

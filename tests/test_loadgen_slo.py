@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.loadgen import SLOSpec, evaluate_slo, parse_slo, slo_ok
-from repro.obs.diff import DiffThresholds
+from repro.loadgen import SLOSpec, evaluate_slo, parse_slo
+from repro.obs.diff import DiffThresholds, check, make_payload
 
 
 class TestParseSlo:
@@ -127,7 +127,13 @@ class TestEvaluateSlo:
 
 class TestSloOk:
     def test_gate(self):
-        assert slo_ok([])
-        assert slo_ok([{"verdict": "pass"}, {"verdict": "skipped"}])
-        assert slo_ok([{"verdict": "pass-within-noise"}])
-        assert not slo_ok([{"verdict": "pass"}, {"verdict": "fail"}])
+        # The gate is the serving payload's ``ok``: each verdict becomes
+        # one check, and only a hard ``fail`` turns the payload red.
+        def ok(verdicts):
+            checks = [check(f"slo.{i}", v) for i, v in enumerate(verdicts)]
+            return make_payload("serving", {}, [], checks)["ok"]
+
+        assert ok([])
+        assert ok(["pass", "skipped"])
+        assert ok(["pass-within-noise"])
+        assert not ok(["pass", "fail"])

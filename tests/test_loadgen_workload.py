@@ -159,51 +159,6 @@ class TestWorkloadSchedule:
             Workload({"fm": 1.0}, corpus_size=0)
 
 
-class TestOpenLoopSchedule:
-    def test_deterministic(self):
-        a = _workload().open_loop_schedule(5.0, 20.0)
-        b = _workload().open_loop_schedule(5.0, 20.0)
-        assert a == b
-        assert len(a) > 0
-
-    def test_arrivals_sorted_and_bounded(self):
-        schedule = _workload().open_loop_schedule(3.0, 30.0)
-        arrivals = [s.arrival_s for s in schedule]
-        assert arrivals == sorted(arrivals)
-        assert all(0 <= t < 3.0 for t in arrivals)
-
-    def test_prefix_stable_under_longer_duration(self):
-        short = _workload().open_loop_schedule(2.0, 25.0)
-        long = _workload().open_loop_schedule(4.0, 25.0)
-        assert long[: len(short)] == short
-
-    def test_rate_scales_count(self):
-        slow = _workload().open_loop_schedule(5.0, 5.0)
-        fast = _workload().open_loop_schedule(5.0, 50.0)
-        # ~25 vs ~250 expected arrivals; a 3x gap is loose enough to
-        # never flake yet still proves rate drives the schedule.
-        assert len(fast) > 3 * max(len(slow), 1)
-
-    def test_same_specs_as_closed_loop(self):
-        # Open loop draws arrival gaps from the same per-request seeds
-        # *after* the algorithm/entry draws, so request i asks for the
-        # same work under either delivery model.
-        w = _workload()
-        schedule = w.open_loop_schedule(3.0, 20.0)
-        for spec in schedule:
-            closed = w.spec(spec.index)
-            assert (spec.algorithm, spec.entry_index) == (
-                closed.algorithm,
-                closed.entry_index,
-            )
-
-    def test_bad_inputs_rejected(self):
-        with pytest.raises(ReproError):
-            _workload().open_loop_schedule(0.0, 10.0)
-        with pytest.raises(ReproError):
-            _workload().open_loop_schedule(5.0, 0.0)
-
-
 def test_describe_is_json_safe():
     import json
 

@@ -253,3 +253,31 @@ class TestDeltaErrors:
         )
         assert status == 400
         assert "finite" in doc["error"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"add_nets": [{"pins": [1, True]}]},
+            {"add_nets": [{"pins": [1, float("inf")]}]},
+            {"add_nets": [{"pins": [1, 2.5]}]},
+            {"add_nets": [{"pins": [1, 2], "index": "0"}]},
+            {"add_modules": [{"index": 1.0}]},
+            {"remove_nets": [0.5]},
+            {"set_pins": {"0": [1, 2.5]}},
+        ],
+        ids=[
+            "pin-bool", "pin-inf", "pin-float", "net-index-string",
+            "module-index-float", "remove-net-float", "set-pins-float",
+        ],
+    )
+    def test_non_integer_index_400(self, server, h, edit):
+        # Infinity used to escape as a 500 OverflowError; the others
+        # were truncated or coerced and served delta-warm.
+        base = _serve_base(server, h)
+        status, doc = call(
+            server,
+            "/partition/delta",
+            {"base": base["fingerprint"], "delta": dict(NOOP, **edit)},
+        )
+        assert status == 400
+        assert "must be an integer" in doc["error"]

@@ -261,11 +261,20 @@ class TestPartitionEndpoint:
             {"netlist": _netlist(module_areas=["big", 1, 1])},
             {"netlist": _netlist(module_areas=[float("nan"), 1, 1])},
             {"netlist": _netlist(net_weights=[float("inf"), 1])},
+            # json.loads yields each of these; Infinity used to escape
+            # as a 500 OverflowError, the rest were truncated or
+            # coerced and served 200.
+            {"netlist": _netlist(nets=[[0, float("inf")]])},
+            {"netlist": _netlist(nets=[[0, 2.5]])},
+            {"netlist": _netlist(nets=[[0, True]])},
+            {"netlist": _netlist(nets=[[0, "2"]])},
+            {"netlist": _netlist(num_modules=6.7)},
         ],
         ids=[
             "netlist-not-object", "no-nets", "pin-not-int",
             "nets-not-list", "num-modules-not-int", "area-not-number",
-            "nan-area", "inf-weight",
+            "nan-area", "inf-weight", "pin-inf", "pin-float", "pin-bool",
+            "pin-numeric-string", "num-modules-float",
         ],
     )
     def test_malformed_body_is_400(self, server, body):
