@@ -33,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import DeltaError
 from ..hypergraph import Hypergraph
-from ..hypergraph.io import json_int
+from ..hypergraph.io import json_float, json_int
 
 __all__ = [
     "DELTA_FORMAT",
@@ -97,7 +97,8 @@ class ModuleAdd:
             )
         return cls(
             name=doc.get("name"),
-            area=float(doc.get("area", 1.0)),
+            area=json_float(doc.get("area", 1.0), "add_modules area",
+                            DeltaError),
             index=_json_index(doc.get("index"), "add_modules index"),
         )
 
@@ -138,7 +139,9 @@ class NetAdd:
         return cls(
             pins=_json_indices(doc["pins"], "add_nets pin"),
             name=doc.get("name"),
-            weight=None if doc.get("weight") is None else float(doc["weight"]),
+            weight=None if doc.get("weight") is None else json_float(
+                doc["weight"], "add_nets weight", DeltaError
+            ),
             index=_json_index(doc.get("index"), "add_nets index"),
         )
 
@@ -557,7 +560,10 @@ class NetlistDelta:
                 add_modules=tuple(
                     ModuleAdd.from_doc(e) for e in doc.get("add_modules", ())
                 ),
-                set_module_areas=_int_keyed("set_module_areas"),
+                set_module_areas={
+                    k: json_float(v, f"set_module_areas[{k}]", DeltaError)
+                    for k, v in _int_keyed("set_module_areas").items()
+                },
                 remove_nets=_json_indices(
                     doc.get("remove_nets", ()), "remove_nets entry"
                 ),
@@ -568,7 +574,10 @@ class NetlistDelta:
                     k: _json_indices(v, f"set_pins[{k}] pin")
                     for k, v in _int_keyed("set_pins").items()
                 },
-                set_net_weights=_int_keyed("set_net_weights"),
+                set_net_weights={
+                    k: json_float(v, f"set_net_weights[{k}]", DeltaError)
+                    for k, v in _int_keyed("set_net_weights").items()
+                },
             )
         except (TypeError, ValueError) as exc:
             raise DeltaError(f"malformed delta document: {exc}") from None

@@ -20,13 +20,14 @@ import json
 import math
 import numbers
 from pathlib import Path
-from typing import Any, List, Mapping, Type, Union
+from typing import Any, List, Mapping, Optional, Type, Union
 
 from ..errors import ParseError, ReproError
 from .builder import HypergraphBuilder
 from .hypergraph import Hypergraph
 
 __all__ = [
+    "json_float",
     "json_int",
     "to_json",
     "from_json",
@@ -61,6 +62,27 @@ def json_int(
     raise error(f"{what} must be an integer, got {value!r}")
 
 
+def json_float(
+    value: Any, what: str, error: Type[ReproError] = ParseError
+) -> float:
+    """``value``, read from a JSON document as an area or a weight.
+
+    Only an integer or a float passes, as a float.  ``float()`` would
+    also read bools and numeric strings; each raises ``error`` naming
+    ``what`` instead.  Whether the number is finite and non-negative is
+    the caller's check.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise error(
+                f"{what} must be finite, got an integer beyond the "
+                f"float range"
+            ) from None
+    raise error(f"{what} must be a number, got {value!r}")
+
+
 def to_json(h: Hypergraph) -> dict:
     """Serialise ``h`` to a JSON-compatible dictionary."""
     doc = {
@@ -87,7 +109,8 @@ def from_json(doc: Mapping) -> Hypergraph:
 
     A document that is not an object, lacks a required key, or holds
     values of the wrong type raises :class:`ParseError`; pins and
-    ``num_modules`` must be JSON integers (:func:`json_int`).
+    ``num_modules`` must be JSON integers (:func:`json_int`), areas and
+    weights JSON numbers (:func:`json_float`).
     """
     if not isinstance(doc, Mapping):
         raise ParseError(
@@ -108,8 +131,8 @@ def from_json(doc: Mapping) -> Hypergraph:
             num_modules=json_int(doc["num_modules"], "num_modules"),
             module_names=doc.get("module_names"),
             net_names=doc.get("net_names"),
-            module_areas=doc.get("module_areas"),
-            net_weights=doc.get("net_weights"),
+            module_areas=_json_floats(doc.get("module_areas"), "module area"),
+            net_weights=_json_floats(doc.get("net_weights"), "net weight"),
             name=doc.get("name", ""),
         )
     except KeyError as exc:
@@ -118,6 +141,14 @@ def from_json(doc: Mapping) -> Hypergraph:
         ) from None
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed netlist document: {exc}") from None
+
+
+def _json_floats(values: Any, what: str) -> Optional[List[float]]:
+    """An optional list of areas or weights, each read by
+    :func:`json_float`."""
+    if values is None:
+        return None
+    return [json_float(x, what) for x in values]
 
 
 def save_json(h: Hypergraph, path: PathLike) -> None:

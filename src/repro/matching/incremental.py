@@ -17,6 +17,27 @@ Each step changes the maximum matching size by at most one in each
 direction, so one search suffices and the matching stays maximum — this is
 the amortisation behind the paper's O(|V|·(|V|+|E|)) bound (Theorem 6).
 
+Both searches skip the L vertices that König classification (below)
+marked in R's reach at the last :meth:`IncrementalMatching.classify`.
+Right after that call the marks are exact: they are the vertices R's
+unmatched vertices reach by alternating paths.  The matching is maximum,
+so every marked L vertex is matched, and the L neighbours of its mate
+are all marked.  Moves keep both facts until the next call.  A vertex
+only ever leaves L, so a mate's L neighbours only shrink.  And no
+augmenting path runs through a marked L vertex: the next L vertex on the
+path is an L neighbour of its mate, so marked too, and so on up to the
+path's unmatched L end, which cannot be marked.  So a marked L vertex
+keeps its mate, alternating paths from it reach only marked L vertices,
+and a search that skips them misses no augmenting path, however many
+moves have passed since the last classification (``split_stride > 1``).
+R's marks stay all False until a call finds a vertex on R, so the
+searches after :meth:`IncrementalMatching.jump_start` skip nothing until
+the next call.  The start vertex's own mark is never consulted: ``v``'s
+was made while ``v`` was on L.  Marked vertices lead only to marked
+vertices, so the search meets the unmarked ones in the same order as an
+unpruned search and finds the same path: the matching is the same at
+every split, and only :attr:`search_visits` falls.
+
 ``E_B`` is kept *implicit*: a crossing edge is an intersection-graph edge
 whose endpoints are currently on different sides.  This avoids rebuilding
 edge sets and keeps every search O(|V| + |E_G'|).
@@ -102,6 +123,8 @@ class IncrementalMatching:
         # (side, mate) as of the last classify(), recorded for each
         # vertex the first time a move changes it after that call.
         self._before: Dict[int, Tuple[int, int]] = {}
+        # What repair_to_maximum()'s searches skip: nothing.
+        self._none_ruled_out = [False] * n
         #: Vertices whose class changed at the last :meth:`classify`.
         self.reclassified: List[int] = []
         #: Plain-int telemetry, always maintained (a few integer adds
@@ -194,8 +217,11 @@ class IncrementalMatching:
             raise MatchingError(f"vertex {v} is not on the L side")
 
         # Step 1: detach v from the matching; its old partner u (in R)
-        # may be re-matchable along an augmenting path into L.
+        # may be re-matchable along an augmenting path into L.  Both
+        # searches skip the L vertices R's marks rule out (see the
+        # module docstring).
         before = self._before
+        ruled_out = self._marks[_RIGHT]
         u = self._match[v]
         if v not in before:
             before[v] = (_LEFT, u)
@@ -214,11 +240,11 @@ class IncrementalMatching:
         self._left_count -= 1
 
         if u != -1:
-            if self._augment_from(u):
+            if self._augment_from(u, ruled_out):
                 self._matching_size += 1
 
         # Step 3: v (now in R) may extend the matching.
-        if self._augment_from(v):
+        if self._augment_from(v, ruled_out):
             self._matching_size += 1
 
     # ------------------------------------------------------------------
@@ -265,7 +291,9 @@ class IncrementalMatching:
         """
         grown = 0
         for v in range(self.num_vertices):
-            if self._match[v] == -1 and self._augment_from(v):
+            if self._match[v] == -1 and self._augment_from(
+                v, self._none_ruled_out
+            ):
                 self._matching_size += 1
                 grown += 1
         return grown
@@ -273,10 +301,14 @@ class IncrementalMatching:
     # ------------------------------------------------------------------
     # Augmenting search
     # ------------------------------------------------------------------
-    def _augment_from(self, start: int) -> bool:
+    def _augment_from(self, start: int, ruled_out: List[bool]) -> bool:
         """BFS one augmenting path from unmatched ``start``; apply it.
 
-        Works from either side.  Returns True when the matching grew.
+        Works from either side.  Skips every vertex other than
+        ``start`` flagged in ``ruled_out``, which must reach no unmatched
+        vertex by alternating paths: :meth:`move_to_right` passes R's
+        marks (see the module docstring), and :meth:`repair_to_maximum`
+        a list of False.  Returns True when the matching grew.
         """
         if self._match[start] != -1:
             return False
@@ -285,16 +317,19 @@ class IncrementalMatching:
         side = self._side
         adjacency = self._adjacency
 
+        # A vertex across the split enters ``parent`` with its mate, its
+        # only out-arc, so no mate is ever reached twice.
         parent: Dict[int, int] = {start: -1}
         queue = deque([start])
         while queue:
             x = queue.popleft()
             x_side = side[x]
             for y in adjacency[x]:
-                if side[y] == x_side or y in parent or match[x] == y:
+                if side[y] == x_side or ruled_out[y] or y in parent:
                     continue
                 parent[y] = x
-                if match[y] == -1:
+                partner = match[y]
+                if partner == -1:
                     # Reconstruct the path start .. x, y and flip its
                     # edges pairwise from the newly-matched end.
                     path = [y]
@@ -314,10 +349,8 @@ class IncrementalMatching:
                     self.augmentations += 1
                     self.search_visits += len(parent)
                     return True
-                partner = match[y]
-                if partner not in parent:
-                    parent[partner] = y
-                    queue.append(partner)
+                parent[partner] = y
+                queue.append(partner)
         self.search_visits += len(parent)
         return False
 
@@ -355,7 +388,8 @@ class IncrementalMatching:
 
         1. The candidates are the marked changed vertices and the marks
            they supported through their arcs as they were at the last
-           call.
+           call.  A support is marked, so the arcs of an unmarked
+           changed vertex are not scanned.
         2. Candidates pop in increasing rank.  One stays marked if it is
            a source, if its support is still a marked in-neighbour of
            smaller rank, or if a scan of its in-neighbours finds one,
@@ -432,13 +466,15 @@ class IncrementalMatching:
 
         # Step 1.  ``pending`` collects the unmarked vertices step 3
         # tries to mark: changed ones here, just-unmarked ones in step 2.
+        # A mark's support is marked, so an unmarked vertex supports
+        # nothing and its old arcs need no scan.
         candidates = []
         pending = []
         for x in changed:
-            if mark[x]:
-                candidates.append(x)
-            else:
+            if not mark[x]:
                 pending.append(x)
+                continue
+            candidates.append(x)
             old_side, old_mate = before[x]
             if old_side == s:
                 neighbours = adjacency[x]

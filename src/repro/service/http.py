@@ -45,18 +45,22 @@ the reply's first byte.  Handler errors produce ``{"type": "error",
 the access entries.
 
 **Graceful drain**: ``repro-serve`` handles SIGTERM/SIGINT by closing
-the listener, answering requests that race in on open connections
-with ``503 draining``, waiting (bounded by ``--drain-timeout``) for
-every in-flight request to finish, then flushing and closing the
-access log.  A request that reaches its handler after that gets no
-reply, only a closed connection, since its access line could no
-longer be written.  :meth:`_Server.drain` is the programmatic form.
+the listener, answering the connections queued in its listen backlog
+and requests that race in on open connections with ``503 draining``,
+waiting for every in-flight request to finish (the backlog answers and
+the wait share ``--drain-timeout``; only a queued peer that trickles
+its request in can hold the drain past it), then flushing and closing
+the access log.  A request that reaches its handler after that gets no
+reply, only a closed connection, since its access line could no longer
+be written.
+:meth:`_Server.drain` is the programmatic form.
 
 Errors are always JSON: ``{"error": "<one line>"}`` with 400 for bad
 requests, 404 for unknown paths, 405 (with an ``Allow`` header) for a
 known path asked with another method, 503 while draining, and 500
 (with the trace id) for handler crashes.  The ``repro-serve`` console
-script (:func:`serve_main`) is the deployment entry point.
+script (:func:`serve_main`) is the deployment entry point;
+``python -m repro.service`` runs the same function.
 """
 
 from __future__ import annotations
@@ -554,6 +558,10 @@ class _Handler(BaseHTTPRequestHandler):
 class _Server(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
+    #: The listen backlog.  socketserver's default of 5 drops the SYN
+    #: of a sixth client connecting at once, which then waits out a 1 s
+    #: retransmit; load generators open one connection per request.
+    request_queue_size = 64
     #: Drain does its own bounded in-flight accounting; joining handler
     #: threads in server_close() would make shutdown unbounded again.
     block_on_close = False
@@ -601,11 +609,13 @@ class _Server(ThreadingHTTPServer):
         """Graceful shutdown: stop accepts, finish in-flight work, close.
 
         Stops the accept loop (new connections are refused; requests on
-        already-open connections get 503), then waits — bounded by
-        ``timeout_s`` — for every in-flight HTTP request to complete.
-        Finally closes the listener and flushes/closes the access log;
-        a request that starts after that gets no reply
-        (:meth:`request_started` returns ``False``).
+        already-open connections get 503), answers the listen backlog,
+        then waits for every in-flight HTTP request to complete.  The
+        backlog answers and the wait share ``timeout_s``; only a queued
+        peer that trickles its request in can hold the drain past it
+        (see :meth:`_drain_backlog`).  Finally closes the listener and
+        flushes/closes the access log; a request that starts after that
+        gets no reply (:meth:`request_started` returns ``False``).
 
         Returns ``True`` when everything finished inside the budget,
         ``False`` when the timeout expired with work still running
@@ -613,8 +623,8 @@ class _Server(ThreadingHTTPServer):
         """
         self.draining = True
         self.shutdown()  # blocks until the serve_forever loop exits
-        self._drain_backlog()
         deadline = time.monotonic() + max(0.0, float(timeout_s))
+        self._drain_backlog(deadline)
         clean = True
         with self._inflight_lock:
             while self._inflight > 0:
@@ -627,7 +637,7 @@ class _Server(ThreadingHTTPServer):
         self.server_close()  # closes the socket and the access log
         return clean
 
-    def _drain_backlog(self) -> int:
+    def _drain_backlog(self, deadline: float) -> int:
         """Answer connections the kernel had already completed into the
         listen backlog when the accept loop stopped.
 
@@ -635,21 +645,31 @@ class _Server(ThreadingHTTPServer):
         so they deserve an honest ``503 Retry-After`` (``draining`` is
         already set) rather than the TCP reset ``server_close()`` would
         hand them.  Served synchronously — no handler threads to race
-        the in-flight accounting — with a one-second socket timeout so a
-        connected-but-silent peer cannot stall the drain."""
+        the in-flight accounting — each with a socket timeout of at most
+        one second, so a connected-but-silent peer cannot stall the
+        drain.  The backlog holds up to :attr:`request_queue_size`
+        connections, so answering every one could take that many
+        seconds; connections still queued at ``deadline`` (the drain's
+        budget) get the reset instead.  The timeout bounds each read,
+        not the connection: a peer that trickles its request in, each
+        byte inside the read timeout, is read to the end and answered,
+        past ``deadline`` if need be."""
         served = 0
         try:
             self.socket.setblocking(False)
         except OSError:
             return served
         while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
             try:
                 request, client_address = self.socket.accept()
             except (BlockingIOError, OSError):
                 break
             served += 1
             try:
-                request.settimeout(1.0)
+                request.settimeout(min(1.0, remaining))
                 self.finish_request(request, client_address)
             except Exception:
                 self.handle_error(request, client_address)
@@ -753,8 +773,10 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--drain-timeout", type=float, default=10.0, metavar="SECONDS",
-        help="on SIGTERM/SIGINT: stop accepting, wait up to this long "
-        "for in-flight requests to finish, then close (default 10.0)",
+        help="on SIGTERM/SIGINT: stop accepting, answer queued "
+        "connections 503 and wait for in-flight requests to finish, "
+        "for up to this long (a queued peer trickling its request in "
+        "can take longer), then close (default 10.0)",
     )
     args = parser.parse_args(argv)
 
@@ -831,4 +853,6 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(serve_main())
+    # ``import repro`` has loaded this module already, so running it
+    # again as __main__ would serve copies of its classes.
+    raise SystemExit("run the server with: python -m repro.service")

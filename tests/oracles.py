@@ -6,6 +6,8 @@ incrementally (:meth:`repro.matching.IncrementalMatching.classify`,
 recompute both from nothing at a given split, using only the matcher's
 public accessors, and :func:`replay` drives a sweep that checks the
 maintained state against them at every evaluated split.
+:class:`UnprunedMatching` is the matcher with its augmenting search as
+first written, which skips no vertex that R's reach marks rule out.
 
 :class:`ReferenceFMPass` is the FM pass as first written, before
 :meth:`repro.partitioning.FMEngine.run_pass` selected moves by the
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import struct
+from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -60,6 +63,7 @@ __all__ = [
     "R",
     "ReferenceFMPass",
     "UNASSIGNED",
+    "UnprunedMatching",
     "bits",
     "classify_from_scratch",
     "evaluate_split",
@@ -76,6 +80,53 @@ __all__ = [
 L = 0
 R = 1
 UNASSIGNED = 2
+
+
+class UnprunedMatching(IncrementalMatching):
+    """The shipped matcher with the augmenting search as first written:
+    a BFS that ignores ``ruled_out`` and so walks R's marked reach too.
+    It must find the same path as the shipped search, at more visits."""
+
+    def _augment_from(self, start: int, ruled_out: List[bool]) -> bool:
+        if self._match[start] != -1:
+            return False
+        self.augmentation_attempts += 1
+        match = self._match
+        side = self._side
+        adjacency = self._adjacency
+
+        parent: Dict[int, int] = {start: -1}
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            x_side = side[x]
+            for y in adjacency[x]:
+                if side[y] == x_side or y in parent or match[x] == y:
+                    continue
+                parent[y] = x
+                if match[y] == -1:
+                    path = [y]
+                    node = x
+                    while node != -1:
+                        path.append(node)
+                        node = parent[node]
+                    before = self._before
+                    for node in path:
+                        if node not in before:
+                            before[node] = (side[node], match[node])
+                    for i in range(0, len(path) - 1, 2):
+                        a, b = path[i], path[i + 1]
+                        match[a] = b
+                        match[b] = a
+                    self.augmentations += 1
+                    self.search_visits += len(parent)
+                    return True
+                partner = match[y]
+                if partner not in parent:
+                    parent[partner] = y
+                    queue.append(partner)
+        self.search_visits += len(parent)
+        return False
 
 
 def classify_from_scratch(matcher: IncrementalMatching) -> List[int]:

@@ -99,6 +99,42 @@ class TestWireFormat:
         with pytest.raises(DeltaError, match="must be an integer"):
             NetlistDelta.from_doc(dict({"format": DELTA_FORMAT}, **edit))
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"set_module_areas": {"0": "3"}},
+            {"set_module_areas": {"0": True}},
+            {"set_net_weights": {"0": True}},
+            {"set_net_weights": {"0": "0.5"}},
+            {"add_modules": [{"area": "2.5"}]},
+            {"add_modules": [{"area": False}]},
+            {"add_nets": [{"pins": [1, 2], "weight": "1"}]},
+            {"add_nets": [{"pins": [1, 2], "weight": True}]},
+        ],
+        ids=[
+            "set-area-string", "set-area-bool", "set-weight-bool",
+            "set-weight-string", "add-area-string", "add-area-bool",
+            "add-weight-string", "add-weight-bool",
+        ],
+    )
+    def test_areas_and_weights_must_be_numbers(self, edit):
+        # float() read "3" as 3.0 and true as 1.0.
+        with pytest.raises(DeltaError, match="must be a number"):
+            NetlistDelta.from_doc(dict({"format": DELTA_FORMAT}, **edit))
+
+    def test_integer_and_float_areas_and_weights_accepted(self):
+        delta = NetlistDelta.from_doc({
+            "format": DELTA_FORMAT,
+            "set_module_areas": {"0": 3, "1": 0.5},
+            "set_net_weights": {"2": 2},
+            "add_modules": [{"area": 4}],
+            "add_nets": [{"pins": [0, 1], "weight": 1.5}],
+        })
+        assert delta.set_module_areas == {0: 3.0, 1: 0.5}
+        assert delta.set_net_weights == {2: 2.0}
+        assert delta.add_modules[0].area == 4.0
+        assert delta.add_nets[0].weight == 1.5
+
     @pytest.mark.parametrize("churn", [False, True])
     def test_every_written_delta_reads_back(self, churn):
         # The strict reader accepts whatever dumps_delta writes.

@@ -79,6 +79,55 @@ class TestJson:
         doc["num_modules"] = np.int64(4)
         assert from_json(doc) == h
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("module_areas", ["2", 1, 1]),
+            ("module_areas", [True, 1, 1]),
+            ("net_weights", [True, 1.0]),
+            ("net_weights", [1.0, "3"]),
+            ("module_areas", [None, 1, 1]),
+        ],
+        ids=[
+            "area-string", "area-bool", "weight-bool", "weight-string",
+            "area-null",
+        ],
+    )
+    def test_areas_and_weights_must_be_numbers(self, field, value):
+        # float() read "2" as 2.0 and true as 1.0.
+        doc = {
+            "format": "repro-hypergraph-v1",
+            "num_modules": 3,
+            "nets": [[0, 1], [1, 2]],
+            field: value,
+        }
+        with pytest.raises(ParseError, match="must be a number"):
+            from_json(doc)
+
+    def test_area_beyond_float_range_is_parse_error(self):
+        doc = {
+            "format": "repro-hypergraph-v1",
+            "num_modules": 3,
+            "nets": [[0, 1], [1, 2]],
+            "module_areas": [10**400, 1, 1],
+        }
+        with pytest.raises(ParseError, match="must be finite"):
+            from_json(doc)
+
+    def test_integer_and_float_areas_and_weights_accepted(self):
+        h = Hypergraph(
+            [[0, 1], [1, 2]], num_modules=3,
+            module_areas=[2.0, 1.5, 1.0], net_weights=[3.0, 0.5],
+        )
+        doc = to_json(h)
+        assert from_json(doc) == h
+        doc["module_areas"] = [2, 1.5, np.float64(1)]
+        doc["net_weights"] = [np.int64(3), 0.5]
+        back = from_json(doc)
+        assert back == h
+        assert all(type(a) is float for a in back.module_areas)
+        assert all(type(w) is float for w in back.net_weights)
+
 
 class TestNetFormat:
     def test_roundtrip(self, tiny_hypergraph):

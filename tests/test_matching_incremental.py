@@ -108,6 +108,22 @@ class TestMaximalityInvariant:
             expected = matching_size(hopcroft_karp(crossing_graph(m)))
             assert m.matching_size == expected
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matching_always_maximum_when_classified(self, seed):
+        # Classifying after every move, as the sweep does, makes R's
+        # reach marks exact, so the next move's searches skip the
+        # vertices they rule out.
+        g = random_graph(seed, num_vertices=14, edge_probability=0.3)
+        m = IncrementalMatching(g)
+        order = list(range(14))
+        random.Random(seed).shuffle(order)
+        for v in order[:-1]:
+            m.move_to_right(v)
+            m.classify()
+            check_matching(m)
+            expected = matching_size(hopcroft_karp(crossing_graph(m)))
+            assert m.matching_size == expected
+
     def test_dense_graph_sweep(self):
         g = graph_of(10, [(u, v) for u in range(10) for v in range(u + 1, 10)])
         m = IncrementalMatching(g)

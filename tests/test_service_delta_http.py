@@ -257,6 +257,26 @@ class TestDeltaErrors:
     @pytest.mark.parametrize(
         "edit",
         [
+            {"set_module_areas": {"0": "3"}},
+            {"set_net_weights": {"0": True}},
+            {"add_modules": [{"area": "2.5"}]},
+        ],
+        ids=["area-string", "weight-bool", "added-area-string"],
+    )
+    def test_non_number_value_400(self, server, h, edit):
+        # float() read these as 3.0, 1.0 and 2.5 and served the delta.
+        base = _serve_base(server, h)
+        status, doc = call(
+            server,
+            "/partition/delta",
+            {"base": base["fingerprint"], "delta": dict(NOOP, **edit)},
+        )
+        assert status == 400
+        assert "must be a number" in doc["error"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
             {"add_nets": [{"pins": [1, True]}]},
             {"add_nets": [{"pins": [1, float("inf")]}]},
             {"add_nets": [{"pins": [1, 2.5]}]},

@@ -269,12 +269,16 @@ class TestPartitionEndpoint:
             {"netlist": _netlist(nets=[[0, True]])},
             {"netlist": _netlist(nets=[[0, "2"]])},
             {"netlist": _netlist(num_modules=6.7)},
+            # float() read these as 2.0, 1.0, 1.0 and 3.0 and served 200.
+            {"netlist": _netlist(module_areas=["2", True, 1])},
+            {"netlist": _netlist(net_weights=[True, "3"])},
         ],
         ids=[
             "netlist-not-object", "no-nets", "pin-not-int",
             "nets-not-list", "num-modules-not-int", "area-not-number",
             "nan-area", "inf-weight", "pin-inf", "pin-float", "pin-bool",
-            "pin-numeric-string", "num-modules-float",
+            "pin-numeric-string", "num-modules-float", "area-string-bool",
+            "weight-bool-string",
         ],
     )
     def test_malformed_body_is_400(self, server, body):
@@ -407,6 +411,28 @@ class TestRouting:
             conn.close()
 
 
+class TestListenBacklog:
+    def test_sixteen_clients_connect_before_any_accept(self):
+        # socketserver's default backlog of 5 dropped the SYN of the
+        # seventh client to connect while no accept ran; that client
+        # waited out a 1 s retransmit.
+        import socket
+
+        srv = create_server(
+            engine=PartitionEngine(cache=ResultCache(use_disk=False))
+        )
+        clients = []
+        try:
+            for _ in range(16):
+                clients.append(
+                    socket.create_connection(srv.server_address, timeout=0.5)
+                )
+        finally:
+            for client in clients:
+                client.close()
+            srv.server_close()
+
+
 class TestGracefulDrain:
     def _server(self, tmp_path):
         from repro.service.http import AccessLog
@@ -502,6 +528,27 @@ class TestGracefulDrain:
         assert [e["path"] for e in entries if e["type"] == "access"] == [
             "/healthz"
         ]
+
+    def test_silent_queued_peers_cannot_outlast_the_budget(self, tmp_path):
+        # Each queued connection that sends nothing held the drain for
+        # a full second, beyond its budget: three took 3 s.
+        import socket
+        import time
+
+        srv, thread, _ = self._server(tmp_path)
+        srv.shutdown()  # the accept loop stops; new peers queue
+        thread.join(5)
+        peers = [
+            socket.create_connection(srv.server_address, timeout=5)
+            for _ in range(3)
+        ]
+        try:
+            start = time.monotonic()
+            assert srv.drain(timeout_s=0.3) is True
+            assert time.monotonic() - start < 2.0
+        finally:
+            for peer in peers:
+                peer.close()
 
     def test_drain_timeout_reports_unclean(self, tmp_path):
         srv, thread, _ = self._server(tmp_path)
