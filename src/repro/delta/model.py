@@ -69,12 +69,22 @@ class ModuleAdd:
     """One module added by a delta.
 
     ``index`` is the module's position in the final numbering; ``None``
-    appends it after the surviving modules.
+    appends it after the surviving modules.  ``area`` and ``index`` are
+    checked as :class:`NetlistDelta` checks its fields.
     """
 
     name: Optional[str] = None
     area: float = 1.0
     index: Optional[int] = None
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "area",
+            json_float(self.area, "add_modules area", DeltaError),
+        )
+        object.__setattr__(
+            self, "index", _json_index(self.index, "add_modules index")
+        )
 
     def to_doc(self) -> dict:
         doc: dict = {}
@@ -97,15 +107,18 @@ class ModuleAdd:
             )
         return cls(
             name=doc.get("name"),
-            area=json_float(doc.get("area", 1.0), "add_modules area",
-                            DeltaError),
-            index=_json_index(doc.get("index"), "add_modules index"),
+            area=doc.get("area", 1.0),
+            index=doc.get("index"),
         )
 
 
 @dataclass(frozen=True)
 class NetAdd:
-    """One net added by a delta; ``pins`` use final module indices."""
+    """One net added by a delta; ``pins`` use final module indices.
+
+    ``pins``, ``weight`` and ``index`` are checked as
+    :class:`NetlistDelta` checks its fields.
+    """
 
     pins: Tuple[int, ...] = ()
     name: Optional[str] = None
@@ -114,7 +127,15 @@ class NetAdd:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "pins", tuple(int(p) for p in self.pins)
+            self, "pins", _json_indices(self.pins, "add_nets pin")
+        )
+        if self.weight is not None:
+            object.__setattr__(
+                self, "weight",
+                json_float(self.weight, "add_nets weight", DeltaError),
+            )
+        object.__setattr__(
+            self, "index", _json_index(self.index, "add_nets index")
         )
 
     def to_doc(self) -> dict:
@@ -137,12 +158,10 @@ class NetAdd:
         if "pins" not in doc:
             raise DeltaError("add_nets entry missing 'pins'")
         return cls(
-            pins=_json_indices(doc["pins"], "add_nets pin"),
+            pins=doc["pins"],
             name=doc.get("name"),
-            weight=None if doc.get("weight") is None else json_float(
-                doc["weight"], "add_nets weight", DeltaError
-            ),
-            index=_json_index(doc.get("index"), "add_nets index"),
+            weight=doc.get("weight"),
+            index=doc.get("index"),
         )
 
 
@@ -216,7 +235,12 @@ class NetlistDelta:
 
     See the module docstring for the index conventions.  Instances are
     normalised on construction: removal lists are sorted and de-duplicated,
-    edit mappings keyed by ``int``.
+    edit mappings keyed by ``int``.  Indices must be integers and areas
+    and weights numbers, read as the wire format reads them
+    (:func:`~repro.hypergraph.io.json_int`,
+    :func:`~repro.hypergraph.io.json_float`); a bool, a string or a
+    fractional index raises :class:`DeltaError` instead of being
+    coerced.
     """
 
     remove_modules: Tuple[int, ...] = ()
@@ -231,32 +255,48 @@ class NetlistDelta:
         object.__setattr__(
             self,
             "remove_modules",
-            tuple(sorted({int(v) for v in self.remove_modules})),
+            tuple(sorted(set(_json_indices(
+                self.remove_modules, "remove_modules entry"
+            )))),
         )
         object.__setattr__(
             self,
             "remove_nets",
-            tuple(sorted({int(e) for e in self.remove_nets})),
+            tuple(sorted(set(_json_indices(
+                self.remove_nets, "remove_nets entry"
+            )))),
         )
         object.__setattr__(self, "add_modules", tuple(self.add_modules))
         object.__setattr__(self, "add_nets", tuple(self.add_nets))
         object.__setattr__(
             self,
             "set_module_areas",
-            {int(k): float(v) for k, v in dict(self.set_module_areas).items()},
+            {
+                json_int(k, "set_module_areas key", DeltaError): json_float(
+                    v, f"set_module_areas[{k}]", DeltaError
+                )
+                for k, v in dict(self.set_module_areas).items()
+            },
         )
         object.__setattr__(
             self,
             "set_pins",
             {
-                int(k): tuple(int(p) for p in v)
+                json_int(k, "set_pins key", DeltaError): _json_indices(
+                    v, f"set_pins[{k}] pin"
+                )
                 for k, v in dict(self.set_pins).items()
             },
         )
         object.__setattr__(
             self,
             "set_net_weights",
-            {int(k): float(v) for k, v in dict(self.set_net_weights).items()},
+            {
+                json_int(k, "set_net_weights key", DeltaError): json_float(
+                    v, f"set_net_weights[{k}]", DeltaError
+                )
+                for k, v in dict(self.set_net_weights).items()
+            },
         )
 
     # ------------------------------------------------------------------
@@ -554,30 +594,17 @@ class NetlistDelta:
 
         try:
             return cls(
-                remove_modules=_json_indices(
-                    doc.get("remove_modules", ()), "remove_modules entry"
-                ),
+                remove_modules=doc.get("remove_modules", ()),
                 add_modules=tuple(
                     ModuleAdd.from_doc(e) for e in doc.get("add_modules", ())
                 ),
-                set_module_areas={
-                    k: json_float(v, f"set_module_areas[{k}]", DeltaError)
-                    for k, v in _int_keyed("set_module_areas").items()
-                },
-                remove_nets=_json_indices(
-                    doc.get("remove_nets", ()), "remove_nets entry"
-                ),
+                set_module_areas=_int_keyed("set_module_areas"),
+                remove_nets=doc.get("remove_nets", ()),
                 add_nets=tuple(
                     NetAdd.from_doc(e) for e in doc.get("add_nets", ())
                 ),
-                set_pins={
-                    k: _json_indices(v, f"set_pins[{k}] pin")
-                    for k, v in _int_keyed("set_pins").items()
-                },
-                set_net_weights={
-                    k: json_float(v, f"set_net_weights[{k}]", DeltaError)
-                    for k, v in _int_keyed("set_net_weights").items()
-                },
+                set_pins=_int_keyed("set_pins"),
+                set_net_weights=_int_keyed("set_net_weights"),
             )
         except (TypeError, ValueError) as exc:
             raise DeltaError(f"malformed delta document: {exc}") from None

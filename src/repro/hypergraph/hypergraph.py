@@ -77,13 +77,15 @@ def _freeze_pins(
     frozen: List[Tuple[int, ...]] = []
     max_module = -1
     for net_index, pins in enumerate(nets):
-        pin_list = sorted(set(int(p) for p in pins))
-        if pin_list and pin_list[0] < 0:
-            raise HypergraphError(
-                f"net {net_index} has a negative module index {pin_list[0]}"
-            )
+        pin_list = sorted(set(map(int, pins)))
         if pin_list:
-            max_module = max(max_module, pin_list[-1])
+            if pin_list[0] < 0:
+                raise HypergraphError(
+                    f"net {net_index} has a negative module index "
+                    f"{pin_list[0]}"
+                )
+            if pin_list[-1] > max_module:
+                max_module = pin_list[-1]
         frozen.append(tuple(pin_list))
     return tuple(frozen), max_module + 1
 
@@ -152,7 +154,7 @@ class Hypergraph:
             )
         self._pins = pins
         self._num_modules = int(num_modules)
-        self._num_pins = sum(len(p) for p in pins)
+        self._num_pins = sum(map(len, pins))
         self._name = name
         self._csr = None
 
@@ -161,7 +163,7 @@ class Hypergraph:
             for module in net_pins:
                 nets_of[module].append(net)
         self._nets_of: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(lst) for lst in nets_of
+            map(tuple, nets_of)
         )
 
         self._module_names = self._check_names(
@@ -171,7 +173,7 @@ class Hypergraph:
         if net_weights is None:
             self._net_weights: Optional[Tuple[float, ...]] = None
         else:
-            weights = tuple(float(w) for w in net_weights)
+            weights = tuple(map(float, net_weights))
             if len(weights) != len(pins):
                 raise HypergraphError(
                     f"expected {len(pins)} net weights, got {len(weights)}"
@@ -185,7 +187,7 @@ class Hypergraph:
         if module_areas is None:
             self._module_areas: Tuple[float, ...] = (1.0,) * self._num_modules
         else:
-            areas = tuple(float(a) for a in module_areas)
+            areas = tuple(map(float, module_areas))
             if len(areas) != self._num_modules:
                 raise HypergraphError(
                     f"expected {self._num_modules} module areas, "
@@ -203,7 +205,7 @@ class Hypergraph:
     ) -> Optional[Tuple[str, ...]]:
         if names is None:
             return None
-        frozen = tuple(str(n) for n in names)
+        frozen = tuple(map(str, names))
         if len(frozen) != expected:
             raise HypergraphError(
                 f"expected {expected} {kind} names, got {len(frozen)}"

@@ -20,10 +20,9 @@ import json
 import math
 import numbers
 from pathlib import Path
-from typing import Any, List, Mapping, Optional, Type, Union
+from typing import Any, Dict, List, Mapping, Optional, Set, Type, Union
 
 from ..errors import ParseError, ReproError
-from .builder import HypergraphBuilder
 from .hypergraph import Hypergraph
 
 __all__ = [
@@ -183,15 +182,45 @@ def dumps_net(h: Hypergraph) -> str:
 
 
 def loads_net(text: str, name: str = "") -> Hypergraph:
-    """Parse the NET text format from a string."""
-    builder = HypergraphBuilder()
+    """Parse the NET text format from a string.
+
+    One pass fills the lists :class:`Hypergraph` takes: a ``module``
+    line declares a module, and a net's pin names a module not seen
+    before creates it with unit area.  Each malformed line raises
+    :class:`ParseError` with its line number.
+    """
+    module_index: Dict[str, int] = {}
+    module_names: List[str] = []
+    areas: List[float] = []
+    nets: List[List[int]] = []
+    net_names: List[str] = []
+    seen_nets: Set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = line.split()
         keyword = fields[0].lower()
-        if keyword == "module":
+        if keyword == "net":
+            if len(fields) < 2:
+                raise ParseError("expected 'net <name> <pins...>'", line=lineno)
+            pins = []
+            for pin in fields[2:]:
+                index = module_index.get(pin)
+                if index is None:
+                    index = module_index[pin] = len(module_names)
+                    module_names.append(pin)
+                    areas.append(1.0)
+                pins.append(index)
+            net_name = fields[1]
+            if net_name in seen_nets:
+                raise ParseError(
+                    f"duplicate net name {net_name!r}", line=lineno
+                )
+            seen_nets.add(net_name)
+            nets.append(pins)
+            net_names.append(net_name)
+        elif keyword == "module":
             if len(fields) not in (2, 3):
                 raise ParseError(
                     "expected 'module <name> [area]'", line=lineno
@@ -207,25 +236,27 @@ def loads_net(text: str, name: str = "") -> Hypergraph:
                     raise ParseError(
                         f"bad module area {fields[2]!r}", line=lineno
                     )
-            if builder.has_module(fields[1]):
+            if fields[1] in module_index:
                 raise ParseError(
                     f"module {fields[1]!r} declared twice", line=lineno
                 )
-            builder.add_module(fields[1], area)
-        elif keyword == "net":
-            if len(fields) < 2:
-                raise ParseError("expected 'net <name> <pins...>'", line=lineno)
-            try:
-                builder.add_net_by_names(fields[2:], name=fields[1])
-            except Exception as exc:
-                raise ParseError(str(exc), line=lineno) from exc
+            module_index[fields[1]] = len(module_names)
+            module_names.append(fields[1])
+            areas.append(area)
         else:
             raise ParseError(
                 f"unknown keyword {fields[0]!r} "
                 "(expected 'module' or 'net')",
                 line=lineno,
             )
-    return builder.build(name=name)
+    return Hypergraph(
+        nets,
+        num_modules=len(module_names),
+        module_names=module_names,
+        net_names=net_names,
+        module_areas=areas,
+        name=name,
+    )
 
 
 def save_net(h: Hypergraph, path: PathLike) -> None:

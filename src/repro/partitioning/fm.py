@@ -16,12 +16,12 @@ The ratio-cut variant built on the same engine lives in
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -48,6 +48,12 @@ class GainBuckets:
     ``groups`` (gain -> cells) fills the buckets up front, each set
     built from its list in one call: the same set as adding the cells
     one by one in list order.
+
+    The FM pass (:meth:`FMEngine.run_pass`) walks ``_buckets`` down
+    from ``_max_gain`` to ``_floor`` in place, as
+    :meth:`iter_best_first` does, with the walk written out in its step
+    loop; it changes the buckets only through :meth:`remove` and
+    :meth:`update`.
     """
 
     def __init__(self, groups: Optional[Dict[int, List[int]]] = None) -> None:
@@ -131,49 +137,6 @@ class GainBuckets:
             if bucket is not None:
                 for cell in bucket:
                     yield gain, cell
-
-    def best(
-        self,
-        allowed: Callable[[float], bool],
-        areas: Sequence[float],
-        num_areas: int,
-        limit: int,
-    ) -> Tuple[int, List[int]]:
-        """``(gain, cells)``: up to ``limit`` cells of the highest gain
-        whose area ``allowed`` accepts, in bucket order.
-
-        ``cells`` is empty when ``allowed`` accepts none.  The walk is
-        :meth:`iter_best_first`'s, written out so that a pass step
-        creates no generator.  ``allowed`` is asked once per distinct
-        area, and the walk stops as soon as it has rejected
-        ``num_areas`` areas, every distinct one there is.
-        """
-        cells: List[int] = []
-        if self._max_gain is None:
-            return 0, cells
-        buckets = self._buckets
-        verdicts: Dict[float, bool] = {}
-        rejected = 0
-        for gain in range(self._max_gain, self._floor - 1, -1):
-            bucket = buckets.get(gain)
-            if bucket is None:
-                continue
-            for cell in bucket:
-                area = areas[cell]
-                verdict = verdicts.get(area)
-                if verdict is None:
-                    verdict = verdicts[area] = bool(allowed(area))
-                    if not verdict:
-                        rejected += 1
-                        if rejected == num_areas:
-                            return 0, cells
-                if verdict:
-                    cells.append(cell)
-                    if len(cells) == limit:
-                        return gain, cells
-            if cells:
-                return gain, cells
-        return 0, cells
 
 
 class FMEngine:
@@ -390,26 +353,6 @@ class FMEngine:
                     gain2 -= 1
         return gain2
 
-    def _current_value(self, objective: str) -> float:
-        if objective == "cut":
-            return float(self.cut)
-        return ratio_cut_cost(
-            self.cut, self.side_count[0], self.side_count[1]
-        )
-
-    def _candidate_value(self, objective: str, cell: int, gain: int) -> float:
-        """Objective value the partition would have after moving ``cell``."""
-        new_cut = self.cut - gain
-        if objective == "cut":
-            return float(new_cut)
-        # The from side loses one module, the to side gains one.
-        from_side = self.sides[cell]
-        if from_side == 0:
-            u, w = self.side_count[0] - 1, self.side_count[1] + 1
-        else:
-            u, w = self.side_count[0] + 1, self.side_count[1] - 1
-        return ratio_cut_cost(new_cut, u, w)
-
     def run_pass(
         self, feasible, objective="cut", lookahead: int = 1
     ) -> Tuple[int, float]:
@@ -423,18 +366,20 @@ class FMEngine:
         rejected every distinct module area of the netlist.  On a
         unit-area netlist that is one call per side per step.
 
-        Every cell moves at most once.  At each step each side's
-        best-gain cell the rule lets move is found by walking that
-        side's buckets down from the max-gain pointer
-        (:meth:`GainBuckets.best`), and the move minimising the
-        post-move ``objective`` is applied (for ``"cut"`` this is
-        classic FM best-gain selection; for ``"ratio"`` it is
-        Wei–Cheng's myopic ratio-gain selection, where the denominator
-        term makes moves from the large side more attractive).  With
-        ``lookahead >= 2``, first-level gain ties (up to eight cells
-        per side) are broken by the Krishnamurthy second-level gain
-        (:meth:`lookahead_gain`).  A step costs that walk plus the
-        moved cell's pins (:meth:`move`).
+        Every cell moves at most once.  A step is two walks and one
+        :meth:`move`.  Each walk goes down one side's gain buckets from
+        their max-gain pointer, iterating each bucket's set in place
+        (the walk of :meth:`GainBuckets.iter_best_first`, written out in
+        the loop), to that side's best-gain cell the rule lets move.  Of
+        the two, the move minimising the post-move ``objective`` is
+        applied, ties going to the higher gain, then the lower cell
+        index (for ``"cut"`` this is classic FM best-gain selection;
+        for ``"ratio"`` it is Wei–Cheng's myopic ratio-gain selection,
+        where the denominator term makes moves from the large side more
+        attractive).  With ``lookahead >= 2``, first-level gain ties
+        (up to eight cells per side) are broken by the Krishnamurthy
+        second-level gain (:meth:`lookahead_gain`).  A step costs the
+        two walks plus the moved cell's pins.
 
         The pass tracks the prefix with the best objective value and
         reverts the rest without replaying it: the reverted cells'
@@ -448,51 +393,119 @@ class FMEngine:
         """
         if objective not in ("cut", "ratio"):
             raise PartitionError(f"unknown objective {objective!r}")
+        by_cut = objective == "cut"
         sides = self.sides
+        side_count = self.side_count
         locked = [False] * len(sides)
         groups = (defaultdict(list), defaultdict(list))
         for v, gain in enumerate(self.gains):
             groups[sides[v]][gain].append(v)
         buckets = (GainBuckets(groups[0]), GainBuckets(groups[1]))
-        rules = (partial(feasible, 0), partial(feasible, 1))
         areas = self._areas
         num_areas = self._num_areas
-        limit = 8 if lookahead >= 2 else 1
 
         move_sequence: List[int] = []
         best_prefix = 0
-        best_value = self._current_value(objective)
-
+        best_value = math.inf
         while True:
-            candidates = []
-            for side in (0, 1):
-                gain, tied = buckets[side].best(
-                    rules[side], areas, num_areas, limit
-                )
-                if not tied:
-                    continue
-                cell = tied[0] if len(tied) == 1 else max(
-                    tied, key=lambda c: self.lookahead_gain(c, locked)
-                )
-                candidates.append(
-                    (self._candidate_value(objective, cell, gain), -gain,
-                     cell)
-                )
-            if not candidates:
-                break
-            _, neg_gain, chosen = min(candidates)
-            buckets[sides[chosen]].remove(chosen, -neg_gain)
-            locked[chosen] = True
-            self.move(chosen, buckets, locked)
-            move_sequence.append(chosen)
-            value = self._current_value(objective)
-            if value < best_value:
+            # The value of the partition as it stands, after the last move.
+            cut = self.cut
+            count0, count1 = side_count
+            if by_cut:
+                value = float(cut)
+            else:
+                value = ratio_cut_cost(cut, count0, count1)
+            if value < best_value or not move_sequence:
                 best_value = value
                 best_prefix = len(move_sequence)
 
+            # The step's move: its cell, gain and post-move value.
+            chosen = -1
+            chosen_gain = 0
+            chosen_value = 0.0
+            for side in (0, 1):
+                side_buckets = buckets[side]
+                gain = side_buckets._max_gain
+                if gain is None:
+                    continue
+                table = side_buckets._buckets
+                floor = side_buckets._floor
+                verdicts = {}
+                rejected = 0
+                found = -1
+                while gain >= floor:
+                    bucket = table.get(gain)
+                    if bucket is not None:
+                        for cell in bucket:
+                            area = areas[cell]
+                            verdict = verdicts.get(area)
+                            if verdict is None:
+                                # A bool, as bool() gives, without its
+                                # call on the pass's hottest path.
+                                verdict = verdicts[area] = (
+                                    True if feasible(side, area) else False
+                                )
+                                # Once every distinct area is rejected,
+                                # no cell of this side may move.
+                                if not verdict:
+                                    rejected += 1
+                                    if rejected == num_areas:
+                                        break
+                            if verdict:
+                                found = cell
+                                break
+                        if found >= 0 or rejected == num_areas:
+                            break
+                    gain -= 1
+                if found < 0:
+                    continue
+                cell = found
+                if lookahead >= 2:
+                    # The bucket's first eight cells the rule lets move,
+                    # ``found`` first, since the cells before it are
+                    # rejected; the verdicts asked here are the ones a
+                    # walk on past ``found`` would ask.
+                    tied = []
+                    for other in bucket:
+                        area = areas[other]
+                        verdict = verdicts.get(area)
+                        if verdict is None:
+                            verdict = verdicts[area] = (
+                                True if feasible(side, area) else False
+                            )
+                        if verdict:
+                            tied.append(other)
+                            if len(tied) == 8:
+                                break
+                    if len(tied) > 1:
+                        cell = max(
+                            tied,
+                            key=lambda c: self.lookahead_gain(c, locked),
+                        )
+                if by_cut:
+                    value = float(cut - gain)
+                elif side == 0:
+                    value = ratio_cut_cost(cut - gain, count0 - 1, count1 + 1)
+                else:
+                    value = ratio_cut_cost(cut - gain, count0 + 1, count1 - 1)
+                # The key (value, -gain, cell), lowest first.
+                if chosen < 0 or value < chosen_value or (
+                    value == chosen_value
+                    and (gain > chosen_gain
+                         or (gain == chosen_gain and cell < chosen))
+                ):
+                    chosen = cell
+                    chosen_gain = gain
+                    chosen_value = value
+            if chosen < 0:
+                break
+            buckets[sides[chosen]].remove(chosen, chosen_gain)
+            locked[chosen] = True
+            self.move(chosen, buckets, locked)
+            move_sequence.append(chosen)
+
         reverted = move_sequence[best_prefix:]
         if reverted:
-            side_count = self.side_count
             side_area = self.side_area
             for cell in reversed(reverted):
                 from_side = sides[cell]

@@ -48,11 +48,10 @@ the access entries.
 the listener, answering the connections queued in its listen backlog
 and requests that race in on open connections with ``503 draining``,
 waiting for every in-flight request to finish (the backlog answers and
-the wait share ``--drain-timeout``; only a queued peer that trickles
-its request in can hold the drain past it), then flushing and closing
-the access log.  A request that reaches its handler after that gets no
-reply, only a closed connection, since its access line could no longer
-be written.
+the wait share ``--drain-timeout``, which also cuts off a queued peer
+still sending its request), then flushing and closing the access log.
+A request that reaches its handler after that gets no reply, only a
+closed connection, since its access line could no longer be written.
 :meth:`_Server.drain` is the programmatic form.
 
 Errors are always JSON: ``{"error": "<one line>"}`` with 400 for bad
@@ -68,6 +67,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import socket
 import sys
 import threading
 import time
@@ -611,9 +611,9 @@ class _Server(ThreadingHTTPServer):
         Stops the accept loop (new connections are refused; requests on
         already-open connections get 503), answers the listen backlog,
         then waits for every in-flight HTTP request to complete.  The
-        backlog answers and the wait share ``timeout_s``; only a queued
-        peer that trickles its request in can hold the drain past it
-        (see :meth:`_drain_backlog`).  Finally closes the listener and
+        backlog answers and the wait share ``timeout_s``; a queued peer
+        still sending its request when it runs out is cut off (see
+        :meth:`_drain_backlog`).  Finally closes the listener and
         flushes/closes the access log; a request that starts after that
         gets no reply (:meth:`request_started` returns ``False``).
 
@@ -648,12 +648,11 @@ class _Server(ThreadingHTTPServer):
         the in-flight accounting — each with a socket timeout of at most
         one second, so a connected-but-silent peer cannot stall the
         drain.  The backlog holds up to :attr:`request_queue_size`
-        connections, so answering every one could take that many
-        seconds; connections still queued at ``deadline`` (the drain's
-        budget) get the reset instead.  The timeout bounds each read,
-        not the connection: a peer that trickles its request in, each
-        byte inside the read timeout, is read to the end and answered,
-        past ``deadline`` if need be."""
+        connections; connections still queued at ``deadline`` (the
+        drain's budget) get the reset instead.  ``deadline`` also bounds
+        each connection as a whole: a timer shuts the socket down at
+        ``deadline``, so a peer that trickles its request in, each byte
+        inside the read timeout, is cut off there and gets no answer."""
         served = 0
         try:
             self.socket.setblocking(False)
@@ -668,12 +667,17 @@ class _Server(ThreadingHTTPServer):
             except (BlockingIOError, OSError):
                 break
             served += 1
+            cut = threading.Timer(remaining, _cut, args=(request,))
             try:
+                cut.start()
                 request.settimeout(min(1.0, remaining))
                 self.finish_request(request, client_address)
             except Exception:
                 self.handle_error(request, client_address)
             finally:
+                cut.cancel()
+                if cut.is_alive():
+                    cut.join()
                 self.shutdown_request(request)
         return served
 
@@ -692,6 +696,15 @@ class _Server(ThreadingHTTPServer):
     def server_close(self) -> None:
         super().server_close()
         self.access_log.close()
+
+
+def _cut(request: socket.socket) -> None:
+    """Shut ``request`` down in both directions, waking a read blocked
+    on it; a socket already closed is left as it is."""
+    try:
+        request.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
 
 
 def create_server(
@@ -775,8 +788,7 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         "--drain-timeout", type=float, default=10.0, metavar="SECONDS",
         help="on SIGTERM/SIGINT: stop accepting, answer queued "
         "connections 503 and wait for in-flight requests to finish, "
-        "for up to this long (a queued peer trickling its request in "
-        "can take longer), then close (default 10.0)",
+        "for up to this long, then close (default 10.0)",
     )
     args = parser.parse_args(argv)
 

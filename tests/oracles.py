@@ -30,11 +30,15 @@ revert) and the completion tally's first state replayed net by net.
 partitioner run can be compared bit for bit against the shipped
 steps.  :class:`LinkedGainBuckets` is the
 paper-era bucket list the FM bucket replay test checks against.
+
+:func:`reference_loads_net` is the NET reader as first written, on a
+:class:`~repro.hypergraph.HypergraphBuilder`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import struct
 from collections import deque
 from typing import Dict, List, Optional, Tuple
@@ -44,9 +48,9 @@ import pytest
 import scipy.sparse as sp
 
 import repro.graph.laplacian as laplacian
-from repro.errors import PartitionError
+from repro.errors import ParseError, PartitionError
 from repro.graph import Graph
-from repro.hypergraph import Hypergraph
+from repro.hypergraph import Hypergraph, HypergraphBuilder
 from repro.intersection import get_weighting, intersection_graph
 from repro.matching.incremental import IncrementalMatching, VertexClass
 from repro.obs import incr, span
@@ -888,3 +892,58 @@ class LinkedGainBuckets:
             gain = index - self._bound
             for cell in cells:
                 yield gain, cell
+
+
+# ----------------------------------------------------------------------
+# The NET reader
+# ----------------------------------------------------------------------
+def reference_loads_net(text: str, name: str = "") -> Hypergraph:
+    """The NET reader as first written, staging every line through a
+    :class:`~repro.hypergraph.HypergraphBuilder`.
+
+    :func:`repro.hypergraph.loads_net` must build an equal hypergraph
+    (names included) and raise the same :class:`ParseError`, message
+    and line number alike.
+    """
+    builder = HypergraphBuilder()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        keyword = fields[0].lower()
+        if keyword == "module":
+            if len(fields) not in (2, 3):
+                raise ParseError(
+                    "expected 'module <name> [area]'", line=lineno
+                )
+            area = 1.0
+            if len(fields) == 3:
+                try:
+                    area = float(fields[2])
+                except ValueError:
+                    area = math.nan  # rejected just below
+                # The chained comparison fails for negatives, NaN and inf.
+                if not 0 <= area < math.inf:
+                    raise ParseError(
+                        f"bad module area {fields[2]!r}", line=lineno
+                    )
+            if builder.has_module(fields[1]):
+                raise ParseError(
+                    f"module {fields[1]!r} declared twice", line=lineno
+                )
+            builder.add_module(fields[1], area)
+        elif keyword == "net":
+            if len(fields) < 2:
+                raise ParseError("expected 'net <name> <pins...>'", line=lineno)
+            try:
+                builder.add_net_by_names(fields[2:], name=fields[1])
+            except Exception as exc:
+                raise ParseError(str(exc), line=lineno) from exc
+        else:
+            raise ParseError(
+                f"unknown keyword {fields[0]!r} "
+                "(expected 'module' or 'net')",
+                line=lineno,
+            )
+    return builder.build(name=name)

@@ -135,6 +135,49 @@ class TestWireFormat:
         assert delta.add_modules[0].area == 4.0
         assert delta.add_nets[0].weight == 1.5
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: NetlistDelta(remove_nets=("2", 2.7)),
+            lambda: NetlistDelta(remove_modules=(True,)),
+            lambda: NetAdd(pins=("1", 2.9, True)),
+            lambda: NetAdd(pins=(0, 1), weight="1"),
+            lambda: NetAdd(pins=(0, 1), index=1.0),
+            lambda: NetlistDelta(set_net_weights={1: True}),
+            lambda: NetlistDelta(set_pins={"3": ["1", 2.2]}),
+            lambda: NetlistDelta(set_pins={3: [1, 2.2]}),
+            lambda: NetlistDelta(set_module_areas={0: "3"}),
+            lambda: ModuleAdd(area="2.5"),
+            lambda: ModuleAdd(index="0"),
+        ],
+        ids=[
+            "remove-nets-string-and-float", "remove-modules-bool",
+            "net-pins-string-float-bool", "net-weight-string",
+            "net-index-float", "set-weight-bool", "set-pins-string-key",
+            "set-pins-float-pin", "set-area-string", "module-area-string",
+            "module-index-string",
+        ],
+    )
+    def test_constructors_are_as_strict_as_the_wire(self, build):
+        # int() and float() made ("2", 2.7) (2,), True 1.0 and "3" 3.0;
+        # ModuleAdd kept the string area as given.
+        with pytest.raises(DeltaError):
+            build()
+
+    def test_constructors_accept_numpy_numbers(self):
+        import numpy as np
+
+        delta = NetlistDelta(
+            remove_nets=(np.int64(2),),
+            add_nets=(NetAdd(pins=(np.int64(0), 1), weight=np.float64(2)),),
+            set_module_areas={np.int64(0): 3},
+        )
+        assert delta.remove_nets == (2,)
+        assert delta.add_nets[0].pins == (0, 1)
+        assert delta.add_nets[0].weight == 2.0
+        assert delta.set_module_areas == {0: 3.0}
+        assert all(type(v) is int for v in delta.remove_nets)
+
     @pytest.mark.parametrize("churn", [False, True])
     def test_every_written_delta_reads_back(self, churn):
         # The strict reader accepts whatever dumps_delta writes.

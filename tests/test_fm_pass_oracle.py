@@ -106,9 +106,10 @@ def check_passes(h, sides, kind, side_arg, objective, lookahead,
         assert engine.last_pass == reference.last_pass
         assert engine.side_count == reference.side_count
         assert engine.side_area == reference.side_area
-        if len(set(areas)) == 1:
-            # Unit area: one rule call per side per step at most.
-            assert calls[0] <= 2 * (engine.last_pass["moved"] + 1)
+        # At most one rule call per distinct area per side per step.
+        assert calls[0] <= (
+            2 * len(set(areas)) * (engine.last_pass["moved"] + 1)
+        )
 
 
 PASS_SETUP = dict(

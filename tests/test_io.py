@@ -1,8 +1,13 @@
 """Tests for netlist file I/O."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from repro.bench.generator import generate_from_spec
+from repro.bench.specs import get_spec, spec_names
 from repro.errors import ParseError
 from repro.hypergraph import (
     Hypergraph,
@@ -15,6 +20,8 @@ from repro.hypergraph import (
     save_net,
     to_json,
 )
+from tests.oracles import reference_loads_net
+from tests.strategies import netlist_texts
 
 
 class TestJson:
@@ -188,3 +195,119 @@ class TestNetFormat:
         text = dumps_net(h)
         assert "3" in text
         assert loads_net(text).module_area(0) == 3.0
+
+
+def assert_same_reading(text, name=""):
+    """``loads_net`` and the builder-based reference give equal
+    hypergraphs, names included, or raise the same error."""
+    try:
+        want = reference_loads_net(text, name=name)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            loads_net(text, name=name)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+        assert raised.value.line == exc.line
+        return exc
+    got = loads_net(text, name=name)
+    assert got == want
+    assert got.net_pins == want.net_pins
+    assert got.module_nets == want.module_nets
+    assert got.module_areas == want.module_areas
+    assert [got.module_name(v) for v in range(got.num_modules)] == [
+        want.module_name(v) for v in range(want.num_modules)
+    ]
+    assert [got.net_name(e) for e in range(got.num_nets)] == [
+        want.net_name(e) for e in range(want.num_nets)
+    ]
+    assert got.name == want.name
+    return None
+
+
+def reformatted(text):
+    """``text`` with some keywords upper-cased, some trailing comments
+    and some blank lines."""
+    lines = []
+    for i, line in enumerate(text.splitlines()):
+        keyword, _, rest = line.partition(" ")
+        if i % 3 == 1:
+            keyword = keyword.upper()
+        line = f"{keyword} {rest}"
+        if i % 5 == 2:
+            line += "  # note"
+        if i % 7 == 3:
+            lines.append("")
+        lines.append(line)
+    return "\n".join(lines)
+
+
+#: Texts every check of the reader rejects, one per check.
+MALFORMED = {
+    "module-declared-twice": "module a\nmodule a",
+    "module-declared-after-a-net-made-it": "net n a b\nmodule b 2",
+    "negative-area": "module a -1",
+    "nan-area": "module a nan",
+    "inf-area": "module a inf",
+    "non-numeric-area": "module a xyz",
+    "module-without-name": "module",
+    "module-with-extra-field": "module a 1 2",
+    "net-without-name": "net",
+    "duplicate-net-name": "net n a b\nnet n c d",
+    "unknown-keyword": "wibble a b",
+    "line-number-past-comments": (
+        "# header\n\n  MODULE a # note\nNet n a\n\nmodule A 1\nmodule a"
+    ),
+}
+
+#: Well-formed texts at the edges of the format.
+EDGE_CASES = {
+    "empty": "",
+    "comments-only": "# one\n\n   # two",
+    "keyword-case": "MODULE a 2\nNet n a b\nnEt m b",
+    "net-without-pins": "net n",
+    "repeated-pin": "net n a a b",
+    "zero-and-exponent-areas": "module a 0\nmodule b 1e3\nnet n b a",
+    "isolated-module": "module a\nmodule b\nnet n b",
+}
+
+
+class TestNetReaderEqualsReference:
+    """``loads_net`` fills the lists ``Hypergraph`` takes directly;
+    :func:`tests.oracles.reference_loads_net` stages them through a
+    ``HypergraphBuilder``."""
+
+    @pytest.mark.parametrize("circuit", spec_names())
+    def test_suite_circuit(self, circuit):
+        h = generate_from_spec(get_spec(circuit), seed=1, scale=0.2)
+        rng = random.Random(circuit)
+        with_areas = Hypergraph(
+            h.net_pins,
+            num_modules=h.num_modules,
+            module_areas=[
+                rng.choice((0.0, 0.5, 1.0, 2.5, 7.0))
+                for _ in range(h.num_modules)
+            ],
+        )
+        text = dumps_net(h)
+        nets_only = "\n".join(
+            line for line in text.splitlines()
+            if not line.startswith("module")
+        )
+        for variant in (text, dumps_net(with_areas), nets_only,
+                        reformatted(text)):
+            assert assert_same_reading(variant, name=circuit) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(netlist_texts())
+    def test_fuzzed_texts(self, text):
+        assert_same_reading(text)
+
+    @pytest.mark.parametrize("text", list(MALFORMED.values()),
+                             ids=list(MALFORMED))
+    def test_malformed_text_raises_the_same_error(self, text):
+        assert isinstance(assert_same_reading(text), ParseError)
+
+    @pytest.mark.parametrize("text", list(EDGE_CASES.values()),
+                             ids=list(EDGE_CASES))
+    def test_edge_case_reads_the_same(self, text):
+        assert assert_same_reading(text) is None

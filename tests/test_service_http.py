@@ -550,6 +550,43 @@ class TestGracefulDrain:
             for peer in peers:
                 peer.close()
 
+    def test_trickling_queued_peer_cannot_outlast_the_budget(
+        self, tmp_path
+    ):
+        # A queued peer sending one byte every 0.25 s kept each read
+        # inside its 1 s timeout, so the drain read its whole request:
+        # 13 bytes held a 0.5 s drain for 3.25 s.
+        import socket
+        import time
+
+        srv, thread, _ = self._server(tmp_path)
+        srv.shutdown()  # the accept loop stops; new peers queue
+        thread.join(5)
+        peer = socket.create_connection(srv.server_address, timeout=5)
+        request = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        stop = threading.Event()
+
+        def trickle():
+            for byte in request:
+                if stop.wait(0.25):
+                    return
+                try:
+                    peer.sendall(bytes([byte]))
+                except OSError:
+                    return
+
+        sender = threading.Thread(target=trickle, daemon=True)
+        sender.start()
+        try:
+            start = time.monotonic()
+            assert srv.drain(timeout_s=0.5) is True
+            assert time.monotonic() - start < 1.5
+        finally:
+            stop.set()
+            sender.join(5)
+            peer.close()
+        assert not sender.is_alive()
+
     def test_drain_timeout_reports_unclean(self, tmp_path):
         srv, thread, _ = self._server(tmp_path)
         # Fake a stuck in-flight request: drain must give up at the
