@@ -61,9 +61,11 @@ class Graph:
         edge_b[i]}``.  A pair given more than once sums its weights left
         to right in array order, each vertex lists its neighbours in the
         order their pairs first appear, and :attr:`total_weight` is the
-        left-to-right sum of ``weights``.  Raises :class:`GraphError` for
-        the first edge with an end out of range, a self-loop, or a
-        weight that is not positive and finite.
+        left-to-right sum of ``weights``.  One plain (unstable) sort
+        groups the repeated pairs; each pair's first position and weight
+        sum are read in input order, so the sort order changes neither.
+        Raises :class:`GraphError` for the first edge with an end out of
+        range, a self-loop, or a weight that is not positive and finite.
         """
         n = num_vertices
         if n < 0:
@@ -93,18 +95,28 @@ class Graph:
             )
 
         # Edge i's two directed entries sit at 2i and 2i + 1, so every
-        # row meets its entries in input order.  Merging equal entries
-        # keeps each one's first position, which orders the rows, and
-        # one bincount sums each pair's weights in input order.
+        # row meets its entries in input order.  One plain sort groups
+        # equal entries; a run's smallest position is its first, which
+        # orders the rows, and one bincount over the run ids sums each
+        # pair's weights in input order.
         rows = np.stack([a, b], axis=1).ravel()
         cols = np.stack([b, a], axis=1).ravel()
-        pairs, first, which = np.unique(
-            rows * n + cols, return_index=True, return_inverse=True
+        keys = rows * n + cols
+        perm = np.argsort(keys)
+        keys = keys[perm]
+        boundary = np.empty(keys.size, dtype=bool)
+        boundary[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
+        starts = np.flatnonzero(boundary)
+        which = np.empty(keys.size, dtype=np.int64)
+        which[perm] = np.cumsum(boundary) - 1
+        first = (
+            np.minimum.reduceat(perm, starts) if starts.size else starts
         )
         summed = np.bincount(
-            which, weights=np.repeat(w, 2), minlength=pairs.size
+            which, weights=np.repeat(w, 2), minlength=starts.size
         )
-        row, col = np.divmod(pairs, max(n, 1))
+        row, col = np.divmod(keys[starts], max(n, 1))
         # First positions are distinct: one key sorts rows, then firsts.
         order = np.argsort(row * rows.size + first)
         indptr = np.zeros(n + 1, dtype=np.int64)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
+import numpy as np
+
 from ..errors import GraphError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,19 +71,41 @@ def bfs_distances(g: "Graph", start: int) -> List[Optional[int]]:
 
 
 def connected_components(g: "Graph") -> List[List[int]]:
-    """All connected components, each a sorted vertex list.
+    """All connected components, each a sorted list of Python ints.
 
     Components are ordered by their smallest vertex.  Isolated vertices
-    form singleton components.
+    form singleton components.  Computed by min-label propagation with
+    hooking and pointer jumping: every vertex starts labelled by itself;
+    each round it takes the smallest label among itself and its
+    neighbours, hands that label on to the vertex its old label names,
+    then takes the label of its label.  At the fixed point every vertex
+    carries its component's smallest vertex, and one stable sort by
+    label lists the components.
     """
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
-    dist: List[Optional[int]] = [None] * g.num_vertices
-    # Each search marks its component, so the next start is unreached.
-    return [
-        sorted(_search(indptr, indices, start, dist))
-        for start in range(g.num_vertices)
-        if dist[start] is None
-    ]
+    indptr, indices = g.indptr, g.indices
+    # reduceat needs non-empty rows; isolated vertices keep their label.
+    linked = np.flatnonzero(indptr[1:] > indptr[:-1])
+    starts = indptr[linked]
+    label = np.arange(g.num_vertices)
+    while True:
+        low = label.copy()
+        if linked.size:
+            low[linked] = np.minimum(
+                low[linked], np.minimum.reduceat(label[indices], starts)
+            )
+        # Hooking moves a whole tree of labels at once; without it a
+        # small label can creep one hop per round along a long path.
+        new = low.copy()
+        np.minimum.at(new, label, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    heads = np.flatnonzero(np.diff(label[order], prepend=-1)).tolist()
+    vertices = order.tolist()
+    bounds = heads + [len(vertices)]
+    return [vertices[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def is_connected(g: "Graph") -> bool:

@@ -33,6 +33,7 @@ from typing import List, Tuple, Union
 from ...errors import ParseError
 from ..builder import HypergraphBuilder
 from ..hypergraph import Hypergraph
+from ..io import token_names
 
 __all__ = [
     "loads_bookshelf",
@@ -185,28 +186,31 @@ def loads_bookshelf(
 def dumps_bookshelf(h: Hypergraph) -> Tuple[str, str]:
     """Render ``(nodes_text, nets_text)`` for a hypergraph.
 
-    Areas are emitted as ``<area> 1`` width/height pairs.
+    Areas are emitted as ``<area> 1`` width/height pairs, the area
+    written with ``repr`` so it reads back exactly.  A hypergraph the
+    format cannot hold raises :class:`ParseError` naming the first
+    module or net at fault: a name that is not one token without
+    whitespace or ``#``, a name two modules (or two nets) share, or a
+    net weight other than 1.
     """
+    module_names, net_names = token_names(h, "Bookshelf")
     node_lines = [
         "UCLA nodes 1.0",
         f"NumNodes : {h.num_modules}",
         "NumTerminals : 0",
     ]
-    for v in range(h.num_modules):
-        node_lines.append(
-            f"    {h.module_name(v)} {h.module_area(v):g} 1"
-        )
+    for name, area in zip(module_names, h.module_areas):
+        node_lines.append(f"    {name} {area!r} 1")
 
     net_lines = [
         "UCLA nets 1.0",
         f"NumNets : {h.num_nets}",
         f"NumPins : {h.num_pins}",
     ]
-    for j in range(h.num_nets):
-        pins = h.pins(j)
-        net_lines.append(f"NetDegree : {len(pins)} {h.net_name(j)}")
+    for name, pins in zip(net_names, h.net_pins):
+        net_lines.append(f"NetDegree : {len(pins)} {name}")
         for p in pins:
-            net_lines.append(f"    {h.module_name(p)} B")
+            net_lines.append(f"    {module_names[p]} B")
     return (
         "\n".join(node_lines) + "\n",
         "\n".join(net_lines) + "\n",

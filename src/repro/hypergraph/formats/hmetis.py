@@ -23,6 +23,7 @@ from typing import List, Optional, Union
 
 from ...errors import ParseError
 from ..hypergraph import Hypergraph
+from ..io import comment_text
 
 __all__ = ["loads_hgr", "dumps_hgr", "load_hgr", "save_hgr"]
 
@@ -127,7 +128,8 @@ def loads_hgr(text: str, name: str = "") -> Hypergraph:
 def _integral(value: float, what: str) -> int:
     if value != int(value):
         raise ParseError(
-            f".hgr {what} must be integers; got {value}"
+            f"cannot write {what} as .hgr: its weight {value!r} is not "
+            "an integer"
         )
     return int(value)
 
@@ -137,28 +139,31 @@ def dumps_hgr(h: Hypergraph) -> str:
 
     Module areas are emitted as vertex weights and explicit net weights
     as net weights (fmt 1/10/11 accordingly); both must be integral,
-    per the format.
+    per the format, and every net needs a pin (a net line with none
+    would be blank, which the reader skips).  A hypergraph that breaks
+    either rule raises :class:`ParseError` naming the first module or
+    net at fault.
     """
     vertex_weighted = any(a != 1.0 for a in h.module_areas)
     net_weighted = h.has_net_weights
     fmt = (1 if net_weighted else 0) + (10 if vertex_weighted else 0)
-    lines = [f"% {h.name or 'hypergraph'}: {h.num_nets} nets, "
-             f"{h.num_modules} vertices"]
+    lines = [f"% {comment_text(h.name) or 'hypergraph'}: {h.num_nets} "
+             f"nets, {h.num_modules} vertices"]
     lines.append(
         f"{h.num_nets} {h.num_modules}" + (f" {fmt}" if fmt else "")
     )
-    for j in range(h.num_nets):
-        pins = " ".join(str(p + 1) for p in h.pins(j))
+    for j, net in enumerate(h.net_pins):
+        if not net:
+            raise ParseError(f"cannot write net {j} as .hgr: it has no pins")
+        pins = " ".join(str(p + 1) for p in net)
         if net_weighted:
-            weight = _integral(h.net_weight(j), "net weights")
+            weight = _integral(h.net_weight(j), f"net {j}")
             lines.append(f"{weight} {pins}")
         else:
             lines.append(pins)
     if vertex_weighted:
         for v in range(h.num_modules):
-            lines.append(
-                str(_integral(h.module_area(v), "vertex weights"))
-            )
+            lines.append(str(_integral(h.module_area(v), f"module {v}")))
     return "\n".join(lines) + "\n"
 
 

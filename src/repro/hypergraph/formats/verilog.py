@@ -202,22 +202,96 @@ def load_verilog(path: PathLike) -> Hypergraph:
 def dumps_verilog(h: Hypergraph, module_name: str = "") -> str:
     """Render a hypergraph as a generic structural Verilog netlist.
 
-    Every module becomes a ``cell`` instance whose positional pins are
-    its incident nets — a lossy but valid structural view (gate types
-    are not stored in the hypergraph).
+    The text reads back (:func:`loads_verilog`) as ``h``, names
+    included.  A module named ``pad:<port>`` becomes the port
+    ``<port>``, which the reader turns back into a pad of area 0 on the
+    net of that name; every other module becomes a ``cell`` instance of
+    area 1 whose positional pins are its nets (gate types are not
+    stored in the hypergraph).  The reader lists pads before instances
+    and nets by name, and drops nets with fewer than two pins, so ``h``
+    must do the same; unnamed nets are written ``n<j>`` zero-padded,
+    which sorts in net order.  A hypergraph the subset cannot hold
+    raises :class:`ParseError` naming the first module or net at fault.
+    ``module_name`` defaults to ``h.name`` made an identifier.
     """
-    def sanitize(token: str) -> str:
-        return re.sub(r"\W+", "_", token)
+    if module_name and not _IDENT_RE.fullmatch(module_name):
+        raise ParseError(
+            f"cannot write module name {module_name!r} as Verilog: "
+            "not an identifier"
+        )
+    if not module_name:
+        module_name = re.sub(r"[^A-Za-z0-9_$]+", "_", h.name)
+        if not _IDENT_RE.fullmatch(module_name):
+            module_name = "netlist"
 
-    module_name = module_name or sanitize(h.name or "netlist") or "netlist"
-    lines = [f"module {module_name} ();"]
-    for j in range(h.num_nets):
-        net = sanitize(h.net_name(j))
-        lines.append(f"  wire {net};")
+    def fault(kind: str, index: int, name: str, why: str) -> ParseError:
+        return ParseError(
+            f"cannot write {kind} {index} ({name!r}) as Verilog: {why}"
+        )
+
+    width = len(str(h.num_nets - 1))
+    net_names = [
+        h.net_name(j) if h.has_net_names else f"n{j:0{width}d}"
+        for j in range(h.num_nets)
+    ]
+    for j, name in enumerate(net_names):
+        if not _IDENT_RE.fullmatch(name):
+            raise fault("net", j, name, "not an identifier")
+        if j and name <= net_names[j - 1]:
+            raise fault("net", j, name, "the reader orders nets by name")
+        if len(h.pins(j)) < 2:
+            raise fault("net", j, name, "the reader drops nets with "
+                        "fewer than two pins")
+        if h.net_weight(j) != 1.0:
+            raise fault("net", j, name, "the format carries no net "
+                        "weights")
+    net_index = {name: j for j, name in enumerate(net_names)}
+
+    ports: List[str] = []
+    cells: List[str] = []
+    seen: Set[str] = set()
     for v in range(h.num_modules):
-        nets = ", ".join(sanitize(h.net_name(j)) for j in h.nets_of(v))
-        safe = sanitize(h.module_name(v))
-        lines.append(f"  cell {safe} ({nets});")
+        name = h.module_name(v)
+        if name in seen:
+            raise fault("module", v, name, "another module has the "
+                        "same name")
+        seen.add(name)
+        nets = h.nets_of(v)
+        if name.startswith("pad:"):
+            port = name[len("pad:"):]
+            own = (net_index[port],) if port in net_index else ()
+            if cells:
+                raise fault("module", v, name, "the reader lists pads "
+                            "before instances")
+            if not _IDENT_RE.fullmatch(port):
+                raise fault("module", v, name, "the port is not an "
+                            "identifier")
+            if h.module_area(v) != 0.0 or nets != own:
+                raise fault("module", v, name, "a pad has area 0 and "
+                            "lies on its port's net alone")
+            ports.append(port)
+        else:
+            if not _IDENT_RE.fullmatch(name):
+                raise fault("module", v, name, "not an identifier")
+            if h.module_area(v) != 1.0 or not nets:
+                raise fault("module", v, name, "an instance has area 1 "
+                            "and at least one net")
+            pins = ", ".join(net_names[j] for j in nets)
+            cells.append(f"  cell {name} ({pins});")
+    if not cells:
+        raise ParseError(
+            "cannot write as Verilog: the reader needs an instance, a "
+            "module not named 'pad:<port>'"
+        )
+
+    lines = [f"module {module_name} ({', '.join(ports)});"]
+    if ports:
+        lines.append(f"  inout {', '.join(ports)};")
+    port_set = set(ports)
+    lines.extend(
+        f"  wire {name};" for name in net_names if name not in port_set
+    )
+    lines.extend(cells)
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
 

@@ -20,7 +20,7 @@ import json
 import math
 import numbers
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Set, Type, Union
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Type, Union
 
 from ..errors import ParseError, ReproError
 from .hypergraph import Hypergraph
@@ -163,21 +163,68 @@ def load_json(path: PathLike) -> Hypergraph:
 # ----------------------------------------------------------------------
 # NET text format
 # ----------------------------------------------------------------------
+def comment_text(text: str) -> str:
+    """``text`` on one line, for a comment: whitespace runs, line
+    breaks included, become single spaces."""
+    return " ".join(text.split())
+
+
+def token_names(h: Hypergraph, fmt: str) -> Tuple[List[str], List[str]]:
+    """``h``'s module and net names, for a format of whitespace-split
+    lines with ``#`` comments and no net weights.
+
+    Raises :class:`ParseError` naming the first module or net ``fmt``
+    cannot hold: a name that is not one token without whitespace or
+    ``#``, a name another module (or net) already has, or a net weight
+    other than 1.
+    """
+    module_names = [h.module_name(v) for v in range(h.num_modules)]
+    net_names = [h.net_name(j) for j in range(h.num_nets)]
+    for kind, names in (("module", module_names), ("net", net_names)):
+        seen: Set[str] = set()
+        for i, name in enumerate(names):
+            if name.split() != [name] or "#" in name:
+                why = "a name must be one token without whitespace or '#'"
+            elif name in seen:
+                why = f"another {kind} has the same name"
+            else:
+                seen.add(name)
+                continue
+            raise ParseError(
+                f"cannot write {kind} {i} ({name!r}) as {fmt}: {why}"
+            )
+    for j, weight in enumerate(h.net_weights):
+        if weight != 1.0:
+            raise ParseError(
+                f"cannot write net {j} ({net_names[j]!r}) as {fmt}: "
+                f"its weight is {weight!r} and the format carries none"
+            )
+    return module_names, net_names
+
+
 def dumps_net(h: Hypergraph) -> str:
-    """Render ``h`` in the NET text format."""
-    lines: List[str] = [f"# netlist {h.name or '(unnamed)'}"]
+    """Render ``h`` in the NET text format.
+
+    The text reads back as ``h``: areas are written with ``repr``,
+    which round-trips every float.  A hypergraph the format cannot
+    hold raises :class:`ParseError` naming the first module or net at
+    fault: a name that is not one token without whitespace or ``#``, a
+    name two modules (or two nets) share, or a net weight other than 1.
+    """
+    module_names, net_names = token_names(h, "NET")
+    lines = [f"# netlist {comment_text(h.name) or '(unnamed)'}"]
     lines.append(
         f"# {h.num_modules} modules, {h.num_nets} nets, {h.num_pins} pins"
     )
     for v in range(h.num_modules):
         area = h.module_area(v)
         if area != 1.0:
-            lines.append(f"module {h.module_name(v)} {area:g}")
+            lines.append(f"module {module_names[v]} {area!r}")
         else:
-            lines.append(f"module {h.module_name(v)}")
-    for j in range(h.num_nets):
-        pins = " ".join(h.module_name(p) for p in h.pins(j))
-        lines.append(f"net {h.net_name(j)} {pins}")
+            lines.append(f"module {module_names[v]}")
+    for j, pins in enumerate(h.net_pins):
+        names = " ".join(module_names[p] for p in pins)
+        lines.append(f"net {net_names[j]} {names}")
     return "\n".join(lines) + "\n"
 
 

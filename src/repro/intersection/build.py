@@ -87,9 +87,15 @@ def intersection_edge_state(
 ) -> EdgeState:
     """Compute the canonical :class:`EdgeState` of ``h`` vectorised.
 
-    Weight values are bitwise those of the per-pair weighting functions
-    in :mod:`repro.intersection.weights` (the same IEEE operations in
-    the same order).  Touches ``h.csr`` (materialising it if needed).
+    Each pin of a module's row is paired with the pins after it, so
+    the ``(module, a, b)`` co-incidences are laid out module by module,
+    in (module, a, b) order, with no sort.  One stable sort of the key
+    ``a * num_nets + b`` groups them by edge with modules ascending, and
+    a plain sort of each edge's first position in that layout gives the
+    canonical order.  Weight values are bitwise those of the per-pair
+    weighting functions in :mod:`repro.intersection.weights` (the same
+    IEEE operations in the same order).  Touches ``h.csr``
+    (materialising it if needed).
     """
     import numpy as np
 
@@ -98,42 +104,38 @@ def intersection_edge_state(
     indptr = csr.module_indptr
     indices = csr.module_indices
     degrees = np.diff(indptr)
-
-    # Enumerate every (module, net_a, net_b) co-incidence, batching
-    # modules by degree so each batch is one fancy-indexed gather plus
-    # one triu pair expansion (lexicographic (a, b) within a module).
-    pair_a_parts = []
-    pair_b_parts = []
-    pair_mod_parts = []
-    for d in np.unique(degrees):
-        if d < 2:
-            continue
-        d = int(d)
-        mods = np.flatnonzero(degrees == d)
-        rows = indices[indptr[mods][:, None] + np.arange(d)]
-        iu, ju = np.triu_indices(d, 1)
-        pair_a_parts.append(rows[:, iu].ravel())
-        pair_b_parts.append(rows[:, ju].ravel())
-        pair_mod_parts.append(np.repeat(mods, iu.size))
-    if not pair_a_parts:
+    # The pin at place i of a d-net module row pairs with the d - 1 - i
+    # pins after it, so the co-incidences come out module by module,
+    # each module's pairs in (a, b) order, with no sort.
+    pin_degree = np.repeat(degrees, degrees)
+    partners = pin_degree - 1 - (
+        np.arange(indices.size) - np.repeat(indptr[:-1], degrees)
+    )
+    num_pairs = int(partners.sum())
+    if not num_pairs:
         empty_i = np.empty(0, dtype=np.int64)
         return EdgeState(empty_i, empty_i, np.empty(0, dtype=np.float64))
+    src = np.repeat(np.arange(indices.size), partners)
+    step = np.arange(num_pairs) - np.repeat(
+        np.cumsum(partners) - partners, partners
+    )
+    a = indices[src]
+    b = indices[src + 1 + step]
 
-    a = np.concatenate(pair_a_parts)
-    b = np.concatenate(pair_b_parts)
-    mod = np.concatenate(pair_mod_parts)
-    # Group co-incidences by edge; within a group modules stay
-    # ascending, the order the per-pair weightings sum them in.
-    order = np.lexsort((mod, b, a))
-    a, b, mod = a[order], b[order], mod[order]
-    boundary = np.empty(a.size, dtype=bool)
+    # Group co-incidences by edge.  The sort is stable, so modules stay
+    # ascending within a group (the order the per-pair weightings sum
+    # them in), and a group's first entry is its first co-incidence.
+    key = a * h.num_nets + b
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    boundary = np.empty(num_pairs, dtype=bool)
     boundary[0] = True
-    np.logical_or(a[1:] != a[:-1], b[1:] != b[:-1], out=boundary[1:])
+    np.not_equal(key[1:], key[:-1], out=boundary[1:])
     group_start = np.flatnonzero(boundary)
-    counts = np.diff(np.append(group_start, a.size))
-    edge_a = a[group_start]
-    edge_b = b[group_start]
-    first_mod = mod[group_start]
+    counts = np.diff(np.append(group_start, num_pairs))
+    first = order[group_start]
+    edge_a = a[first]
+    edge_b = b[first]
 
     sizes = np.diff(csr.net_indptr)
     if weighting_name == "unit":
@@ -145,24 +147,30 @@ def intersection_edge_state(
         weights = counts / union
     else:  # "paper" — get_weighting() already rejected unknown names
         size_term = 1.0 / sizes[edge_a] + 1.0 / sizes[edge_b]
-        contrib = np.repeat(size_term, counts) / (degrees[mod] - 1.0)
+        # d - 1 of each co-incidence's module, in layout order.
+        divisor = pin_degree[src] - 1.0
         # Accumulate each edge's per-module terms sequentially (lowest
         # module first, one IEEE add per round) — exactly
         # paper_weight's summation order, never numpy's pairwise
-        # reduction.
-        weights = np.zeros(edge_a.size, dtype=np.float64)
-        for k in range(int(counts.max())):
-            sel = counts > k
-            weights[sel] += contrib[group_start[sel] + k]
+        # reduction.  Round k runs over the edges sharing more than k
+        # modules; round 0 is 0.0 + term, which is the term itself.
+        weights = size_term / divisor[first]
+        edges = np.flatnonzero(counts > 1)
+        for k in range(1, int(counts.max())):
+            edges = edges[counts[edges] > k]
+            weights[edges] += (
+                size_term[edges] / divisor[order[group_start[edges] + k]]
+            )
 
     keep = weights > 0
     if not np.all(keep):
         edge_a = edge_a[keep]
         edge_b = edge_b[keep]
-        first_mod = first_mod[keep]
+        first = first[keep]
         weights = weights[keep]
 
-    enc = np.lexsort((edge_b, edge_a, first_mod))
+    # Positions run in (module, a, b) order and are distinct.
+    enc = np.argsort(first)
     return EdgeState(edge_a[enc], edge_b[enc], weights[enc])
 
 

@@ -18,6 +18,9 @@ and a recount of the moved cell's gain.
 :class:`DictGraph` is the graph as first written, one dict per vertex
 with weights added in call order; :meth:`repro.graph.Graph.from_edges`
 must build the same rows, bit for bit.
+:func:`reference_connected_components` is the component listing as
+first written, one breadth-first search per component, which
+:func:`repro.graph.connected_components` must equal.
 
 The array-backed pipeline steps have their first, loop-based versions
 here: the per-pair intersection build (:func:`shared_module_map` plus
@@ -73,6 +76,7 @@ __all__ = [
     "evaluate_split",
     "pipeline",
     "reference_adjacency_matrix",
+    "reference_connected_components",
     "reference_fm_gain_state",
     "reference_intersection_graph",
     "reference_shifted_laplacian",
@@ -596,6 +600,27 @@ class DictGraph:
             [v for _, v in self._pairs],
             [self.adj[u][v] for u, v in self._pairs],
         )
+
+
+def reference_connected_components(g: Graph) -> List[List[int]]:
+    """Components by breadth-first search from each unreached vertex in
+    turn, each sorted: ordered by smallest vertex, isolated vertices
+    as singletons."""
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    reached = [False] * g.num_vertices
+    components = []
+    for start in range(g.num_vertices):
+        if reached[start]:
+            continue
+        reached[start] = True
+        component = [start]
+        for u in component:  # the list doubles as the BFS queue
+            for v in indices[indptr[u]:indptr[u + 1]]:
+                if not reached[v]:
+                    reached[v] = True
+                    component.append(v)
+        components.append(sorted(component))
+    return components
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,10 @@ suite fuzzes the same instance space:
   for the matching tests.
 - :func:`netlist_texts` — adversarial parser input skewed toward
   format-relevant tokens.
+- :func:`named_hypergraphs` — hypergraphs with arbitrary names, areas
+  and net weights, for the writer round trips.
+- :func:`edge_lists` — ``(n, edges)`` for graph builds, with repeated
+  pairs and weights of many magnitudes.
 
 ``hypergraph_strategy`` and ``bipartite_strategy`` are kept as aliases
 for the historical names exported from ``tests.conftest``.
@@ -27,8 +31,10 @@ __all__ = [
     "adversarial_csr_hypergraphs",
     "bipartite_graphs",
     "bipartite_strategy",
+    "edge_lists",
     "hypergraph_strategy",
     "hypergraphs",
+    "named_hypergraphs",
     "netlist_texts",
     "partitionable_hypergraphs",
     "pin_counts",
@@ -217,6 +223,82 @@ _RAW_TEXT = st.text(max_size=200)
 def netlist_texts():
     """Adversarial parser input: token soup or raw unicode."""
     return st.one_of(_STRUCTURED_TEXT, _RAW_TEXT)
+
+
+# ----------------------------------------------------------------------
+# Named netlists (for the writer round trips)
+# ----------------------------------------------------------------------
+#: Names every writer accepts, names some accept, and arbitrary text.
+_NAMES = st.one_of(
+    st.from_regex(r"[a-z_][a-z0-9_]{0,3}", fullmatch=True),
+    st.sampled_from(["pad:a", "pad:b", "n 1", "n#1", "x 2", "", "a\nnet"]),
+    st.text(max_size=5),
+)
+_AREAS = st.one_of(
+    st.sampled_from([1.0, 0.0, 2.0, 1.23456789, 1e-300]),
+    st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+)
+_WEIGHTS = st.sampled_from([1.0, 1.0, 2.0, 1.5, 2.25, 0.0])
+
+
+@st.composite
+def named_hypergraphs(draw, max_modules=6, max_nets=6):
+    """Small hypergraphs whose names, areas and net weights are each
+    either absent or drawn: identifiers, ``pad:`` names, names with
+    whitespace or ``#``, repeats, arbitrary text, inexact areas and
+    fractional weights.  Empty nets and isolated modules occur too."""
+    n = draw(st.integers(0, max_modules))
+    nets = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), max_size=4) if n else
+            st.just([]),
+            max_size=max_nets,
+        )
+    )
+    m = len(nets)
+
+    def optional(element, size):
+        return draw(
+            st.none() | st.lists(element, min_size=size, max_size=size)
+        )
+
+    return Hypergraph(
+        nets,
+        num_modules=n,
+        module_names=optional(_NAMES, n),
+        net_names=optional(_NAMES, m),
+        module_areas=optional(_AREAS, n),
+        net_weights=optional(_WEIGHTS, m),
+        name=draw(_NAMES),
+    )
+
+
+# ----------------------------------------------------------------------
+# Edge lists (for the graph builds)
+# ----------------------------------------------------------------------
+#: Weights of many magnitudes, so the order of a sum shows in its bits.
+EDGE_WEIGHTS = st.sampled_from(
+    [1.0, 1 / 3, 1 / 7, 0.1, 2.5e-9, 1e-16, 1e8, 3.0]
+)
+
+
+@st.composite
+def edge_lists(draw, min_vertices=2, max_vertices=6, max_edges=30):
+    """``(n, [(u, v, w), ...])`` with few vertices, so pairs repeat;
+    a graph with fewer than two vertices has no edges."""
+    n = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
+    if n < 2:
+        return n, []
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(
+        st.lists(
+            st.tuples(vertex, vertex, EDGE_WEIGHTS).filter(
+                lambda e: e[0] != e[1]
+            ),
+            max_size=max_edges,
+        )
+    )
+    return n, edges
 
 
 # Historical names (originally defined in tests/conftest.py).

@@ -43,6 +43,7 @@ from repro.bench import build_circuit
 from repro.delta import NetlistDelta
 from repro.errors import ReproError
 from repro.graph.laplacian import adjacency_matrix, laplacian_matrix
+from repro.hypergraph import Hypergraph
 from repro.intersection import intersection_graph
 from repro.matching.incremental import IncrementalMatching
 from repro.netmodels import available_models, get_model
@@ -77,6 +78,23 @@ from tests.strategies import (
 )
 
 WEIGHTINGS = ("unit", "overlap", "jaccard", "paper")
+
+#: Nets 0 and 1 share 44 modules of several degrees: 44 weight rounds.
+WIDE_OVERLAP = Hypergraph(
+    [list(range(45)), list(range(1, 46))]
+    + [[v, v + 1] for v in range(0, 45, 3)]
+)
+#: Module v < 14 lies on nets 0 .. v: degrees 1 .. 14.
+MANY_DEGREES = Hypergraph([[*range(j, 14), 14 + j] for j in range(16)])
+#: No module lies on two nets: the empty edge state.
+NO_COINCIDENCE = Hypergraph([[0, 1], [2, 3, 4], [5], []], num_modules=7)
+
+
+def with_edge_cases(test):
+    """``test`` also run on the three netlists above."""
+    for h in (WIDE_OVERLAP, MANY_DEGREES, NO_COINCIDENCE):
+        test = example(h=h)(test)
+    return test
 
 
 def run_one(implementation, h, request):
@@ -177,6 +195,7 @@ class TestIntersectionLayer:
     # eco-chain's circuit at its size (~1,100 nets, ~11.7k edges), where
     # a wrong per-row insertion order would show.
     @example(h=build_circuit("Test05", seed=0, scale=0.4))
+    @with_edge_cases
     def test_graph_identical_including_order(self, weighting, h):
         gd = reference_intersection_graph(h, weighting)
         gc = intersection_graph(h, weighting)
@@ -224,6 +243,7 @@ class TestSpectralLayer:
             allow_singleton_modules=True,
         )
     )
+    @with_edge_cases
     def test_shifted_laplacian_identical(self, build, h):
         """``A + diag(c - d)`` equals ``c·I - (D - A)`` bit for bit,
         index dtypes included, on intersection graphs and on net-model
@@ -248,6 +268,7 @@ class TestSpectralLayer:
             allow_singleton_modules=True,
         )
     )
+    @with_edge_cases
     def test_lazy_csr_arrays_identical_on_net_model_graphs(self, model, h):
         """Net-model graphs, whose repeated pairs from_edges
         accumulates and whose rows are in first-insertion order,

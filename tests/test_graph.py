@@ -5,30 +5,13 @@ import struct
 
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import example, given, settings
 
 from repro.errors import GraphError
 from repro.graph import Graph, from_networkx, from_scipy_sparse
 from tests.conftest import graph_of
 from tests.oracles import DictGraph
-
-#: Weights of many magnitudes, so the order of a sum shows in its bits.
-WEIGHTS = st.sampled_from([1.0, 1 / 3, 1 / 7, 0.1, 2.5e-9, 1e-16, 1e8, 3.0])
-
-
-@st.composite
-def edge_lists(draw, max_vertices=6, max_edges=30):
-    """``(n, [(u, v, w), ...])`` with few vertices, so pairs repeat."""
-    n = draw(st.integers(min_value=2, max_value=max_vertices))
-    vertex = st.integers(min_value=0, max_value=n - 1)
-    edges = draw(
-        st.lists(
-            st.tuples(vertex, vertex, WEIGHTS).filter(lambda e: e[0] != e[1]),
-            max_size=max_edges,
-        )
-    )
-    return n, edges
+from tests.strategies import edge_lists
 
 
 def bit_rows(g):
@@ -111,6 +94,12 @@ class TestConstruction:
 
     @settings(max_examples=200, deadline=None)
     @given(edge_lists())
+    # One pair given 50 times, both ways round: a long run of equal keys.
+    @example((3, [(0, 1, 1 / 3), (1, 0, 1e-16)] * 25 + [(2, 1, 0.1)]))
+    # Rows of 13 distinct lengths, each pair repeated reversed.
+    @example((14, [e for v in range(14) for u in range(v)
+                   for e in ((u, v, 1 / 7), (v, u, 1e8))]))
+    @example((3, []))
     def test_repeated_pairs_equal_the_dict_twin(self, case):
         """Row order, weights, edge count and total weight equal a dict
         graph's whose ``add_edge`` accumulated the same list in order."""

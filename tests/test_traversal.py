@@ -1,6 +1,9 @@
 """Tests for graph traversal utilities."""
 
+import time
+
 import pytest
+from hypothesis import example, given, settings
 
 from repro.errors import GraphError
 from repro.graph import (
@@ -12,6 +15,8 @@ from repro.graph import (
     is_connected,
 )
 from tests.conftest import connected_random_graph, graph_of
+from tests.oracles import reference_connected_components
+from tests.strategies import edge_lists
 
 PATH4 = [(0, 1), (1, 2), (2, 3)]
 
@@ -48,6 +53,50 @@ class TestComponents:
     def test_isolated_vertices_are_singletons(self):
         g = graph_of(3, [(0, 1)])
         assert connected_components(g) == [[0, 1], [2]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists(min_vertices=0, max_vertices=12, max_edges=12))
+    # A path whose smallest vertex sits at one end, the far end first.
+    @example((40, [(v, v - 1, 1.0) for v in range(39, 0, -1)]))
+    # Two zigzag paths, 0-19-1-18-... and 20-39-21-38-...
+    @example((40, [(e[0] + base, e[1] + base, 1.0) for base in (0, 20)
+                   for v in range(10) for e in ((v, 19 - v), (19 - v, v + 1))
+                   if e[0] != e[1]]))
+    # The path 0-39-38-...-1, where every label points away from 0.
+    @example((40, [(0, 39, 1.0)]
+              + [(v, v - 1, 1.0) for v in range(39, 1, -1)]))
+    @example((0, []))
+    def test_equal_the_bfs_twin(self, case):
+        """The same sorted lists, in the same order, of Python ints, as
+        one BFS per component; isolated vertices and several components
+        included."""
+        n, edges = case
+        g = graph_of(n, edges)
+        comps = connected_components(g)
+        assert comps == reference_connected_components(g)
+        assert all(type(v) is int for comp in comps for v in comp)
+
+    def test_long_path_is_as_quick_as_the_bfs_twin(self):
+        """On the path 0-7999-7998-...-1 the smallest label could
+        creep one hop per round (hundreds of times the twin's time);
+        hooking settles it in a few rounds."""
+        n = 8000
+        g = graph_of(
+            n, [(0, n - 1)] + [(v, v - 1) for v in range(n - 1, 1, -1)]
+        )
+
+        def best(fn):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                fn(g)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert connected_components(g) == [list(range(n))]
+        assert best(connected_components) < 10 * best(
+            reference_connected_components
+        )
 
     def test_is_connected(self, two_triangles):
         assert not is_connected(two_triangles)

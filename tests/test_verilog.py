@@ -149,6 +149,15 @@ class TestRoundtripAndFiles:
         text = out.read_text(encoding="utf-8")
         assert text.startswith("module redump")
         assert "endmodule" in text
+        # Pads, wires and instances read back as they were.
+        back = loads_verilog(text)
+        assert back == h
+        assert [back.module_name(v) for v in range(back.num_modules)] == [
+            "pad:a", "pad:y", "g1", "g2", "g3"
+        ]
+        assert [back.net_name(j) for j in range(back.num_nets)] == [
+            "a", "w1", "w2", "y"
+        ]
 
     def test_partitioning_a_verilog_design(self):
         # Two half-adders sharing nothing: IG-Match separates them.
